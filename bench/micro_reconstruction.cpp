@@ -1,16 +1,23 @@
 // Micro benchmarks for the cutting pipeline: fragment execution fan-out and
 // the reconstruction contraction, standard vs golden (google-benchmark).
+// main() also times the chain contraction CutService runs, on three chain
+// shapes, for the JSON.
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json.hpp"
-#include "common/stopwatch.hpp"
+#include <algorithm>
 #include <span>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "backend/statevector_backend.hpp"
+#include "bench_json.hpp"
 #include "circuit/random.hpp"
+#include "common/stopwatch.hpp"
 #include "cutting/pipeline.hpp"
+#include "parallel/thread_pool.hpp"
+#include "support/qaoa_path.hpp"
 #include "support/run_cut.hpp"
 
 namespace {
@@ -140,15 +147,76 @@ void BM_ExactGoldenDetection(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactGoldenDetection)->Arg(5)->Arg(9)->Arg(13);
 
+// ---- Chain reconstruction (the API CutService calls) -------------------------
+
+/// Sampled chain data on one shape, reconstructed on a one-worker pool as
+/// the service does when a request brings its own single-worker pool.
+struct ChainFixture {
+  const char* name;
+  cutting::FragmentGraph graph;
+  cutting::ChainNeglectSpec spec;
+  cutting::ChainFragmentData data;
+
+  static ChainFixture make(const char* name, const circuit::Circuit& circuit,
+                           const std::vector<std::vector<circuit::WirePoint>>& boundaries,
+                           std::size_t shots_per_variant) {
+    cutting::FragmentGraph graph = cutting::make_fragment_chain(circuit, boundaries);
+    cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
+    backend::StatevectorBackend backend(3);
+    cutting::ExecutionOptions exec;
+    exec.shots_per_variant = shots_per_variant;
+    cutting::ChainFragmentData data = cutting::execute_chain(graph, spec, backend, exec);
+    return ChainFixture{name, std::move(graph), std::move(spec), std::move(data)};
+  }
+
+  [[nodiscard]] std::vector<double> reconstruct(parallel::ThreadPool& pool) const {
+    cutting::ReconstructionOptions options;
+    options.pool = &pool;
+    return cutting::reconstruct_distribution(graph, data, spec, options).raw_probabilities;
+  }
+};
+
+/// The perfbench sweep_warm job: depth-3 QAOA on a 12-qubit path, the middle
+/// wire cut after its last cost-layer interaction (a 12-qubit and a 1-qubit
+/// fragment, 4 terms), ~20000 shots over its 9 variants.
+ChainFixture sweep_warm_fixture() {
+  const circuit::Circuit c = circuit::qaoa_path(12, 3, 0.4, 0.25);
+  return ChainFixture::make("sweep_warm", c, {{circuit::middle_cut(c)}}, 2222);
+}
+
+/// A 13-qubit staircase cut into three 5-qubit fragments (16 terms).
+ChainFixture three_fragment_fixture() {
+  circuit::Circuit c(13);
+  std::vector<std::vector<circuit::WirePoint>> boundaries;
+  c.h(0);
+  for (int q = 0; q < 12; ++q) {
+    c.cx(q, q + 1).ry(0.3 + 0.05 * q, q + 1);
+    if (q == 3 || q == 7) boundaries.push_back({circuit::WirePoint{q + 1, c.num_ops() - 1}});
+  }
+  return ChainFixture::make("three_fragment", c, boundaries, 1000);
+}
+
+/// One 4-cut boundary: 4^4 = 256 terms over a 12-qubit and a 5-qubit
+/// fragment, past the 64-term point where terms share a chunk.
+ChainFixture four_cut_fixture() {
+  Rng rng(19);
+  circuit::MultiCutAnsatzOptions options;
+  options.num_cuts = 4;
+  options.block_width = 3;
+  const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
+  return ChainFixture::make("four_cut_256_terms", ansatz.circuit, {ansatz.cuts}, 1000);
+}
+
 }  // namespace
 
 namespace {
 
 /// Parallel reconstruction: a 2-cut bipartition (16 active terms under the
 /// full spec) reconstructed on a 1-thread vs a `threads`-thread pool. The
-/// chunked accumulation is deterministic in the term count alone, so both
-/// pools produce bit-for-bit identical distributions — only the wall clock
-/// moves.
+/// pool only builds the per-string tensors; the terms are summed on the
+/// calling thread in an order fixed by the term count, so both pools
+/// produce bit-for-bit identical distributions — only the wall clock of the
+/// tensor build moves.
 double parallel_reconstruction_speedup(int threads, double& serial_seconds_out,
                                        double& parallel_seconds_out) {
   using namespace qcut;
@@ -188,11 +256,30 @@ double parallel_reconstruction_speedup(int threads, double& serial_seconds_out,
   return serial_seconds_out / parallel_seconds_out;
 }
 
+/// Median seconds per one-worker chain reconstruction of `fixture`, over
+/// rounds long enough for the clock.
+double chain_seconds_per_call(const ChainFixture& fixture) {
+  constexpr int kRounds = 7;
+  constexpr int kCallsPerRound = 20;
+  parallel::ThreadPool pool(1);
+  std::vector<double> rounds;
+  for (int r = 0; r < kRounds; ++r) {
+    Stopwatch watch;
+    for (int i = 0; i < kCallsPerRound; ++i) {
+      benchmark::DoNotOptimize(fixture.reconstruct(pool).data());
+    }
+    rounds.push_back(watch.elapsed_seconds() / kCallsPerRound);
+  }
+  std::nth_element(rounds.begin(), rounds.begin() + kRounds / 2, rounds.end());
+  return rounds[kRounds / 2];
+}
+
 }  // namespace
 
 /// Custom main: run the registered google-benchmark suites, then time one
-/// representative standard-vs-golden reconstruction pair plus the 1-vs-4
-/// thread parallel reconstruction for the BENCH_<name>.json trajectory file.
+/// representative standard-vs-golden reconstruction pair, the 1-vs-4 thread
+/// parallel reconstruction and the per-call chain reconstructions for the
+/// BENCH_<name>.json trajectory file.
 int main(int argc, char** argv) {
   using namespace qcut;
   benchmark::Initialize(&argc, argv);
@@ -222,16 +309,22 @@ int main(int argc, char** argv) {
   const double parallel_speedup =
       parallel_reconstruction_speedup(kParallelThreads, serial_seconds, parallel_seconds);
 
-  (void)qcut::bench::write_bench_json(
-      "micro_reconstruction", golden_seconds, standard_seconds / golden_seconds,
-      {{"standard_seconds", standard_seconds},
-       {"golden_seconds", golden_seconds},
-       {"parallel_threads", static_cast<double>(kParallelThreads)},
-       // A 4-thread pool can only beat a 1-thread pool when the machine has
-       // the cores; record the hardware so the artifact is interpretable.
-       {"hardware_threads", static_cast<double>(std::thread::hardware_concurrency())},
-       {"recon_seconds_1thread", serial_seconds},
-       {"recon_seconds_4threads", parallel_seconds},
-       {"parallel_speedup_4threads", parallel_speedup}});
+  std::vector<std::pair<std::string, double>> extras = {
+      {"standard_seconds", standard_seconds},
+      {"golden_seconds", golden_seconds},
+      {"parallel_threads", static_cast<double>(kParallelThreads)},
+      // A 4-thread pool can only beat a 1-thread pool when the machine has
+      // the cores; record the hardware so the artifact is interpretable.
+      {"hardware_threads", static_cast<double>(std::thread::hardware_concurrency())},
+      {"recon_seconds_1thread", serial_seconds},
+      {"recon_seconds_4threads", parallel_seconds},
+      {"parallel_speedup_4threads", parallel_speedup}};
+  for (const ChainFixture& fixture :
+       {sweep_warm_fixture(), three_fragment_fixture(), four_cut_fixture()}) {
+    extras.emplace_back(std::string("chain_") + fixture.name + "_seconds",
+                        chain_seconds_per_call(fixture));
+  }
+  (void)qcut::bench::write_bench_json("micro_reconstruction", golden_seconds,
+                                      standard_seconds / golden_seconds, extras);
   return 0;
 }

@@ -38,6 +38,7 @@
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
 #include "service/cut_service.hpp"
+#include "support/qaoa_path.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace {
@@ -49,30 +50,6 @@ constexpr int kQaoaDepth = 3;
 constexpr std::size_t kShotsPerVariant = 200000;
 constexpr int kGridSize = 6;           // distinct (gamma, beta) parameter points
 constexpr int kRepeatsPerPoint = 4;    // stream revisits within one pass
-
-/// Depth-p QAOA ansatz for MaxCut on the path graph.
-circuit::Circuit qaoa_path(double gamma, double beta) {
-  circuit::Circuit c(kNumQubits);
-  for (int q = 0; q < kNumQubits; ++q) c.h(q);
-  for (int layer = 0; layer < kQaoaDepth; ++layer) {
-    for (int q = 0; q + 1 < kNumQubits; ++q) {
-      c.append(circuit::GateKind::RZZ, {q, q + 1}, {gamma * (1.0 + 0.1 * layer)});
-    }
-    for (int q = 0; q < kNumQubits; ++q) c.rx(2.0 * beta, q);
-  }
-  return c;
-}
-
-/// Cut the middle wire after its last cost-layer interaction.
-circuit::WirePoint middle_cut(const circuit::Circuit& c) {
-  const int wire = kNumQubits / 2;
-  std::size_t cut_after = 0;
-  for (std::size_t i = 0; i < c.num_ops(); ++i) {
-    const auto& op = c.op(i);
-    if (op.kind == circuit::GateKind::RZZ && op.acts_on(wire)) cut_after = i;
-  }
-  return circuit::WirePoint{wire, cut_after};
-}
 
 struct Request {
   circuit::Circuit circuit{1};
@@ -87,8 +64,8 @@ std::vector<Request> make_request_stream() {
       Request r;
       const double gamma = 0.3 + 0.1 * point;
       const double beta = 0.25 + 0.05 * point;
-      r.circuit = qaoa_path(gamma, beta);
-      r.cut = middle_cut(r.circuit);
+      r.circuit = circuit::qaoa_path(kNumQubits, kQaoaDepth, gamma, beta);
+      r.cut = circuit::middle_cut(r.circuit);
       r.options.shots_per_variant = kShotsPerVariant;
       stream.push_back(std::move(r));
     }
@@ -109,8 +86,9 @@ constexpr std::size_t kOverloadShots = 50000;
 /// fairness measurement meaningless.
 Request overload_request(int index, double gamma_base, double beta_base) {
   Request r;
-  r.circuit = qaoa_path(gamma_base + 0.004 * index, beta_base + 0.003 * index);
-  r.cut = middle_cut(r.circuit);
+  r.circuit = circuit::qaoa_path(kNumQubits, kQaoaDepth, gamma_base + 0.004 * index,
+                                 beta_base + 0.003 * index);
+  r.cut = circuit::middle_cut(r.circuit);
   r.options.shots_per_variant = kOverloadShots;
   return r;
 }

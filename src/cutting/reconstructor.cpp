@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
@@ -11,43 +12,33 @@ namespace qcut::cutting {
 
 namespace {
 
-/// Deterministic parallel reduction over reconstruction terms. Terms are
-/// split into fixed-size chunks computed from the term count alone (never
-/// from the pool), each chunk accumulates its terms in ascending order into
-/// its own slot, and the slots are summed in chunk order — so the result is
-/// bit-for-bit independent of thread count and scheduling (the service and
-/// direct paths agree even on differently sized pools).
+/// Deterministic reduction over reconstruction terms, on the calling thread.
+/// Terms are split into at most 64 chunks sized from the term count alone;
+/// each chunk sums its terms in ascending order from +0.0 and the chunk sums
+/// are added in chunk order, so the result is fixed by the term count and
+/// the terms, never by a pool. A one-term chunk adds straight into the joint
+/// vector: `add_term` adds to each element at most once per term, and the
+/// joint vector starts at +0.0 and never holds -0.0, so this differs from
+/// summing the chunk first only in the sign of a zero, which the joint
+/// vector does not keep. Larger chunks reuse one buffer.
 template <typename AddTerm>
-std::vector<double> accumulate_terms(parallel::ThreadPool& pool, std::uint64_t num_terms,
-                                     index_t full_dim, const AddTerm& add_term) {
-  constexpr std::uint64_t kMaxSlots = 64;  // bounds slot memory at 64 * 2^n doubles
-  if (num_terms == 0) return std::vector<double>(full_dim, 0.0);
-  const std::uint64_t chunk = (num_terms + kMaxSlots - 1) / kMaxSlots;
-  const std::uint64_t num_slots = (num_terms + chunk - 1) / chunk;
-
-  std::vector<std::vector<double>> slots(num_slots);
-  parallel::parallel_for(pool, 0, num_slots, [&](std::size_t s) {
-    std::vector<double>& local = slots[s];
-    local.assign(full_dim, 0.0);
-    const std::uint64_t lo = static_cast<std::uint64_t>(s) * chunk;
+std::vector<double> accumulate_terms(std::uint64_t num_terms, index_t full_dim,
+                                     const AddTerm& add_term) {
+  constexpr std::uint64_t kMaxChunks = 64;
+  std::vector<double> joint(full_dim, 0.0);
+  if (num_terms == 0) return joint;
+  const std::uint64_t chunk = (num_terms + kMaxChunks - 1) / kMaxChunks;
+  if (chunk == 1) {
+    for (std::uint64_t t = 0; t < num_terms; ++t) add_term(t, joint);
+    return joint;
+  }
+  std::vector<double> local(full_dim);
+  for (std::uint64_t lo = 0; lo < num_terms; lo += chunk) {
+    std::fill(local.begin(), local.end(), 0.0);
     const std::uint64_t hi = std::min<std::uint64_t>(num_terms, lo + chunk);
     for (std::uint64_t t = lo; t < hi; ++t) add_term(t, local);
-  });
-
-  // Merge the slots in parallel over disjoint output stripes: every output
-  // element still sums its slots in ascending slot order, so the merge is
-  // as deterministic as the serial loop it replaces.
-  std::vector<double> joint(full_dim, 0.0);
-  constexpr index_t kStripes = 64;
-  const index_t stripe = (full_dim + kStripes - 1) / kStripes;
-  parallel::parallel_for(pool, 0, static_cast<std::size_t>((full_dim + stripe - 1) / stripe),
-                         [&](std::size_t b) {
-                           const index_t lo = static_cast<index_t>(b) * stripe;
-                           const index_t hi = std::min(full_dim, lo + stripe);
-                           for (const std::vector<double>& slot : slots) {
-                             for (index_t i = lo; i < hi; ++i) joint[i] += slot[i];
-                           }
-                         });
+    for (index_t i = 0; i < full_dim; ++i) joint[i] += local[i];
+  }
   return joint;
 }
 
@@ -165,7 +156,7 @@ ReconstructionResult reconstruct_distribution(const Bipartition& bp, const Fragm
   });
 
   std::vector<double> joint = accumulate_terms(
-      pool, strings.size(), full_dim, [&](std::uint64_t t, std::vector<double>& local) {
+      strings.size(), full_dim, [&](std::uint64_t t, std::vector<double>& local) {
         const std::vector<double>& u_t = u[t];
         const std::vector<double>& v_t = v[t];
         for (index_t b1 = 0; b1 < layout.out_dim; ++b1) {
@@ -240,20 +231,62 @@ double reconstruct_diagonal_expectation(const Bipartition& bp, const FragmentDat
 
 namespace {
 
-/// Index plumbing for the chain contraction. At N=2 every step below is the
-/// operation the Layout above performs, in the same order, so the results
-/// agree bit for bit.
+/// scatter_bits(x, positions) for every x < 2^|positions|. Each bit of x
+/// moves on its own, so the entries of [2^k, 2^(k+1)) are those of [0, 2^k)
+/// OR'd with the image of bit k: O(1) per entry instead of a loop over the
+/// positions.
+std::vector<index_t> scatter_table(std::span<const int> positions) {
+  std::vector<index_t> table(pow2(static_cast<int>(positions.size())), 0);
+  for (std::size_t k = 0; k < positions.size(); ++k) {
+    const index_t top = pow2(static_cast<int>(k));
+    const index_t image = pow2(positions[k]);
+    for (index_t x = 0; x < top; ++x) table[top | x] = table[x] | image;
+  }
+  return table;
+}
+
+/// One outgoing tomography pattern of a fragment and its local outcome bits.
+struct CutPattern {
+  index_t local_bits = 0;
+  index_t index = 0;
+};
+
+/// Index plumbing for the chain contraction. At N=2 each tensor entry and
+/// each output bin receives the same additions, in the same order, as under
+/// the Layout above, so the results agree bit for bit (Layout still gathers
+/// bits and skips zero probabilities; skipping a zero changes no bit, see
+/// fragment_tensor). The tables rely on every fragment's local qubits
+/// splitting exactly into its tomography bits (`out_cut_qubits`) and its
+/// final bits (`output_qubits`), which finish_fragment in fragment_graph.cpp
+/// guarantees.
 struct ChainLayout {
   const FragmentGraph& graph;
-  std::vector<index_t> full_dims;  // 2^{width} per fragment
   std::vector<index_t> out_dims;   // 2^{final bits} per fragment
   std::vector<index_t> cut_dims;   // 2^{K_b} per boundary
   index_t total_cut_dim = 1;
+  /// A fragment's locals split into tomography and final bits, so each local
+  /// outcome is one (final-bit pattern, tomography pattern) pair. Per
+  /// fragment: the local bits of every final-bit pattern, and every
+  /// tomography pattern with its local bits, ascending in those bits (for a
+  /// fixed final-bit pattern that is ascending local outcome order).
+  std::vector<std::vector<index_t>> output_local;
+  std::vector<std::vector<CutPattern>> cut_patterns;
+  /// Per fragment, indexed by final-bit pattern: the pattern scattered onto
+  /// the fragment's original qubits.
+  std::vector<std::vector<index_t>> output_scatter;
 
   explicit ChainLayout(const FragmentGraph& g) : graph(g) {
     for (const ChainFragment& fragment : g.fragments) {
-      full_dims.push_back(pow2(fragment.width()));
       out_dims.push_back(pow2(fragment.output_width()));
+      output_local.push_back(scatter_table(fragment.output_qubits));
+      output_scatter.push_back(scatter_table(fragment.output_original));
+      const std::vector<index_t> cut_local = scatter_table(fragment.out_cut_qubits);
+      std::vector<CutPattern> cuts(cut_local.size());
+      for (index_t a = 0; a < cuts.size(); ++a) cuts[a] = CutPattern{cut_local[a], a};
+      std::sort(cuts.begin(), cuts.end(), [](const CutPattern& x, const CutPattern& y) {
+        return x.local_bits < y.local_bits;
+      });
+      cut_patterns.push_back(std::move(cuts));
     }
     for (const ChainBoundary& boundary : g.boundaries) {
       cut_dims.push_back(pow2(boundary.num_cuts()));
@@ -279,30 +312,40 @@ struct ChainLayout {
   /// Fragment f's tensor over its final bits for one (incoming string,
   /// outgoing string) pair: the incoming boundary's eigenstate slots are
   /// folded with `w_in` (null for fragment 0) and the outgoing tomography
-  /// bits with `w_out` (null for the last fragment). `prep_for_slot` maps
-  /// the incoming eigenstate slot tuple to the prep tuple index.
+  /// bits with `w_out` (null for the last fragment, which has no tomography
+  /// bits). `prep_for_slot` maps the incoming eigenstate slot tuple to the
+  /// prep tuple index.
+  ///
+  /// Each entry adds its outcomes incoming slot by incoming slot, each in
+  /// ascending local outcome order. Zero probabilities are not skipped:
+  /// every factor is finite and an entry starts at +0.0, so adding a
+  /// signed-zero product changes no bit.
   [[nodiscard]] std::vector<double> fragment_tensor(
       int f, const ChainFragmentData& data, const std::vector<std::uint32_t>* prep_for_slot,
       const std::vector<double>* w_in, std::uint32_t setting,
       const std::vector<double>* w_out) const {
-    const ChainFragment& fragment = graph.fragments[static_cast<std::size_t>(f)];
-    const index_t in_dim =
-        prep_for_slot != nullptr ? cut_dims[static_cast<std::size_t>(f - 1)] : 1;
+    const auto fi = static_cast<std::size_t>(f);
+    const index_t in_dim = prep_for_slot != nullptr ? cut_dims[fi - 1] : 1;
+    const std::vector<index_t>& final_bits = output_local[fi];
+    const std::vector<CutPattern>& cuts = cut_patterns[fi];
 
-    std::vector<double> tensor(out_dims[static_cast<std::size_t>(f)], 0.0);
+    std::vector<double> tensor(out_dims[fi], 0.0);
+    std::vector<double> factor(cuts.size());
     for (index_t a_in = 0; a_in < in_dim; ++a_in) {
       const std::uint32_t prep =
           prep_for_slot != nullptr ? (*prep_for_slot)[static_cast<std::size_t>(a_in)] : 0;
       const std::vector<double>& probs =
           data.distribution(f, FragmentVariantKey{prep, setting});
       const double in_weight = w_in != nullptr ? (*w_in)[a_in] : 1.0;
-      for (index_t o = 0; o < full_dims[static_cast<std::size_t>(f)]; ++o) {
-        const double p = probs[o];
-        if (p == 0.0) continue;
-        const index_t a_out = gather_bits(o, fragment.out_cut_qubits);
-        const index_t b = gather_bits(o, fragment.output_qubits);
-        const double out_weight = w_out != nullptr ? (*w_out)[a_out] : 1.0;
-        tensor[b] += (in_weight * out_weight) * p;
+      for (std::size_t j = 0; j < cuts.size(); ++j) {
+        factor[j] = in_weight * (w_out != nullptr ? (*w_out)[cuts[j].index] : 1.0);
+      }
+      for (index_t b = 0; b < tensor.size(); ++b) {
+        double sum = tensor[b];
+        for (std::size_t j = 0; j < cuts.size(); ++j) {
+          sum += factor[j] * probs[final_bits[b] | cuts[j].local_bits];
+        }
+        tensor[b] = sum;
       }
     }
     return tensor;
@@ -313,6 +356,11 @@ void check_chain_inputs(const FragmentGraph& graph, const ChainFragmentData& dat
                         const ChainNeglectSpec& spec) {
   QCUT_CHECK(spec.num_boundaries() == graph.num_boundaries(),
              "reconstruct: spec boundary count must match the graph");
+  for (int b = 0; b < graph.num_boundaries(); ++b) {
+    QCUT_CHECK(spec.boundary(b).num_cuts() ==
+                   graph.boundaries[static_cast<std::size_t>(b)].num_cuts(),
+               "reconstruct: spec cut count must match boundary " + std::to_string(b));
+  }
   QCUT_CHECK(data.num_fragments() == graph.num_fragments(),
              "reconstruct: chain data does not match the graph");
   for (int f = 0; f < graph.num_fragments(); ++f) {
@@ -323,21 +371,22 @@ void check_chain_inputs(const FragmentGraph& graph, const ChainFragmentData& dat
 }
 
 /// One global term: per-fragment tensors, multiplied out into `local` with
-/// the term coefficient. Zero entries are skipped at every level.
+/// the term coefficient. Zero entries prune their whole sub-tree at the
+/// outer levels; the last level adds every product, since a signed-zero
+/// product changes no bit of `local` (see fragment_tensor).
 void accumulate_term(const ChainLayout& layout,
                      const std::vector<const std::vector<double>*>& tensors, int f, double acc,
                      index_t idx, std::vector<double>& local) {
-  if (f == static_cast<int>(tensors.size())) {
-    local[idx] += acc;
+  const std::vector<double>& tensor = *tensors[static_cast<std::size_t>(f)];
+  const std::vector<index_t>& scatter = layout.output_scatter[static_cast<std::size_t>(f)];
+  if (f + 1 == static_cast<int>(tensors.size())) {
+    for (index_t x = 0; x < tensor.size(); ++x) local[idx | scatter[x]] += acc * tensor[x];
     return;
   }
-  const std::vector<double>& tensor = *tensors[static_cast<std::size_t>(f)];
-  const ChainFragment& fragment = layout.graph.fragments[static_cast<std::size_t>(f)];
   for (index_t x = 0; x < tensor.size(); ++x) {
     const double value = tensor[x];
     if (value == 0.0) continue;
-    accumulate_term(layout, tensors, f + 1, acc * value,
-                    idx | scatter_bits(x, fragment.output_original), local);
+    accumulate_term(layout, tensors, f + 1, acc * value, idx | scatter[x], local);
   }
 }
 
@@ -479,7 +528,7 @@ ReconstructionResult reconstruct_distribution(const FragmentGraph& graph,
   const ChainTermEngine engine = build_term_engine(layout, data, spec, &pool);
 
   std::vector<double> joint = accumulate_terms(
-      pool, engine.total_terms, full_dim, [&](std::uint64_t t, std::vector<double>& local) {
+      engine.total_terms, full_dim, [&](std::uint64_t t, std::vector<double>& local) {
         std::vector<std::size_t> string_of(static_cast<std::size_t>(num_boundaries));
         engine.decode(t, string_of);
         std::vector<const std::vector<double>*> tensors(

@@ -18,7 +18,8 @@
 namespace qcut::cutting {
 
 struct ReconstructionOptions {
-  /// Pool used to parallelize over basis strings; nullptr selects the
+  /// Pool used to build the per-string fragment tensors in parallel (the
+  /// terms are then summed on the calling thread); nullptr selects the
   /// global pool.
   parallel::ThreadPool* pool = nullptr;
 };

@@ -1,12 +1,16 @@
 // Chain cutting end to end: exact 3-fragment reconstruction against the
 // statevector ground truth, per-boundary golden neglection, agreement of the
 // single-outcome and diagonal-expectation paths with the full distribution,
-// and bit-for-bit N=2 equivalence with the pre-chain Bipartition pipeline.
+// bit-for-bit N=2 equivalence with the pre-chain Bipartition pipeline, and
+// bit-exactness of the chain contraction itself: identical bytes on every
+// pool size and committed digests of its output on synthetic fragment data.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
@@ -14,7 +18,9 @@
 #include "cutting/golden.hpp"
 #include "cutting/reconstructor.hpp"
 #include "cutting/variants.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/statevector.hpp"
+#include "support/qaoa_path.hpp"
 
 namespace qcut::cutting {
 namespace {
@@ -225,6 +231,165 @@ TEST(ChainCutting, VariantCircuitsMatchLegacyVariants) {
       EXPECT_EQ(chain.op(i).qubits, legacy.op(i).qubits);
       EXPECT_EQ(chain.op(i).params, legacy.op(i).params);
     }
+  }
+}
+
+TEST(ChainCutting, SpecCutCountMustMatchEveryBoundary) {
+  Rng rng(5);
+  circuit::MultiCutAnsatzOptions options;
+  options.num_cuts = 2;
+  const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, ansatz.cuts);
+  ASSERT_EQ(graph.boundaries[0].num_cuts(), 2);
+
+  backend::StatevectorBackend backend(1);
+  ExecutionOptions exec;
+  exec.exact = true;
+  const ChainFragmentData data =
+      execute_chain(graph, ChainNeglectSpec::none(graph), backend, exec);
+
+  for (const int num_cuts : {1, 3}) {
+    SCOPED_TRACE(num_cuts);
+    const ChainNeglectSpec spec{{NeglectSpec(num_cuts)}};
+    EXPECT_THROW((void)reconstruct_distribution(graph, data, spec), Error);
+    EXPECT_THROW((void)reconstruct_probability_of(graph, data, spec, 0), Error);
+  }
+}
+
+// ---- Bit-exactness of the chain contraction ---------------------------------
+
+/// 64-bit FNV-1a over the IEEE-754 bit patterns of `values`, least
+/// significant byte first, so the digest is the same on every host.
+std::uint64_t fnv1a(const std::vector<double>& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const double value : values) {
+    const auto word = std::bit_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+std::vector<std::uint64_t> bit_patterns(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  out.reserve(values.size());
+  for (const double value : values) out.push_back(std::bit_cast<std::uint64_t>(value));
+  return out;
+}
+
+/// Sampled-looking data for every variant `spec` needs, drawn from a seeded
+/// Rng instead of a simulator (whose output depends on the dispatched SIMD
+/// tier), so the digests below hold on every host whose build does not
+/// contract multiply-adds into FMA (a default x86-64 build does not). Each
+/// distribution is integer counts over their total: about a third of the
+/// bins are empty, and every fragment but the last has one final-bit
+/// pattern that is empty in all of its variants, which makes whole tensor
+/// entries, and the output bins they feed, exactly zero.
+ChainFragmentData synthetic_chain_data(const FragmentGraph& graph, const ChainNeglectSpec& spec,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  ChainFragmentData data = make_chain_data(graph);
+  for (int f = 0; f < graph.num_fragments(); ++f) {
+    const ChainFragment& fragment = graph.fragments[static_cast<std::size_t>(f)];
+    const bool last = f + 1 == graph.num_fragments();
+    const index_t dead = rng.uniform_int(0, pow2(fragment.output_width()) - 1);
+    for (const FragmentVariantKey key : required_fragment_variants(graph, f, spec)) {
+      std::vector<double> dist(pow2(fragment.width()), 0.0);
+      double shots = 0.0;
+      for (index_t o = 0; o < dist.size(); ++o) {
+        const bool empty = !last && gather_bits(o, fragment.output_qubits) == dead;
+        if (empty || rng.uniform_int(0, 2) == 0) continue;
+        dist[o] = static_cast<double>(rng.uniform_int(1, 40));
+        shots += dist[o];
+      }
+      for (double& p : dist) p /= std::max(shots, 1.0);
+      data.fragments[static_cast<std::size_t>(f)].variants.emplace(pack_variant_key(key),
+                                                                   std::move(dist));
+    }
+  }
+  return data;
+}
+
+/// Depth-2 QAOA on an 8-qubit path with the middle wire cut after its last
+/// cost-layer interaction: an 8-qubit fragment 0 and a 1-qubit fragment 1,
+/// the shape of the benchmark's parameter sweep.
+FragmentGraph sweep_like_graph() {
+  const Circuit c = circuit::qaoa_path(8, 2, 0.3, 0.35);
+  const std::array<WirePoint, 1> cuts = {circuit::middle_cut(c)};
+  return make_fragment_graph(c, cuts);
+}
+
+/// One 4-cut boundary: 4^4 = 256 terms, so the reduction sums them in
+/// chunks of 4 instead of one at a time.
+FragmentGraph four_cut_graph() {
+  Rng rng(29);
+  circuit::MultiCutAnsatzOptions options;
+  options.num_cuts = 4;
+  const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
+  return make_fragment_graph(ansatz.circuit, ansatz.cuts);
+}
+
+struct BitExactCase {
+  const char* name;
+  FragmentGraph graph;
+  std::uint64_t seed;
+  std::uint64_t terms;
+  std::uint64_t distribution_digest;    // fnv1a(raw_probabilities)
+  std::uint64_t probability_of_digest;  // fnv1a(probability_of every 3rd outcome)
+};
+
+/// Committed digests of the contraction's output: a change to it that moves
+/// any bit fails here, and must show the new bits are right before the
+/// digests are updated.
+std::vector<BitExactCase> bit_exact_cases() {
+  std::vector<BitExactCase> cases;
+  cases.push_back(
+      {"sweep_like", sweep_like_graph(), 41, 4, 0xedb84d3effb4be71ULL, 0x82c298dd2b31567fULL});
+  cases.push_back(
+      {"four_cut", four_cut_graph(), 43, 256, 0x54b868c7f328f182ULL, 0x151d74b21ef8e788ULL});
+  cases.push_back({"chain3", make_fragment_chain(chain5(), chain5_boundaries()), 47, 16,
+                   0xcded72e69bab3b47ULL, 0x91b68f5ca7e19781ULL});
+  return cases;
+}
+
+TEST(ChainCutting, ReconstructionIsByteIdenticalOnEveryPoolSize) {
+  for (const BitExactCase& c : bit_exact_cases()) {
+    SCOPED_TRACE(c.name);
+    const ChainNeglectSpec spec = ChainNeglectSpec::none(c.graph);
+    const ChainFragmentData data = synthetic_chain_data(c.graph, spec, c.seed);
+    std::vector<std::vector<std::uint64_t>> results;
+    for (const unsigned workers : {1U, 2U, 4U}) {
+      parallel::ThreadPool pool(workers);
+      ReconstructionOptions options;
+      options.pool = &pool;
+      results.push_back(
+          bit_patterns(reconstruct_distribution(c.graph, data, spec, options).raw_probabilities));
+    }
+    EXPECT_EQ(results[0], results[1]);
+    EXPECT_EQ(results[0], results[2]);
+  }
+}
+
+TEST(ChainCutting, ReconstructionMatchesCommittedDigests) {
+  for (const BitExactCase& c : bit_exact_cases()) {
+    SCOPED_TRACE(c.name);
+    const ChainNeglectSpec spec = ChainNeglectSpec::none(c.graph);
+    const ChainFragmentData data = synthetic_chain_data(c.graph, spec, c.seed);
+    const ReconstructionResult result = reconstruct_distribution(c.graph, data, spec);
+    EXPECT_EQ(result.terms, c.terms);
+    // The case must reach the zero paths: exact-zero output bins.
+    EXPECT_GT(std::count(result.raw_probabilities.begin(), result.raw_probabilities.end(), 0.0),
+              0);
+    EXPECT_EQ(fnv1a(result.raw_probabilities), c.distribution_digest)
+        << std::hex << fnv1a(result.raw_probabilities);
+
+    std::vector<double> single;
+    for (index_t outcome = 0; outcome < result.raw_probabilities.size(); outcome += 3) {
+      single.push_back(reconstruct_probability_of(c.graph, data, spec, outcome));
+    }
+    EXPECT_EQ(fnv1a(single), c.probability_of_digest) << std::hex << fnv1a(single);
   }
 }
 

@@ -32,22 +32,33 @@ class UnionFind {
 
 }  // namespace
 
+std::vector<std::vector<std::size_t>> wire_chains(const Circuit& circuit) {
+  std::vector<std::vector<std::size_t>> chains(static_cast<std::size_t>(circuit.num_qubits()));
+  for (std::size_t i = 0; i < circuit.num_ops(); ++i) {
+    for (int q : circuit.op(i).qubits) chains[static_cast<std::size_t>(q)].push_back(i);
+  }
+  return chains;
+}
+
 std::optional<CutAnalysis> try_analyze_cuts(const Circuit& circuit,
                                             std::span<const WirePoint> cuts,
+                                            std::string* why) {
+  return try_analyze_cuts(circuit, cuts, wire_chains(circuit), why);
+}
+
+std::optional<CutAnalysis> try_analyze_cuts(const Circuit& circuit,
+                                            std::span<const WirePoint> cuts,
+                                            std::span<const std::vector<std::size_t>> chain,
                                             std::string* why) {
   auto fail = [&](const std::string& message) -> std::optional<CutAnalysis> {
     if (why != nullptr) *why = message;
     return std::nullopt;
   };
 
+  QCUT_CHECK(chain.size() == static_cast<std::size_t>(circuit.num_qubits()),
+             "try_analyze_cuts: need one op chain per qubit");
   if (cuts.empty()) return fail("no cuts given");
   if (circuit.num_ops() == 0) return fail("circuit has no operations");
-
-  // Per-qubit op chains.
-  std::vector<std::vector<std::size_t>> chain(static_cast<std::size_t>(circuit.num_qubits()));
-  for (int q = 0; q < circuit.num_qubits(); ++q) {
-    chain[static_cast<std::size_t>(q)] = circuit.ops_on_qubit(q);
-  }
 
   // Validate each cut and record the wire segment (pair of op indices) it removes.
   struct CutEdge {

@@ -55,4 +55,14 @@ struct CutAnalysis {
                                                           std::span<const WirePoint> cuts,
                                                           std::string* why = nullptr);
 
+/// Every qubit's op chain (chains[q] == circuit.ops_on_qubit(q)), the
+/// structure cut analysis walks.
+[[nodiscard]] std::vector<std::vector<std::size_t>> wire_chains(const Circuit& circuit);
+
+/// try_analyze_cuts on chains already built by wire_chains(circuit), for
+/// callers that analyze many cut sets of one circuit (the cut planner).
+[[nodiscard]] std::optional<CutAnalysis> try_analyze_cuts(
+    const Circuit& circuit, std::span<const WirePoint> cuts,
+    std::span<const std::vector<std::size_t>> chains, std::string* why = nullptr);
+
 }  // namespace qcut::circuit

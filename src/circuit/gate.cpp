@@ -174,7 +174,11 @@ CMat gate_matrix(GateKind kind, const std::vector<double>& params) {
     case GateKind::U: {
       const double theta = params[0], phi = params[1], lambda = params[2];
       const double c = std::cos(theta / 2), s = std::sin(theta / 2);
-      return mat_1q(c, -std::polar(s, lambda), std::polar(s, phi), std::polar(c, phi + lambda));
+      // r e^{ia} spelled out: std::polar leaves a negative magnitude
+      // undefined, and c or s is negative for half of all theta. This is
+      // the formula libstdc++'s polar evaluates, so every entry keeps its bits.
+      const auto phasor = [](double r, double a) { return cx{r * std::cos(a), r * std::sin(a)}; };
+      return mat_1q(c, -phasor(s, lambda), phasor(s, phi), phasor(c, phi + lambda));
     }
     case GateKind::CX:
       return controlled_1q(gate_matrix(GateKind::X, {}));

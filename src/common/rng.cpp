@@ -115,8 +115,19 @@ DiscreteSampler::DiscreteSampler(std::span<const double> weights, double negativ
 
 std::size_t DiscreteSampler::sample(Rng& rng) const {
   const double u = rng.uniform() * cdf_.back();
-  const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
-  const auto idx = static_cast<std::size_t>(std::distance(cdf_.begin(), it));
+  // std::upper_bound's index (the first entry with u < cdf[i], or size()),
+  // found by a search whose trip count depends only on size(): each step
+  // halves the window with a select instead of a data-dependent branch,
+  // which mispredicts on random draws. The table is non-decreasing, so the
+  // predicate splits it at one point for every u (NaN and inf included),
+  // and both searches return that point.
+  const double* base = cdf_.data();
+  for (std::size_t len = cdf_.size(); len > 1;) {
+    const std::size_t half = len / 2;
+    base = u < base[half] ? base : base + half;
+    len -= half;
+  }
+  const auto idx = static_cast<std::size_t>(base - cdf_.data()) + (u < *base ? 0 : 1);
   return std::min(idx, cdf_.size() - 1);
 }
 

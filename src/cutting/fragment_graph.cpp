@@ -24,37 +24,15 @@ int FragmentGraph::max_fragment_width() const {
   return widest;
 }
 
-namespace {
-
-/// One prefix/suffix split of a (sub)circuit, the same construction
-/// make_bipartition has always used: fragment qubits in ascending order,
-/// untouched qubits assigned upstream, circuits rebuilt by appending each
-/// side's ops in program order and remapping to local indices.
-struct Split {
-  Circuit up{1};
-  Circuit down{1};
-  std::vector<int> up_local_of;    // sub-circuit qubit -> up local (-1 if absent)
-  std::vector<int> down_local_of;  // sub-circuit qubit -> down local (-1 if absent)
-  std::vector<int> up_to_sub;      // up local -> sub-circuit qubit (ascending)
-  std::vector<int> down_to_sub;    // down local -> sub-circuit qubit (ascending)
-  std::vector<std::ptrdiff_t> op_to_down;  // sub-circuit op -> down op index (-1 if upstream)
-  std::vector<int> cut_qubits;     // sub-circuit qubits, cut order
-};
-
-Split split_at(const Circuit& sub, std::span<const WirePoint> cuts, int boundary_index) {
-  std::string why;
-  const std::optional<CutAnalysis> analysis = circuit::try_analyze_cuts(sub, cuts, &why);
-  QCUT_CHECK(analysis.has_value(),
-             "make_fragment_chain: boundary " + std::to_string(boundary_index) + ": " + why);
-
-  const int n = sub.num_qubits();
+SplitQubits split_qubits(const Circuit& circuit, const CutAnalysis& analysis) {
+  const int n = circuit.num_qubits();
   std::vector<bool> in_up(static_cast<std::size_t>(n), false);
   std::vector<bool> in_down(static_cast<std::size_t>(n), false);
   std::vector<bool> touched(static_cast<std::size_t>(n), false);
-  for (std::size_t i = 0; i < sub.num_ops(); ++i) {
-    for (int q : sub.op(i).qubits) {
+  for (std::size_t i = 0; i < circuit.num_ops(); ++i) {
+    for (int q : circuit.op(i).qubits) {
       touched[static_cast<std::size_t>(q)] = true;
-      if (analysis->op_fragment[i] == FragmentId::Upstream) {
+      if (analysis.op_fragment[i] == FragmentId::Upstream) {
         in_up[static_cast<std::size_t>(q)] = true;
       } else {
         in_down[static_cast<std::size_t>(q)] = true;
@@ -68,7 +46,7 @@ Split split_at(const Circuit& sub, std::span<const WirePoint> cuts, int boundary
     if (!touched[static_cast<std::size_t>(q)]) in_up[static_cast<std::size_t>(q)] = true;
   }
 
-  Split split;
+  SplitQubits split;
   split.up_local_of.assign(static_cast<std::size_t>(n), -1);
   split.down_local_of.assign(static_cast<std::size_t>(n), -1);
   for (int q = 0; q < n; ++q) {
@@ -76,25 +54,50 @@ Split split_at(const Circuit& sub, std::span<const WirePoint> cuts, int boundary
       split.up_local_of[static_cast<std::size_t>(q)] = static_cast<int>(split.up_to_sub.size());
       split.up_to_sub.push_back(q);
     }
-  }
-  for (int q = 0; q < n; ++q) {
     if (in_down[static_cast<std::size_t>(q)]) {
       split.down_local_of[static_cast<std::size_t>(q)] =
           static_cast<int>(split.down_to_sub.size());
       split.down_to_sub.push_back(q);
     }
   }
-  QCUT_CHECK(!split.up_to_sub.empty() && !split.down_to_sub.empty(),
+  return split;
+}
+
+namespace {
+
+/// One prefix/suffix split of a (sub)circuit, the same construction
+/// make_bipartition has always used: fragment qubits from split_qubits,
+/// circuits rebuilt by appending each side's ops in program order and
+/// remapping to local indices.
+struct Split {
+  Circuit up{1};
+  Circuit down{1};
+  SplitQubits qubits;
+  std::vector<std::ptrdiff_t> op_to_down;  // sub-circuit op -> down op index (-1 if upstream)
+  std::vector<int> cut_qubits;             // sub-circuit qubits, cut order
+};
+
+Split split_at(const Circuit& sub, std::span<const WirePoint> cuts, int boundary_index) {
+  std::string why;
+  const std::optional<CutAnalysis> analysis = circuit::try_analyze_cuts(sub, cuts, &why);
+  QCUT_CHECK(analysis.has_value(),
+             "make_fragment_chain: boundary " + std::to_string(boundary_index) + ": " + why);
+
+  Split split;
+  split.qubits = split_qubits(sub, *analysis);
+  const SplitQubits& qubits = split.qubits;
+  QCUT_CHECK(!qubits.up_to_sub.empty() && !qubits.down_to_sub.empty(),
              "make_fragment_chain: boundary " + std::to_string(boundary_index) +
                  ": both sides must contain at least one qubit");
 
   for (int cut_qubit : analysis->cut_qubits) {
-    QCUT_ASSERT(in_up[static_cast<std::size_t>(cut_qubit)] &&
-                    in_down[static_cast<std::size_t>(cut_qubit)],
+    QCUT_ASSERT(qubits.up_local_of[static_cast<std::size_t>(cut_qubit)] >= 0 &&
+                    qubits.down_local_of[static_cast<std::size_t>(cut_qubit)] >= 0,
                 "make_fragment_chain: cut qubit missing from a side");
     split.cut_qubits.push_back(cut_qubit);
   }
 
+  const int n = sub.num_qubits();
   Circuit up(n);
   Circuit down(n);
   split.op_to_down.assign(sub.num_ops(), -1);
@@ -110,8 +113,8 @@ Split split_at(const Circuit& sub, std::span<const WirePoint> cuts, int boundary
       side.append(op.kind, op.qubits, op.params);
     }
   }
-  split.up = up.remapped(split.up_local_of, static_cast<int>(split.up_to_sub.size()));
-  split.down = down.remapped(split.down_local_of, static_cast<int>(split.down_to_sub.size()));
+  split.up = up.remapped(qubits.up_local_of, static_cast<int>(qubits.up_to_sub.size()));
+  split.down = down.remapped(qubits.down_local_of, static_cast<int>(qubits.down_to_sub.size()));
   return split;
 }
 
@@ -182,7 +185,7 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
 
     ChainFragment fragment;
     fragment.circuit = std::move(split.up);
-    for (int sub : split.up_to_sub) {
+    for (int sub : split.qubits.up_to_sub) {
       fragment.to_original.push_back(suffix_to_original[static_cast<std::size_t>(sub)]);
     }
 
@@ -191,7 +194,7 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
     for (std::size_t w = 0; w < pending_in_original.size(); ++w) {
       const int original = pending_in_original[w];
       const int sub = qubit_to_suffix[static_cast<std::size_t>(original)];
-      const int local = split.up_local_of[static_cast<std::size_t>(sub)];
+      const int local = split.qubits.up_local_of[static_cast<std::size_t>(sub)];
       QCUT_CHECK(local >= 0,
                  "make_fragment_chain: cut wire on qubit " + std::to_string(original) +
                      " of boundary " + std::to_string(b - 1) + " is re-prepared in a later "
@@ -205,7 +208,7 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
     for (int sub_qubit : split.cut_qubits) {
       BoundaryWire wire;
       wire.original_qubit = suffix_to_original[static_cast<std::size_t>(sub_qubit)];
-      wire.up_qubit = split.up_local_of[static_cast<std::size_t>(sub_qubit)];
+      wire.up_qubit = split.qubits.up_local_of[static_cast<std::size_t>(sub_qubit)];
       wire.down_qubit = -1;  // filled when the next fragment is carved out
       fragment.out_cut_qubits.push_back(wire.up_qubit);
       boundary.wires.push_back(wire);
@@ -221,7 +224,7 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
 
     // Re-anchor the original-coordinate maps on the new suffix.
     std::vector<int> next_to_original;
-    for (int sub : split.down_to_sub) {
+    for (int sub : split.qubits.down_to_sub) {
       next_to_original.push_back(suffix_to_original[static_cast<std::size_t>(sub)]);
     }
     std::vector<int> next_qubit_to_suffix(static_cast<std::size_t>(circuit.num_qubits()), -1);

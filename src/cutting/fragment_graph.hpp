@@ -80,6 +80,22 @@ struct FragmentGraph {
   [[nodiscard]] int max_fragment_width() const;
 };
 
+/// Which qubits each side of one prefix/suffix split holds: every qubit an
+/// upstream op touches, plus every qubit no op touches, goes upstream; every
+/// qubit a downstream op touches goes downstream; locals are assigned in
+/// ascending qubit order. make_fragment_chain and the cut planner share this
+/// one definition of which qubit lands where.
+struct SplitQubits {
+  std::vector<int> up_local_of;    // qubit -> upstream local (-1 if absent)
+  std::vector<int> down_local_of;  // qubit -> downstream local (-1 if absent)
+  std::vector<int> up_to_sub;      // upstream local -> qubit (ascending)
+  std::vector<int> down_to_sub;    // downstream local -> qubit (ascending)
+};
+
+/// The qubit assignment of `circuit` split by `analysis`.
+[[nodiscard]] SplitQubits split_qubits(const Circuit& circuit,
+                                       const circuit::CutAnalysis& analysis);
+
 /// Splits `circuit` into an N-fragment chain at the given per-boundary cut
 /// groups (boundaries[b] separates fragment b from fragment b+1). Throws
 /// qcut::Error when any boundary fails to split its suffix, or when a cut

@@ -125,35 +125,47 @@ const std::vector<linalg::CMat>& context_projectors() {
   return projectors;
 }
 
-/// tr(rho * op) for small dense matrices.
-linalg::cx trace_product(const linalg::CMat& rho, const linalg::CMat& op) {
-  return linalg::trace_of_product(rho, op);
-}
-
 }  // namespace
 
-GoldenDetectionReport detect_golden_exact(const Bipartition& bp, double tol) {
-  const int num_cuts = bp.num_cuts();
-  const int n1 = bp.f1_width();
-  const std::vector<int> cut_qubits = bp.f1_cut_qubits();
-  const std::vector<int>& out_qubits = bp.f1_output_qubits;
+FragmentLayout upstream_layout(const Bipartition& bp) {
+  FragmentLayout layout;
+  layout.num_cuts = bp.num_cuts();
+  layout.width = bp.f1_width();
+  layout.cut_qubits = bp.f1_cut_qubits();
+  layout.out_qubits = bp.f1_output_qubits;
+  return layout;
+}
 
-  sim::StateVector psi(n1);
+GoldenDetectionReport detect_golden_exact(const Bipartition& bp, double tol) {
+  sim::StateVector psi(bp.f1_width());
   psi.apply_circuit(bp.f1);
-  const linalg::CVec& amps = psi.amplitudes();
+  return detect_golden_exact_core(upstream_layout(bp), psi.amplitudes(), tol);
+}
+
+GoldenDetectionReport detect_golden_exact_core(const FragmentLayout& layout,
+                                               std::span<const linalg::cx> amps, double tol) {
+  QCUT_CHECK(amps.size() == pow2(layout.width),
+             "detect_golden_exact: amplitude count must be 2^(fragment width)");
+  const int num_cuts = layout.num_cuts;
+  const std::vector<int>& cut_qubits = layout.cut_qubits;
+  const std::vector<int>& out_qubits = layout.out_qubits;
 
   // Conditional (unnormalized) cut-qubit density matrices per upstream
-  // output bitstring b1.
+  // output bitstring b1, back to back: entry (c, cp) of b1's matrix lives at
+  // (b1 * cut_dim + c) * cut_dim + cp.
   const index_t out_dim = pow2(static_cast<int>(out_qubits.size()));
   const index_t cut_dim = pow2(num_cuts);
-  std::vector<linalg::CMat> conditional(out_dim, linalg::CMat(cut_dim, cut_dim));
+  const index_t block = cut_dim * cut_dim;
+  std::vector<index_t> cut_offset(cut_dim);
+  for (index_t c = 0; c < cut_dim; ++c) cut_offset[c] = scatter_bits(c, cut_qubits);
+  std::vector<linalg::cx> conditional(out_dim * block);
   for (index_t b1 = 0; b1 < out_dim; ++b1) {
     const index_t base = scatter_bits(b1, out_qubits);
     for (index_t c = 0; c < cut_dim; ++c) {
-      const index_t ic = base | scatter_bits(c, cut_qubits);
+      const index_t ic = base | cut_offset[c];
       for (index_t cp = 0; cp < cut_dim; ++cp) {
-        const index_t icp = base | scatter_bits(cp, cut_qubits);
-        conditional[b1](c, cp) = amps[ic] * std::conj(amps[icp]);
+        const index_t icp = base | cut_offset[cp];
+        conditional[b1 * block + c * cut_dim + cp] = amps[ic] * std::conj(amps[icp]);
       }
     }
   }
@@ -166,7 +178,8 @@ GoldenDetectionReport detect_golden_exact(const Bipartition& bp, double tol) {
   std::uint64_t num_contexts = 1;
   for (int j = 0; j + 1 < num_cuts; ++j) num_contexts *= kNumPrepStates;
 
-  std::vector<linalg::CMat> slot(static_cast<std::size_t>(num_cuts));
+  std::vector<const linalg::CMat*> slot(static_cast<std::size_t>(num_cuts));
+  linalg::CMat product;
   for (int k = 0; k < num_cuts; ++k) {
     for (Pauli p : linalg::kAllPaulis) {
       double violation = 0.0;
@@ -175,20 +188,27 @@ GoldenDetectionReport detect_golden_exact(const Bipartition& bp, double tol) {
         std::uint64_t rest = ctx;
         for (int j = 0; j < num_cuts; ++j) {
           if (j == k) {
-            slot[static_cast<std::size_t>(j)] = linalg::pauli_matrix(p);
+            slot[static_cast<std::size_t>(j)] = &linalg::pauli_matrix(p);
           } else {
             slot[static_cast<std::size_t>(j)] =
-                context_projectors()[static_cast<std::size_t>(rest % kNumPrepStates)];
+                &context_projectors()[static_cast<std::size_t>(rest % kNumPrepStates)];
             rest /= kNumPrepStates;
           }
         }
         // kron with slot 0 as the least significant index bit.
-        linalg::CMat op = slot[static_cast<std::size_t>(num_cuts - 1)];
+        const linalg::CMat* op = slot[static_cast<std::size_t>(num_cuts - 1)];
         for (int j = num_cuts - 2; j >= 0; --j) {
-          op = linalg::kron(op, slot[static_cast<std::size_t>(j)]);
+          product = linalg::kron(*op, *slot[static_cast<std::size_t>(j)]);
+          op = &product;
         }
         for (index_t b1 = 0; b1 < out_dim; ++b1) {
-          violation = std::max(violation, std::abs(trace_product(conditional[b1], op)));
+          // tr(rho_b1 * op), summed in linalg::trace_of_product's order.
+          const linalg::cx* rho = conditional.data() + b1 * block;
+          linalg::cx trace{0.0, 0.0};
+          for (index_t i = 0; i < cut_dim; ++i) {
+            for (index_t j = 0; j < cut_dim; ++j) trace += rho[i * cut_dim + j] * (*op)(j, i);
+          }
+          violation = std::max(violation, std::abs(trace));
         }
       }
       report.violation[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)] = violation;
@@ -300,13 +320,8 @@ GoldenDetectionReport detect_golden_from_counts(
   QCUT_CHECK(upstream_probabilities.size() == num_settings,
              "detect_golden_from_counts: need all 3^K upstream settings");
 
-  FragmentLayout layout;
-  layout.num_cuts = bp.num_cuts();
-  layout.width = bp.f1_width();
-  layout.cut_qubits = bp.f1_cut_qubits();
-  layout.out_qubits = bp.f1_output_qubits;
   return detect_golden_from_counts_core(
-      layout, 1,
+      upstream_layout(bp), 1,
       [&](std::size_t, std::uint32_t s) -> const std::vector<double>& {
         return upstream_probabilities[s];
       },

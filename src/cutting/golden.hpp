@@ -26,10 +26,12 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "cutting/basis.hpp"
 #include "cutting/bipartition.hpp"
+#include "linalg/matrix.hpp"
 
 namespace qcut::cutting {
 
@@ -90,10 +92,29 @@ struct GoldenDetectionReport {
   [[nodiscard]] NeglectSpec to_spec() const;
 };
 
+/// Where a detector finds the tested boundary in one fragment's register.
+struct FragmentLayout {
+  int num_cuts = 0;              // outgoing cut count of the tested boundary
+  int width = 0;                 // fragment width in qubits
+  std::vector<int> cut_qubits;   // tomography locals, boundary cut order
+  std::vector<int> out_qubits;   // remaining locals (conditioning bits)
+};
+
+/// The layout of a bipartition's upstream fragment f1.
+[[nodiscard]] FragmentLayout upstream_layout(const Bipartition& bp);
+
 /// Exact detection from the upstream fragment's statevector.
 /// An element is declared golden when its violation is at most `tol`.
+/// Simulates bp.f1 and runs detect_golden_exact_core on its amplitudes.
 [[nodiscard]] GoldenDetectionReport detect_golden_exact(const Bipartition& bp,
                                                         double tol = 1e-9);
+
+/// The exact test itself, on the upstream amplitudes (length 2^layout.width)
+/// of the fragment `layout` describes. The cut planner calls it on an
+/// upstream it simulates without building fragment circuits, so a planned
+/// cut and detect_golden_exact agree bit for bit.
+[[nodiscard]] GoldenDetectionReport detect_golden_exact_core(
+    const FragmentLayout& layout, std::span<const linalg::cx> amplitudes, double tol = 1e-9);
 
 /// Options for the statistical (online) detector.
 struct OnlineDetectionOptions {
@@ -150,13 +171,6 @@ struct OnlineDetectionOptions {
 /// test passes in *every* incoming context, and the union bound covers all
 /// contexts. With one context this is exactly detect_golden_from_counts on
 /// the upstream fragment of a bipartition.
-struct FragmentLayout {
-  int num_cuts = 0;              // outgoing cut count of the tested boundary
-  int width = 0;                 // fragment width in qubits
-  std::vector<int> cut_qubits;   // tomography locals, boundary cut order
-  std::vector<int> out_qubits;   // remaining locals (conditioning bits)
-};
-
 using SettingDistributionFn =
     std::function<const std::vector<double>&(std::size_t context, std::uint32_t setting)>;
 

@@ -158,28 +158,38 @@ GoldenDetectionReport detect_golden_for_observable(const Bipartition& bp,
 
 std::optional<GoldenDetectionReport> try_detect_golden_for_observable(
     const Bipartition& bp, const DiagonalObservable& observable, double tol) {
-  QCUT_CHECK(observable.num_qubits() == bp.num_original_qubits,
+  std::vector<int> output_original;
+  for (int local : bp.f1_output_qubits) {
+    output_original.push_back(bp.f1_to_original[static_cast<std::size_t>(local)]);
+  }
+  sim::StateVector psi(bp.f1_width());
+  psi.apply_circuit(bp.f1);
+  return try_detect_golden_for_observable_core(upstream_layout(bp), psi.amplitudes(), observable,
+                                               output_original, bp.f2_to_original, tol);
+}
+
+std::optional<GoldenDetectionReport> try_detect_golden_for_observable_core(
+    const FragmentLayout& layout, std::span<const linalg::cx> amps,
+    const DiagonalObservable& observable, std::span<const int> output_original,
+    std::span<const int> downstream_original, double tol) {
+  // The upstream outputs and the downstream fragment partition the
+  // original qubits.
+  QCUT_CHECK(observable.num_qubits() ==
+                 static_cast<int>(output_original.size() + downstream_original.size()),
              "detect_golden_for_observable: observable width must match the circuit");
+  QCUT_CHECK(amps.size() == pow2(layout.width),
+             "detect_golden_for_observable: amplitude count must be 2^(fragment width)");
 
   // Factorize the observable across the bipartition: A = f1 output qubits
   // (original indices), B = f2 qubits.
-  std::vector<int> a_qubits;
-  for (int local : bp.f1_output_qubits) {
-    a_qubits.push_back(bp.f1_to_original[static_cast<std::size_t>(local)]);
-  }
-  const std::vector<int>& b_qubits = bp.f2_to_original;
   std::vector<double> o_f1, o_f2;
-  if (!try_factorize(observable.diagonal(), a_qubits, b_qubits, o_f1, o_f2)) {
+  if (!try_factorize(observable.diagonal(), output_original, downstream_original, o_f1, o_f2)) {
     return std::nullopt;
   }
 
-  const int num_cuts = bp.num_cuts();
-  const std::vector<int> cut_qubits = bp.f1_cut_qubits();
-  const std::vector<int>& out_qubits = bp.f1_output_qubits;
-
-  sim::StateVector psi(bp.f1_width());
-  psi.apply_circuit(bp.f1);
-  const linalg::CVec& amps = psi.amplitudes();
+  const int num_cuts = layout.num_cuts;
+  const std::vector<int>& cut_qubits = layout.cut_qubits;
+  const std::vector<int>& out_qubits = layout.out_qubits;
 
   // Observable-weighted conditional cut matrix:
   //   W = sum_{b1} O_f1(b1) * rho_cut(b1)

@@ -77,6 +77,17 @@ class DiagonalObservable {
 [[nodiscard]] std::optional<GoldenDetectionReport> try_detect_golden_for_observable(
     const Bipartition& bp, const DiagonalObservable& observable, double tol = 1e-9);
 
+/// The test try_detect_golden_for_observable runs, on the upstream
+/// amplitudes (length 2^layout.width) of the fragment `layout` describes.
+/// `output_original` lists the original qubits of layout.out_qubits and
+/// `downstream_original` those of the downstream fragment; returns nullopt
+/// when the observable does not factorize across them. The cut planner
+/// calls it on an upstream it simulates without building fragment circuits.
+[[nodiscard]] std::optional<GoldenDetectionReport> try_detect_golden_for_observable_core(
+    const FragmentLayout& layout, std::span<const linalg::cx> amplitudes,
+    const DiagonalObservable& observable, std::span<const int> output_original,
+    std::span<const int> downstream_original, double tol = 1e-9);
+
 /// Expectation of a diagonal observable from fragment data under a spec
 /// (thin wrapper over reconstruct_diagonal_expectation).
 [[nodiscard]] double estimate_expectation(const Bipartition& bp, const FragmentData& data,

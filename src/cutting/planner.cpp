@@ -1,61 +1,184 @@
 #include "cutting/planner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
+#include <span>
 #include <utility>
 
+#include "cutting/fragment_graph.hpp"
 #include "cutting/variants.hpp"
+#include "sim/statevector.hpp"
 
 namespace qcut::cutting {
 
 namespace {
 
+/// What ranking and golden detection need from one single cut, read off
+/// its cut analysis instead of built fragment circuits. The qubit
+/// assignment is make_fragment_chain's own (split_qubits), so the layout is
+/// the one make_bipartition's f1 and f2 would have.
+struct CutView {
+  circuit::CutAnalysis analysis;
+  SplitQubits qubits;       // original qubit <-> f1 / f2 locals
+  FragmentLayout upstream;  // f1: width, cut-wire local, output locals
+
+  [[nodiscard]] int f1_width() const noexcept { return upstream.width; }
+  [[nodiscard]] int f2_width() const noexcept {
+    return static_cast<int>(qubits.down_to_sub.size());
+  }
+
+  /// Original qubits of the f1 outputs (the observable planner's
+  /// factorization side A; f2's are qubits.down_to_sub).
+  [[nodiscard]] std::vector<int> output_original() const {
+    std::vector<int> out;
+    out.reserve(upstream.out_qubits.size());
+    for (int local : upstream.out_qubits) {
+      out.push_back(qubits.up_to_sub[static_cast<std::size_t>(local)]);
+    }
+    return out;
+  }
+};
+
+CutView make_cut_view(const Circuit& circuit, circuit::CutAnalysis analysis) {
+  CutView view;
+  view.qubits = split_qubits(circuit, analysis);
+  FragmentLayout& up = view.upstream;
+  up.num_cuts = static_cast<int>(analysis.cut_qubits.size());
+  up.width = static_cast<int>(view.qubits.up_to_sub.size());
+  // Every f1 local that is not a cut wire is an output (finish_fragment's rule).
+  std::vector<bool> is_cut(static_cast<std::size_t>(up.width), false);
+  for (int q : analysis.cut_qubits) {
+    const int local = view.qubits.up_local_of[static_cast<std::size_t>(q)];
+    up.cut_qubits.push_back(local);
+    is_cut[static_cast<std::size_t>(local)] = true;
+  }
+  for (int local = 0; local < up.width; ++local) {
+    if (!is_cut[static_cast<std::size_t>(local)]) up.out_qubits.push_back(local);
+  }
+  view.analysis = std::move(analysis);
+  return view;
+}
+
+/// Every op's unitary, computed once per planner call. Operation::matrix()
+/// would fill the op's lazy cache: a write into the caller's circuit, which
+/// concurrent plan_* calls on one const Circuit must not make.
+std::vector<linalg::CMat> op_matrices(const Circuit& circuit) {
+  std::vector<linalg::CMat> matrices;
+  matrices.reserve(circuit.num_ops());
+  for (const circuit::Operation& op : circuit.ops()) {
+    matrices.push_back(op.kind == circuit::GateKind::Custom
+                           ? op.custom
+                           : circuit::gate_matrix(op.kind, op.params));
+  }
+  return matrices;
+}
+
+/// The f1 state of `view`, simulated in place: every upstream op of the
+/// original circuit, in program order, on its f1-local qubits. These are
+/// the ops, matrices and qubit lists make_bipartition's f1 would apply, so
+/// the amplitudes are bit for bit the same.
+sim::StateVector simulate_upstream(const Circuit& circuit,
+                                   std::span<const linalg::CMat> matrices, const CutView& view) {
+  sim::StateVector psi(view.f1_width());
+  std::vector<int> locals;
+  for (std::size_t i = 0; i < circuit.num_ops(); ++i) {
+    if (view.analysis.op_fragment[i] != circuit::FragmentId::Upstream) continue;
+    locals.clear();
+    for (int q : circuit.op(i).qubits) {
+      locals.push_back(view.qubits.up_local_of[static_cast<std::size_t>(q)]);
+    }
+    psi.apply_matrix(matrices[i], locals);
+  }
+  return psi;
+}
+
 /// Enumeration skeleton shared by the single-cut and chain planners:
-/// visits every valid single-cut bipartition as
-/// visit(point, analysis, bipartition, up_op, down_op).
+/// visits every valid single cut as
+/// visit(point, view, f1 amplitudes, up_op, down_op).
 template <typename Visit>
 void for_each_single_cut(const Circuit& circuit, Visit&& visit) {
+  const std::vector<linalg::CMat> matrices = op_matrices(circuit);
+  const std::vector<std::vector<std::size_t>> chains = circuit::wire_chains(circuit);
   for (int q = 0; q < circuit.num_qubits(); ++q) {
-    const std::vector<std::size_t> ops = circuit.ops_on_qubit(q);
+    const std::vector<std::size_t>& ops = chains[static_cast<std::size_t>(q)];
     // Cutting after the last op on a wire is meaningless; skip it.
     for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
       const WirePoint point{q, ops[i]};
       const std::array<WirePoint, 1> cuts = {point};
-      const std::optional<circuit::CutAnalysis> analysis =
-          circuit::try_analyze_cuts(circuit, cuts);
+      std::optional<circuit::CutAnalysis> analysis =
+          circuit::try_analyze_cuts(circuit, cuts, chains);
       if (!analysis.has_value()) continue;
-      visit(point, *analysis, make_bipartition(circuit, cuts), ops[i], ops[i + 1]);
+      const CutView view = make_cut_view(circuit, *std::move(analysis));
+      const sim::StateVector upstream = simulate_upstream(circuit, matrices, view);
+      visit(point, view, upstream.amplitudes(), ops[i], ops[i + 1]);
     }
   }
 }
 
-/// CutCandidate from one analyzed bipartition and its golden report.
-CutCandidate make_candidate(const WirePoint& point, const Bipartition& bp,
-                            const GoldenDetectionReport& report) {
-  const NeglectSpec spec = report.to_spec();
+/// What a single cut's neglect spec costs.
+struct SpecCosts {
+  std::uint64_t terms = 0;   // active basis strings
+  std::size_t settings = 0;  // upstream measurement settings
+  std::size_t preps = 0;     // downstream preparations
+};
+
+/// SpecCosts per golden pattern. A single cut's spec, and so its costs,
+/// depend only on which of X, Y and Z are golden, so one planner call
+/// derives each of the 8 patterns at most once.
+class SpecCostTable {
+ public:
+  const SpecCosts& operator()(const GoldenDetectionReport& report) {
+    std::size_t pattern = 0;
+    for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+      if (report.golden.front()[static_cast<std::size_t>(p)]) {
+        pattern |= std::size_t{1} << (static_cast<int>(p) - 1);
+      }
+    }
+    std::optional<SpecCosts>& costs = table_[pattern];
+    if (!costs.has_value()) {
+      const NeglectSpec spec = report.to_spec();
+      costs = SpecCosts{spec.num_active_strings(), required_setting_indices(spec).size(),
+                        required_prep_indices(spec).size()};
+    }
+    return *costs;
+  }
+
+ private:
+  std::array<std::optional<SpecCosts>, 8> table_{};
+};
+
+/// CutCandidate from one analyzed cut and its golden report.
+CutCandidate make_candidate(const WirePoint& point, const CutView& view,
+                            const GoldenDetectionReport& report, const SpecCosts& costs) {
   CutCandidate candidate;
   candidate.point = point;
-  candidate.f1_width = bp.f1_width();
-  candidate.f2_width = bp.f2_width();
+  candidate.f1_width = view.f1_width();
+  candidate.f2_width = view.f2_width();
   candidate.violation = report.violation.front();
   for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
     if (report.golden.front()[static_cast<std::size_t>(p)]) {
       candidate.golden_bases.push_back(p);
     }
   }
-  candidate.terms = spec.num_active_strings();
-  candidate.evaluations = count_variants(spec).total();
+  candidate.terms = costs.terms;
+  // == count_variants(spec).total()
+  candidate.evaluations = costs.settings + costs.preps;
   return candidate;
 }
 
-/// Candidate list; `detect` maps a bipartition to the golden report that
-/// should rank it.
+/// Candidate list; `detect(view, amplitudes)` maps a cut and its f1
+/// amplitudes to the golden report that should rank it.
 template <typename Detect>
 std::vector<CutCandidate> enumerate_with(const Circuit& circuit, Detect&& detect) {
   std::vector<CutCandidate> candidates;
-  for_each_single_cut(circuit, [&](const WirePoint& point, const circuit::CutAnalysis&,
-                                   const Bipartition& bp, std::size_t, std::size_t) {
-    candidates.push_back(make_candidate(point, bp, detect(bp)));
+  SpecCostTable spec_costs;
+  for_each_single_cut(circuit, [&](const WirePoint& point, const CutView& view,
+                                   std::span<const linalg::cx> amplitudes, std::size_t,
+                                   std::size_t) {
+    const GoldenDetectionReport report = detect(view, amplitudes);
+    candidates.push_back(make_candidate(point, view, report, spec_costs(report)));
   });
   return candidates;
 }
@@ -80,19 +203,22 @@ std::optional<CutCandidate> pick_best(std::vector<CutCandidate> candidates,
 }  // namespace
 
 std::vector<CutCandidate> enumerate_single_cuts(const Circuit& circuit, double golden_tol) {
-  return enumerate_with(circuit,
-                        [&](const Bipartition& bp) { return detect_golden_exact(bp, golden_tol); });
+  return enumerate_with(circuit, [&](const CutView& view, std::span<const linalg::cx> amplitudes) {
+    return detect_golden_exact_core(view.upstream, amplitudes, golden_tol);
+  });
 }
 
 std::vector<CutCandidate> enumerate_single_cuts(const Circuit& circuit,
                                                 const DiagonalObservable& observable,
                                                 double golden_tol) {
-  return enumerate_with(circuit, [&](const Bipartition& bp) {
-    std::optional<GoldenDetectionReport> report =
-        try_detect_golden_for_observable(bp, observable, golden_tol);
+  return enumerate_with(circuit, [&](const CutView& view, std::span<const linalg::cx> amplitudes) {
+    std::optional<GoldenDetectionReport> report = try_detect_golden_for_observable_core(
+        view.upstream, amplitudes, observable, view.output_original(), view.qubits.down_to_sub,
+        golden_tol);
     // Non-factorizing candidates keep the distribution-level (stronger,
     // hence conservative) verdict.
-    return report.has_value() ? std::move(*report) : detect_golden_exact(bp, golden_tol);
+    return report.has_value() ? std::move(*report)
+                              : detect_golden_exact_core(view.upstream, amplitudes, golden_tol);
   });
 }
 
@@ -123,26 +249,26 @@ struct ChainCandidate {
 
 std::vector<ChainCandidate> enumerate_chain_candidates(const Circuit& circuit, double tol) {
   std::vector<ChainCandidate> out;
-  for_each_single_cut(circuit, [&](const WirePoint& point,
-                                   const circuit::CutAnalysis& analysis,
-                                   const Bipartition& bp, std::size_t up_op,
+  SpecCostTable spec_costs;
+  for_each_single_cut(circuit, [&](const WirePoint& point, const CutView& view,
+                                   std::span<const linalg::cx> amplitudes, std::size_t up_op,
                                    std::size_t down_op) {
-    const GoldenDetectionReport report = detect_golden_exact(bp, tol);
-    const NeglectSpec spec = report.to_spec();
+    const GoldenDetectionReport report = detect_golden_exact_core(view.upstream, amplitudes, tol);
+    const SpecCosts& costs = spec_costs(report);
 
     ChainCandidate candidate;
-    candidate.info = make_candidate(point, bp, report);
+    candidate.info = make_candidate(point, view, report, costs);
     candidate.upstream_ops.assign(circuit.num_ops(), false);
     for (std::size_t op = 0; op < circuit.num_ops(); ++op) {
-      if (analysis.op_fragment[op] == circuit::FragmentId::Upstream) {
+      if (view.analysis.op_fragment[op] == circuit::FragmentId::Upstream) {
         candidate.upstream_ops[op] = true;
         ++candidate.num_upstream_ops;
       }
     }
     candidate.up_op = up_op;
     candidate.down_op = down_op;
-    candidate.settings_count = required_setting_indices(spec).size();
-    candidate.preps_count = required_prep_indices(spec).size();
+    candidate.settings_count = costs.settings;
+    candidate.preps_count = costs.preps;
     out.push_back(std::move(candidate));
   });
   return out;

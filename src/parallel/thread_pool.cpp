@@ -114,6 +114,9 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
       for (std::size_t i = lo; i < hi; ++i) fn(i);
     }));
   }
+  // Every chunk finishes before any exception leaves: the chunks still
+  // running would otherwise call `fn` after the caller's frame is gone.
+  for (auto& f : futures) f.wait();
   for (auto& f : futures) f.get();
 }
 

@@ -83,7 +83,8 @@ class ThreadPool {
 
 /// Runs fn(i) for i in [begin, end), distributing chunks over the pool.
 /// Runs inline when the range is small or the pool has a single worker.
-/// The first exception thrown by any invocation is rethrown.
+/// The first exception thrown by any invocation is rethrown, once every
+/// chunk has finished.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn, std::size_t grain = 1);
 
@@ -113,6 +114,8 @@ template <typename T, typename Map, typename Combine>
       return acc;
     }));
   }
+  // As in parallel_for: no exception leaves while a chunk still runs.
+  for (auto& f : futures) f.wait();
   T acc = identity;
   for (auto& f : futures) acc = combine(std::move(acc), f.get());
   return acc;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "circuit/random.hpp"
+#include "cutting/variants.hpp"
 
 namespace qcut::cutting {
 namespace {
@@ -93,6 +99,203 @@ TEST(Planner, ReportsViolationsForRegularCuts) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// ---- Bit-exactness against the fragment-building reference ------------------
+
+/// Seeded corpus: the paper's Fig. 2 circuits at 3-8 qubits with golden Y
+/// and golden X upstream blocks, and random General / RealAmplitude
+/// circuits at 2-8 qubits.
+std::vector<Circuit> planner_corpus() {
+  std::vector<Circuit> corpus;
+  Rng rng(2023);
+  for (int rep = 0; rep < 6; ++rep) {
+    for (int n = 3; n <= 8; ++n) {
+      for (const Pauli basis : {Pauli::Y, Pauli::X}) {
+        circuit::GoldenAnsatzOptions options;
+        options.num_qubits = n;
+        options.golden_basis = basis;
+        options.upstream_depth = 1 + rep % 3;
+        corpus.push_back(circuit::make_golden_ansatz(options, rng).circuit);
+      }
+    }
+    for (int n = 2; n <= 8; ++n) {
+      for (const circuit::GateSet set :
+           {circuit::GateSet::General, circuit::GateSet::RealAmplitude}) {
+        circuit::RandomCircuitOptions options;
+        options.num_qubits = n;
+        options.depth = 2 + rep % 3;
+        options.gate_set = set;
+        corpus.push_back(circuit::random_circuit(options, rng));
+      }
+    }
+  }
+  return corpus;
+}
+
+/// Diagonal observables for the observable-aware planner: the all-qubit
+/// parity and a Z on qubit 0 (both factorize across every cut) and seeded
+/// random diagonal values (which factorize only across cuts whose upstream
+/// fragment has no output qubit, so the planner falls back to the
+/// distribution-level detector everywhere else).
+std::vector<DiagonalObservable> corpus_observables(int num_qubits, Rng& rng) {
+  circuit::PauliString z0(num_qubits);
+  z0.set_label(0, Pauli::Z);
+  std::vector<double> random(pow2(num_qubits));
+  for (double& value : random) value = rng.uniform(-1.0, 1.0);
+  return {DiagonalObservable::parity(num_qubits), DiagonalObservable::from_pauli(z0),
+          DiagonalObservable(std::move(random))};
+}
+
+/// The candidate the planner is specified to produce: fragment circuits
+/// built by make_bipartition, judged by a Bipartition detector.
+CutCandidate reference_candidate(const circuit::WirePoint& point, const Bipartition& bp,
+                                 const GoldenDetectionReport& report) {
+  const NeglectSpec spec = report.to_spec();
+  CutCandidate candidate;
+  candidate.point = point;
+  candidate.f1_width = bp.f1_width();
+  candidate.f2_width = bp.f2_width();
+  candidate.violation = report.violation.front();
+  for (const Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+    if (report.golden.front()[static_cast<std::size_t>(p)]) candidate.golden_bases.push_back(p);
+  }
+  candidate.terms = spec.num_active_strings();
+  candidate.evaluations = count_variants(spec).total();
+  return candidate;
+}
+
+/// Every valid single cut in the planner's visiting order, judged by
+/// `detect(bp)`.
+template <typename Detect>
+std::vector<CutCandidate> reference_enumeration(const Circuit& circuit, Detect&& detect) {
+  std::vector<CutCandidate> out;
+  for (int q = 0; q < circuit.num_qubits(); ++q) {
+    const std::vector<std::size_t> ops = circuit.ops_on_qubit(q);
+    for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
+      const circuit::WirePoint point{q, ops[i]};
+      const std::array<circuit::WirePoint, 1> cuts = {point};
+      if (!circuit::try_analyze_cuts(circuit, cuts).has_value()) continue;
+      const Bipartition bp = make_bipartition(circuit, cuts);
+      out.push_back(reference_candidate(point, bp, detect(bp)));
+    }
+  }
+  return out;
+}
+
+std::array<std::uint64_t, 4> bit_patterns(const std::array<double, 4>& values) {
+  std::array<std::uint64_t, 4> out{};
+  for (std::size_t i = 0; i < values.size(); ++i) out[i] = std::bit_cast<std::uint64_t>(values[i]);
+  return out;
+}
+
+void expect_same_candidates(const std::vector<CutCandidate>& actual,
+                            const std::vector<CutCandidate>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(actual[i].point, expected[i].point);
+    EXPECT_EQ(actual[i].f1_width, expected[i].f1_width);
+    EXPECT_EQ(actual[i].f2_width, expected[i].f2_width);
+    EXPECT_EQ(bit_patterns(actual[i].violation), bit_patterns(expected[i].violation));
+    EXPECT_EQ(actual[i].golden_bases, expected[i].golden_bases);
+    EXPECT_EQ(actual[i].terms, expected[i].terms);
+    EXPECT_EQ(actual[i].evaluations, expected[i].evaluations);
+  }
+}
+
+TEST(Planner, CandidatesMatchTheFragmentBuildingReference) {
+  Rng observable_rng(7);
+  std::size_t candidates = 0;
+  for (const Circuit& circuit : planner_corpus()) {
+    SCOPED_TRACE(circuit.num_qubits());
+    const std::vector<CutCandidate> expected = reference_enumeration(
+        circuit, [](const Bipartition& bp) { return detect_golden_exact(bp, 1e-9); });
+    expect_same_candidates(enumerate_single_cuts(circuit, 1e-9), expected);
+    candidates += expected.size();
+
+    for (const DiagonalObservable& observable :
+         corpus_observables(circuit.num_qubits(), observable_rng)) {
+      expect_same_candidates(
+          enumerate_single_cuts(circuit, observable, 1e-9),
+          reference_enumeration(circuit, [&](const Bipartition& bp) {
+            std::optional<GoldenDetectionReport> report =
+                try_detect_golden_for_observable(bp, observable, 1e-9);
+            return report.has_value() ? *std::move(report) : detect_golden_exact(bp, 1e-9);
+          }));
+    }
+  }
+  // The corpus must reach a meaningful number of cuts.
+  EXPECT_GT(candidates, 1000u);
+}
+
+/// 64-bit FNV-1a over 64-bit words, least significant byte first, so the
+/// digest is the same on every host.
+struct Fnv1a {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  void add(const CutCandidate& c) {
+    add(static_cast<std::uint64_t>(c.point.qubit));
+    add(static_cast<std::uint64_t>(c.point.after_op));
+    add(static_cast<std::uint64_t>(c.f1_width));
+    add(static_cast<std::uint64_t>(c.f2_width));
+    for (const double v : c.violation) add(v);
+    for (const Pauli p : c.golden_bases) add(static_cast<std::uint64_t>(p));
+    add(c.terms);
+    add(static_cast<std::uint64_t>(c.evaluations));
+  }
+};
+
+// Committed digests of the planner's output over the corpus, recorded
+// before the planner stopped building a bipartition per candidate. They
+// pin every violation bit, so they hold on hosts whose libm and compiler
+// flags (no FMA contraction, as in a default x86-64 build) give the same
+// gate matrices and amplitudes.
+
+TEST(Planner, SingleCutCandidatesMatchCommittedDigest) {
+  Fnv1a distribution;
+  Fnv1a parity;
+  for (const Circuit& circuit : planner_corpus()) {
+    for (const CutCandidate& c : enumerate_single_cuts(circuit, 1e-9)) distribution.add(c);
+    const DiagonalObservable observable = DiagonalObservable::parity(circuit.num_qubits());
+    for (const CutCandidate& c : enumerate_single_cuts(circuit, observable, 1e-9)) {
+      parity.add(c);
+    }
+  }
+  EXPECT_EQ(distribution.hash, 0x96ab97447a036094ULL) << std::hex << distribution.hash;
+  EXPECT_EQ(parity.hash, 0x482d2a6a881a10c4ULL) << std::hex << parity.hash;
+}
+
+TEST(Planner, ChainPlansMatchCommittedDigest) {
+  Fnv1a digest;
+  std::size_t planned = 0;
+  for (const Circuit& circuit : planner_corpus()) {
+    ChainPlannerOptions options;
+    options.max_fragment_width = circuit.num_qubits() / 2 + 1;
+    const std::optional<ChainPlan> plan = plan_chain_cuts(circuit, options);
+    digest.add(static_cast<std::uint64_t>(plan.has_value()));
+    if (!plan.has_value()) continue;
+    ++planned;
+    for (const std::vector<circuit::WirePoint>& boundary : plan->boundaries) {
+      for (const circuit::WirePoint& point : boundary) {
+        digest.add(static_cast<std::uint64_t>(point.qubit));
+        digest.add(static_cast<std::uint64_t>(point.after_op));
+      }
+    }
+    for (const CutCandidate& c : plan->boundary_plans) digest.add(c);
+    for (const int width : plan->fragment_widths) digest.add(static_cast<std::uint64_t>(width));
+    digest.add(plan->terms);
+    digest.add(static_cast<std::uint64_t>(plan->evaluations));
+  }
+  EXPECT_GT(planned, 50u);
+  EXPECT_EQ(digest.hash, 0x021170517ef70eecULL) << std::hex << digest.hash;
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -80,6 +82,22 @@ TEST(ParallelFor, PropagatesExceptions) {
       Error);
 }
 
+TEST(ParallelFor, FinishesEveryChunkBeforeRethrowing) {
+  // Chunk 0 throws at once while the other 15 chunks are still running;
+  // the exception may only leave once they have all finished, since they
+  // call a function that lives in this frame.
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_for(pool, 0, 64,
+                            [&](std::size_t i) {
+                              if (i == 0) throw Error("failure injection");
+                              std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                              finished.fetch_add(1);
+                            }),
+               Error);
+  EXPECT_EQ(finished.load(), 60);  // chunks of 4: all but chunk 0
+}
+
 TEST(ParallelFor, RespectsGrain) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
@@ -112,6 +130,22 @@ TEST(ParallelMapReduce, VectorAccumulation) {
   for (double v : result) {
     EXPECT_NEAR(v, 16.0, 1e-12);
   }
+}
+
+TEST(ParallelMapReduce, FinishesEveryChunkBeforeRethrowing) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW((void)parallel_map_reduce<int>(
+                   pool, 0, 64, 0,
+                   [&](std::size_t i) {
+                     if (i == 0) throw Error("failure injection");
+                     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                     finished.fetch_add(1);
+                     return 1;
+                   },
+                   [](int a, int b) { return a + b; }),
+               Error);
+  EXPECT_EQ(finished.load(), 60);  // chunks of 4: all but chunk 0
 }
 
 TEST(ParallelMapReduce, EmptyRangeReturnsIdentity) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace qcut::sim {
 namespace {
@@ -63,6 +67,99 @@ TEST(Sampling, HistogramToProbabilities) {
   EXPECT_NEAR(probs[2], 0.0, 1e-12);
   EXPECT_NEAR(probs[3], 0.5, 1e-12);
   EXPECT_THROW((void)histogram_to_probabilities(std::vector<std::uint64_t>{0, 0}), Error);
+}
+
+// ---- Bit-exactness of the sampler --------------------------------------------
+
+/// 64-bit FNV-1a over 64-bit words, least significant byte first, so the
+/// digest is the same on every host.
+struct Fnv1a {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// A seeded distribution over `size` outcomes: about a quarter of the bins
+/// exact zeros, about one in eight a tiny negative the sampler clamps to
+/// zero, and the last `trailing_zeros` bins empty.
+std::vector<double> seeded_distribution(std::size_t size, std::size_t trailing_zeros,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> weights(size, 0.0);
+  for (std::size_t i = 0; i + trailing_zeros < size; ++i) {
+    const std::uint64_t kind = rng.uniform_int(0, 7);
+    if (kind < 2) continue;
+    weights[i] = kind == 2 ? -1e-12 * rng.uniform() : rng.uniform();
+  }
+  weights[size - 1 - trailing_zeros] = 0.25;  // at least one positive weight
+  return weights;
+}
+
+/// All mass on the last outcome.
+std::vector<double> last_bin_only(std::size_t size) {
+  std::vector<double> weights(size, 0.0);
+  weights.back() = 1.0;
+  return weights;
+}
+
+struct SamplingCase {
+  const char* name;
+  std::vector<double> weights;
+  std::uint64_t histogram_digest;  // sample_histogram(4000 shots) + the next draw
+  std::uint64_t draws_digest;      // 500 single DiscreteSampler::sample draws
+};
+
+/// Committed digests of sampled outcomes, recorded before the sampler's
+/// search changed: a change that moves any draw to another outcome, or
+/// draws a different number of uniforms, fails here.
+std::vector<SamplingCase> sampling_cases() {
+  std::vector<SamplingCase> cases;
+  cases.push_back({"one_outcome", {1.0}, 0x0402eeb8fad6db24ULL, 0x82fae01a9ad7da49ULL});
+  cases.push_back({"two_with_zero", {0.0, 1.0}, 0x1d42fc1d1de0a139ULL, 0x1f53f92b97838293ULL});
+  cases.push_back({"three_uneven", {0.5, -1e-12, 0.25}, 0x8456280dfd4c7bf2ULL,
+                   0xfff8808348df7ed6ULL});
+  cases.push_back({"sixteen", seeded_distribution(16, 0, 61), 0x55355100d76b8eb3ULL,
+                   0x44fd0e15ef78b4d3ULL});
+  cases.push_back({"sixteen_last_bin", last_bin_only(16), 0xcb9e671431b922faULL,
+                   0x9ea86aba9f155846ULL});
+  cases.push_back({"hundred_trailing_zeros", seeded_distribution(100, 9, 67),
+                   0xc7212ae049ae6a68ULL, 0x685ad6aa3076c33eULL});
+  cases.push_back({"two_fifty_six", seeded_distribution(256, 1, 71), 0xb257268248bb882cULL,
+                   0x9f171c130ef88d10ULL});
+  cases.push_back({"4096_last_bin", last_bin_only(4096), 0xfad5f35432a34f14ULL,
+                   0xc080b8ec0ba5dbc6ULL});
+  cases.push_back({"4097", seeded_distribution(4097, 0, 73), 0x8fd405d10190b25dULL,
+                   0xa9230c6f50ef2983ULL});
+  cases.push_back({"65536", seeded_distribution(65536, 0, 79), 0x3e3db01974836fbeULL,
+                   0x1cd1efe546130c67ULL});
+  cases.push_back({"65536_trailing_zeros", seeded_distribution(65536, 300, 83),
+                   0xefe2ff58133c105aULL, 0x73e5a77846042643ULL});
+  cases.push_back({"65536_last_bin", last_bin_only(65536), 0x7f78371c1b8ff757ULL,
+                   0x2404c54b948062a2ULL});
+  return cases;
+}
+
+TEST(Sampling, SampledOutcomesMatchCommittedDigests) {
+  std::uint64_t seed = 100;
+  for (const SamplingCase& c : sampling_cases()) {
+    SCOPED_TRACE(c.name);
+    Rng rng(++seed);
+    Fnv1a histogram;
+    for (const std::uint64_t count : sample_histogram(c.weights, 4000, rng)) histogram.add(count);
+    histogram.add(rng.next_u64());
+    EXPECT_EQ(histogram.hash, c.histogram_digest) << std::hex << histogram.hash;
+
+    const DiscreteSampler sampler(c.weights, 1e-9);
+    Fnv1a draws;
+    for (int i = 0; i < 500; ++i) draws.add(sampler.sample(rng));
+    draws.add(rng.next_u64());
+    EXPECT_EQ(draws.hash, c.draws_digest) << std::hex << draws.hash;
+  }
 }
 
 }  // namespace

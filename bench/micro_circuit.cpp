@@ -1,0 +1,158 @@
+// Per-call cost of the circuit handling a CutService job does on its
+// scheduler thread before any simulation: copying the request circuit (as
+// cutting::resolve does), carving the fragment chain (make_fragment_chain),
+// and building and keying every fragment variant (make_fragment_variant +
+// service::hash_variant_execution, as a cache lookup does). Two shapes: the
+// perfbench sweep_warm job (depth-3 QAOA on a 12-qubit path, middle wire
+// cut) and the paper's 6-qubit Fig. 2 circuit with its designed cut.
+// Writes BENCH_micro_circuit.json: median seconds and heap allocations per
+// call of each step, plus sizeof(circuit::Operation); no gate.
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <new>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "bench_json.hpp"
+#include "circuit/random.hpp"
+#include "common/stopwatch.hpp"
+#include "cutting/variants.hpp"
+#include "service/circuit_hash.hpp"
+#include "support/qaoa_path.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+// Every heap allocation in this binary goes through here and is counted.
+// Not inlined, so GCC does not pair the malloc() and free() inside with the
+// operator delete and operator new at a call site (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
+using namespace qcut;
+using circuit::Circuit;
+using circuit::WirePoint;
+
+/// Median seconds per call over 7 rounds, each round long enough (>= 20 ms)
+/// for the clock.
+template <typename Call>
+double median_seconds_per_call(Call&& call) {
+  std::size_t calls = 1;
+  for (;;) {
+    Stopwatch watch;
+    for (std::size_t i = 0; i < calls; ++i) call();
+    if (watch.elapsed_seconds() >= 0.02) break;
+    calls *= 2;
+  }
+  constexpr int kRounds = 7;
+  std::vector<double> rounds;
+  for (int r = 0; r < kRounds; ++r) {
+    Stopwatch watch;
+    for (std::size_t i = 0; i < calls; ++i) call();
+    rounds.push_back(watch.elapsed_seconds() / static_cast<double>(calls));
+  }
+  std::nth_element(rounds.begin(), rounds.begin() + kRounds / 2, rounds.end());
+  return rounds[kRounds / 2];
+}
+
+/// Heap allocations one call makes (the count is deterministic).
+template <typename Call>
+double allocations_per_call(Call&& call) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  call();
+  return static_cast<double>(g_allocations.load(std::memory_order_relaxed) - before);
+}
+
+struct Shape {
+  std::string name;
+  Circuit circuit;
+  std::vector<std::vector<WirePoint>> boundaries;
+};
+
+}  // namespace
+
+int main() {
+  Stopwatch wall;
+  std::vector<std::pair<std::string, double>> extras;
+  std::uint64_t sink = 0;
+
+  std::vector<Shape> shapes;
+  {
+    Circuit sweep = circuit::qaoa_path(12, 3, 0.4, 0.3);
+    const WirePoint cut = circuit::middle_cut(sweep);
+    shapes.push_back({"sweep_qaoa12", std::move(sweep), {{cut}}});
+    Rng rng(6);
+    circuit::GoldenAnsatzOptions options;
+    options.num_qubits = 6;
+    circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
+    shapes.push_back({"golden_6q", std::move(ansatz.circuit), {{ansatz.cut}}});
+  }
+
+  for (const Shape& shape : shapes) {
+    const cutting::FragmentGraph graph =
+        cutting::make_fragment_chain(shape.circuit, shape.boundaries);
+    const cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
+    std::vector<std::pair<int, cutting::FragmentVariantKey>> variants;
+    for (int f = 0; f < graph.num_fragments(); ++f) {
+      for (const cutting::FragmentVariantKey key :
+           cutting::required_fragment_variants(graph, f, spec)) {
+        variants.emplace_back(f, key);
+      }
+    }
+
+    const auto copy = [&] {
+      const Circuit copied = shape.circuit;
+      sink += copied.num_ops();
+    };
+    const auto chain = [&] {
+      sink += cutting::make_fragment_chain(shape.circuit, shape.boundaries).num_fragments();
+    };
+    const auto keys = [&] {
+      for (const auto& [fragment, key] : variants) {
+        const cutting::FragmentVariant variant =
+            cutting::make_fragment_variant(graph, fragment, key);
+        sink += service::hash_variant_execution(variant.circuit, 4000, false, 1, "sv").lo;
+      }
+    };
+
+    const std::vector<std::pair<std::string, double>> steps = {
+        {"copy", median_seconds_per_call(copy)},
+        {"fragment_chain", median_seconds_per_call(chain)},
+        {"variants_and_keys", median_seconds_per_call(keys)}};
+    const std::vector<double> allocations = {allocations_per_call(copy),
+                                             allocations_per_call(chain),
+                                             allocations_per_call(keys)};
+    std::cout << shape.name << " (" << shape.circuit.num_ops() << " ops, " << variants.size()
+              << " variants):";
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      const std::string prefix = shape.name + "_" + steps[s].first;
+      extras.emplace_back(prefix + "_seconds", steps[s].second);
+      extras.emplace_back(prefix + "_allocations", allocations[s]);
+      std::cout << " " << steps[s].first << " " << steps[s].second * 1e6 << " us / "
+                << allocations[s] << " allocs;";
+    }
+    std::cout << "\n";
+  }
+  extras.emplace_back("sizeof_operation_bytes", static_cast<double>(sizeof(circuit::Operation)));
+  std::cout << "sizeof(Operation) " << sizeof(circuit::Operation) << " B\n";
+
+  // Printing the sink keeps the timed calls from being optimized away.
+  std::cout << "checksum " << sink << "\n";
+  (void)bench::write_bench_json("micro_circuit", wall.elapsed_seconds(), 1.0, extras);
+  return 0;
+}

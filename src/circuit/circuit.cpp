@@ -32,7 +32,7 @@ const Operation& Circuit::op(std::size_t i) const {
   return ops_[i];
 }
 
-void Circuit::validate_qubits(const std::vector<int>& qubits) const {
+void Circuit::validate_qubits(std::span<const int> qubits) const {
   QCUT_CHECK(!qubits.empty(), "Circuit: operation must act on at least one qubit");
   for (int q : qubits) {
     QCUT_CHECK(q >= 0 && q < num_qubits_, "Circuit: qubit index out of range");
@@ -44,7 +44,7 @@ void Circuit::validate_qubits(const std::vector<int>& qubits) const {
   }
 }
 
-Circuit& Circuit::append(GateKind kind, std::vector<int> qubits, std::vector<double> params) {
+Circuit& Circuit::append(GateKind kind, QubitList qubits, ParamList params) {
   QCUT_CHECK(kind != GateKind::Custom, "Circuit::append: use append_custom for Custom gates");
   validate_qubits(qubits);
   QCUT_CHECK(static_cast<int>(qubits.size()) == gate_num_qubits(kind),
@@ -59,7 +59,7 @@ Circuit& Circuit::append(GateKind kind, std::vector<int> qubits, std::vector<dou
   return *this;
 }
 
-Circuit& Circuit::append_custom(CMat unitary, std::vector<int> qubits, std::string label,
+Circuit& Circuit::append_custom(CMat unitary, QubitList qubits, std::string label,
                                 double unitarity_tol) {
   validate_qubits(qubits);
   const std::size_t dim = pow2(static_cast<int>(qubits.size()));
@@ -76,12 +76,25 @@ Circuit& Circuit::append_custom(CMat unitary, std::vector<int> qubits, std::stri
   return *this;
 }
 
+Circuit& Circuit::append_remapped(const Operation& op, std::span<const int> new_index_of) {
+  QubitList qubits = op.qubits;
+  for (int& q : qubits) {
+    const auto index = static_cast<std::size_t>(q);
+    const int nq = index < new_index_of.size() ? new_index_of[index] : -1;
+    QCUT_CHECK(nq >= 0 && nq < num_qubits_,
+               "Circuit: op references a qubit without a valid mapping");
+    q = nq;
+  }
+  validate_qubits(qubits);
+  ops_.push_back(op);
+  ops_.back().qubits = std::move(qubits);
+  return *this;
+}
+
 Circuit& Circuit::compose(const Circuit& other) {
   QCUT_CHECK(other.num_qubits_ <= num_qubits_,
              "Circuit::compose: other circuit is wider than this circuit");
-  for (const Operation& op : other.ops_) {
-    ops_.push_back(op);
-  }
+  ops_.insert(ops_.end(), other.ops_.begin(), other.ops_.end());
   return *this;
 }
 
@@ -91,12 +104,8 @@ Circuit& Circuit::compose(const Circuit& other, std::span<const int> qubit_map) 
   for (int q : qubit_map) {
     QCUT_CHECK(q >= 0 && q < num_qubits_, "Circuit::compose: mapped qubit out of range");
   }
-  for (const Operation& op : other.ops_) {
-    Operation mapped = op;
-    for (int& q : mapped.qubits) q = qubit_map[static_cast<std::size_t>(q)];
-    validate_qubits(mapped.qubits);
-    ops_.push_back(std::move(mapped));
-  }
+  ops_.reserve(ops_.size() + other.ops_.size());
+  for (const Operation& op : other.ops_) append_remapped(op, qubit_map);
   return *this;
 }
 
@@ -118,17 +127,8 @@ Circuit Circuit::remapped(std::span<const int> new_index_of, int new_num_qubits)
   QCUT_CHECK(static_cast<int>(new_index_of.size()) == num_qubits_,
              "Circuit::remapped: map must cover every qubit");
   Circuit out(new_num_qubits);
-  for (const Operation& op : ops_) {
-    Operation mapped = op;
-    for (int& q : mapped.qubits) {
-      const int nq = new_index_of[static_cast<std::size_t>(q)];
-      QCUT_CHECK(nq >= 0 && nq < new_num_qubits,
-                 "Circuit::remapped: op references a qubit without a valid mapping");
-      q = nq;
-    }
-    out.validate_qubits(mapped.qubits);
-    out.ops_.push_back(std::move(mapped));
-  }
+  out.reserve(ops_.size());
+  for (const Operation& op : ops_) out.append_remapped(op, new_index_of);
   return out;
 }
 

@@ -18,8 +18,8 @@ namespace qcut::circuit {
 /// One gate application.
 struct Operation {
   GateKind kind = GateKind::I;
-  std::vector<int> qubits;      // distinct; first listed qubit = LSB of the matrix index
-  std::vector<double> params;   // gate_num_params(kind) entries
+  QubitList qubits;             // distinct; first listed qubit = LSB of the matrix index
+  ParamList params;             // gate_num_params(kind) entries
   CMat custom;                  // only used when kind == Custom
   std::string label;            // optional display label (Custom blocks, annotations)
 
@@ -36,6 +36,9 @@ struct Operation {
   friend class Circuit;
   mutable std::optional<CMat> cached_matrix_;
 };
+
+// A circuit is a vector of ops, so their size is its footprint.
+static_assert(sizeof(Operation) <= 192, "Operation grew: its lists are meant to stay inline");
 
 /// Execution-semantic equality: same gate kind, qubit wiring, exact
 /// parameter bit patterns and (for Custom ops) exact unitary entries.
@@ -56,12 +59,21 @@ class Circuit {
 
   /// Appends a named gate. Validates qubit indices, distinctness and
   /// parameter count.
-  Circuit& append(GateKind kind, std::vector<int> qubits, std::vector<double> params = {});
+  Circuit& append(GateKind kind, QubitList qubits, ParamList params = {});
 
   /// Appends an arbitrary unitary. The matrix must be square with dimension
   /// 2^{qubits.size()} and unitary within `unitarity_tol`.
-  Circuit& append_custom(CMat unitary, std::vector<int> qubits, std::string label = "U",
+  Circuit& append_custom(CMat unitary, QubitList qubits, std::string label = "U",
                          double unitarity_tol = 1e-10);
+
+  /// Appends a copy of `op` (an op of some circuit, so already validated)
+  /// with its qubit q renamed to new_index_of[q]. Every renamed qubit must
+  /// be a valid, distinct qubit of this circuit. compose(other, map),
+  /// remapped() and fragment carving all rename qubits through this.
+  Circuit& append_remapped(const Operation& op, std::span<const int> new_index_of);
+
+  /// Makes room for `num_ops` operations in total.
+  void reserve(std::size_t num_ops) { ops_.reserve(num_ops); }
 
   // Convenience builders (chainable).
   Circuit& i(int q) { return append(GateKind::I, {q}); }
@@ -122,7 +134,7 @@ class Circuit {
   [[nodiscard]] std::vector<int> active_qubits() const;
 
  private:
-  void validate_qubits(const std::vector<int>& qubits) const;
+  void validate_qubits(std::span<const int> qubits) const;
 
   int num_qubits_;
   std::vector<Operation> ops_;

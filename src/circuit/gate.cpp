@@ -127,7 +127,7 @@ int gate_num_params(GateKind kind) {
   }
 }
 
-CMat gate_matrix(GateKind kind, const std::vector<double>& params) {
+CMat gate_matrix(GateKind kind, std::span<const double> params) {
   QCUT_CHECK(kind != GateKind::Custom, "gate_matrix: Custom gates carry their own matrix");
   QCUT_CHECK(static_cast<int>(params.size()) == gate_num_params(kind),
              "gate_matrix: wrong number of parameters for " + gate_name(kind));
@@ -267,7 +267,7 @@ CMat gate_matrix(GateKind kind, const std::vector<double>& params) {
   QCUT_CHECK(false, "gate_matrix: invalid kind");
 }
 
-bool gate_inverse(GateKind kind, const std::vector<double>& params, GateInverse& out) {
+bool gate_inverse(GateKind kind, std::span<const double> params, GateInverse& out) {
   switch (kind) {
     // Self-inverse gates.
     case GateKind::I:
@@ -282,7 +282,7 @@ bool gate_inverse(GateKind kind, const std::vector<double>& params, GateInverse&
     case GateKind::SWAP:
     case GateKind::CCX:
     case GateKind::CSWAP:
-      out = {kind, params};
+      out = {kind, ParamList(params)};
       return true;
     case GateKind::S:
       out = {GateKind::Sdg, {}};

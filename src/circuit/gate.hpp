@@ -6,9 +6,11 @@
 // little-endian convention Qiskit uses). For controlled gates the control
 // is listed first.
 
+#include <initializer_list>
+#include <span>
 #include <string>
-#include <vector>
 
+#include "circuit/inline_list.hpp"
 #include "linalg/matrix.hpp"
 
 namespace qcut::circuit {
@@ -32,6 +34,12 @@ enum class GateKind : int {
   Custom,
 };
 
+/// An op's qubits and parameters. Every named gate acts on at most 3 qubits
+/// and takes at most 3 parameters, so those lists never touch the heap; only
+/// Custom blocks on more than 3 qubits do (Custom ops take no parameters).
+using QubitList = InlineList<int, 3>;
+using ParamList = InlineList<double, 3>;
+
 /// Lower-case mnemonic, e.g. "cx", "rz".
 [[nodiscard]] std::string gate_name(GateKind kind);
 
@@ -44,15 +52,18 @@ enum class GateKind : int {
 
 /// The unitary matrix of the gate. `params` must have exactly
 /// gate_num_params(kind) entries. Custom is excluded.
-[[nodiscard]] CMat gate_matrix(GateKind kind, const std::vector<double>& params);
+[[nodiscard]] CMat gate_matrix(GateKind kind, std::span<const double> params);
+[[nodiscard]] inline CMat gate_matrix(GateKind kind, std::initializer_list<double> params) {
+  return gate_matrix(kind, std::span<const double>(params.begin(), params.size()));
+}
 
 /// Gate kind and params implementing the inverse. Returns false if the
 /// inverse is not expressible in the named gate set (caller should fall
 /// back to a Custom gate with the dagger matrix).
 struct GateInverse {
   GateKind kind;
-  std::vector<double> params;
+  ParamList params;
 };
-[[nodiscard]] bool gate_inverse(GateKind kind, const std::vector<double>& params, GateInverse& out);
+[[nodiscard]] bool gate_inverse(GateKind kind, std::span<const double> params, GateInverse& out);
 
 }  // namespace qcut::circuit

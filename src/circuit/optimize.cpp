@@ -371,7 +371,7 @@ void GateFusion::push_2q(const Operation& op, std::vector<Operation>& out) {
     if (dense && options_.merge_2q_chains) {
       PendingBlock blk;
       blk.matrix = op.matrix();
-      blk.qubits = op.qubits;
+      blk.qubits.assign(op.qubits.begin(), op.qubits.end());
       blk.first = op;
       blk.ops = 1;
       blocks_.push_back(std::move(blk));
@@ -394,7 +394,7 @@ void GateFusion::push_2q(const Operation& op, std::vector<Operation>& out) {
   if (options_.merge_2q_chains) {
     PendingBlock blk;
     blk.matrix = std::move(m);
-    blk.qubits = op.qubits;
+    blk.qubits.assign(op.qubits.begin(), op.qubits.end());
     blk.first = op;
     blk.ops = 1;
     blk.dirty = folded;

@@ -86,7 +86,7 @@ std::string qasm_statement(const Operation& op) {
 std::vector<Operation> decompose_for_qasm(const Operation& op) {
   QCUT_CHECK(op.kind != GateKind::Custom,
              "decompose_for_qasm: Custom matrix gates cannot be exported to QASM");
-  const std::vector<int>& qs = op.qubits;
+  const QubitList& qs = op.qubits;
   switch (op.kind) {
     case GateKind::SX:
       // SX == e^{i pi/4} RX(pi/2)

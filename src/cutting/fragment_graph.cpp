@@ -65,10 +65,9 @@ SplitQubits split_qubits(const Circuit& circuit, const CutAnalysis& analysis) {
 
 namespace {
 
-/// One prefix/suffix split of a (sub)circuit, the same construction
-/// make_bipartition has always used: fragment qubits from split_qubits,
-/// circuits rebuilt by appending each side's ops in program order and
-/// remapping to local indices.
+/// One prefix/suffix split of a (sub)circuit: fragment qubits from
+/// split_qubits, and each side's ops copied once, in program order, onto
+/// that side's local qubits.
 struct Split {
   Circuit up{1};
   Circuit down{1};
@@ -97,24 +96,23 @@ Split split_at(const Circuit& sub, std::span<const WirePoint> cuts, int boundary
     split.cut_qubits.push_back(cut_qubit);
   }
 
-  const int n = sub.num_qubits();
-  Circuit up(n);
-  Circuit down(n);
+  const std::vector<FragmentId>& side_of = analysis->op_fragment;
+  const auto num_up = static_cast<std::size_t>(
+      std::count(side_of.begin(), side_of.end(), FragmentId::Upstream));
+  split.up = Circuit(static_cast<int>(qubits.up_to_sub.size()));
+  split.down = Circuit(static_cast<int>(qubits.down_to_sub.size()));
+  split.up.reserve(num_up);
+  split.down.reserve(sub.num_ops() - num_up);
   split.op_to_down.assign(sub.num_ops(), -1);
   for (std::size_t i = 0; i < sub.num_ops(); ++i) {
-    const circuit::Operation& op = sub.op(i);
-    Circuit& side = analysis->op_fragment[i] == FragmentId::Upstream ? up : down;
-    if (analysis->op_fragment[i] == FragmentId::Downstream) {
-      split.op_to_down[i] = static_cast<std::ptrdiff_t>(down.num_ops());
-    }
-    if (op.kind == circuit::GateKind::Custom) {
-      side.append_custom(op.custom, op.qubits, op.label);
+    const circuit::Operation& op = sub.ops()[i];
+    if (side_of[i] == FragmentId::Upstream) {
+      split.up.append_remapped(op, qubits.up_local_of);
     } else {
-      side.append(op.kind, op.qubits, op.params);
+      split.op_to_down[i] = static_cast<std::ptrdiff_t>(split.down.num_ops());
+      split.down.append_remapped(op, qubits.down_local_of);
     }
   }
-  split.up = up.remapped(qubits.up_local_of, static_cast<int>(qubits.up_to_sub.size()));
-  split.down = down.remapped(qubits.down_local_of, static_cast<int>(qubits.down_to_sub.size()));
   return split;
 }
 
@@ -146,7 +144,10 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
 
   // The not-yet-split tail of the chain, with maps from original-circuit
   // coordinates into it (boundary points are given in original coordinates).
-  Circuit suffix = circuit;
+  // Boundary 0 splits the caller's circuit itself; later boundaries split
+  // the downstream side of the previous split, held in `suffix`.
+  Circuit suffix(1);
+  const Circuit* tail = &circuit;
   std::vector<int> suffix_to_original(static_cast<std::size_t>(circuit.num_qubits()));
   std::vector<int> qubit_to_suffix(static_cast<std::size_t>(circuit.num_qubits()));
   for (int q = 0; q < circuit.num_qubits(); ++q) {
@@ -181,7 +182,7 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
       mapped.push_back(WirePoint{suffix_qubit, static_cast<std::size_t>(suffix_op)});
     }
 
-    Split split = split_at(suffix, mapped, static_cast<int>(b));
+    Split split = split_at(*tail, mapped, static_cast<int>(b));
 
     ChainFragment fragment;
     fragment.circuit = std::move(split.up);
@@ -239,6 +240,7 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
       }
     }
     suffix = std::move(split.down);
+    tail = &suffix;
     suffix_to_original = std::move(next_to_original);
     qubit_to_suffix = std::move(next_qubit_to_suffix);
     op_to_suffix = std::move(next_op_to_suffix);

@@ -317,9 +317,10 @@ struct ChainLayout {
   /// prep tuple index.
   ///
   /// Each entry adds its outcomes incoming slot by incoming slot, each in
-  /// ascending local outcome order. Zero probabilities are not skipped:
-  /// every factor is finite and an entry starts at +0.0, so adding a
-  /// signed-zero product changes no bit.
+  /// ascending local outcome order; the loops run tomography pattern outer,
+  /// entry inner, which keeps that order for every entry. Zero
+  /// probabilities are not skipped: every factor is finite and an entry
+  /// starts at +0.0, so adding a signed-zero product changes no bit.
   [[nodiscard]] std::vector<double> fragment_tensor(
       int f, const ChainFragmentData& data, const std::vector<std::uint32_t>* prep_for_slot,
       const std::vector<double>* w_in, std::uint32_t setting,
@@ -330,22 +331,17 @@ struct ChainLayout {
     const std::vector<CutPattern>& cuts = cut_patterns[fi];
 
     std::vector<double> tensor(out_dims[fi], 0.0);
-    std::vector<double> factor(cuts.size());
     for (index_t a_in = 0; a_in < in_dim; ++a_in) {
       const std::uint32_t prep =
           prep_for_slot != nullptr ? (*prep_for_slot)[static_cast<std::size_t>(a_in)] : 0;
       const std::vector<double>& probs =
           data.distribution(f, FragmentVariantKey{prep, setting});
       const double in_weight = w_in != nullptr ? (*w_in)[a_in] : 1.0;
-      for (std::size_t j = 0; j < cuts.size(); ++j) {
-        factor[j] = in_weight * (w_out != nullptr ? (*w_out)[cuts[j].index] : 1.0);
-      }
-      for (index_t b = 0; b < tensor.size(); ++b) {
-        double sum = tensor[b];
-        for (std::size_t j = 0; j < cuts.size(); ++j) {
-          sum += factor[j] * probs[final_bits[b] | cuts[j].local_bits];
+      for (const CutPattern& cut : cuts) {
+        const double factor = in_weight * (w_out != nullptr ? (*w_out)[cut.index] : 1.0);
+        for (index_t b = 0; b < tensor.size(); ++b) {
+          tensor[b] += factor * probs[final_bits[b] | cut.local_bits];
         }
-        tensor[b] = sum;
       }
     }
     return tensor;
@@ -371,22 +367,32 @@ void check_chain_inputs(const FragmentGraph& graph, const ChainFragmentData& dat
 }
 
 /// One global term: per-fragment tensors, multiplied out into `local` with
-/// the term coefficient. Zero entries prune their whole sub-tree at the
-/// outer levels; the last level adds every product, since a signed-zero
-/// product changes no bit of `local` (see fragment_tensor).
+/// the term coefficient. Zero entries prune their whole sub-tree at every
+/// level but the last; the last two levels run as one loop nest, and the
+/// last adds every product, since a signed-zero product changes no bit of
+/// `local` (see fragment_tensor).
 void accumulate_term(const ChainLayout& layout,
                      const std::vector<const std::vector<double>*>& tensors, int f, double acc,
                      index_t idx, std::vector<double>& local) {
-  const std::vector<double>& tensor = *tensors[static_cast<std::size_t>(f)];
-  const std::vector<index_t>& scatter = layout.output_scatter[static_cast<std::size_t>(f)];
-  if (f + 1 == static_cast<int>(tensors.size())) {
-    for (index_t x = 0; x < tensor.size(); ++x) local[idx | scatter[x]] += acc * tensor[x];
+  const auto fi = static_cast<std::size_t>(f);
+  const std::vector<double>& tensor = *tensors[fi];
+  const std::vector<index_t>& scatter = layout.output_scatter[fi];
+  if (fi + 2 < tensors.size()) {
+    for (index_t x = 0; x < tensor.size(); ++x) {
+      const double value = tensor[x];
+      if (value == 0.0) continue;
+      accumulate_term(layout, tensors, f + 1, acc * value, idx | scatter[x], local);
+    }
     return;
   }
+  const std::vector<double>& last = *tensors[fi + 1];
+  const std::vector<index_t>& last_scatter = layout.output_scatter[fi + 1];
   for (index_t x = 0; x < tensor.size(); ++x) {
     const double value = tensor[x];
     if (value == 0.0) continue;
-    accumulate_term(layout, tensors, f + 1, acc * value, idx | scatter[x], local);
+    const double scaled = acc * value;
+    const index_t base = idx | scatter[x];
+    for (index_t y = 0; y < last.size(); ++y) local[base | last_scatter[y]] += scaled * last[y];
   }
 }
 

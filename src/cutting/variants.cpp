@@ -95,7 +95,10 @@ FragmentVariant make_fragment_variant(const FragmentGraph& graph, int fragment,
   variant.preps = decode_preps(key.prep_index, frag.num_in());
   variant.settings = decode_settings(key.setting_index, frag.num_out());
 
+  // A preparation is at most 3 gates and a basis rotation at most 2.
   Circuit circuit(frag.width());
+  circuit.reserve(3 * frag.in_qubits.size() + frag.circuit.num_ops() +
+                  2 * frag.out_cut_qubits.size());
   for (int k = 0; k < frag.num_in(); ++k) {
     append_preparation(circuit, frag.in_qubits[static_cast<std::size_t>(k)],
                        variant.preps[static_cast<std::size_t>(k)]);

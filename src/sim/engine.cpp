@@ -164,8 +164,8 @@ bool try_controlled_1q(const CMat& m, std::span<const int> qubits, CompiledOp& o
 
 CompiledOp classify(const Operation& source, bool specialize) {
   CompiledOp op;
-  op.qubits = source.qubits;
-  op.sorted_qubits = source.qubits;
+  op.qubits.assign(source.qubits.begin(), source.qubits.end());
+  op.sorted_qubits = op.qubits;
   std::sort(op.sorted_qubits.begin(), op.sorted_qubits.end());
   const CMat& m = source.matrix();
   const int k = source.num_qubits();

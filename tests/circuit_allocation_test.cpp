@@ -1,0 +1,80 @@
+// Heap allocations of circuit handling. An op stores its qubit and
+// parameter lists inline, so copying or remapping a circuit allocates its op
+// vector and nothing per op. The test counts every global operator new, so
+// it lives in its own binary.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <bit>
+#include <cstdlib>
+#include <new>
+#include <numeric>
+#include <vector>
+
+#include "circuit/circuit.hpp"
+#include "support/qaoa_path.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+// Counts every allocation. Not inlined, so GCC does not pair the malloc()
+// and free() inside with the operator delete and operator new at a call
+// site (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace qcut::circuit {
+namespace {
+
+/// Global operator new calls made by `fn`.
+template <typename Fn>
+std::size_t allocations_of(Fn&& fn) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  fn();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// The benchmark's parameter-sweep circuit: 81 ops, RZZ and RX (a qubit
+/// list and a parameter list each) and H (a qubit list).
+Circuit sweep_circuit() { return qaoa_path(12, 3, 0.4, 0.3); }
+
+TEST(CircuitAllocations, CopyAllocatesOnlyTheOpVector) {
+  const Circuit c = sweep_circuit();
+  ASSERT_EQ(c.num_ops(), 81u);
+  std::size_t ops = 0;
+  EXPECT_EQ(allocations_of([&] {
+              const Circuit copy = c;
+              ops = copy.num_ops();
+            }),
+            1u);
+  EXPECT_EQ(ops, c.num_ops());
+}
+
+TEST(CircuitAllocations, RemapAllocatesOnlyTheOpVector) {
+  const Circuit c = sweep_circuit();
+  std::vector<int> reverse(12);
+  std::iota(reverse.rbegin(), reverse.rend(), 0);
+  std::size_t ops = 0;
+  EXPECT_EQ(allocations_of([&] { ops = c.remapped(reverse, 12).num_ops(); }), 1u);
+  EXPECT_EQ(ops, c.num_ops());
+}
+
+TEST(CircuitAllocations, BuildingAllocatesOnlyToGrowTheOpVector) {
+  std::size_t ops = 0;
+  const std::size_t count = allocations_of([&] { ops = sweep_circuit().num_ops(); });
+  // Geometric growth of the op vector: one allocation per capacity 1, 2,
+  // 4, ... up to the first power of two >= ops, none per op.
+  EXPECT_LE(count, static_cast<std::size_t>(std::bit_width(ops)) + 1);
+}
+
+}  // namespace
+}  // namespace qcut::circuit

@@ -331,6 +331,30 @@ FragmentGraph four_cut_graph() {
   return make_fragment_graph(ansatz.circuit, ansatz.cuts);
 }
 
+/// 7 qubits, 4 fragments: {0,1} -q1-> {1,2,3} -q3-> {3,4,5} -q5-> {5,6}, so
+/// the contraction recurses through two outer levels before its last two.
+FragmentGraph four_fragment_graph() {
+  Circuit c(7);
+  c.h(0).cx(0, 1).ry(0.3, 1);                 // ops 0-2, fragment 0
+  c.cx(1, 2).ry(0.5, 2).cx(2, 3).ry(0.4, 3);  // ops 3-6, fragment 1
+  c.cx(3, 4).ry(0.2, 4).cx(4, 5).ry(0.6, 5);  // ops 7-10, fragment 2
+  c.cx(5, 6).ry(0.1, 6);                      // ops 11-12, fragment 3
+  const std::vector<std::vector<WirePoint>> boundaries = {
+      {WirePoint{1, 2}}, {WirePoint{3, 6}}, {WirePoint{5, 10}}};
+  return make_fragment_chain(c, boundaries);
+}
+
+/// N=2 with the wide fragment last: a 2-qubit fragment 0 ({0,1}, cut on
+/// qubit 1) feeding a 7-qubit fragment 1 ({1..7}), the mirror image of
+/// sweep_like.
+FragmentGraph wide_last_graph() {
+  Circuit c(8);
+  c.h(0).cx(0, 1).ry(0.3, 1);  // ops 0-2, fragment 0
+  for (int q = 1; q + 1 < 8; ++q) c.cx(q, q + 1).ry(0.1 * q, q + 1);
+  const std::array<WirePoint, 1> cuts = {WirePoint{1, 2}};
+  return make_fragment_graph(c, cuts);
+}
+
 struct BitExactCase {
   const char* name;
   FragmentGraph graph;
@@ -351,6 +375,10 @@ std::vector<BitExactCase> bit_exact_cases() {
       {"four_cut", four_cut_graph(), 43, 256, 0x54b868c7f328f182ULL, 0x151d74b21ef8e788ULL});
   cases.push_back({"chain3", make_fragment_chain(chain5(), chain5_boundaries()), 47, 16,
                    0xcded72e69bab3b47ULL, 0x91b68f5ca7e19781ULL});
+  cases.push_back({"four_fragment", four_fragment_graph(), 53, 64, 0x191e7defd5b99aa9ULL,
+                   0xd5c6c34f7bbf6ee9ULL});
+  cases.push_back(
+      {"wide_last", wide_last_graph(), 59, 4, 0xa6fff409deb5623cULL, 0x2bbed473a18b8d40ULL});
   return cases;
 }
 

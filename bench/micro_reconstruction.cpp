@@ -1,6 +1,6 @@
 // Micro benchmarks for the cutting pipeline: fragment execution fan-out and
 // the reconstruction contraction, standard vs golden (google-benchmark).
-// main() also times the chain contraction CutService runs, on three chain
+// main() also times the chain contraction CutService runs, on five chain
 // shapes, for the JSON.
 
 #include <benchmark/benchmark.h>
@@ -157,11 +157,17 @@ struct ChainFixture {
   cutting::ChainNeglectSpec spec;
   cutting::ChainFragmentData data;
 
+  /// `neglect_y` neglects Pauli Y at every cut of the first boundary.
   static ChainFixture make(const char* name, const circuit::Circuit& circuit,
                            const std::vector<std::vector<circuit::WirePoint>>& boundaries,
-                           std::size_t shots_per_variant) {
+                           std::size_t shots_per_variant, bool neglect_y = false) {
     cutting::FragmentGraph graph = cutting::make_fragment_chain(circuit, boundaries);
     cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
+    if (neglect_y) {
+      for (int k = 0; k < graph.boundaries.front().num_cuts(); ++k) {
+        spec.boundary(0).neglect(k, cutting::Pauli::Y);
+      }
+    }
     backend::StatevectorBackend backend(3);
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = shots_per_variant;
@@ -205,6 +211,30 @@ ChainFixture four_cut_fixture() {
   options.block_width = 3;
   const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
   return ChainFixture::make("four_cut_256_terms", ansatz.circuit, {ansatz.cuts}, 1000);
+}
+
+/// The perfbench wide_cold job: an 18-qubit Fig. 2 circuit cut into a
+/// 16-qubit and a 3-qubit fragment with Y neglected (3 terms), 20000 shots
+/// on each of its 6 variants. Fragment 0's 2^15 final-bit patterns are one
+/// run of contiguous uncut outcomes.
+ChainFixture wide_cold_fixture() {
+  Rng rng(23);
+  circuit::GoldenAnsatzOptions options;
+  options.num_qubits = 18;
+  options.cut_qubit = 15;
+  options.upstream_depth = 12;
+  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
+  return ChainFixture::make("wide_cold", ansatz.circuit, {{ansatz.cut}}, 20000, true);
+}
+
+/// 4 qubits whose fragment 0 has runs of one entry on both sides: it is
+/// {1,2,3} with its tomography bit at local 0, and qubit 0 is a final bit
+/// of fragment 1.
+ChainFixture runs_of_one_fixture() {
+  circuit::Circuit c(4);
+  c.h(3).cx(3, 2).ry(0.4, 2).cx(2, 1).ry(0.3, 1);
+  c.cx(1, 0).ry(0.2, 0);
+  return ChainFixture::make("runs_of_one", c, {{circuit::WirePoint{1, 4}}}, 1000);
 }
 
 }  // namespace
@@ -320,7 +350,8 @@ int main(int argc, char** argv) {
       {"recon_seconds_4threads", parallel_seconds},
       {"parallel_speedup_4threads", parallel_speedup}};
   for (const ChainFixture& fixture :
-       {sweep_warm_fixture(), three_fragment_fixture(), four_cut_fixture()}) {
+       {sweep_warm_fixture(), three_fragment_fixture(), four_cut_fixture(), wide_cold_fixture(),
+        runs_of_one_fixture()}) {
     extras.emplace_back(std::string("chain_") + fixture.name + "_seconds",
                         chain_seconds_per_call(fixture));
   }

@@ -1,5 +1,7 @@
 #include "cutting/fragment_executor.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 
@@ -50,10 +52,16 @@ const std::vector<double>& ChainFragmentData::distribution(int fragment,
              "ChainFragmentData: fragment index out of range");
   const auto& map = fragments[static_cast<std::size_t>(fragment)].variants;
   const auto it = map.find(pack_variant_key(key));
-  QCUT_CHECK(it != map.end(), "ChainFragmentData: variant (prep " +
-                                  std::to_string(key.prep_index) + ", setting " +
-                                  std::to_string(key.setting_index) + ") of fragment " +
-                                  std::to_string(fragment) + " was not executed");
+  // Built only when a check fails.
+  const auto variant = [&] {
+    return "ChainFragmentData: variant (prep " + std::to_string(key.prep_index) + ", setting " +
+           std::to_string(key.setting_index) + ") of fragment " + std::to_string(fragment);
+  };
+  QCUT_CHECK(it != map.end(), variant() + " was not executed");
+  const int width = fragments[static_cast<std::size_t>(fragment)].width;
+  QCUT_CHECK(it->second.size() == pow2(width),
+             variant() + " has " + std::to_string(it->second.size()) + " outcomes, not 2^" +
+                 std::to_string(width));
   return it->second;
 }
 
@@ -74,6 +82,10 @@ const std::vector<double>& FragmentData::upstream_distribution(std::uint32_t set
   const auto it = upstream.find(setting);
   QCUT_CHECK(it != upstream.end(),
              "FragmentData: upstream setting " + std::to_string(setting) + " was not executed");
+  QCUT_CHECK(it->second.size() == pow2(f1_width),
+             "FragmentData: upstream setting " + std::to_string(setting) + " has " +
+                 std::to_string(it->second.size()) + " outcomes, not 2^" +
+                 std::to_string(f1_width));
   return it->second;
 }
 
@@ -81,6 +93,10 @@ const std::vector<double>& FragmentData::downstream_distribution(std::uint32_t p
   const auto it = downstream.find(prep);
   QCUT_CHECK(it != downstream.end(),
              "FragmentData: downstream prep " + std::to_string(prep) + " was not executed");
+  QCUT_CHECK(it->second.size() == pow2(f2_width),
+             "FragmentData: downstream prep " + std::to_string(prep) + " has " +
+                 std::to_string(it->second.size()) + " outcomes, not 2^" +
+                 std::to_string(f2_width));
   return it->second;
 }
 

@@ -88,6 +88,8 @@ struct FragmentData {
   std::uint64_t total_shots = 0;
   double wall_seconds = 0.0;          // wall time spent gathering the data
 
+  /// The stored distribution; throws qcut::Error when it is missing or not
+  /// 2^f1_width (upstream) / 2^f2_width (downstream) long.
   [[nodiscard]] const std::vector<double>& upstream_distribution(std::uint32_t setting) const;
   [[nodiscard]] const std::vector<double>& downstream_distribution(std::uint32_t prep) const;
 };
@@ -120,6 +122,8 @@ struct ChainFragmentData {
   [[nodiscard]] int num_fragments() const noexcept {
     return static_cast<int>(fragments.size());
   }
+  /// The stored distribution; throws qcut::Error when it is missing or not
+  /// 2^width long.
   [[nodiscard]] const std::vector<double>& distribution(int fragment,
                                                         FragmentVariantKey key) const;
 };

@@ -245,6 +245,21 @@ std::vector<index_t> scatter_table(std::span<const int> positions) {
   return table;
 }
 
+/// scatter_bits(x, positions) for every x, as blocks of contiguous images.
+/// When the first r positions are 0, 1, ..., r-1, the low r bits of x land
+/// where they are and every other position is above them, so block x >> r
+/// starts at `starts[x >> r]` and its `length` = 2^r entries are contiguous.
+struct Runs {
+  index_t length = 1;
+  std::vector<index_t> starts;  // scatter_table of the positions past the first r
+};
+
+Runs runs_of(std::span<const int> positions) {
+  std::size_t r = 0;
+  while (r < positions.size() && positions[r] == static_cast<int>(r)) ++r;
+  return Runs{pow2(static_cast<int>(r)), scatter_table(positions.subspan(r))};
+}
+
 /// One outgoing tomography pattern of a fragment and its local outcome bits.
 struct CutPattern {
   index_t local_bits = 0;
@@ -258,7 +273,8 @@ struct CutPattern {
 /// fragment_tensor). The tables rely on every fragment's local qubits
 /// splitting exactly into its tomography bits (`out_cut_qubits`) and its
 /// final bits (`output_qubits`), which finish_fragment in fragment_graph.cpp
-/// guarantees.
+/// guarantees, and on every original qubit being a final bit of exactly one
+/// fragment.
 struct ChainLayout {
   const FragmentGraph& graph;
   std::vector<index_t> out_dims;   // 2^{final bits} per fragment
@@ -266,20 +282,27 @@ struct ChainLayout {
   index_t total_cut_dim = 1;
   /// A fragment's locals split into tomography and final bits, so each local
   /// outcome is one (final-bit pattern, tomography pattern) pair. Per
-  /// fragment: the local bits of every final-bit pattern, and every
+  /// fragment: its final-bit patterns as runs of local outcomes, and every
   /// tomography pattern with its local bits, ascending in those bits (for a
-  /// fixed final-bit pattern that is ascending local outcome order).
-  std::vector<std::vector<index_t>> output_local;
+  /// fixed final-bit pattern that is ascending local outcome order). The
+  /// tomography bits lie above every run, so a run stays contiguous under
+  /// any tomography pattern.
+  std::vector<Runs> local_runs;
   std::vector<std::vector<CutPattern>> cut_patterns;
-  /// Per fragment, indexed by final-bit pattern: the pattern scattered onto
-  /// the fragment's original qubits.
+  /// Fragment 0's final-bit patterns as runs of uncut outcomes.
+  Runs uncut_runs;
+  /// Per fragment but fragment 0 (whose entry is empty), indexed by final-bit
+  /// pattern: the pattern scattered onto the fragment's original qubits.
   std::vector<std::vector<index_t>> output_scatter;
 
-  explicit ChainLayout(const FragmentGraph& g) : graph(g) {
-    for (const ChainFragment& fragment : g.fragments) {
+  explicit ChainLayout(const FragmentGraph& g)
+      : graph(g), uncut_runs(runs_of(g.fragments.front().output_original)) {
+    for (std::size_t f = 0; f < g.fragments.size(); ++f) {
+      const ChainFragment& fragment = g.fragments[f];
       out_dims.push_back(pow2(fragment.output_width()));
-      output_local.push_back(scatter_table(fragment.output_qubits));
-      output_scatter.push_back(scatter_table(fragment.output_original));
+      local_runs.push_back(runs_of(fragment.output_qubits));
+      output_scatter.push_back(f > 0 ? scatter_table(fragment.output_original)
+                                     : std::vector<index_t>{});
       const std::vector<index_t> cut_local = scatter_table(fragment.out_cut_qubits);
       std::vector<CutPattern> cuts(cut_local.size());
       for (index_t a = 0; a < cuts.size(); ++a) cuts[a] = CutPattern{cut_local[a], a};
@@ -318,7 +341,7 @@ struct ChainLayout {
   ///
   /// Each entry adds its outcomes incoming slot by incoming slot, each in
   /// ascending local outcome order; the loops run tomography pattern outer,
-  /// entry inner, which keeps that order for every entry. Zero
+  /// then run by run, which keeps that order for every entry. Zero
   /// probabilities are not skipped: every factor is finite and an entry
   /// starts at +0.0, so adding a signed-zero product changes no bit.
   [[nodiscard]] std::vector<double> fragment_tensor(
@@ -327,20 +350,22 @@ struct ChainLayout {
       const std::vector<double>* w_out) const {
     const auto fi = static_cast<std::size_t>(f);
     const index_t in_dim = prep_for_slot != nullptr ? cut_dims[fi - 1] : 1;
-    const std::vector<index_t>& final_bits = output_local[fi];
+    const Runs& runs = local_runs[fi];
     const std::vector<CutPattern>& cuts = cut_patterns[fi];
 
     std::vector<double> tensor(out_dims[fi], 0.0);
     for (index_t a_in = 0; a_in < in_dim; ++a_in) {
       const std::uint32_t prep =
           prep_for_slot != nullptr ? (*prep_for_slot)[static_cast<std::size_t>(a_in)] : 0;
-      const std::vector<double>& probs =
-          data.distribution(f, FragmentVariantKey{prep, setting});
+      const double* probs = data.distribution(f, FragmentVariantKey{prep, setting}).data();
       const double in_weight = w_in != nullptr ? (*w_in)[a_in] : 1.0;
       for (const CutPattern& cut : cuts) {
         const double factor = in_weight * (w_out != nullptr ? (*w_out)[cut.index] : 1.0);
-        for (index_t b = 0; b < tensor.size(); ++b) {
-          tensor[b] += factor * probs[final_bits[b] | cut.local_bits];
+        double* dst = tensor.data();
+        for (const index_t start : runs.starts) {
+          const double* src = probs + (start | cut.local_bits);
+          for (index_t i = 0; i < runs.length; ++i) dst[i] += factor * src[i];
+          dst += runs.length;
         }
       }
     }
@@ -350,6 +375,7 @@ struct ChainLayout {
 
 void check_chain_inputs(const FragmentGraph& graph, const ChainFragmentData& data,
                         const ChainNeglectSpec& spec) {
+  QCUT_CHECK(graph.num_fragments() >= 2, "reconstruct: a chain needs at least two fragments");
   QCUT_CHECK(spec.num_boundaries() == graph.num_boundaries(),
              "reconstruct: spec boundary count must match the graph");
   for (int b = 0; b < graph.num_boundaries(); ++b) {
@@ -366,35 +392,70 @@ void check_chain_inputs(const FragmentGraph& graph, const ChainFragmentData& dat
   }
 }
 
-/// One global term: per-fragment tensors, multiplied out into `local` with
-/// the term coefficient. Zero entries prune their whole sub-tree at every
-/// level but the last; the last two levels run as one loop nest, and the
-/// last adds every product, since a signed-zero product changes no bit of
-/// `local` (see fragment_tensor).
-void accumulate_term(const ChainLayout& layout,
-                     const std::vector<const std::vector<double>*>& tensors, int f, double acc,
-                     index_t idx, std::vector<double>& local) {
-  const auto fi = static_cast<std::size_t>(f);
-  const std::vector<double>& tensor = *tensors[fi];
-  const std::vector<index_t>& scatter = layout.output_scatter[fi];
-  if (fi + 2 < tensors.size()) {
-    for (index_t x = 0; x < tensor.size(); ++x) {
+/// One term's contraction into the chunk buffer, fragment 0 innermost.
+/// Levels 1..N-1 each pick one entry of their tensor, skipping zero entries
+/// (which prunes whole sub-trees); every level is an element-wise loop over
+/// fragment 0's runs of contiguous uncut outcomes. Levels 1..N-2 fold their
+/// entry into fragment 0's partial products ((coefficient * t_0) * t_1) * ...,
+/// and the last level adds the full products into their runs of output bins,
+/// so each bin gets the chain-order product once per term. Runs of t_0 that
+/// are all zero are skipped, single zero entries are not: every factor is
+/// finite and every bin starts at +0.0, so adding a signed-zero product
+/// changes no bit (see fragment_tensor).
+struct TermSum {
+  const ChainLayout& layout;
+  std::vector<const double*> tensors;        // per fragment, this term's tensor
+  std::vector<index_t> live_runs;            // runs of t_0 holding a nonzero entry
+  std::vector<std::vector<double>> partial;  // [f - 1]: products through t_f, f <= N-2
+
+  explicit TermSum(const ChainLayout& l)
+      : layout(l),
+        tensors(l.out_dims.size()),
+        partial(l.out_dims.size() - 2, std::vector<double>(l.out_dims[0])) {
+    live_runs.reserve(l.uncut_runs.starts.size());
+  }
+
+  void add(double coefficient, double* local) {
+    const Runs& runs = layout.uncut_runs;
+    live_runs.clear();
+    for (index_t block = 0; block < runs.starts.size(); ++block) {
+      const double* run = tensors[0] + block * runs.length;
+      if (std::any_of(run, run + runs.length, [](double v) { return v != 0.0; })) {
+        live_runs.push_back(block);
+      }
+    }
+    level(1, tensors[0], coefficient, 0, local);
+  }
+
+  /// Level f: `in` holds fragment 0's products through t_(f-1), each still
+  /// to be multiplied by `scale` (the coefficient at level 1, 1.0 after it,
+  /// which changes no bit).
+  void level(std::size_t f, const double* in, double scale, index_t idx, double* local) {
+    const Runs& runs = layout.uncut_runs;
+    const double* tensor = tensors[f];
+    const std::vector<index_t>& scatter = layout.output_scatter[f];
+    const bool last = f + 1 == tensors.size();
+    for (index_t x = 0; x < scatter.size(); ++x) {
       const double value = tensor[x];
       if (value == 0.0) continue;
-      accumulate_term(layout, tensors, f + 1, acc * value, idx | scatter[x], local);
+      if (last) {
+        for (const index_t block : live_runs) {
+          double* dst = local + (idx | scatter[x] | runs.starts[block]);
+          const double* src = in + block * runs.length;
+          for (index_t i = 0; i < runs.length; ++i) dst[i] += scale * src[i] * value;
+        }
+        continue;
+      }
+      double* out = partial[f - 1].data();
+      for (const index_t block : live_runs) {
+        for (index_t i = block * runs.length; i < (block + 1) * runs.length; ++i) {
+          out[i] = scale * in[i] * value;
+        }
+      }
+      level(f + 1, out, 1.0, idx | scatter[x], local);
     }
-    return;
   }
-  const std::vector<double>& last = *tensors[fi + 1];
-  const std::vector<index_t>& last_scatter = layout.output_scatter[fi + 1];
-  for (index_t x = 0; x < tensor.size(); ++x) {
-    const double value = tensor[x];
-    if (value == 0.0) continue;
-    const double scaled = acc * value;
-    const index_t base = idx | scatter[x];
-    for (index_t y = 0; y < last.size(); ++y) local[base | last_scatter[y]] += scaled * last[y];
-  }
-}
+};
 
 /// Everything the per-term hot loop needs, precomputed and index-addressed:
 /// per boundary the active strings with their weight tables, prep-tuple
@@ -533,16 +594,16 @@ ReconstructionResult reconstruct_distribution(const FragmentGraph& graph,
 
   const ChainTermEngine engine = build_term_engine(layout, data, spec, &pool);
 
+  std::vector<std::size_t> string_of(static_cast<std::size_t>(num_boundaries));
+  TermSum sum(layout);
   std::vector<double> joint = accumulate_terms(
       engine.total_terms, full_dim, [&](std::uint64_t t, std::vector<double>& local) {
-        std::vector<std::size_t> string_of(static_cast<std::size_t>(num_boundaries));
         engine.decode(t, string_of);
-        std::vector<const std::vector<double>*> tensors(
-            static_cast<std::size_t>(num_fragments));
         for (int f = 0; f < num_fragments; ++f) {
-          tensors[static_cast<std::size_t>(f)] = &engine.tensor_for(f, string_of, num_boundaries);
+          sum.tensors[static_cast<std::size_t>(f)] =
+              engine.tensor_for(f, string_of, num_boundaries).data();
         }
-        accumulate_term(layout, tensors, 0, coefficient, 0, local);
+        sum.add(coefficient, local.data());
       });
 
   ReconstructionResult result;

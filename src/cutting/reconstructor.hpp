@@ -71,6 +71,16 @@ struct ReconstructionResult {
 // string at any boundary are skipped, so the paper's 4^K -> 4^Kr 3^Kg
 // saving multiplies across boundaries. At N=2 the arithmetic is the
 // u_M (x) v_M outer product above, operation for operation.
+//
+// Both loops run over contiguous memory. A fragment's low final bits are
+// usually its low locals, so its tensor is built from runs of consecutive
+// local outcomes; fragment 0's low final bits are usually the low original
+// qubits, so a term picks one entry of every other fragment's tensor
+// (fragment 1 outermost, zero entries pruned) and multiplies fragment 0's
+// tensor through run by run, adding into consecutive output bins; each
+// product is formed in chain order ((prod_b 1/2^{K_b} * t_0) * t_1) * ... .
+// Runs shorten to one entry when the bits do not line up; the arithmetic
+// does not change with them.
 
 /// Contracts chain fragment data into the distribution of the uncut
 /// circuit. The data must contain every variant the active terms need.

@@ -3,7 +3,8 @@
 // single-outcome and diagonal-expectation paths with the full distribution,
 // bit-for-bit N=2 equivalence with the pre-chain Bipartition pipeline, and
 // bit-exactness of the chain contraction itself: identical bytes on every
-// pool size and committed digests of its output on synthetic fragment data.
+// pool size and committed digests of its output on synthetic fragment data,
+// and a typed error for a variant distribution of the wrong length.
 
 #include <gtest/gtest.h>
 
@@ -355,6 +356,29 @@ FragmentGraph wide_last_graph() {
   return make_fragment_graph(c, cuts);
 }
 
+/// N=2 whose fragment 0 has runs of one entry on both sides: it is {1,2,3}
+/// with its tomography bit at local 0, and original qubit 0 is a final bit
+/// of fragment 1.
+FragmentGraph runs_of_one_graph() {
+  Circuit c(4);
+  c.h(3).cx(3, 2).ry(0.4, 2).cx(2, 1).ry(0.3, 1);  // ops 0-4, fragment 0
+  c.cx(1, 0).ry(0.2, 0);                           // ops 5-6, fragment 1
+  const std::array<WirePoint, 1> cuts = {WirePoint{1, 4}};
+  return make_fragment_graph(c, cuts);
+}
+
+/// 6 qubits, 3 fragments, a 2-cut first boundary: {0,1,2} -q1,q2->
+/// {1,2,3,4} -q4-> {4,5}, 16 x 4 = 64 terms.
+FragmentGraph two_cut_chain3_graph() {
+  Circuit c(6);
+  c.h(0).cx(0, 1).ry(0.3, 1).cx(1, 2).ry(0.5, 2);                 // ops 0-4, fragment 0
+  c.cx(1, 3).ry(0.2, 3).cx(2, 4).ry(0.6, 4).cx(3, 4).ry(0.1, 4);  // ops 5-10, fragment 1
+  c.cx(4, 5).ry(0.7, 5);                                          // ops 11-12, fragment 2
+  const std::vector<std::vector<WirePoint>> boundaries = {{WirePoint{1, 3}, WirePoint{2, 4}},
+                                                          {WirePoint{4, 10}}};
+  return make_fragment_chain(c, boundaries);
+}
+
 struct BitExactCase {
   const char* name;
   FragmentGraph graph;
@@ -379,6 +403,10 @@ std::vector<BitExactCase> bit_exact_cases() {
                    0xd5c6c34f7bbf6ee9ULL});
   cases.push_back(
       {"wide_last", wide_last_graph(), 59, 4, 0xa6fff409deb5623cULL, 0x2bbed473a18b8d40ULL});
+  cases.push_back({"runs_of_one", runs_of_one_graph(), 61, 4, 0x46bd1e73fc53706eULL,
+                   0x29e1a258ff7fda23ULL});
+  cases.push_back({"two_cut_chain3", two_cut_chain3_graph(), 67, 64, 0xa96ea66404175e05ULL,
+                   0x3fcf00eb568055e7ULL});
   return cases;
 }
 
@@ -419,6 +447,38 @@ TEST(ChainCutting, ReconstructionMatchesCommittedDigests) {
     }
     EXPECT_EQ(fnv1a(single), c.probability_of_digest) << std::hex << fnv1a(single);
   }
+}
+
+/// A variant distribution of the wrong length is a typed error naming the
+/// fragment and the variant, not a read past its end.
+TEST(ChainCutting, WronglySizedDistributionIsATypedError) {
+  const FragmentGraph graph = make_fragment_chain(chain5(), chain5_boundaries());
+  const ChainNeglectSpec spec = ChainNeglectSpec::none(graph);
+  ChainFragmentData data = synthetic_chain_data(graph, spec, 47);
+  std::vector<double>& dist = data.fragments[1].variants.at(pack_variant_key({0, 0}));
+  dist.resize(dist.size() / 2);
+  EXPECT_THROW((void)reconstruct_distribution(graph, data, spec), Error);
+  EXPECT_THROW((void)reconstruct_probability_of(graph, data, spec, 0), Error);
+  try {
+    (void)reconstruct_distribution(graph, data, spec);
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("(prep 0, setting 0) of fragment 1"), std::string::npos)
+        << e.what();
+  }
+
+  // The Bipartition accessors check against f1_width / f2_width.
+  const std::array<WirePoint, 1> cuts = {WirePoint{1, 2}};
+  const Bipartition bp = make_bipartition(chain5(), cuts);
+  backend::StatevectorBackend backend(1);
+  ExecutionOptions exec;
+  exec.exact = true;
+  const NeglectSpec none = NeglectSpec::none(1);
+  FragmentData short_up = execute_fragments(bp, none, backend, exec);
+  FragmentData short_down = short_up;
+  short_up.upstream.at(required_setting_indices(none).front()).pop_back();
+  short_down.downstream.at(required_prep_indices(none).front()).pop_back();
+  EXPECT_THROW((void)reconstruct_distribution(bp, short_up, none), Error);
+  EXPECT_THROW((void)reconstruct_distribution(bp, short_down, none), Error);
 }
 
 }  // namespace

@@ -2,9 +2,21 @@
 // paper-size CutService job spends most of its scheduler and worker time
 // in: plan_best_single_cut and plan_chain_cuts on the paper's Fig. 2
 // circuits at 5-7 qubits (the chain capped at n/2+1 qubits per fragment,
-// as the benchmark's chain requests are), and sim::sample_histogram at
-// 4000 shots over 2^4 and 2^16 outcomes. Writes BENCH_micro_planner.json
-// (median seconds per call); no gate.
+// as the benchmark's chain requests are); sim::sample_histogram at 4000
+// shots over 2^3, 2^4 and 2^5 outcomes (paper-size fragments), over 2^16
+// outcomes at 4000 and 20000 shots (a wide fragment) and at 100 shots, and
+// over 2^18 outcomes at 1000 and 4000 shots (the 100- and 1000-shot rows
+// lie below the crossover, where it tallies single draws, the others above
+// it, where it builds a guide table); and
+// StatevectorBackend::run_batch on one prefix group, the 3 setting variants
+// of a 4-qubit Fig. 2 fragment at 4000 shots each (a whole pool task of a
+// paper-size job). Writes BENCH_micro_planner.json (median seconds per
+// call).
+//
+// Gate: building a DiscreteSampler and tallying 4000 single sample() draws
+// over 2^4 outcomes must take at least 1.3x as long as sim::sample_histogram
+// on the same input, timed in interleaved rounds in this process (medians).
+// Exits nonzero otherwise.
 
 #include <algorithm>
 #include <cstdint>
@@ -14,36 +26,67 @@
 #include <utility>
 #include <vector>
 
+#include "backend/statevector_backend.hpp"
 #include "bench_json.hpp"
 #include "circuit/random.hpp"
 #include "common/stopwatch.hpp"
 #include "cutting/planner.hpp"
+#include "cutting/variants.hpp"
 #include "sim/sampling.hpp"
 
 namespace {
 
 using namespace qcut;
 
-/// Median seconds per call over 7 rounds, each round long enough (>= 20 ms)
-/// for the clock.
+/// The number of calls that takes at least `window` seconds.
 template <typename Call>
-double median_seconds_per_call(Call&& call) {
+std::size_t calls_per_window(Call& call, double window) {
   std::size_t calls = 1;
   for (;;) {
     Stopwatch watch;
     for (std::size_t i = 0; i < calls; ++i) call();
-    if (watch.elapsed_seconds() >= 0.02) break;
+    if (watch.elapsed_seconds() >= window) return calls;
     calls *= 2;
   }
-  constexpr int kRounds = 7;
+}
+
+template <typename Call>
+double seconds_per_call(Call& call, std::size_t calls) {
+  Stopwatch watch;
+  for (std::size_t i = 0; i < calls; ++i) call();
+  return watch.elapsed_seconds() / static_cast<double>(calls);
+}
+
+double median(std::vector<double> values) {
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
+}
+
+/// Median seconds per call over 7 rounds, each round long enough (>= 20 ms)
+/// for the clock.
+template <typename Call>
+double median_seconds_per_call(Call&& call) {
+  const std::size_t calls = calls_per_window(call, 0.02);
   std::vector<double> rounds;
-  for (int r = 0; r < kRounds; ++r) {
-    Stopwatch watch;
-    for (std::size_t i = 0; i < calls; ++i) call();
-    rounds.push_back(watch.elapsed_seconds() / static_cast<double>(calls));
+  for (int r = 0; r < 7; ++r) rounds.push_back(seconds_per_call(call, calls));
+  return median(rounds);
+}
+
+/// Median seconds per call of `a` and of `b` over 15 rounds that time one
+/// window (>= 10 ms) of each in turn, so drift in the host's speed reaches
+/// both sides alike.
+template <typename CallA, typename CallB>
+std::pair<double, double> interleaved_median_seconds(CallA&& a, CallB&& b) {
+  const std::size_t calls_a = calls_per_window(a, 0.01);
+  const std::size_t calls_b = calls_per_window(b, 0.01);
+  std::vector<double> rounds_a;
+  std::vector<double> rounds_b;
+  for (int r = 0; r < 15; ++r) {
+    rounds_a.push_back(seconds_per_call(a, calls_a));
+    rounds_b.push_back(seconds_per_call(b, calls_b));
   }
-  std::nth_element(rounds.begin(), rounds.begin() + kRounds / 2, rounds.end());
-  return rounds[kRounds / 2];
+  return {median(rounds_a), median(rounds_b)};
 }
 
 /// A seeded distribution over `size` outcomes with about a quarter of the
@@ -92,20 +135,86 @@ int main() {
               << " us, plan_chain_cuts " << chain * 1e6 << " us\n";
   }
 
-  for (const int bits : {4, 16}) {
-    const std::vector<double> probs = seeded_distribution(pow2(bits), 97);
+  struct SamplingShape {
+    int bits;
+    std::size_t shots;
+  };
+  for (const SamplingShape shape :
+       {SamplingShape{3, 4000}, SamplingShape{4, 4000}, SamplingShape{5, 4000},
+        SamplingShape{16, 4000}, SamplingShape{16, 20000}, SamplingShape{16, 100},
+        SamplingShape{18, 1000}, SamplingShape{18, 4000}}) {
+    const std::vector<double> probs = seeded_distribution(pow2(shape.bits), 97);
     Rng rng(5);
     const double seconds = median_seconds_per_call([&] {
-      sink += sim::sample_histogram(probs, 4000, rng).back();
+      sink += sim::sample_histogram(probs, shape.shots, rng).back();
     });
-    extras.emplace_back("sample_histogram_" + std::to_string(pow2(bits)) + "_outcomes_seconds",
+    extras.emplace_back("sample_histogram_" + std::to_string(pow2(shape.bits)) + "_outcomes_" +
+                            std::to_string(shape.shots) + "_shots_seconds",
                         seconds);
-    std::cout << "sample_histogram 4000 shots over 2^" << bits << " outcomes: " << seconds * 1e6
+    std::cout << "sample_histogram " << shape.shots << " shots over 2^" << shape.bits
+              << " outcomes: " << seconds * 1e6 << " us\n";
+  }
+
+  {
+    // The 4-qubit upstream fragment of a 7-qubit Fig. 2 circuit cut at its
+    // designed point: its 3 setting variants share everything but the
+    // trailing basis rotation, so they form one prefix group.
+    Rng rng(7);
+    circuit::GoldenAnsatzOptions options;
+    options.num_qubits = 7;
+    options.cut_qubit = 3;
+    const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
+    const std::vector<std::vector<circuit::WirePoint>> boundaries = {{ansatz.cut}};
+    const cutting::FragmentGraph graph = cutting::make_fragment_chain(ansatz.circuit, boundaries);
+    backend::BatchRequest batch;
+    for (const cutting::FragmentVariantKey& key :
+         cutting::required_fragment_variants(graph, 0, cutting::ChainNeglectSpec::none(graph))) {
+      batch.jobs.push_back(backend::BatchJob{
+          cutting::make_fragment_variant(graph, 0, key).circuit, 4000, key.setting_index});
+    }
+    std::vector<const circuit::Circuit*> circuits;
+    for (const backend::BatchJob& job : batch.jobs) circuits.push_back(&job.circuit);
+    for (cutting::PrefixGroup& group : cutting::group_by_shared_prefix(circuits)) {
+      batch.groups.push_back(
+          backend::BatchPrefixGroup{group.prefix_ops, std::move(group.members)});
+    }
+    backend::StatevectorBackend backend(11);
+    const double seconds = median_seconds_per_call([&] {
+      sink += backend.run_batch(batch).probabilities.size();
+    });
+    extras.emplace_back("run_batch_sampled_seconds", seconds);
+    std::cout << "run_batch " << batch.jobs.size() << " variants of a "
+              << batch.jobs.front().circuit.num_qubits() << "-qubit fragment in "
+              << batch.groups.size() << " prefix group(s), 4000 shots each: " << seconds * 1e6
               << " us\n";
   }
+
+  // The gate: the guide table against single-draw searches on one input.
+  const std::vector<double> gate_probs = seeded_distribution(pow2(4), 97);
+  Rng gate_rng(9);
+  const auto [single_draws, histogram] = interleaved_median_seconds(
+      [&] {
+        const DiscreteSampler sampler(gate_probs, 1e-9);
+        std::vector<std::uint64_t> tally(sampler.size(), 0);
+        for (int i = 0; i < 4000; ++i) ++tally[sampler.sample(gate_rng)];
+        sink += tally.back();
+      },
+      [&] { sink += sim::sample_histogram(gate_probs, 4000, gate_rng).back(); });
+  const double ratio = single_draws / histogram;
+  extras.emplace_back("single_draws_16_outcomes_4000_shots_seconds", single_draws);
+  extras.emplace_back("single_draws_over_sample_histogram", ratio);
+  std::cout << "4000 single draws over 2^4 outcomes: " << single_draws * 1e6
+            << " us, sample_histogram " << histogram * 1e6 << " us -> " << ratio << "x\n";
 
   // Printing the sink keeps the timed calls from being optimized away.
   std::cout << "checksum " << sink << "\n";
   (void)bench::write_bench_json("micro_planner", wall.elapsed_seconds(), 1.0, extras);
+
+  constexpr double kTargetRatio = 1.3;
+  if (ratio < kTargetRatio) {
+    std::cout << "micro_planner: single draws take " << ratio
+              << "x sample_histogram's time, below the " << kTargetRatio << "x target\n";
+    return 1;
+  }
   return 0;
 }

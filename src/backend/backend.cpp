@@ -4,19 +4,13 @@ namespace qcut::backend {
 
 BatchResult Backend::run_batch(const BatchRequest& request) {
   BatchResult result;
-  if (request.exact) {
-    result.probabilities.resize(request.jobs.size());
-  } else {
-    result.counts.assign(request.jobs.size(), Counts(1));
-  }
+  result.probabilities.resize(request.jobs.size());
 
   const auto run_one = [&](std::size_t j) {
     const BatchJob& job = request.jobs[j];
-    if (request.exact) {
-      result.probabilities[j] = exact_probabilities(job.circuit);
-    } else {
-      result.counts[j] = run(job.circuit, job.shots, job.seed_stream);
-    }
+    result.probabilities[j] = request.exact
+                                  ? exact_probabilities(job.circuit)
+                                  : run(job.circuit, job.shots, job.seed_stream).to_probabilities();
   };
 
   // The prefix plan is advisory; the fallback ignores it. Jobs are

@@ -69,10 +69,12 @@ struct BatchRequest {
   bool sim_engine = true;
 };
 
-/// Per-job results, indexed like BatchRequest::jobs. Sampled mode fills
-/// `counts`, exact mode fills `probabilities`; the other vector is empty.
+/// Per-job results, indexed like BatchRequest::jobs: one dense distribution
+/// over 2^width outcomes per job. Exact mode holds exact_probabilities();
+/// sampled mode holds the empirical distribution of run()'s Counts, bit for
+/// bit its to_probabilities() (count * (1 / shots), +0.0 for outcomes never
+/// seen; probabilities_from_histogram in counts.hpp).
 struct BatchResult {
-  std::vector<Counts> counts;
   std::vector<std::vector<double>> probabilities;
 };
 
@@ -130,22 +132,25 @@ class Backend {
 
   /// Executes a batch of jobs, optionally exploiting a shared-prefix plan.
   ///
-  /// Determinism contract: result j is BIT-FOR-BIT IDENTICAL to what
-  /// run(jobs[j].circuit, jobs[j].shots, jobs[j].seed_stream) — or
-  /// exact_probabilities(jobs[j].circuit) in exact mode — would have
-  /// returned on a backend in the same state, regardless of the prefix
-  /// plan, the pool, and the order jobs appear in the batch. Cumulative
-  /// stats() advance exactly as the equivalent per-job calls would.
-  /// Prefix sharing is therefore a pure execution-cost optimization: cache
-  /// keys, counts, and downstream reconstructions cannot observe it.
+  /// Determinism contract: probabilities[j] is BIT-FOR-BIT IDENTICAL to
+  /// run(jobs[j].circuit, jobs[j].shots, jobs[j].seed_stream)
+  /// .to_probabilities() — or exact_probabilities(jobs[j].circuit) in exact
+  /// mode — on a backend in the same state, regardless of the prefix plan,
+  /// the pool, and the order jobs appear in the batch. Equal distributions
+  /// mean equal counts (n -> n * (1 / shots) is strictly increasing), so no
+  /// sampled outcome can differ either. Cumulative stats() advance exactly
+  /// as the equivalent per-job calls would. Prefix sharing is therefore a
+  /// pure execution-cost optimization: cache keys, distributions, and
+  /// downstream reconstructions cannot observe it.
   ///
   /// Failure contract: like run(), a throwing run_batch() must be
   /// side-effect-free (TransientError marks the batch retryable; the
   /// retried batch must reproduce the fault-free results bit-for-bit).
   ///
-  /// The default implementation runs each job through run() /
-  /// exact_probabilities() (fanned over `pool` when provided), so backends
-  /// without a native batch path keep working unchanged.
+  /// The default implementation runs each job through
+  /// run().to_probabilities() / exact_probabilities() (fanned over `pool`
+  /// when provided), so backends without a native batch path keep working
+  /// unchanged.
   [[nodiscard]] virtual BatchResult run_batch(const BatchRequest& request);
 
   /// Cumulative statistics since construction (thread-safe snapshot).

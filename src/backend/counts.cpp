@@ -40,6 +40,19 @@ std::vector<double> Counts::to_probabilities() const {
   return probs;
 }
 
+// Must keep to_probabilities()' arithmetic: Backend::run_batch's sampled
+// results are promised bit for bit equal to run(...).to_probabilities().
+std::vector<double> probabilities_from_histogram(std::span<const std::uint64_t> histogram,
+                                                 std::uint64_t shots) {
+  QCUT_CHECK(shots > 0, "probabilities_from_histogram: no shots recorded");
+  std::vector<double> probs(histogram.size());
+  const double inv_total = 1.0 / static_cast<double>(shots);
+  for (std::size_t outcome = 0; outcome < histogram.size(); ++outcome) {
+    probs[outcome] = static_cast<double>(histogram[outcome]) * inv_total;
+  }
+  return probs;
+}
+
 Counts Counts::from_histogram(const std::vector<std::uint64_t>& histogram, int num_bits) {
   Counts out(num_bits);
   QCUT_CHECK(histogram.size() == pow2(num_bits),

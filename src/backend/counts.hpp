@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,5 +51,13 @@ class Counts {
   std::uint64_t total_ = 0;
   std::map<index_t, std::uint64_t> counts_;
 };
+
+/// Dense empirical distribution of `histogram`, a tally of `shots` draws
+/// (shots > 0): count * (1 / shots) per outcome, +0.0 where the count is
+/// zero. This is Counts::to_probabilities()' arithmetic, so the result is bit
+/// for bit Counts::from_histogram(histogram, ...).to_probabilities() when
+/// the histogram sums to `shots`, without building the map.
+[[nodiscard]] std::vector<double> probabilities_from_histogram(
+    std::span<const std::uint64_t> histogram, std::uint64_t shots);
 
 }  // namespace qcut::backend

@@ -91,11 +91,7 @@ std::vector<BatchUnit> plan_units(const BatchRequest& request) {
 BatchResult StatevectorBackend::run_batch(const BatchRequest& request) {
   TELEMETRY_SPAN("backend.run_batch");
   BatchResult result;
-  if (request.exact) {
-    result.probabilities.resize(request.jobs.size());
-  } else {
-    result.counts.assign(request.jobs.size(), Counts(1));
-  }
+  result.probabilities.resize(request.jobs.size());
 
   const std::vector<BatchUnit> units = plan_units(request);
 
@@ -167,8 +163,8 @@ BatchResult StatevectorBackend::run_batch(const BatchRequest& request) {
       } else {
         device_->probabilities(member, probs_scratch);
         Rng rng = base_rng_.child(job.seed_stream);
-        result.counts[j] = Counts::from_histogram(
-            sim::sample_histogram(probs_scratch, job.shots, rng), job.circuit.num_qubits());
+        result.probabilities[j] = probabilities_from_histogram(
+            sim::sample_histogram(probs_scratch, job.shots, rng), job.shots);
       }
     }
   };

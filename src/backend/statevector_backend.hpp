@@ -59,7 +59,8 @@ class StatevectorBackend : public Backend {
   /// applied. Every job's probabilities — and the multinomial sample drawn
   /// from its own seed stream — are therefore bit-for-bit identical to a
   /// per-job run() (the Backend::run_batch contract), fusion on or off,
-  /// SIMD on or off.
+  /// SIMD on or off. A sample's histogram goes straight into its dense
+  /// empirical distribution; no Counts is built.
   [[nodiscard]] BatchResult run_batch(const BatchRequest& request) override;
 
   [[nodiscard]] BackendStats stats() const override;

@@ -20,6 +20,11 @@ namespace {
 [[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
+
+/// The top 53 of 64 random bits as a double in [0, 1), exactly.
+[[nodiscard]] constexpr double unit_from_bits(std::uint64_t raw) noexcept {
+  return static_cast<double>(raw >> 11) * 0x1.0p-53;
+}
 }  // namespace
 
 Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) noexcept {
@@ -51,10 +56,7 @@ Rng Rng::child(std::uint64_t stream) const noexcept {
   return Rng(derived);
 }
 
-double Rng::uniform() {
-  // 53 random bits -> double in [0, 1).
-  return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return unit_from_bits(engine_()); }
 
 double Rng::uniform(double lo, double hi) {
   QCUT_CHECK(lo <= hi, "Rng::uniform: lo must be <= hi");
@@ -111,6 +113,7 @@ DiscreteSampler::DiscreteSampler(std::span<const double> weights, double negativ
     cdf_[i] = total;
   }
   QCUT_CHECK(total > 0.0, "DiscreteSampler: total weight must be positive");
+  QCUT_CHECK(std::isfinite(total), "DiscreteSampler: total weight must be finite");
 }
 
 std::size_t DiscreteSampler::sample(Rng& rng) const {
@@ -132,10 +135,65 @@ std::size_t DiscreteSampler::sample(Rng& rng) const {
 }
 
 std::vector<std::uint64_t> DiscreteSampler::sample_histogram(std::size_t n, Rng& rng) const {
-  std::vector<std::uint64_t> histogram(cdf_.size(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    ++histogram[sample(rng)];
+  const std::size_t size = cdf_.size();
+  std::vector<std::uint64_t> histogram(size, 0);
+
+  // Few draws over many outcomes (fewer than one per 16 outcomes, and fewer
+  // than 2048) tally sample() draws: building the table walks the whole
+  // cumulative table, which those draws do not repay. Measured on x86-64,
+  // the two paths cross at ~1200 draws over 2^14 outcomes and at ~1500-2700
+  // draws over 2^16-2^20; 100 draws over 2^16 run ~3x faster by search.
+  constexpr std::size_t kOutcomesPerDraw = 16;
+  constexpr std::size_t kGuidedDraws = 2048;
+  if (n < std::min(size / kOutcomesPerDraw, kGuidedDraws)) {
+    for (std::size_t i = 0; i < n; ++i) ++histogram[sample(rng)];
+    return histogram;
   }
+
+  // A guide table over the top b bits of each draw: bucket k holds the
+  // draws r in [k, k + 1) * 2^-b, exactly total / 2^b of the mass. Its
+  // size depends only on (size, n): the smallest power of two at least
+  // min(4 * size, n), capped at 2^12 entries. No more entries than draws:
+  // a bigger table costs more to build than its shorter scans save (1500
+  // draws over 2^14 outcomes take ~25% less time with 2^11 entries than
+  // with 2^12).
+  constexpr int kMaxGuideBits = 12;
+  int bits = 0;
+  while (bits < kMaxGuideBits && (std::size_t{1} << bits) < std::min(4 * size, n)) ++bits;
+  const std::size_t buckets = std::size_t{1} << bits;
+
+  // guide[k] = std::upper_bound's index of bucket k's lower bound
+  // k * 2^-b * total (rounded once, as a draw's u is), clamped to size - 1
+  // as sample() clamps.
+  const double total = cdf_.back();
+  const std::size_t last = size - 1;
+  const double bucket_width = std::ldexp(1.0, -bits);
+  std::vector<std::uint32_t> guide(buckets);
+  std::size_t at = 0;
+  for (std::size_t k = 0; k < buckets; ++k) {
+    const double bound = static_cast<double>(k) * bucket_width * total;
+    while (at < last && !(bound < cdf_[at])) ++at;
+    guide[k] = static_cast<std::uint32_t>(at);
+  }
+
+  // One draw per shot, u computed exactly as sample() computes it. The
+  // draw's bucket k = floor(r * 2^b) gives r >= k * 2^-b exactly, so its u
+  // is at least bucket k's rounded bound and its outcome at least guide[k];
+  // the scan then applies sample()'s own predicate and clamp. Expected
+  // scan length is at most 1 + size / 2^b steps for every distribution.
+  // The draws come from a local copy of the generator, written back after
+  // the loop: the histogram's stores could otherwise alias its state, which
+  // would then go through memory on every shot.
+  const int shift = 53 - bits;
+  Rng local = rng;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t raw = local.next_u64();
+    const double u = unit_from_bits(raw) * total;
+    std::size_t idx = guide[(raw >> 11) >> shift];
+    while (idx < last && !(u < cdf_[idx])) ++idx;
+    ++histogram[idx];
+  }
+  rng = local;
   return histogram;
 }
 

@@ -72,13 +72,19 @@ class Rng {
   double spare_normal_ = 0.0;
 };
 
-/// Samples indices from a fixed discrete distribution in O(log n) per draw.
+/// Samples indices from a fixed discrete distribution over a cumulative
+/// table.
 ///
-/// Weights need not be normalized; negative weights are rejected. Tiny
-/// negative values caused by floating-point cancellation (down to
-/// -negative_tolerance) are treated as exact zeros while the cumulative
-/// table is built, so callers need not copy and clamp their distribution
-/// first — construction is a single pass over the weights.
+/// Weights need not be normalized; negative weights are rejected, and so is
+/// a total that is not finite. Tiny negative values caused by floating-point
+/// cancellation (down to -negative_tolerance) are treated as exact zeros
+/// while the cumulative table is built, so callers need not copy and clamp
+/// their distribution first — construction is a single pass over the
+/// weights.
+///
+/// Both draw paths take one 64-bit draw per sample, u = uniform() * total,
+/// and map it to the same index: std::upper_bound's index of u in the
+/// cumulative table, clamped to size() - 1.
 class DiscreteSampler {
  public:
   explicit DiscreteSampler(std::span<const double> weights, double negative_tolerance = 0.0);
@@ -86,10 +92,19 @@ class DiscreteSampler {
   /// Number of categories.
   [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
 
-  /// Draws one index with probability weight[i] / total.
+  /// Draws one index with probability weight[i] / total: a fixed-trip
+  /// binary search, O(log n) per draw.
   [[nodiscard]] std::size_t sample(Rng& rng) const;
 
-  /// Draws `n` indices and tallies them into a histogram of length size().
+  /// Draws `n` indices and tallies them into a histogram of length size():
+  /// bit for bit `n` sample() calls, and the same generator state after.
+  /// Each call builds a guide table over the top bits of the draws (4
+  /// entries per outcome, but no more than one per draw and 2^12 in all)
+  /// and finds each outcome by a forward scan from its bucket's entry:
+  /// expected O(1 + size() / entries) per draw for every distribution
+  /// shape. Fewer than min(size() / 16, 2048) draws (few draws over many
+  /// outcomes, where building the table does not pay) tally sample() draws
+  /// instead.
   [[nodiscard]] std::vector<std::uint64_t> sample_histogram(std::size_t n, Rng& rng) const;
 
  private:

@@ -168,15 +168,12 @@ FragmentData execute_impl(const Bipartition& bp, const NeglectSpec& spec,
           backend::BatchPrefixGroup{group.prefix_ops, std::move(group.members)});
     }
     backend::BatchResult batched = backend.run_batch(batch);
-    parallel::parallel_for(pool, 0, num_variants, [&](std::size_t v) {
-      std::vector<double> probs = options.exact ? std::move(batched.probabilities[v])
-                                                : batched.counts[v].to_probabilities();
-      if (v < settings.size()) {
-        upstream_results[v] = std::move(probs);
-      } else {
-        downstream_results[v - settings.size()] = std::move(probs);
-      }
-    });
+    for (std::size_t v = 0; v < settings.size(); ++v) {
+      upstream_results[v] = std::move(batched.probabilities[v]);
+    }
+    for (std::size_t d = 0; d < preps.size(); ++d) {
+      downstream_results[d] = std::move(batched.probabilities[settings.size() + d]);
+    }
   } else {
     parallel::parallel_for(pool, 0, num_variants, [&](std::size_t v) {
       if (v < settings.size()) {
@@ -281,11 +278,7 @@ ChainFragmentData execute_chain_impl(const FragmentGraph& graph, const ChainNegl
       batch.groups.push_back(
           backend::BatchPrefixGroup{group.prefix_ops, std::move(group.members)});
     }
-    backend::BatchResult batched = backend.run_batch(batch);
-    parallel::parallel_for(pool, 0, work.size(), [&](std::size_t v) {
-      results[v] = options.exact ? std::move(batched.probabilities[v])
-                                 : batched.counts[v].to_probabilities();
-    });
+    results = std::move(backend.run_batch(batch).probabilities);
   } else {
     parallel::parallel_for(pool, 0, work.size(), [&](std::size_t v) {
       const WorkItem& item = work[v];

@@ -675,10 +675,8 @@ void CutService::launch_variant_groups(const JobPtr& job,
         try {
           backend::BatchResult batched = backend_.run_batch(task->batch);
           for (std::size_t m = 0; m < task->keys.size(); ++m) {
-            std::vector<double> probs = task->batch.exact
-                                            ? std::move(batched.probabilities[m])
-                                            : batched.counts[m].to_probabilities();
-            results[m] = std::make_shared<const std::vector<double>>(std::move(probs));
+            results[m] =
+                std::make_shared<const std::vector<double>>(std::move(batched.probabilities[m]));
           }
           break;
         } catch (const TransientError&) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/error.hpp"
 
 namespace qcut::backend {
@@ -68,6 +70,25 @@ TEST(Counts, FromHistogramRoundTrip) {
   EXPECT_EQ(counts.count(1), 5u);
   EXPECT_EQ(counts.count(3), 7u);
   EXPECT_THROW((void)Counts::from_histogram(histogram, 3), Error);
+}
+
+TEST(Counts, ProbabilitiesFromHistogramMatchToProbabilitiesBitForBit) {
+  // count / shots differs from count * (1 / shots) in the last bit for a
+  // count of 5 out of 7 and of 3 out of 10, so a division would fail here.
+  for (const std::vector<std::uint64_t>& histogram :
+       {std::vector<std::uint64_t>{0, 1, 0, 2}, std::vector<std::uint64_t>{5, 0, 2, 0},
+        std::vector<std::uint64_t>{1, 2, 3, 4}}) {
+    std::uint64_t shots = 0;
+    for (const std::uint64_t n : histogram) shots += n;
+    const std::vector<double> dense = probabilities_from_histogram(histogram, shots);
+    const std::vector<double> reference = Counts::from_histogram(histogram, 2).to_probabilities();
+    ASSERT_EQ(dense.size(), reference.size());
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(dense[i]), std::bit_cast<std::uint64_t>(reference[i]))
+          << "outcome " << i << " of " << shots << " shots";
+    }
+  }
+  EXPECT_THROW((void)probabilities_from_histogram(std::vector<std::uint64_t>{0, 0}, 0), Error);
 }
 
 TEST(Counts, ToStringShowsMsbFirst) {

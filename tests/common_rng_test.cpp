@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -134,6 +135,14 @@ TEST(DiscreteSampler, RejectsInvalidWeights) {
   EXPECT_THROW(DiscreteSampler(std::vector<double>{}), Error);
   EXPECT_THROW(DiscreteSampler(std::vector<double>{-0.5, 1.0}), Error);
   EXPECT_THROW(DiscreteSampler(std::vector<double>{0.0, 0.0}), Error);
+}
+
+TEST(DiscreteSampler, RejectsNonFiniteTotal) {
+  // An infinite weight, and finite weights whose sum overflows: either total
+  // would send every draw to the last outcome.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(DiscreteSampler(std::vector<double>{inf, 1.0, 1.0}), Error);
+  EXPECT_THROW(DiscreteSampler(std::vector<double>{1e308, 1e308, 0.5}), Error);
 }
 
 TEST(Xoshiro, SatisfiesUniformRandomBitGenerator) {

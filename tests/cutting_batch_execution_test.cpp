@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "backend/noisy_backend.hpp"
@@ -48,10 +50,15 @@ noise::NoiseModel small_noise() {
   return model;
 }
 
-void expect_same_counts(const backend::Counts& a, const backend::Counts& b) {
-  EXPECT_EQ(a.num_bits(), b.num_bits());
-  EXPECT_EQ(a.total_shots(), b.total_shots());
-  EXPECT_EQ(a.items(), b.items());
+/// Bit-for-bit equality of two distributions (== alone would equate +0.0
+/// and -0.0). n -> n * (1 / shots) is strictly increasing, so equal sampled
+/// distributions of one shot count mean equal counts.
+void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]), std::bit_cast<std::uint64_t>(b[i]))
+        << "outcome " << i << ": " << a[i] << " vs " << b[i];
+  }
 }
 
 TEST(SharedPrefixGrouping, ClustersCommonPrefixesAndSeparatesStrangers) {
@@ -126,15 +133,17 @@ TEST(RunBatch, StatevectorSharedPrefixIsBitForBitEqualToPerVariantRun) {
     batch.groups.push_back(backend::BatchPrefixGroup{g.prefix_ops, std::move(g.members)});
   }
 
-  // Sampled mode: identical Counts and identical cumulative stats.
+  // Sampled mode: each distribution bit for bit that of the per-job run()'s
+  // Counts, and identical cumulative stats.
   backend::StatevectorBackend reference(41);
   backend::StatevectorBackend batched(41);
   const backend::BatchResult result = batched.run_batch(batch);
-  ASSERT_EQ(result.counts.size(), batch.jobs.size());
+  ASSERT_EQ(result.probabilities.size(), batch.jobs.size());
   for (std::size_t j = 0; j < batch.jobs.size(); ++j) {
-    expect_same_counts(result.counts[j],
-                       reference.run(batch.jobs[j].circuit, batch.jobs[j].shots,
-                                     batch.jobs[j].seed_stream));
+    expect_same_bits(result.probabilities[j],
+                     reference.run(batch.jobs[j].circuit, batch.jobs[j].shots,
+                                   batch.jobs[j].seed_stream)
+                         .to_probabilities());
   }
   EXPECT_EQ(batched.stats().jobs, reference.stats().jobs);
   EXPECT_EQ(batched.stats().shots, reference.stats().shots);
@@ -171,10 +180,12 @@ TEST(RunBatch, DefaultFallbackMatchesPerVariantRunOnNoisyBackend) {
   backend::NoisyBackend reference(small_noise(), 13);
   backend::NoisyBackend fallback(small_noise(), 13);
   const backend::BatchResult result = fallback.run_batch(batch);
+  ASSERT_EQ(result.probabilities.size(), batch.jobs.size());
   for (std::size_t j = 0; j < batch.jobs.size(); ++j) {
-    expect_same_counts(result.counts[j],
-                       reference.run(batch.jobs[j].circuit, batch.jobs[j].shots,
-                                     batch.jobs[j].seed_stream));
+    expect_same_bits(result.probabilities[j],
+                     reference.run(batch.jobs[j].circuit, batch.jobs[j].shots,
+                                   batch.jobs[j].seed_stream)
+                         .to_probabilities());
   }
 }
 

@@ -5,6 +5,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -51,6 +54,15 @@ TEST(Sampling, LargeNegativeRejected) {
   const std::vector<double> probs = {0.5, -0.1, 0.6};
   Rng rng(5);
   EXPECT_THROW((void)sample_histogram(probs, 100, rng), Error);
+}
+
+TEST(Sampling, NonFiniteTotalRejected) {
+  // Both totals are +inf: every draw would land on the last outcome.
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(7);
+  EXPECT_THROW((void)sample_histogram(std::vector<double>{inf, 1.0, 1.0}, 1000, rng), Error);
+  EXPECT_THROW((void)sample_histogram(std::vector<double>{1e308, 1e308, 0.5}, 1000, rng),
+               Error);
 }
 
 TEST(Sampling, DeterministicForSeed) {
@@ -107,6 +119,27 @@ std::vector<double> last_bin_only(std::size_t size) {
   return weights;
 }
 
+/// `size` equal weights of 1/size. For a power-of-two size they are dyadic:
+/// every cumulative entry is exactly a multiple of 1/size, so each lands on
+/// a bucket bound of any guide table with at least `size` buckets.
+std::vector<double> equal_weights(std::size_t size) {
+  return std::vector<double>(size, 1.0 / static_cast<double>(size));
+}
+
+/// One weight 1.0 followed by 4000 weights of 1e-9: 4000 cumulative entries
+/// packed into the last 4e-6 of the mass, inside one bucket of any table of
+/// up to 2^12 buckets.
+std::vector<double> tiny_cluster() {
+  std::vector<double> weights(4001, 1e-9);
+  weights.front() = 1.0;
+  return weights;
+}
+
+std::vector<double> scaled(std::vector<double> weights, double factor) {
+  for (double& w : weights) w *= factor;
+  return weights;
+}
+
 struct SamplingCase {
   const char* name;
   std::vector<double> weights;
@@ -141,6 +174,10 @@ std::vector<SamplingCase> sampling_cases() {
                    0xefe2ff58133c105aULL, 0x73e5a77846042643ULL});
   cases.push_back({"65536_last_bin", last_bin_only(65536), 0x7f78371c1b8ff757ULL,
                    0x2404c54b948062a2ULL});
+  cases.push_back({"dyadic_64", equal_weights(64), 0xeea82fffcf223f3fULL, 0x829338ad63d0ed3dULL});
+  cases.push_back({"tiny_cluster", tiny_cluster(), 0x65863412ac68b4caULL, 0x53e78f9532ac91e4ULL});
+  cases.push_back({"tiny_cluster_times_1e300", scaled(tiny_cluster(), 1e300),
+                   0xdf38249d1cb39bb4ULL, 0x89fdfe6897f044d5ULL});
   return cases;
 }
 
@@ -159,6 +196,53 @@ TEST(Sampling, SampledOutcomesMatchCommittedDigests) {
     for (int i = 0; i < 500; ++i) draws.add(sampler.sample(rng));
     draws.add(rng.next_u64());
     EXPECT_EQ(draws.hash, c.draws_digest) << std::hex << draws.hash;
+  }
+}
+
+/// The tally of `shots` single DiscreteSampler::sample draws.
+std::vector<std::uint64_t> single_draw_tally(const std::vector<double>& weights,
+                                             std::size_t shots, Rng& rng) {
+  const DiscreteSampler sampler(weights, 1e-9);
+  std::vector<std::uint64_t> histogram(weights.size(), 0);
+  for (std::size_t i = 0; i < shots; ++i) ++histogram[sampler.sample(rng)];
+  return histogram;
+}
+
+/// sample_histogram against its oracle, the single-draw search: the same
+/// outcome for every draw and the same generator state afterwards, on
+/// shapes that put cumulative entries exactly on bucket bounds, pack many
+/// inside one bucket, scale the total to the edges of the double range,
+/// and take both sides of the crossover to single draws (over 2^16 and
+/// 2^18 outcomes, 2047 shots tally single draws and 2048 build a table of
+/// 2048 entries, 32 and 128 outcomes per entry).
+TEST(Sampling, HistogramEqualsSingleDraws) {
+  std::vector<std::pair<std::string, std::vector<double>>> inputs;
+  for (const std::size_t size : {1, 2, 3, 16, 100, 4097, 65536, 262144}) {
+    const std::string name = std::to_string(size);
+    inputs.emplace_back("seeded_" + name, seeded_distribution(size, size / 8, 300 + size));
+    inputs.emplace_back("equal_" + name, equal_weights(size));
+  }
+  inputs.emplace_back("tiny_cluster", tiny_cluster());
+  const std::size_t unscaled = inputs.size();
+  for (std::size_t i = 0; i < unscaled; ++i) {
+    if (inputs[i].first.starts_with("seeded_")) continue;  // its negatives would not clamp
+    for (const auto& [label, factor] : {std::pair{"_times_1e-300", 1e-300},
+                                        std::pair{"_times_1e300", 1e300},
+                                        std::pair{"_times_3.7", 3.7}}) {
+      inputs.emplace_back(inputs[i].first + label, scaled(inputs[i].second, factor));
+    }
+  }
+
+  std::uint64_t seed = 500;
+  for (const auto& [name, weights] : inputs) {
+    for (const std::size_t shots : {1, 7, 100, 2047, 2048, 4000, 20000}) {
+      SCOPED_TRACE(name + " x " + std::to_string(shots) + " shots");
+      Rng histogram_rng(++seed);
+      Rng draws_rng(seed);
+      EXPECT_EQ(sample_histogram(weights, shots, histogram_rng),
+                single_draw_tally(weights, shots, draws_rng));
+      EXPECT_EQ(histogram_rng.next_u64(), draws_rng.next_u64());
+    }
   }
 }
 

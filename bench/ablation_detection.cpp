@@ -34,6 +34,21 @@ struct DetectionStats {
   int tested_generic = 0;
 };
 
+/// The upstream fragment's sampled distribution under each of the 3
+/// settings of one cut (setting s on seed stream s): the detector's input.
+std::vector<std::vector<double>> sampled_upstream(const circuit::Circuit& circuit,
+                                                  std::span<const circuit::WirePoint> cuts,
+                                                  backend::Backend& backend, std::size_t shots) {
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(circuit, cuts);
+  std::vector<std::vector<double>> upstream;
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    const circuit::Circuit variant =
+        cutting::make_fragment_variant(graph, 0, cutting::FragmentVariantKey{0, s}).circuit;
+    upstream.push_back(backend.run(variant, shots, s).to_probabilities());
+  }
+  return upstream;
+}
+
 DetectionStats run_detection(std::size_t shots) {
   DetectionStats stats;
 
@@ -47,14 +62,8 @@ DetectionStats run_detection(std::size_t shots) {
     const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
 
     backend::StatevectorBackend backend(2000 + static_cast<std::uint64_t>(i));
-    cutting::ExecutionOptions exec;
-    exec.shots_per_variant = shots;
-    const cutting::FragmentData data =
-        cutting::execute_upstream_only(bp, cutting::NeglectSpec::none(1), backend, exec);
-    std::vector<std::vector<double>> upstream;
-    for (std::uint32_t s = 0; s < 3; ++s) upstream.push_back(data.upstream_distribution(s));
-    const cutting::GoldenDetectionReport report =
-        cutting::detect_golden_from_counts(bp, upstream, shots);
+    const cutting::GoldenDetectionReport report = cutting::detect_golden_from_counts(
+        bp, sampled_upstream(ansatz.circuit, cuts, backend, shots), shots);
 
     if (report.golden[0][static_cast<std::size_t>(ansatz.golden_basis)]) {
       ++stats.true_positives;
@@ -80,14 +89,8 @@ DetectionStats run_detection(std::size_t shots) {
     const cutting::GoldenDetectionReport exact = cutting::detect_golden_exact(bp, 1e-9);
 
     backend::StatevectorBackend backend(4000 + static_cast<std::uint64_t>(i));
-    cutting::ExecutionOptions exec;
-    exec.shots_per_variant = shots;
-    const cutting::FragmentData data =
-        cutting::execute_upstream_only(bp, cutting::NeglectSpec::none(1), backend, exec);
-    std::vector<std::vector<double>> upstream;
-    for (std::uint32_t s = 0; s < 3; ++s) upstream.push_back(data.upstream_distribution(s));
     const cutting::GoldenDetectionReport online =
-        cutting::detect_golden_from_counts(bp, upstream, shots);
+        cutting::detect_golden_from_counts(bp, sampled_upstream(c, cuts, backend, shots), shots);
 
     for (linalg::Pauli p : {linalg::Pauli::X, linalg::Pauli::Y, linalg::Pauli::Z}) {
       if (exact.violation[0][static_cast<std::size_t>(p)] < 0.02) continue;  // near-golden

@@ -1,6 +1,6 @@
 // Micro benchmarks for the cutting pipeline: fragment execution fan-out and
-// the reconstruction contraction, standard vs golden (google-benchmark).
-// main() also times the chain contraction CutService runs, on five chain
+// the chain reconstruction contraction, standard vs golden
+// (google-benchmark). main() also times the contraction on five chain
 // shapes, for the JSON.
 
 #include <benchmark/benchmark.h>
@@ -24,10 +24,14 @@ namespace {
 
 using namespace qcut;
 
+/// Sampled N=2 chain data of a golden ansatz, with its no-neglect and
+/// golden specs.
 struct Fixture {
   circuit::GoldenAnsatz ansatz;
-  cutting::Bipartition bp;
-  cutting::FragmentData data;
+  cutting::FragmentGraph graph;
+  cutting::ChainFragmentData data;
+  cutting::ChainNeglectSpec standard;
+  cutting::ChainNeglectSpec golden;
 
   static Fixture make(int num_qubits) {
     Rng rng(11);
@@ -35,35 +39,35 @@ struct Fixture {
     options.num_qubits = num_qubits;
     circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
     const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-    cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
+    cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
+    cutting::ChainNeglectSpec standard = cutting::ChainNeglectSpec::none(graph);
+    cutting::ChainNeglectSpec golden = standard;
+    golden.boundary(0).neglect(0, ansatz.golden_basis);
     backend::StatevectorBackend backend(3);
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = 1000;
-    cutting::FragmentData data =
-        cutting::execute_fragments(bp, cutting::NeglectSpec::none(1), backend, exec);
-    return Fixture{std::move(ansatz), std::move(bp), std::move(data)};
+    cutting::ChainFragmentData data = cutting::execute_chain(graph, standard, backend, exec);
+    return Fixture{std::move(ansatz), std::move(graph), std::move(data), std::move(standard),
+                   std::move(golden)};
   }
 };
 
 void BM_ReconstructStandard(benchmark::State& state) {
   const Fixture fixture = Fixture::make(static_cast<int>(state.range(0)));
-  const cutting::NeglectSpec spec = cutting::NeglectSpec::none(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cutting::reconstruct_distribution(fixture.bp, fixture.data, spec).raw_probabilities
-            .data());
+        cutting::reconstruct_distribution(fixture.graph, fixture.data, fixture.standard)
+            .raw_probabilities.data());
   }
 }
 BENCHMARK(BM_ReconstructStandard)->Arg(5)->Arg(7)->Arg(9)->Arg(11);
 
 void BM_ReconstructGolden(benchmark::State& state) {
   const Fixture fixture = Fixture::make(static_cast<int>(state.range(0)));
-  cutting::NeglectSpec spec(1);
-  spec.neglect(0, fixture.ansatz.golden_basis);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cutting::reconstruct_distribution(fixture.bp, fixture.data, spec).raw_probabilities
-            .data());
+        cutting::reconstruct_distribution(fixture.graph, fixture.data, fixture.golden)
+            .raw_probabilities.data());
   }
 }
 BENCHMARK(BM_ReconstructGolden)->Arg(5)->Arg(7)->Arg(9)->Arg(11);
@@ -74,16 +78,15 @@ void BM_FragmentExecutionStandard(benchmark::State& state) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
   backend::StatevectorBackend backend(4);
-  const cutting::NeglectSpec spec = cutting::NeglectSpec::none(1);
+  const cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
   std::uint64_t stream = 0;
   for (auto _ : state) {
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = 1000;
     exec.seed_stream_base = (stream++) << 16;
-    benchmark::DoNotOptimize(
-        cutting::execute_fragments(bp, spec, backend, exec).total_jobs);
+    benchmark::DoNotOptimize(cutting::execute_chain(graph, spec, backend, exec).total_jobs);
   }
 }
 BENCHMARK(BM_FragmentExecutionStandard);
@@ -94,17 +97,16 @@ void BM_FragmentExecutionGolden(benchmark::State& state) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
   backend::StatevectorBackend backend(4);
-  cutting::NeglectSpec spec(1);
-  spec.neglect(0, ansatz.golden_basis);
+  cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
+  spec.boundary(0).neglect(0, ansatz.golden_basis);
   std::uint64_t stream = 0;
   for (auto _ : state) {
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = 1000;
     exec.seed_stream_base = (stream++) << 16;
-    benchmark::DoNotOptimize(
-        cutting::execute_fragments(bp, spec, backend, exec).total_jobs);
+    benchmark::DoNotOptimize(cutting::execute_chain(graph, spec, backend, exec).total_jobs);
   }
 }
 BENCHMARK(BM_FragmentExecutionGolden);
@@ -147,7 +149,7 @@ void BM_ExactGoldenDetection(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactGoldenDetection)->Arg(5)->Arg(9)->Arg(13);
 
-// ---- Chain reconstruction (the API CutService calls) -------------------------
+// ---- Chain reconstruction on the service's shapes -----------------------------
 
 /// Sampled chain data on one shape, reconstructed on a one-worker pool as
 /// the service does when a request brings its own single-worker pool.
@@ -241,7 +243,7 @@ ChainFixture runs_of_one_fixture() {
 
 namespace {
 
-/// Parallel reconstruction: a 2-cut bipartition (16 active terms under the
+/// Parallel reconstruction: a 2-cut N=2 chain (16 active terms under the
 /// full spec) reconstructed on a 1-thread vs a `threads`-thread pool. The
 /// pool only builds the per-string tensors; the terms are summed on the
 /// calling thread in an order fixed by the term count, so both pools
@@ -256,23 +258,22 @@ double parallel_reconstruction_speedup(int threads, double& serial_seconds_out,
   options.block_width = 8;  // 17 qubits total: a 16-qubit upstream fragment
   options.downstream_depth = 2;
   const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
-  const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, ansatz.cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, ansatz.cuts);
+  const cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
   backend::StatevectorBackend backend(3);
   cutting::ExecutionOptions exec;
   exec.shots_per_variant = 1000;
-  const cutting::FragmentData data =
-      cutting::execute_fragments(bp, cutting::NeglectSpec::none(2), backend, exec);
+  const cutting::ChainFragmentData data = cutting::execute_chain(graph, spec, backend, exec);
 
   constexpr int kRepeats = 10;
   parallel::ThreadPool serial_pool(1);
   parallel::ThreadPool parallel_pool(static_cast<unsigned>(threads));
-  const cutting::NeglectSpec spec = cutting::NeglectSpec::none(2);
 
   cutting::ReconstructionOptions serial_recon;
   serial_recon.pool = &serial_pool;
   Stopwatch serial_watch;
   for (int r = 0; r < kRepeats; ++r) {
-    (void)cutting::reconstruct_distribution(bp, data, spec, serial_recon);
+    (void)cutting::reconstruct_distribution(graph, data, spec, serial_recon);
   }
   serial_seconds_out = serial_watch.elapsed_seconds() / kRepeats;
 
@@ -280,7 +281,7 @@ double parallel_reconstruction_speedup(int threads, double& serial_seconds_out,
   parallel_recon.pool = &parallel_pool;
   Stopwatch parallel_watch;
   for (int r = 0; r < kRepeats; ++r) {
-    (void)cutting::reconstruct_distribution(bp, data, spec, parallel_recon);
+    (void)cutting::reconstruct_distribution(graph, data, spec, parallel_recon);
   }
   parallel_seconds_out = parallel_watch.elapsed_seconds() / kRepeats;
   return serial_seconds_out / parallel_seconds_out;
@@ -318,18 +319,15 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   const Fixture fixture = Fixture::make(9);
-  cutting::NeglectSpec golden(1);
-  golden.neglect(0, fixture.ansatz.golden_basis);
   constexpr int kRepeats = 10;
   Stopwatch standard_watch;
   for (int r = 0; r < kRepeats; ++r) {
-    (void)cutting::reconstruct_distribution(fixture.bp, fixture.data,
-                                            cutting::NeglectSpec::none(1));
+    (void)cutting::reconstruct_distribution(fixture.graph, fixture.data, fixture.standard);
   }
   const double standard_seconds = standard_watch.elapsed_seconds() / kRepeats;
   Stopwatch golden_watch;
   for (int r = 0; r < kRepeats; ++r) {
-    (void)cutting::reconstruct_distribution(fixture.bp, fixture.data, golden);
+    (void)cutting::reconstruct_distribution(fixture.graph, fixture.data, fixture.golden);
   }
   const double golden_seconds = golden_watch.elapsed_seconds() / kRepeats;
 

@@ -24,19 +24,17 @@ int main() {
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
   const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
 
   backend::StatevectorBackend backend(99);
 
   for (std::size_t shots : {200ull, 1000ull, 5000ull}) {
-    cutting::ExecutionOptions exec;
-    exec.shots_per_variant = shots;
-    exec.seed_stream_base = shots;  // fresh data per row
-    const cutting::FragmentData data =
-        cutting::execute_upstream_only(bp, cutting::NeglectSpec::none(1), backend, exec);
-
+    // Setting s runs on seed stream shots + s: fresh data per row.
     std::vector<std::vector<double>> upstream;
     for (std::uint32_t s = 0; s < 3; ++s) {
-      upstream.push_back(data.upstream_distribution(s));
+      const circuit::Circuit variant =
+          cutting::make_fragment_variant(graph, 0, cutting::FragmentVariantKey{0, s}).circuit;
+      upstream.push_back(backend.run(variant, shots, shots + s).to_probabilities());
     }
     const cutting::GoldenDetectionReport report =
         cutting::detect_golden_from_counts(bp, upstream, shots);

@@ -67,12 +67,13 @@ int main() {
       }
       const std::array<circuit::WirePoint, 1> cuts = {circuit::WirePoint{3, cut_after}};
       const cutting::Bipartition bp = cutting::make_bipartition(ansatz, cuts);
+      const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz, cuts);
 
       // Exact fragment data once; each edge observable reuses it.
       cutting::ExecutionOptions exec;
       exec.exact = true;
-      const cutting::FragmentData data =
-          cutting::execute_fragments(bp, cutting::NeglectSpec::none(1), backend, exec);
+      const cutting::ChainFragmentData data =
+          cutting::execute_chain(graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
 
       sim::StateVector sv(kNumQubits);
       sv.apply_circuit(ansatz);
@@ -86,9 +87,10 @@ int main() {
             cutting::DiagonalObservable::from_pauli(edge);
 
         // Observable-specific golden bases for this edge (if any).
-        const cutting::NeglectSpec spec =
-            cutting::detect_golden_for_observable(bp, obs).to_spec();
-        zz_cut.push_back(cutting::estimate_expectation(bp, data, spec, obs));
+        const cutting::ChainNeglectSpec spec{
+            {cutting::detect_golden_for_observable(bp, obs).to_spec()}};
+        zz_cut.push_back(
+            cutting::reconstruct_diagonal_expectation(graph, data, spec, obs.diagonal()));
         zz_exact.push_back(sv.expectation_pauli(edge));
       }
 

@@ -29,7 +29,7 @@ int main() {
             << circuit::render_ascii(circuit, std::array{cut}) << '\n';
 
   const std::array<circuit::WirePoint, 1> cuts = {cut};
-  const cutting::Bipartition bp = cutting::make_bipartition(circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(circuit, cuts);
 
   // Gather exact fragment data and show each term's upstream weighted trace
   //   g(M) = sum_r r tr(Pi_b1 rho_f1(M^r))
@@ -37,13 +37,13 @@ int main() {
   backend::StatevectorBackend backend(7);
   cutting::ExecutionOptions exec;
   exec.exact = true;
-  const cutting::FragmentData data =
-      cutting::execute_fragments(bp, cutting::NeglectSpec::none(1), backend, exec);
+  const cutting::ChainFragmentData data =
+      cutting::execute_chain(graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
 
   Table table({"basis M", "g(M) for b1=0", "g(M) for b1=1", "terms (r,s)", "kept?"});
   for (Pauli m : linalg::kAllPaulis) {
-    const auto& probs = data.upstream_distribution(
-        cutting::settings_index_for_basis(std::array{m}));
+    const auto& probs = data.distribution(
+        0, cutting::FragmentVariantKey{0, cutting::settings_index_for_basis(std::array{m})});
     // f1 qubit 1 is the cut wire, qubit 0 the output.
     double g0 = 0.0, g1 = 0.0;
     for (index_t outcome = 0; outcome < 4; ++outcome) {

@@ -56,17 +56,6 @@ struct BatchRequest {
   /// from a pool worker thread (a nested parallel wait can deadlock a
   /// saturated pool); implementations must then run the batch serially.
   parallel::ThreadPool* pool = nullptr;
-
-  /// Allow the backend's specialized gate-kernel engine (sim/engine.hpp).
-  /// The engine is bit-for-bit identical to the generic path, so this knob
-  /// never affects results or cache keys — it exists to time and test the
-  /// generic reference path. Result-affecting engine options (gate fusion,
-  /// the SIMD path) are backend-construction state instead, reflected in
-  /// Backend::identity(). When the backend's SIMD path is active the
-  /// opt-out is ignored outright: the scalar reference kernels it would
-  /// select are not bit-for-bit with FMA-contracted results, and this knob
-  /// must never affect results.
-  bool sim_engine = true;
 };
 
 /// Per-job results, indexed like BatchRequest::jobs: one dense distribution

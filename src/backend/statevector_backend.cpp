@@ -115,18 +115,6 @@ BatchResult StatevectorBackend::run_batch(const BatchRequest& request) {
     }
   }
 
-  sim::ProgramOptions popts;
-  if (!request.sim_engine && device_->caps().isa == sim::IsaLevel::Scalar) {
-    // Per-request opt-out of the bit-for-bit-neutral engine features only:
-    // fusion affects results and stays fixed at construction (identity()).
-    // When the SIMD path is active the opt-out is ignored outright — the
-    // scalar reference kernels it selects would not be bit-for-bit with the
-    // device's FMA-contracted results, and sim_engine must never affect
-    // results (see backend.hpp).
-    popts.specialize = false;
-    popts.threaded = false;
-  }
-
   const auto run_unit = [&](std::size_t u) {
     TELEMETRY_SPAN("backend.unit");
     const BatchUnit& unit = units[u];
@@ -140,7 +128,7 @@ BatchResult StatevectorBackend::run_batch(const BatchRequest& request) {
     // a standalone full-circuit compile emits (the GateFusion stream
     // property).
     const std::unique_ptr<sim::CompiledProgram> prefix_program =
-        device_->compile_prefix(rep, unit.prefix_ops, popts);
+        device_->compile_prefix(rep, unit.prefix_ops);
     const std::unique_ptr<sim::DeviceState> base = device_->create_state(width);
     device_->apply(*prefix_program, *base);
 

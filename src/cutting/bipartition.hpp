@@ -1,10 +1,10 @@
 #pragma once
-// The legacy two-fragment split (Section II-B of the paper): an upstream
-// fragment f1 and a downstream fragment f2. The general machinery lives in
-// cutting/fragment_graph.hpp — an N-fragment chain with per-boundary
-// NeglectSpecs — and make_bipartition is a thin wrapper over the N=2 chain.
-// The Bipartition view is kept for the per-boundary detectors (golden.hpp,
-// observables.hpp) and the direct execution path (fragment_executor.hpp).
+// The two-fragment split (Section II-B of the paper): an upstream fragment
+// f1 and a downstream fragment f2. Execution and reconstruction run on the
+// N-fragment chain (cutting/fragment_graph.hpp, one NeglectSpec per
+// boundary); make_bipartition is a thin wrapper over the N=2 chain, and the
+// Bipartition view is the input of the per-boundary golden detectors
+// (golden.hpp, observables.hpp).
 
 #include <span>
 #include <vector>

@@ -269,7 +269,7 @@ FragmentGraph make_fragment_graph(const Circuit& circuit, std::span<const WirePo
 
 Bipartition to_bipartition(const FragmentGraph& graph) {
   QCUT_CHECK(graph.num_fragments() == 2,
-             "to_bipartition: the legacy two-fragment view requires exactly 2 fragments, got " +
+             "to_bipartition: the two-fragment view requires exactly 2 fragments, got " +
                  std::to_string(graph.num_fragments()));
   const ChainFragment& f1 = graph.fragments[0];
   const ChainFragment& f2 = graph.fragments[1];

@@ -107,8 +107,8 @@ struct SplitQubits {
 [[nodiscard]] FragmentGraph make_fragment_graph(const Circuit& circuit,
                                                 std::span<const circuit::WirePoint> cuts);
 
-/// Legacy two-fragment view of an N=2 graph (throws otherwise). Kept for
-/// the per-bipartition detectors and the direct execution path.
+/// Two-fragment view of an N=2 graph (throws otherwise), the input of the
+/// per-bipartition golden detectors.
 [[nodiscard]] Bipartition to_bipartition(const FragmentGraph& graph);
 
 /// One NeglectSpec per boundary.

@@ -247,11 +247,6 @@ std::optional<GoldenDetectionReport> try_detect_golden_for_observable_core(
   return report;
 }
 
-double estimate_expectation(const Bipartition& bp, const FragmentData& data,
-                            const NeglectSpec& spec, const DiagonalObservable& observable) {
-  return reconstruct_diagonal_expectation(bp, data, spec, observable.diagonal());
-}
-
 PauliEstimationPlan prepare_pauli_estimation(const Circuit& circuit,
                                              const circuit::PauliString& pauli) {
   QCUT_CHECK(pauli.num_qubits() == circuit.num_qubits(),

@@ -14,7 +14,6 @@
 #include "circuit/pauli_string.hpp"
 #include "common/bits.hpp"
 #include "cutting/golden.hpp"
-#include "cutting/reconstructor.hpp"
 
 namespace qcut::cutting {
 
@@ -87,12 +86,6 @@ class DiagonalObservable {
     const FragmentLayout& layout, std::span<const linalg::cx> amplitudes,
     const DiagonalObservable& observable, std::span<const int> output_original,
     std::span<const int> downstream_original, double tol = 1e-9);
-
-/// Expectation of a diagonal observable from fragment data under a spec
-/// (thin wrapper over reconstruct_diagonal_expectation).
-[[nodiscard]] double estimate_expectation(const Bipartition& bp, const FragmentData& data,
-                                          const NeglectSpec& spec,
-                                          const DiagonalObservable& observable);
 
 /// A general (non-diagonal) Pauli observable reduced to the diagonal case:
 /// the circuit is extended with the standard basis rotations (X -> H,

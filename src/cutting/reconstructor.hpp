@@ -1,14 +1,16 @@
 #pragma once
 // Classical reconstruction of the uncut circuit's outcome distribution from
-// fragment data (Eq. 13/14 of the paper, specialized to the bitstring
+// chain fragment data (Eq. 13/14 of the paper, specialized to the bitstring
 // distribution: O = projector onto each output bitstring).
 //
-// For each active Pauli basis string M in B^K the contraction computes
+// At N=2 (one boundary of K cuts), for each active Pauli basis string M in
+// B^K the contraction computes
 //   u_M[b1] = sum_{a in {0,1}^K} (prod_k w(M_k, a_k)) * p_f1(b1, a | settings(M))
 //   v_M[b2] = sum_{a in {0,1}^K} (prod_k w(M_k, a_k)) * p_f2(b2 | preps(M, a))
 // and accumulates (1/2^K) * u_M[b1] * v_M[b2] into the joint distribution.
 // Neglected basis strings (golden cutting points) are simply skipped, which
-// is the 4^K -> 4^Kr 3^Kg runtime reduction the paper reports.
+// is the 4^K -> 4^Kr 3^Kg runtime reduction the paper reports. Longer chains
+// repeat the fold boundary by boundary (below).
 
 #include <cstdint>
 #include <vector>
@@ -39,27 +41,7 @@ struct ReconstructionResult {
   [[nodiscard]] std::vector<double> probabilities() const;
 };
 
-/// Contracts fragment data into the distribution of the uncut circuit.
-/// Only strings active under `spec` are evaluated; the fragment data must
-/// contain every setting/prep tuple those strings need.
-[[nodiscard]] ReconstructionResult reconstruct_distribution(
-    const Bipartition& bp, const FragmentData& data, const NeglectSpec& spec,
-    const ReconstructionOptions& options = {});
-
-/// Reconstructs the probability of a single outcome bitstring without
-/// forming the full distribution.
-[[nodiscard]] double reconstruct_probability_of(const Bipartition& bp, const FragmentData& data,
-                                                const NeglectSpec& spec, index_t outcome);
-
-/// Expectation of a diagonal observable diag over the reconstructed
-/// distribution: sum_x diag[x] * p[x] (raw, not clipped).
-[[nodiscard]] double reconstruct_diagonal_expectation(const Bipartition& bp,
-                                                      const FragmentData& data,
-                                                      const NeglectSpec& spec,
-                                                      std::span<const double> diagonal,
-                                                      const ReconstructionOptions& options = {});
-
-// ---- Chain (N-fragment) reconstruction --------------------------------------
+// ---- Chain contraction -------------------------------------------------------
 //
 // One global term is a choice of one active basis string per boundary; its
 // contribution is contracted boundary by boundary along the chain: each

@@ -175,16 +175,7 @@ void validate_bootstrap(const CutRequest& request) {
              "CutRequest: bootstrap uncertainty requires an observable or Pauli target");
   QCUT_CHECK(!request.options.exact,
              "CutRequest: bootstrap uncertainty requires sampled execution (exact = false)");
-  QCUT_CHECK(request.bootstrap->replicas > 0,
-             "CutRequest: bootstrap replicas must be positive");
-  // Chain-aware bootstrap is an open item (see ROADMAP); restrict to
-  // two-fragment selections for now.
-  const auto* boundaries = std::get_if<BoundaryList>(&request.cut_selection);
-  QCUT_CHECK(!(boundaries != nullptr && boundaries->size() > 1),
-             "CutRequest: bootstrap uncertainty is not yet supported for chains with "
-             "more than one boundary");
-  QCUT_CHECK(!std::holds_alternative<AutoChainPlan>(request.cut_selection),
-             "CutRequest: bootstrap uncertainty is not yet supported with AutoChainPlan");
+  check_bootstrap_options(*request.bootstrap);
 }
 
 }  // namespace

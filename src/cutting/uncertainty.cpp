@@ -15,53 +15,66 @@ namespace {
 
 /// One multinomial resample of every variant distribution in `data`.
 ///
-/// Variants are visited in ascending key order so the RNG consumption
-/// sequence — and with it every bootstrap replica — is a pure function of
-/// (data, seed), not of unordered_map iteration order, which differs across
-/// standard library implementations and rehash histories.
-FragmentData resample(const FragmentData& data, Rng& rng) {
-  FragmentData replica = data;
+/// Fragments are visited in order and each fragment's variants in ascending
+/// packed key, so the RNG consumption sequence (and with it every bootstrap
+/// replica) is a pure function of (data, seed), not of unordered_map
+/// iteration order, which differs across standard library implementations
+/// and rehash histories.
+ChainFragmentData resample(const ChainFragmentData& data, Rng& rng) {
+  ChainFragmentData replica = data;
   const std::size_t shots = data.shots_per_variant;
-  for (std::uint32_t index : sorted_keys(replica.upstream)) {
-    std::vector<double>& probs = replica.upstream.at(index);
-    const auto histogram = sim::sample_histogram(probs, shots, rng);
-    probs = sim::histogram_to_probabilities(histogram);
-  }
-  for (std::uint32_t index : sorted_keys(replica.downstream)) {
-    std::vector<double>& probs = replica.downstream.at(index);
-    const auto histogram = sim::sample_histogram(probs, shots, rng);
-    probs = sim::histogram_to_probabilities(histogram);
+  for (ChainFragmentData::PerFragment& fragment : replica.fragments) {
+    for (const std::uint64_t key : sorted_keys(fragment.variants)) {
+      std::vector<double>& probs = fragment.variants.at(key);
+      const auto histogram = sim::sample_histogram(probs, shots, rng);
+      probs = sim::histogram_to_probabilities(histogram);
+    }
   }
   return replica;
 }
 
-void check_sampled(const FragmentData& data) {
+void check_inputs(const ChainFragmentData& data, const BootstrapOptions& options) {
   QCUT_CHECK(data.shots_per_variant > 0,
              "bootstrap: fragment data must be sampled (exact data has no shot noise)");
+  check_bootstrap_options(options);
+}
+
+/// Linearly interpolated quantile of ascending `values`.
+double quantile(const std::vector<double>& values, double q) {
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
 }  // namespace
 
-DistributionUncertainty bootstrap_distribution(const Bipartition& bp, const FragmentData& data,
-                                               const NeglectSpec& spec,
-                                               const BootstrapOptions& options) {
-  check_sampled(data);
+void check_bootstrap_options(const BootstrapOptions& options) {
   QCUT_CHECK(options.replicas >= 2, "bootstrap: need at least 2 replicas");
+  // Written so that NaN fails too.
   QCUT_CHECK(options.confidence > 0.0 && options.confidence < 1.0,
              "bootstrap: confidence must be in (0, 1)");
+}
+
+DistributionUncertainty bootstrap_distribution(const FragmentGraph& graph,
+                                               const ChainFragmentData& data,
+                                               const ChainNeglectSpec& spec,
+                                               const BootstrapOptions& options) {
+  check_inputs(data, options);
 
   Rng rng(options.seed);
   ReconstructionOptions recon;
   recon.pool = options.pool;
 
-  const index_t dim = pow2(bp.num_original_qubits);
+  const index_t dim = pow2(graph.num_original_qubits);
   std::vector<std::vector<double>> replicas;
   replicas.reserve(options.replicas);
   for (std::size_t r = 0; r < options.replicas; ++r) {
     Rng replica_rng = rng.child(r);
-    const FragmentData resampled = resample(data, replica_rng);
+    const ChainFragmentData resampled = resample(data, replica_rng);
     replicas.push_back(
-        reconstruct_distribution(bp, resampled, spec, recon).raw_probabilities);
+        reconstruct_distribution(graph, resampled, spec, recon).raw_probabilities);
   }
 
   DistributionUncertainty out;
@@ -81,51 +94,42 @@ DistributionUncertainty bootstrap_distribution(const Bipartition& bp, const Frag
     out.mean[x] = stats.mean();
     out.standard_error[x] = stats.stddev();
     std::sort(values.begin(), values.end());
-    const auto pick = [&](double quantile) {
-      const double pos = quantile * static_cast<double>(values.size() - 1);
-      const std::size_t lo = static_cast<std::size_t>(pos);
-      const std::size_t hi = std::min(lo + 1, values.size() - 1);
-      const double frac = pos - static_cast<double>(lo);
-      return values[lo] * (1.0 - frac) + values[hi] * frac;
-    };
-    out.ci_lower[x] = pick(alpha);
-    out.ci_upper[x] = pick(1.0 - alpha);
+    out.ci_lower[x] = quantile(values, alpha);
+    out.ci_upper[x] = quantile(values, 1.0 - alpha);
   }
   return out;
 }
 
-ExpectationUncertainty bootstrap_expectation(const Bipartition& bp, const FragmentData& data,
-                                             const NeglectSpec& spec,
+ExpectationUncertainty bootstrap_expectation(const FragmentGraph& graph,
+                                             const ChainFragmentData& data,
+                                             const ChainNeglectSpec& spec,
                                              const DiagonalObservable& observable,
                                              const BootstrapOptions& options) {
-  check_sampled(data);
-  QCUT_CHECK(options.replicas >= 2, "bootstrap: need at least 2 replicas");
+  check_inputs(data, options);
 
   Rng rng(options.seed);
+  ReconstructionOptions recon;
+  recon.pool = options.pool;
+
   std::vector<double> values;
   values.reserve(options.replicas);
   for (std::size_t r = 0; r < options.replicas; ++r) {
     Rng replica_rng = rng.child(r);
-    const FragmentData resampled = resample(data, replica_rng);
-    values.push_back(estimate_expectation(bp, resampled, spec, observable));
+    const ChainFragmentData resampled = resample(data, replica_rng);
+    values.push_back(reconstruct_diagonal_expectation(graph, resampled, spec,
+                                                      observable.diagonal(), recon));
   }
 
   ExpectationUncertainty out;
-  out.estimate = estimate_expectation(bp, data, spec, observable);
+  out.estimate =
+      reconstruct_diagonal_expectation(graph, data, spec, observable.diagonal(), recon);
   const metrics::Summary summary = metrics::summarize(values);
   out.standard_error = summary.stddev;
 
   std::sort(values.begin(), values.end());
   const double alpha = (1.0 - options.confidence) / 2.0;
-  const auto pick = [&](double quantile) {
-    const double pos = quantile * static_cast<double>(values.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return values[lo] * (1.0 - frac) + values[hi] * frac;
-  };
-  out.ci_lower = pick(alpha);
-  out.ci_upper = pick(1.0 - alpha);
+  out.ci_lower = quantile(values, alpha);
+  out.ci_upper = quantile(values, 1.0 - alpha);
   return out;
 }
 

@@ -22,6 +22,10 @@ struct BootstrapOptions {
   parallel::ThreadPool* pool = nullptr;
 };
 
+/// Throws qcut::Error unless replicas >= 2 and confidence is finite and in
+/// (0, 1). Both bootstrap functions and CutRequest validation call it.
+void check_bootstrap_options(const BootstrapOptions& options);
+
 /// Per-outcome uncertainty of the reconstructed raw distribution.
 struct DistributionUncertainty {
   std::vector<double> mean;            // bootstrap mean per outcome
@@ -31,9 +35,12 @@ struct DistributionUncertainty {
 };
 
 /// Bootstraps the reconstructed distribution. `data` must be sampled
-/// (shots_per_variant > 0); exact data has no sampling error.
+/// (shots_per_variant > 0); exact data has no sampling error. Each replica
+/// resamples every variant in `data` with shots_per_variant shots, fragment
+/// by fragment and each fragment's variants in ascending packed key, so the
+/// replicas are a pure function of (data, seed).
 [[nodiscard]] DistributionUncertainty bootstrap_distribution(
-    const Bipartition& bp, const FragmentData& data, const NeglectSpec& spec,
+    const FragmentGraph& graph, const ChainFragmentData& data, const ChainNeglectSpec& spec,
     const BootstrapOptions& options = {});
 
 /// Uncertainty of one diagonal-observable expectation.
@@ -44,8 +51,10 @@ struct ExpectationUncertainty {
   double ci_upper = 0.0;
 };
 
+/// Bootstraps <observable> over the raw reconstruction; `estimate` is the
+/// same fold over the reconstruction of `data` itself.
 [[nodiscard]] ExpectationUncertainty bootstrap_expectation(
-    const Bipartition& bp, const FragmentData& data, const NeglectSpec& spec,
+    const FragmentGraph& graph, const ChainFragmentData& data, const ChainNeglectSpec& spec,
     const DiagonalObservable& observable, const BootstrapOptions& options = {});
 
 }  // namespace qcut::cutting

@@ -28,32 +28,6 @@ std::vector<std::uint32_t> required_prep_indices(const NeglectSpec& spec) {
   return {indices.begin(), indices.end()};
 }
 
-UpstreamVariant make_upstream_variant(const Bipartition& bp, std::uint32_t setting_index) {
-  UpstreamVariant variant;
-  variant.setting_index = setting_index;
-  variant.settings = decode_settings(setting_index, bp.num_cuts());
-  variant.circuit = bp.f1;
-  for (int k = 0; k < bp.num_cuts(); ++k) {
-    append_basis_rotation(variant.circuit, bp.cuts[static_cast<std::size_t>(k)].f1_qubit,
-                          variant.settings[static_cast<std::size_t>(k)]);
-  }
-  return variant;
-}
-
-DownstreamVariant make_downstream_variant(const Bipartition& bp, std::uint32_t prep_index) {
-  DownstreamVariant variant;
-  variant.prep_index = prep_index;
-  variant.preps = decode_preps(prep_index, bp.num_cuts());
-  Circuit circuit(bp.f2.num_qubits());
-  for (int k = 0; k < bp.num_cuts(); ++k) {
-    append_preparation(circuit, bp.cuts[static_cast<std::size_t>(k)].f2_qubit,
-                       variant.preps[static_cast<std::size_t>(k)]);
-  }
-  circuit.compose(bp.f2);
-  variant.circuit = std::move(circuit);
-  return variant;
-}
-
 VariantCounts count_variants(const NeglectSpec& spec) {
   return VariantCounts{required_setting_indices(spec).size(),
                        required_prep_indices(spec).size()};

@@ -31,7 +31,6 @@ CutService::CutService(backend::Backend& backend, CutServiceOptions options)
       backend_identity_(options.backend_identity.empty() ? backend.identity()
                                                          : std::move(options.backend_identity)),
       prefix_batching_(options.prefix_batching),
-      sim_engine_(options.sim_engine),
       metrics_(options.metrics != nullptr ? *options.metrics
                                           : telemetry::MetricsRegistry::global()),
       cache_(options.cache_capacity, &metrics_, options.cache_max_bytes),
@@ -493,14 +492,12 @@ void CutService::issue_wave(const JobPtr& job, const std::vector<WaveVariant>& v
   QCUT_CHECK(opt.exact || opt.shots_per_variant > 0 || opt.total_shot_budget > 0,
              "execute_chain: need shots_per_variant or total_shot_budget when sampling");
 
-  // DetectOnline on an N>2 chain amortizes ONE total budget across the
-  // per-fragment waves: each wave draws remaining / waves_left, so the job
-  // never spends more than total_shot_budget overall. N=2 keeps the
-  // historical full-budget-per-wave split (bit-for-bit parity with the
-  // pre-chain upstream/downstream pipeline).
+  // DetectOnline amortizes ONE total budget across the per-fragment waves:
+  // each wave draws remaining / waves_left, so the job never spends more
+  // than total_shot_budget overall.
   std::size_t wave_budget = opt.total_shot_budget;
-  const bool amortized = j.phase == JobPhase::ExecutingFragmentWave &&
-                         graph.num_fragments() > 2 && opt.total_shot_budget > 0;
+  const bool amortized =
+      j.phase == JobPhase::ExecutingFragmentWave && opt.total_shot_budget > 0;
   if (amortized) {
     const int waves_left = graph.num_fragments() - j.wave_fragment;
     wave_budget = j.online_budget_remaining / static_cast<std::size_t>(waves_left);
@@ -524,8 +521,7 @@ void CutService::issue_wave(const JobPtr& job, const std::vector<WaveVariant>& v
   const bool first_wave =
       j.phase == JobPhase::ExecutingFragments || j.wave_fragment == 0;
   if (first_wave) {
-    // Later online waves keep the first wave's value, mirroring the
-    // historical upstream/downstream merge.
+    // Later online waves keep the first wave's value.
     data.shots_per_variant = plan.smallest_share;
   }
   data.total_jobs += plan.slots.size();
@@ -635,7 +631,6 @@ void CutService::launch_variant_groups(const JobPtr& job,
     auto task = std::make_shared<GroupTask>();
     task->owner = job;
     task->batch.exact = exact;
-    task->batch.sim_engine = sim_engine_;
     // No intra-task pool: the task itself runs on a pool worker, and a
     // nested parallel wait could deadlock a saturated pool. Parallelism
     // comes from running many group tasks concurrently.
@@ -780,33 +775,6 @@ void CutService::handle_fragment_wave_complete(const JobPtr& job) {
   issue_wave(job, fragment_wave(graph, j.response.specs, j.wave_fragment));
 }
 
-namespace {
-
-/// Two-fragment view of chain data for the (N=2 only) bootstrap path.
-cutting::FragmentData to_fragment_data(const cutting::ChainFragmentData& data) {
-  cutting::FragmentData out;
-  out.num_cuts = data.boundary_num_cuts.front();
-  out.f1_width = data.fragments[0].width;
-  out.f2_width = data.fragments[1].width;
-  out.shots_per_variant = data.shots_per_variant;
-  out.total_jobs = data.total_jobs;
-  out.total_shots = data.total_shots;
-  out.wall_seconds = data.wall_seconds;
-  // qcut-lint: allow(no-unordered-iteration) -- re-keys each variant into a
-  // map keyed by its setting index; no visit-order-dependent state is touched.
-  for (const auto& [packed, dist] : data.fragments[0].variants) {
-    out.upstream.emplace(cutting::unpack_variant_key(packed).setting_index, dist);
-  }
-  // qcut-lint: allow(no-unordered-iteration) -- re-keys each variant into a
-  // map keyed by its prep index; no visit-order-dependent state is touched.
-  for (const auto& [packed, dist] : data.fragments[1].variants) {
-    out.downstream.emplace(cutting::unpack_variant_key(packed).prep_index, dist);
-  }
-  return out;
-}
-
-}  // namespace
-
 void CutService::reconstruct_and_finish(const JobPtr& job) {
   CutJob& j = *job;
   j.phase = JobPhase::Reconstructing;
@@ -826,20 +794,16 @@ void CutService::reconstruct_and_finish(const JobPtr& job) {
       j.response.graph, j.response.data, j.response.specs, recon);
 
   if (j.resolved.observable.has_value()) {
-    // Same fold as estimate_expectation over the same raw reconstruction:
-    // bit-for-bit identical to the direct expectation path at equal pools.
+    // Same fold as reconstruct_diagonal_expectation over the same raw
+    // reconstruction: bit-for-bit identical to the direct expectation path.
     j.response.expectation =
         j.resolved.observable->expectation(j.response.reconstruction.raw_probabilities);
     if (j.traced) record_job_phase(j, "job.reconstruct", reconstruct_start_ns, tracer.now_ns());
     if (j.request.bootstrap.has_value()) {
-      // Validation restricts bootstrap to two-fragment selections (chain
-      // bootstrap is a ROADMAP open item).
-      QCUT_CHECK(j.response.graph.num_fragments() == 2,
-                 "CutService: bootstrap uncertainty requires a two-fragment cut");
       const std::uint64_t bootstrap_start_ns = j.traced ? tracer.now_ns() : 0;
-      j.response.uncertainty = cutting::bootstrap_expectation(
-          cutting::to_bipartition(j.response.graph), to_fragment_data(j.response.data),
-          j.response.specs.boundary(0), *j.resolved.observable, *j.request.bootstrap);
+      j.response.uncertainty =
+          cutting::bootstrap_expectation(j.response.graph, j.response.data, j.response.specs,
+                                         *j.resolved.observable, *j.request.bootstrap);
       if (j.traced) record_job_phase(j, "job.bootstrap", bootstrap_start_ns, tracer.now_ns());
     }
   } else if (j.traced) {

@@ -23,7 +23,7 @@
 // every variant.
 //
 // Determinism: given equal seeds the service produces distributions
-// bit-for-bit identical to the direct execute_fragments +
+// bit-for-bit identical to the direct execute_chain +
 // reconstruct_distribution path, regardless of concurrency, caching, or
 // dedup - seed streams are assigned per variant, not per schedule.
 
@@ -85,12 +85,6 @@ struct CutServiceOptions {
   /// results are bit-for-bit identical either way; disable only to test or
   /// time the per-variant reference path.
   bool prefix_batching = true;
-
-  /// Allow the backend's specialized gate-kernel engine on the service's
-  /// batched executions (BatchRequest::sim_engine). Bit-for-bit neutral,
-  /// so it never enters the cache key; gate fusion — the result-affecting
-  /// engine knob — is backend state and arrives via backend_identity.
-  bool sim_engine = true;
 
   /// Registry the service's instruments (job counters, scheduler, cache)
   /// register on; nullptr selects the global registry. Pass a private
@@ -256,7 +250,6 @@ class CutService {
   parallel::ThreadPool& pool_;
   std::string backend_identity_;
   const bool prefix_batching_;
-  const bool sim_engine_;
   telemetry::MetricsRegistry& metrics_;  // before cache_/scheduler_: they register on it
   FragmentResultCache cache_;
   VariantScheduler scheduler_;

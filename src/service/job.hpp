@@ -10,7 +10,6 @@
 // f's measured data prunes boundary f's spec before fragment f+1 executes —
 // which is why the phase machine exists at all: requests interleave at wave
 // granularity instead of blocking the service on one request's detector.
-// (The historical two waves of the N=2 pipeline are the 2-fragment chain.)
 //
 // The target never enters the variant cache key (a variant's outcome
 // distribution does not depend on what is estimated from it), so a
@@ -83,10 +82,8 @@ struct CutJob {
   // Owned by the service's scheduler thread between waves.
   JobPhase phase = JobPhase::Queued;
   int wave_fragment = 0;  // online mode: which fragment the current wave runs
-  /// DetectOnline with a total_shot_budget on an N>2 chain: the budget not
-  /// yet committed to earlier waves (one budget amortized across all
-  /// fragment waves). Unused at N=2, which keeps the historical
-  /// full-budget-per-wave split for bit-for-bit parity.
+  /// DetectOnline with a total_shot_budget: the budget not yet committed
+  /// to earlier waves (one budget amortized across all fragment waves).
   std::size_t online_budget_remaining = 0;
   cutting::CutResponse response;
 

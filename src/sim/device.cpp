@@ -99,7 +99,6 @@ class CpuCompiledProgram final : public CompiledProgram {
   bool is_prefix = false;
   std::size_t prefix_ops = 0;
   circuit::GateFusion scan{1};
-  ProgramOptions options{};
 };
 
 class CpuDevice final : public Device {
@@ -133,11 +132,10 @@ class CpuDevice final : public Device {
       const circuit::Circuit& circuit, const ProgramOptions& options) const override {
     auto program = std::make_unique<CpuCompiledProgram>();
     program->source_ops = circuit.num_ops();
-    program->options = options;
     if (options.layout == MatrixLayout::ColMajor) {
-      program->compiled = compile_circuit(with_row_major_layout(circuit), engine_for(options));
+      program->compiled = compile_circuit(with_row_major_layout(circuit), options_);
     } else {
-      program->compiled = compile_circuit(circuit, engine_for(options));
+      program->compiled = compile_circuit(circuit, options_);
     }
     return program;
   }
@@ -148,10 +146,9 @@ class CpuDevice final : public Device {
     QCUT_CHECK(prefix_ops <= rep.num_ops(), "compile_prefix: prefix_ops out of range");
     QCUT_CHECK(options.layout == MatrixLayout::RowMajor,
                "compile_prefix: prefix forking supports row-major programs only");
-    const EngineOptions engine = engine_for(options);
+    const EngineOptions& engine = options_;
     auto program = std::make_unique<CpuCompiledProgram>();
     program->source_ops = prefix_ops;
-    program->options = options;
     program->is_prefix = true;
     program->prefix_ops = prefix_ops;
     if (engine.fuse) {
@@ -175,10 +172,9 @@ class CpuDevice final : public Device {
     QCUT_CHECK(p.is_prefix, "compile_suffix: program was not built by compile_prefix");
     QCUT_CHECK(p.prefix_ops <= full.num_ops(),
                "compile_suffix: circuit shorter than the compiled prefix");
-    const EngineOptions engine = engine_for(p.options);
+    const EngineOptions& engine = options_;
     auto program = std::make_unique<CpuCompiledProgram>();
     program->source_ops = full.num_ops() - p.prefix_ops;
-    program->options = p.options;
     if (engine.fuse) {
       circuit::GateFusion scan = p.scan;  // the per-member clone
       std::vector<circuit::Operation> tail;
@@ -251,13 +247,6 @@ class CpuDevice final : public Device {
   }
 
  private:
-  [[nodiscard]] EngineOptions engine_for(const ProgramOptions& options) const {
-    EngineOptions engine = options_;
-    if (!options.specialize) engine.specialize = false;
-    if (!options.threaded) engine.threading_threshold_qubits = 27;
-    return engine;
-  }
-
   static const CpuCompiledProgram& checked_program(const CompiledProgram& program) {
     const auto* p = dynamic_cast<const CpuCompiledProgram*>(&program);
     QCUT_CHECK(p != nullptr, "cpu device: program was compiled by a different device");

@@ -60,17 +60,10 @@ struct DeviceCaps {
   IsaLevel isa = IsaLevel::Scalar;
 };
 
-/// Per-compilation options. Everything here is bit-for-bit neutral except
-/// `layout`, which only reinterprets caller-supplied matrix buffers.
+/// Per-compilation options. `layout` only reinterprets caller-supplied
+/// matrix buffers.
 struct ProgramOptions {
   MatrixLayout layout = MatrixLayout::RowMajor;
-
-  /// Allow specialized kernel classification (bit-for-bit identical to the
-  /// generic dense path; see sim/engine.hpp).
-  bool specialize = true;
-
-  /// Allow kernel-level threading (bit-for-bit identical at any count).
-  bool threaded = true;
 };
 
 /// Compile-time profile of a program: what the op stream became.

@@ -3,13 +3,14 @@
 // identical to per-variant run on both the native statevector path and the
 // serial fallback), batch-vs-serial equality through execute_chain and the
 // CutService under every GoldenMode, and the DetectOnline budget
-// amortization for N > 2 chains.
+// amortization across fragment waves.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "backend/noisy_backend.hpp"
@@ -278,50 +279,6 @@ TEST(BatchedExecution, ExecuteChainBatchedEqualsPerVariantEverywhere) {
   }
 }
 
-/// The historical bipartition executors honor prefix_batching too: the
-/// upstream-only half (every setting shares the entire f1 body) is the
-/// best case for sharing and must stay bit-for-bit.
-TEST(BatchedExecution, BipartitionExecutorsBatchedEqualPerVariant) {
-  Rng rng(43);
-  circuit::GoldenAnsatzOptions options;
-  options.num_qubits = 5;
-  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
-  const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
-  const NeglectSpec spec = NeglectSpec::none(1);
-
-  ExecutionOptions serial_exec;
-  serial_exec.shots_per_variant = 1300;
-  serial_exec.prefix_batching = false;
-  ExecutionOptions batched_exec = serial_exec;
-  batched_exec.prefix_batching = true;
-
-  const auto expect_equal = [](const FragmentData& a, const FragmentData& b) {
-    EXPECT_EQ(a.total_jobs, b.total_jobs);
-    EXPECT_EQ(a.total_shots, b.total_shots);
-    ASSERT_EQ(a.upstream.size(), b.upstream.size());
-    ASSERT_EQ(a.downstream.size(), b.downstream.size());
-    for (const auto& [setting, dist] : a.upstream) {
-      EXPECT_EQ(b.upstream_distribution(setting), dist);
-    }
-    for (const auto& [prep, dist] : a.downstream) {
-      EXPECT_EQ(b.downstream_distribution(prep), dist);
-    }
-  };
-
-  backend::StatevectorBackend serial_full(3), batched_full(3);
-  expect_equal(execute_fragments(bp, spec, serial_full, serial_exec),
-               execute_fragments(bp, spec, batched_full, batched_exec));
-
-  backend::StatevectorBackend serial_up(3), batched_up(3);
-  expect_equal(execute_upstream_only(bp, spec, serial_up, serial_exec),
-               execute_upstream_only(bp, spec, batched_up, batched_exec));
-
-  backend::StatevectorBackend serial_down(3), batched_down(3);
-  expect_equal(execute_downstream_only(bp, spec, serial_down, serial_exec),
-               execute_downstream_only(bp, spec, batched_down, batched_exec));
-}
-
 /// The service with prefix batching on vs off, across every GoldenMode x
 /// {sampled, exact} x {StatevectorBackend, NoisyBackend fallback}: identical
 /// CutResponse reconstructions and logical totals.
@@ -404,53 +361,65 @@ TEST(BatchedExecution, CacheKeysAreUnchangedByBatching) {
   EXPECT_EQ(first.reconstruction.raw_probabilities, second.reconstruction.raw_probabilities);
 }
 
-TEST(OnlineBudget, AmortizedAcrossWavesForThreeFragmentChain) {
-  const Circuit c = chain5();
-  backend::StatevectorBackend backend(9);
-  service::CutService service(backend);
+/// DetectOnline inputs on chains of two and three fragments, all boundaries
+/// single cuts. Fragment 0 runs 3 settings in both, so a budget whose first
+/// wave share (budget / fragments) is below 3 cannot cover that wave.
+struct OnlineBudgetCase {
+  const char* name;
+  Circuit circuit;
+  std::vector<std::vector<WirePoint>> boundaries;
+  std::size_t too_small_budget;
+};
 
-  CutRequest request(c);
-  request.with_boundaries(chain5_boundaries())
-      .with_golden(GoldenMode::DetectOnline)
-      .with_shot_budget(9000);
-  request.options.shots_per_variant = 0;
-
-  const CutResponse response = service.run(request);
-  // One budget across all three fragment waves, not one per wave.
-  EXPECT_LE(response.data.total_shots, 9000u);
-  EXPECT_GE(response.data.total_shots, 9000u / 2);  // most of the budget is spent
-  EXPECT_EQ(response.backend_delta.shots, response.data.total_shots);
-}
-
-TEST(OnlineBudget, TwoFragmentChainKeepsHistoricalPerWaveSplit) {
+std::vector<OnlineBudgetCase> online_budget_cases() {
   Rng rng(31);
   circuit::GoldenAnsatzOptions options;
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
+  return {{"two_fragments", ansatz.circuit, {{ansatz.cut}}, 5},
+          {"three_fragments", chain5(), chain5_boundaries(), 8}};
+}
 
-  backend::StatevectorBackend backend(9);
-  service::CutService service(backend);
+TEST(OnlineBudget, AmortizedAcrossFragmentWaves) {
+  for (const OnlineBudgetCase& c : online_budget_cases()) {
+    SCOPED_TRACE(c.name);
+    backend::StatevectorBackend backend(9);
+    service::CutService service(backend);
 
-  CutRequest request(ansatz.circuit);
-  request.with_cut(ansatz.cut).with_golden(GoldenMode::DetectOnline).with_shot_budget(9000);
-  request.options.shots_per_variant = 0;
+    CutRequest request(c.circuit);
+    request.with_boundaries(c.boundaries)
+        .with_golden(GoldenMode::DetectOnline)
+        .with_shot_budget(9000);
+    request.options.shots_per_variant = 0;
 
-  // Historical N=2 behavior: each of the two waves splits the full budget.
-  const CutResponse response = service.run(request);
-  EXPECT_EQ(response.data.total_shots, 18000u);
+    const CutResponse response = service.run(request);
+    // One budget across all fragment waves, not one per wave.
+    EXPECT_LE(response.data.total_shots, 9000u);
+    EXPECT_GE(response.data.total_shots, 9000u / 2);  // most of the budget is spent
+    EXPECT_EQ(response.backend_delta.shots, response.data.total_shots);
+  }
 }
 
 TEST(OnlineBudget, TooSmallForWavesIsRejectedWithSpecificError) {
-  const Circuit c = chain5();
-  backend::StatevectorBackend backend(9);
-  service::CutService service(backend);
+  for (const OnlineBudgetCase& c : online_budget_cases()) {
+    SCOPED_TRACE(c.name);
+    backend::StatevectorBackend backend(9);
+    service::CutService service(backend);
 
-  CutRequest request(c);
-  request.with_boundaries(chain5_boundaries())
-      .with_golden(GoldenMode::DetectOnline)
-      .with_shot_budget(8);  // 8/3 waves < one shot per first-wave variant
-  request.options.shots_per_variant = 0;
-  EXPECT_THROW((void)service.run(request), Error);
+    CutRequest request(c.circuit);
+    request.with_boundaries(c.boundaries)
+        .with_golden(GoldenMode::DetectOnline)
+        .with_shot_budget(c.too_small_budget);
+    request.options.shots_per_variant = 0;
+    try {
+      (void)service.run(request);
+      ADD_FAILURE() << "a budget of " << c.too_small_budget << " shots was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("DetectOnline: total_shot_budget too small"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -22,12 +22,13 @@ TEST(ShotBudget, SplitsEvenlyWithRemainderToEarliest) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
 
   backend::StatevectorBackend backend(2);
   ExecutionOptions exec;
   exec.total_shot_budget = 9005;  // 9 variants: 5 get 1001 shots, 4 get 1000
-  const FragmentData data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
+  const ChainFragmentData data =
+      execute_chain(graph, ChainNeglectSpec::none(graph), backend, exec);
   EXPECT_EQ(data.total_shots, 9005u);
   EXPECT_EQ(data.total_jobs, 9u);
   EXPECT_EQ(data.shots_per_variant, 1000u);  // the smallest share
@@ -39,11 +40,11 @@ TEST(ShotBudget, BudgetTooSmallRejected) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
   backend::StatevectorBackend backend(3);
   ExecutionOptions exec;
   exec.total_shot_budget = 5;  // fewer than 9 variants
-  EXPECT_THROW((void)execute_fragments(bp, NeglectSpec::none(1), backend, exec), Error);
+  EXPECT_THROW((void)execute_chain(graph, ChainNeglectSpec::none(graph), backend, exec), Error);
 }
 
 TEST(ShotBudget, GoldenGetsMoreShotsPerVariantAtEqualBudget) {
@@ -52,7 +53,7 @@ TEST(ShotBudget, GoldenGetsMoreShotsPerVariantAtEqualBudget) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
 
   NeglectSpec golden(1);
   golden.neglect(0, ansatz.golden_basis);
@@ -60,9 +61,10 @@ TEST(ShotBudget, GoldenGetsMoreShotsPerVariantAtEqualBudget) {
   backend::StatevectorBackend backend(4);
   ExecutionOptions exec;
   exec.total_shot_budget = 18000;
-  const FragmentData standard_data =
-      execute_fragments(bp, NeglectSpec::none(1), backend, exec);
-  const FragmentData golden_data = execute_fragments(bp, golden, backend, exec);
+  const ChainFragmentData standard_data =
+      execute_chain(graph, ChainNeglectSpec::none(graph), backend, exec);
+  const ChainFragmentData golden_data =
+      execute_chain(graph, ChainNeglectSpec{{golden}}, backend, exec);
 
   EXPECT_EQ(standard_data.total_shots, 18000u);
   EXPECT_EQ(golden_data.total_shots, 18000u);

@@ -121,6 +121,30 @@ TEST(ChainRequest, AutoChainPlanRunsEndToEndExactly) {
   }
 }
 
+TEST(ChainRequest, AutoChainPlanRunsTheBootstrap) {
+  const Circuit c = three_block_chain();
+  ChainPlannerOptions planner;
+  planner.max_fragment_width = 3;
+  BootstrapOptions boot;
+  boot.replicas = 30;
+  CutRequest request(c);
+  request.with_chain_plan(planner)
+      .with_observable(DiagonalObservable::parity(7))
+      .with_golden(GoldenMode::DetectExact)
+      .with_shots(2000)
+      .with_uncertainty(boot);
+  EXPECT_NO_THROW(validate(request));
+
+  backend::StatevectorBackend backend(6);
+  const CutResponse response = run(request, backend);
+  EXPECT_EQ(response.graph.num_fragments(), 3);
+  ASSERT_TRUE(response.expectation.has_value());
+  ASSERT_TRUE(response.uncertainty.has_value());
+  EXPECT_EQ(response.uncertainty->estimate, *response.expectation);
+  EXPECT_GT(response.uncertainty->standard_error, 0.0);
+  EXPECT_LE(response.uncertainty->ci_lower, response.uncertainty->ci_upper);
+}
+
 TEST(ChainRequest, ExplicitBoundariesWithProvidedSpecs) {
   const Circuit c = three_block_chain();
   const BoundaryList boundaries = {{WirePoint{2, 3}}, {WirePoint{4, 6}}};
@@ -199,13 +223,13 @@ TEST(ChainRequest, ValidationCatchesChainSpecificMistakes) {
     request.with_boundaries({{WirePoint{2, 3}}, {}});
     EXPECT_THROW(validate(request), Error);
   }
-  // Bootstrap on a multi-boundary chain is deferred.
+  // Bootstrap runs on chains of any length.
   {
     CutRequest request(c);
     request.with_boundaries(boundaries)
         .with_observable(DiagonalObservable::parity(7))
         .with_uncertainty();
-    EXPECT_THROW(validate(request), Error);
+    EXPECT_NO_THROW(validate(request));
   }
 }
 

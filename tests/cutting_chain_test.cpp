@@ -1,10 +1,11 @@
 // Chain cutting end to end: exact 3-fragment reconstruction against the
 // statevector ground truth, per-boundary golden neglection, agreement of the
 // single-outcome and diagonal-expectation paths with the full distribution,
-// bit-for-bit N=2 equivalence with the pre-chain Bipartition pipeline, and
-// bit-exactness of the chain contraction itself: identical bytes on every
-// pool size and committed digests of its output on synthetic fragment data,
-// and a typed error for a variant distribution of the wrong length.
+// the N=2 chain against frozen digests of the two-fragment pipeline it
+// replaced, and bit-exactness of the chain contraction itself: identical
+// bytes on every pool size and committed digests of its output on synthetic
+// fragment data, and a typed error for a variant distribution of the wrong
+// length.
 
 #include <gtest/gtest.h>
 
@@ -15,12 +16,14 @@
 
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
+#include "common/ordered.hpp"
 #include "cutting/fragment_executor.hpp"
 #include "cutting/golden.hpp"
 #include "cutting/reconstructor.hpp"
 #include "cutting/variants.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/statevector.hpp"
+#include "support/digest.hpp"
 #include "support/qaoa_path.hpp"
 
 namespace qcut::cutting {
@@ -133,108 +136,6 @@ TEST(ChainCutting, ProbabilityOfAndDiagonalExpectationAgreeWithDistribution) {
   EXPECT_NEAR(reconstruct_diagonal_expectation(graph, data, spec, diagonal), folded, 1e-12);
 }
 
-/// The N=2 chain must reproduce the historical Bipartition pipeline bit for
-/// bit at equal seeds: same variant circuits, same seed streams, same shot
-/// plan, same contraction arithmetic.
-TEST(ChainCutting, TwoFragmentChainIsBitForBitEqualToBipartitionPath) {
-  Rng rng(17);
-  circuit::GoldenAnsatzOptions options;
-  options.num_qubits = 5;
-  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
-  const std::array<WirePoint, 1> cuts = {ansatz.cut};
-
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
-
-  NeglectSpec golden(1);
-  golden.neglect(0, ansatz.golden_basis);
-
-  struct Case {
-    const char* name;
-    NeglectSpec spec;
-    ExecutionOptions exec;
-  };
-  std::vector<Case> cases;
-  {
-    Case sampled{"sampled", NeglectSpec::none(1), {}};
-    sampled.exec.shots_per_variant = 1500;
-    cases.push_back(sampled);
-
-    Case budget{"budget", NeglectSpec::none(1), {}};
-    budget.exec.shots_per_variant = 0;
-    budget.exec.total_shot_budget = 5000;
-    cases.push_back(budget);
-
-    Case golden_case{"golden", golden, {}};
-    golden_case.exec.shots_per_variant = 1500;
-    golden_case.exec.seed_stream_base = 1u << 24;
-    cases.push_back(golden_case);
-
-    Case exact{"exact", NeglectSpec::none(1), {}};
-    exact.exec.exact = true;
-    cases.push_back(exact);
-  }
-
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-
-    backend::StatevectorBackend direct_backend(9);
-    const FragmentData direct = execute_fragments(bp, c.spec, direct_backend, c.exec);
-    const ReconstructionResult expected = reconstruct_distribution(bp, direct, c.spec);
-
-    backend::StatevectorBackend chain_backend(9);
-    const ChainNeglectSpec chain_spec{{c.spec}};
-    const ChainFragmentData data = execute_chain(graph, chain_spec, chain_backend, c.exec);
-    const ReconstructionResult actual = reconstruct_distribution(graph, data, chain_spec);
-
-    EXPECT_EQ(actual.raw_probabilities, expected.raw_probabilities);
-    EXPECT_EQ(actual.terms, expected.terms);
-    EXPECT_EQ(data.total_jobs, direct.total_jobs);
-    EXPECT_EQ(data.total_shots, direct.total_shots);
-    EXPECT_EQ(data.shots_per_variant, direct.shots_per_variant);
-
-    // The per-variant distributions themselves coincide: same circuits and
-    // the historical seed-stream layout.
-    for (const auto& [setting, dist] : direct.upstream) {
-      EXPECT_EQ(data.distribution(0, FragmentVariantKey{0, setting}), dist);
-    }
-    for (const auto& [prep, dist] : direct.downstream) {
-      EXPECT_EQ(data.distribution(1, FragmentVariantKey{prep, 0}), dist);
-    }
-  }
-}
-
-TEST(ChainCutting, VariantCircuitsMatchLegacyVariants) {
-  Rng rng(23);
-  circuit::GoldenAnsatzOptions options;
-  options.num_qubits = 5;
-  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
-  const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
-
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    const Circuit legacy = make_upstream_variant(bp, s).circuit;
-    const Circuit chain = make_fragment_variant(graph, 0, FragmentVariantKey{0, s}).circuit;
-    ASSERT_EQ(chain.num_ops(), legacy.num_ops());
-    for (std::size_t i = 0; i < legacy.num_ops(); ++i) {
-      EXPECT_EQ(chain.op(i).kind, legacy.op(i).kind);
-      EXPECT_EQ(chain.op(i).qubits, legacy.op(i).qubits);
-      EXPECT_EQ(chain.op(i).params, legacy.op(i).params);
-    }
-  }
-  for (std::uint32_t p = 0; p < 6; ++p) {
-    const Circuit legacy = make_downstream_variant(bp, p).circuit;
-    const Circuit chain = make_fragment_variant(graph, 1, FragmentVariantKey{p, 0}).circuit;
-    ASSERT_EQ(chain.num_ops(), legacy.num_ops());
-    for (std::size_t i = 0; i < legacy.num_ops(); ++i) {
-      EXPECT_EQ(chain.op(i).kind, legacy.op(i).kind);
-      EXPECT_EQ(chain.op(i).qubits, legacy.op(i).qubits);
-      EXPECT_EQ(chain.op(i).params, legacy.op(i).params);
-    }
-  }
-}
-
 TEST(ChainCutting, SpecCutCountMustMatchEveryBoundary) {
   Rng rng(5);
   circuit::MultiCutAnsatzOptions options;
@@ -258,20 +159,6 @@ TEST(ChainCutting, SpecCutCountMustMatchEveryBoundary) {
 }
 
 // ---- Bit-exactness of the chain contraction ---------------------------------
-
-/// 64-bit FNV-1a over the IEEE-754 bit patterns of `values`, least
-/// significant byte first, so the digest is the same on every host.
-std::uint64_t fnv1a(const std::vector<double>& values) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const double value : values) {
-    const auto word = std::bit_cast<std::uint64_t>(value);
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (8 * byte)) & 0xffU;
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  return hash;
-}
 
 std::vector<std::uint64_t> bit_patterns(const std::vector<double>& values) {
   std::vector<std::uint64_t> out;
@@ -449,6 +336,83 @@ TEST(ChainCutting, ReconstructionMatchesCommittedDigests) {
   }
 }
 
+/// The N=2 chain against digests of the two-fragment pipeline it replaced
+/// (a Bipartition executed into per-setting upstream and per-prep downstream
+/// distributions), recorded through that pipeline's API before it was
+/// removed: at equal seeds the chain runs the same variant circuits on the
+/// same seed streams and shot plan, and contracts them with the same
+/// arithmetic. The variant digest covers fragment 0's distributions by
+/// ascending setting, then fragment 1's by ascending prep.
+struct FrozenTwoFragmentCase {
+  const char* name;
+  bool golden;
+  ExecutionOptions exec;
+  std::uint64_t distribution_digest;  // fnv1a(raw_probabilities)
+  std::uint64_t terms;
+  std::uint64_t total_jobs;
+  std::uint64_t total_shots;
+  std::size_t shots_per_variant;
+  std::uint64_t variant_digest;  // every distribution, (fragment, packed key) order
+};
+
+std::vector<FrozenTwoFragmentCase> frozen_two_fragment_cases() {
+  std::vector<FrozenTwoFragmentCase> cases;
+  FrozenTwoFragmentCase sampled{"sampled", false, {}, 0xd46875936c377413ULL, 4, 9, 13500, 1500,
+                                0x8eab32589599b58aULL};
+  sampled.exec.shots_per_variant = 1500;
+  cases.push_back(sampled);
+  FrozenTwoFragmentCase budget{"budget", false, {}, 0xd21c76761b0f1f3bULL, 4, 9, 5000, 555,
+                               0x2abf30459a7134e0ULL};
+  budget.exec.shots_per_variant = 0;
+  budget.exec.total_shot_budget = 5000;
+  cases.push_back(budget);
+  FrozenTwoFragmentCase golden{"golden", true, {}, 0x76bf6799090f8d6fULL, 3, 6, 9000, 1500,
+                               0x8d8aa2a9dea8400bULL};
+  golden.exec.shots_per_variant = 1500;
+  golden.exec.seed_stream_base = 1u << 24;
+  cases.push_back(golden);
+  FrozenTwoFragmentCase exact{"exact", false, {}, 0x8bcfe910ac3190f4ULL, 4, 9, 0, 0,
+                              0x7c3ba2b2472e6fbdULL};
+  exact.exec.exact = true;
+  cases.push_back(exact);
+  return cases;
+}
+
+TEST(ChainCutting, TwoFragmentChainMatchesFrozenBipartitionDigests) {
+  Rng rng(17);
+  circuit::GoldenAnsatzOptions options;
+  options.num_qubits = 5;
+  const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
+  const std::array<WirePoint, 1> cuts = {ansatz.cut};
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+
+  NeglectSpec golden(1);
+  golden.neglect(0, ansatz.golden_basis);
+
+  for (const FrozenTwoFragmentCase& c : frozen_two_fragment_cases()) {
+    SCOPED_TRACE(c.name);
+    const ChainNeglectSpec spec{{c.golden ? golden : NeglectSpec::none(1)}};
+    backend::StatevectorBackend backend(9);
+    const ChainFragmentData data = execute_chain(graph, spec, backend, c.exec);
+    const ReconstructionResult result = reconstruct_distribution(graph, data, spec);
+
+    std::vector<double> variants;
+    for (const ChainFragmentData::PerFragment& fragment : data.fragments) {
+      for (const std::uint64_t key : sorted_keys(fragment.variants)) {
+        const std::vector<double>& dist = fragment.variants.at(key);
+        variants.insert(variants.end(), dist.begin(), dist.end());
+      }
+    }
+    EXPECT_EQ(fnv1a(result.raw_probabilities), c.distribution_digest)
+        << std::hex << fnv1a(result.raw_probabilities);
+    EXPECT_EQ(result.terms, c.terms);
+    EXPECT_EQ(data.total_jobs, c.total_jobs);
+    EXPECT_EQ(data.total_shots, c.total_shots);
+    EXPECT_EQ(data.shots_per_variant, c.shots_per_variant);
+    EXPECT_EQ(fnv1a(variants), c.variant_digest) << std::hex << fnv1a(variants);
+  }
+}
+
 /// A variant distribution of the wrong length is a typed error naming the
 /// fragment and the variant, not a read past its end.
 TEST(ChainCutting, WronglySizedDistributionIsATypedError) {
@@ -465,20 +429,6 @@ TEST(ChainCutting, WronglySizedDistributionIsATypedError) {
     EXPECT_NE(std::string(e.what()).find("(prep 0, setting 0) of fragment 1"), std::string::npos)
         << e.what();
   }
-
-  // The Bipartition accessors check against f1_width / f2_width.
-  const std::array<WirePoint, 1> cuts = {WirePoint{1, 2}};
-  const Bipartition bp = make_bipartition(chain5(), cuts);
-  backend::StatevectorBackend backend(1);
-  ExecutionOptions exec;
-  exec.exact = true;
-  const NeglectSpec none = NeglectSpec::none(1);
-  FragmentData short_up = execute_fragments(bp, none, backend, exec);
-  FragmentData short_down = short_up;
-  short_up.upstream.at(required_setting_indices(none).front()).pop_back();
-  short_down.downstream.at(required_prep_indices(none).front()).pop_back();
-  EXPECT_THROW((void)reconstruct_distribution(bp, short_up, none), Error);
-  EXPECT_THROW((void)reconstruct_distribution(bp, short_down, none), Error);
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ TEST(MultiCutAnsatz, ExecutionCountsMatchFormula) {
   circuit::MultiCutAnsatzOptions options;
   options.num_cuts = 2;
   const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
-  const Bipartition bp = make_bipartition(ansatz.circuit, ansatz.cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, ansatz.cuts);
 
   NeglectSpec spec(2);
   spec.neglect(0, Pauli::Y).neglect(1, Pauli::Y);
@@ -96,7 +96,7 @@ TEST(MultiCutAnsatz, ExecutionCountsMatchFormula) {
   backend::StatevectorBackend backend(2);
   ExecutionOptions exec;
   exec.exact = true;
-  const FragmentData data = execute_fragments(bp, spec, backend, exec);
+  const ChainFragmentData data = execute_chain(graph, ChainNeglectSpec{{spec}}, backend, exec);
   // Upstream 2^2 settings, downstream 4^2 preps.
   EXPECT_EQ(data.total_jobs, 4u + 16u);
 }

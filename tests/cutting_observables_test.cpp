@@ -68,18 +68,19 @@ TEST(DiagonalObservable, TryRestrict) {
   EXPECT_FALSE(obs.try_restrict(q0, restricted));
 }
 
-TEST(EstimateExpectation, MatchesStatevector) {
+TEST(ReconstructedExpectation, MatchesStatevector) {
   Rng rng(5);
   circuit::GoldenAnsatzOptions options;
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const ChainNeglectSpec none = ChainNeglectSpec::none(graph);
 
   backend::StatevectorBackend backend(3);
   ExecutionOptions exec;
   exec.exact = true;
-  const FragmentData data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
+  const ChainFragmentData data = execute_chain(graph, none, backend, exec);
 
   sim::StateVector sv(5);
   sv.apply_circuit(ansatz.circuit);
@@ -87,7 +88,7 @@ TEST(EstimateExpectation, MatchesStatevector) {
   for (const std::string label : {"ZIIII", "IIIIZ", "ZZZZZ", "IZIZI"}) {
     const circuit::PauliString pauli = circuit::PauliString::parse(label);
     const DiagonalObservable obs = DiagonalObservable::from_pauli(pauli);
-    EXPECT_NEAR(estimate_expectation(bp, data, NeglectSpec::none(1), obs),
+    EXPECT_NEAR(reconstruct_diagonal_expectation(graph, data, none, obs.diagonal()),
                 sv.expectation_pauli(pauli), 1e-9)
         << label;
   }
@@ -135,10 +136,13 @@ TEST(ObservableGolden, WeakerObservableAdmitsMoreGoldenBases) {
   ExecutionOptions exec;
   exec.exact = true;
   const NeglectSpec spec = observable_report.to_spec();
-  const FragmentData data = execute_fragments(bp, spec, backend, exec);
+  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  const ChainNeglectSpec chain_spec{{spec}};
+  const ChainFragmentData data = execute_chain(graph, chain_spec, backend, exec);
   sim::StateVector sv(3);
   sv.apply_circuit(c);
-  EXPECT_NEAR(estimate_expectation(bp, data, spec, obs), sv.expectation_pauli(z0), 1e-9);
+  EXPECT_NEAR(obs.expectation(reconstruct_distribution(graph, data, chain_spec).raw_probabilities),
+              sv.expectation_pauli(z0), 1e-9);
   // Only the I basis string survives: a single term.
   EXPECT_EQ(spec.num_active_strings(), 1u);
 }

@@ -16,24 +16,20 @@ namespace {
 
 using circuit::WirePoint;
 
-struct UpstreamSetup {
-  Bipartition bp;
-  std::vector<std::vector<double>> upstream;  // all 3^K settings, exact or sampled
-};
-
-UpstreamSetup sampled_upstream(const circuit::GoldenAnsatz& ansatz, std::size_t shots,
-                       std::uint64_t seed) {
-  const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  UpstreamSetup setup{make_bipartition(ansatz.circuit, cuts), {}};
+/// Fragment 0's sampled distribution under each of the 3 settings of a
+/// single cut (setting s on seed stream s): the upstream data online
+/// detection reads.
+std::vector<std::vector<double>> sampled_upstream(const Circuit& circuit,
+                                                  std::span<const WirePoint> cuts,
+                                                  std::size_t shots, std::uint64_t seed) {
+  const FragmentGraph graph = make_fragment_graph(circuit, cuts);
   backend::StatevectorBackend backend(seed);
-  cutting::ExecutionOptions exec;
-  exec.shots_per_variant = shots;
-  const FragmentData data =
-      execute_upstream_only(setup.bp, NeglectSpec::none(1), backend, exec);
+  std::vector<std::vector<double>> upstream;
   for (std::uint32_t s = 0; s < 3; ++s) {
-    setup.upstream.push_back(data.upstream_distribution(s));
+    const Circuit variant = make_fragment_variant(graph, 0, FragmentVariantKey{0, s}).circuit;
+    upstream.push_back(backend.run(variant, shots, s).to_probabilities());
   }
-  return setup;
+  return upstream;
 }
 
 TEST(OnlineDetection, DetectsDesignedGoldenY) {
@@ -43,9 +39,10 @@ TEST(OnlineDetection, DetectsDesignedGoldenY) {
     circuit::GoldenAnsatzOptions options;
     options.num_qubits = 5;
     const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
-    const UpstreamSetup setup = sampled_upstream(ansatz, 4000, seed);
+    const std::array<WirePoint, 1> cuts = {ansatz.cut};
     const GoldenDetectionReport report =
-        detect_golden_from_counts(setup.bp, setup.upstream, 4000);
+        detect_golden_from_counts(make_bipartition(ansatz.circuit, cuts),
+                                  sampled_upstream(ansatz.circuit, cuts, 4000, seed), 4000);
     if (report.golden[0][static_cast<std::size_t>(Pauli::Y)]) ++detected;
   }
   // The test controls false positives at alpha; power at 4000 shots should
@@ -62,14 +59,8 @@ TEST(OnlineDetection, RejectsStronglyNonGoldenBasis) {
   const std::array<WirePoint, 1> cuts = {WirePoint{1, 1}};
   const Bipartition bp = make_bipartition(c, cuts);
 
-  backend::StatevectorBackend backend(3);
-  cutting::ExecutionOptions exec;
-  exec.shots_per_variant = 4000;
-  const FragmentData data = execute_upstream_only(bp, NeglectSpec::none(1), backend, exec);
-  std::vector<std::vector<double>> upstream;
-  for (std::uint32_t s = 0; s < 3; ++s) upstream.push_back(data.upstream_distribution(s));
-
-  const GoldenDetectionReport report = detect_golden_from_counts(bp, upstream, 4000);
+  const GoldenDetectionReport report =
+      detect_golden_from_counts(bp, sampled_upstream(c, cuts, 4000, 3), 4000);
   EXPECT_FALSE(report.golden[0][static_cast<std::size_t>(Pauli::Z)]);
   // Bell pair upstream: Y (and X) weighted sums cancel.
   EXPECT_TRUE(report.golden[0][static_cast<std::size_t>(Pauli::Y)]);
@@ -90,13 +81,7 @@ TEST(OnlineDetection, FalsePositiveRateIsControlled) {
     c.cx(1, 2);
     const std::array<WirePoint, 1> cuts = {WirePoint{1, cut_after}};
     const Bipartition bp = make_bipartition(c, cuts);
-
-    backend::StatevectorBackend backend(seed * 11);
-    cutting::ExecutionOptions exec;
-    exec.shots_per_variant = 4000;
-    const FragmentData data = execute_upstream_only(bp, NeglectSpec::none(1), backend, exec);
-    std::vector<std::vector<double>> upstream;
-    for (std::uint32_t s = 0; s < 3; ++s) upstream.push_back(data.upstream_distribution(s));
+    const std::vector<std::vector<double>> upstream = sampled_upstream(c, cuts, 4000, seed * 11);
 
     // The exact violations for this circuit are sizable on all three bases.
     const GoldenDetectionReport exact = detect_golden_exact(bp, 1e-9);

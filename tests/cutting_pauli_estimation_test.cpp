@@ -1,7 +1,7 @@
 // General (non-diagonal) Pauli observables through the cut: basis rotations
 // reduce <P> to a Z-form diagonal on a rotated circuit, whose cut points
 // remain valid. Plus bring-your-own-counts ingestion (export variants,
-// execute elsewhere, reconstruct here).
+// execute elsewhere, ingest_counts them onto chain keys, reconstruct here).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include "cutting/observables.hpp"
 #include "cutting/pipeline.hpp"
 #include "sim/statevector.hpp"
+#include "support/digest.hpp"
 
 namespace qcut::cutting {
 namespace {
@@ -57,14 +58,15 @@ TEST(PauliEstimation, ThroughTheCutMatchesStatevector) {
 
     // The original cut point stays valid on the rotated circuit.
     const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-    const Bipartition bp = make_bipartition(plan.rotated_circuit, cuts);
+    const FragmentGraph graph = make_fragment_graph(plan.rotated_circuit, cuts);
+    const ChainNeglectSpec none = ChainNeglectSpec::none(graph);
 
     backend::StatevectorBackend backend(3);
     ExecutionOptions exec;
     exec.exact = true;
-    const FragmentData data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
+    const ChainFragmentData data = execute_chain(graph, none, backend, exec);
     const double estimate =
-        estimate_expectation(bp, data, NeglectSpec::none(1), plan.observable);
+        reconstruct_diagonal_expectation(graph, data, none, plan.observable.diagonal());
     EXPECT_NEAR(estimate, sv.expectation_pauli(pauli), 1e-9) << label;
   }
 }
@@ -84,18 +86,19 @@ TEST(PauliEstimation, GoldenYMayBreakForYObservables) {
   const PauliEstimationPlan plan = prepare_pauli_estimation(ansatz.circuit, pauli);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
   const Bipartition bp = make_bipartition(plan.rotated_circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(plan.rotated_circuit, cuts);
 
   // Exact detection on the ROTATED circuit decides whether Y is still
   // golden; whatever it says, the reconstruction must match.
-  const NeglectSpec spec = detect_golden_exact(bp, 1e-9).to_spec();
+  const ChainNeglectSpec spec{{detect_golden_exact(bp, 1e-9).to_spec()}};
 
   backend::StatevectorBackend backend(4);
   ExecutionOptions exec;
   exec.exact = true;
-  const FragmentData data = execute_fragments(bp, spec, backend, exec);
+  const ChainFragmentData data = execute_chain(graph, spec, backend, exec);
   sim::StateVector sv(5);
   sv.apply_circuit(ansatz.circuit);
-  EXPECT_NEAR(estimate_expectation(bp, data, spec, plan.observable),
+  EXPECT_NEAR(reconstruct_diagonal_expectation(graph, data, spec, plan.observable.diagonal()),
               sv.expectation_pauli(pauli), 1e-9);
 }
 
@@ -105,23 +108,23 @@ TEST(CountsIngestion, ManualPipelineMatchesBuiltIn) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
 
-  NeglectSpec spec(1);
-  spec.neglect(0, ansatz.golden_basis);
+  NeglectSpec boundary(1);
+  boundary.neglect(0, ansatz.golden_basis);
+  const ChainNeglectSpec spec{{boundary}};
 
   // "External" execution: run each exported variant by hand.
   backend::StatevectorBackend backend(6);
   const std::size_t shots = 5000;
-  FragmentData manual = make_fragment_data(bp, shots);
-  for (std::uint32_t setting : required_setting_indices(spec)) {
-    const UpstreamVariant variant = make_upstream_variant(bp, setting);
-    ingest_upstream_counts(manual, setting, backend.run(variant.circuit, shots, setting));
-  }
-  for (std::uint32_t prep : required_prep_indices(spec)) {
-    const DownstreamVariant variant = make_downstream_variant(bp, prep);
-    ingest_downstream_counts(manual, prep,
-                             backend.run(variant.circuit, shots, 1000 + prep));
+  ChainFragmentData manual = make_chain_data(graph);
+  manual.shots_per_variant = shots;
+  for (int f = 0; f < graph.num_fragments(); ++f) {
+    for (const FragmentVariantKey key : required_fragment_variants(graph, f, spec)) {
+      const FragmentVariant variant = make_fragment_variant(graph, f, key);
+      const std::uint64_t stream = f == 0 ? key.setting_index : 1000 + key.prep_index;
+      ingest_counts(manual, f, key, backend.run(variant.circuit, shots, stream));
+    }
   }
   EXPECT_EQ(manual.total_jobs, 6u);
   EXPECT_EQ(manual.total_shots, 6 * shots);
@@ -130,7 +133,7 @@ TEST(CountsIngestion, ManualPipelineMatchesBuiltIn) {
   backend::StatevectorBackend backend2(6);
   ExecutionOptions exec;
   exec.shots_per_variant = shots;
-  const FragmentData builtin = execute_fragments(bp, spec, backend2, exec);
+  const ChainFragmentData builtin = execute_chain(graph, spec, backend2, exec);
 
   // Reconstructions agree in distribution (not bit-identical: stream ids
   // differ) - compare against the exact answer instead.
@@ -138,8 +141,12 @@ TEST(CountsIngestion, ManualPipelineMatchesBuiltIn) {
   sv.apply_circuit(ansatz.circuit);
   const std::vector<double> truth = sv.probabilities();
 
-  const auto manual_recon = reconstruct_distribution(bp, manual, spec);
-  const auto builtin_recon = reconstruct_distribution(bp, builtin, spec);
+  const auto manual_recon = reconstruct_distribution(graph, manual, spec);
+  const auto builtin_recon = reconstruct_distribution(graph, builtin, spec);
+  // Frozen: recorded through the two-fragment ingestion API (counts keyed
+  // by setting and prep tuple) before the ingestion moved onto chain keys.
+  EXPECT_EQ(fnv1a(manual_recon.raw_probabilities), 0xeb159c6135a93150ULL)
+      << std::hex << fnv1a(manual_recon.raw_probabilities);
   for (index_t x = 0; x < 32; ++x) {
     EXPECT_NEAR(manual_recon.raw_probabilities[x], truth[x], 0.05);
     EXPECT_NEAR(builtin_recon.raw_probabilities[x], truth[x], 0.05);
@@ -152,24 +159,36 @@ TEST(CountsIngestion, Validation) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const int width = graph.fragments[0].width();
+  ASSERT_NE(width, 2);
 
-  FragmentData data = make_fragment_data(bp, 100);
+  ChainFragmentData data = make_chain_data(graph);
+  data.shots_per_variant = 100;
   backend::Counts wrong_width(2);
   wrong_width.add(0, 100);
-  EXPECT_THROW(ingest_upstream_counts(data, 0, wrong_width), Error);
+  EXPECT_THROW(ingest_counts(data, 0, {0, 0}, wrong_width), Error);
 
-  backend::Counts empty(bp.f1_width());
-  EXPECT_THROW(ingest_upstream_counts(data, 0, empty), Error);
+  backend::Counts empty(width);
+  EXPECT_THROW(ingest_counts(data, 0, {0, 0}, empty), Error);
 
-  backend::Counts wrong_shots(bp.f1_width());
+  backend::Counts wrong_shots(width);
   wrong_shots.add(0, 99);
-  EXPECT_THROW(ingest_upstream_counts(data, 0, wrong_shots), Error);
+  EXPECT_THROW(ingest_counts(data, 0, {0, 0}, wrong_shots), Error);
 
-  backend::Counts good(bp.f1_width());
+  backend::Counts good(width);
   good.add(0, 100);
-  EXPECT_NO_THROW(ingest_upstream_counts(data, 0, good));
-  EXPECT_THROW((void)make_fragment_data(bp, 0), Error);
+  EXPECT_THROW(ingest_counts(data, -1, {0, 0}, good), Error);
+  EXPECT_THROW(ingest_counts(data, 2, {0, 0}, good), Error);
+  EXPECT_EQ(data.total_jobs, 0u);
+  EXPECT_NO_THROW(ingest_counts(data, 0, {0, 0}, good));
+  EXPECT_EQ(data.total_jobs, 1u);
+  EXPECT_EQ(data.total_shots, 100u);
+  EXPECT_EQ(data.distribution(0, {0, 0})[0], 1.0);
+
+  // Without a shots_per_variant every shot total is accepted.
+  data.shots_per_variant = 0;
+  EXPECT_NO_THROW(ingest_counts(data, 0, {0, 1}, wrong_shots));
 }
 
 }  // namespace

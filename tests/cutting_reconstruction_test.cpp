@@ -319,15 +319,17 @@ TEST(Reconstruction, MismatchedFragmentDataIsRejected) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const auto bp = cutting::make_bipartition(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
+  const cutting::ChainNeglectSpec none = cutting::ChainNeglectSpec::none(graph);
 
-  cutting::FragmentData bogus;
-  bogus.num_cuts = 2;  // wrong
-  bogus.f1_width = bp.f1_width();
-  bogus.f2_width = bp.f2_width();
-  EXPECT_THROW(
-      (void)cutting::reconstruct_distribution(bp, bogus, cutting::NeglectSpec::none(1)),
-      Error);
+  cutting::ChainFragmentData extra_fragment = cutting::make_chain_data(graph);
+  extra_fragment.fragments.push_back(extra_fragment.fragments.back());  // wrong count
+  EXPECT_THROW((void)cutting::reconstruct_distribution(graph, extra_fragment, none), Error);
+
+  cutting::ChainFragmentData wrong_width = cutting::make_chain_data(graph);
+  wrong_width.fragments[1].width += 1;
+  EXPECT_THROW((void)cutting::reconstruct_distribution(graph, wrong_width, none), Error);
+  EXPECT_THROW((void)cutting::reconstruct_probability_of(graph, wrong_width, none, 0), Error);
 }
 
 TEST(Reconstruction, GoldenSpecMissingDataIsRejected) {
@@ -338,21 +340,21 @@ TEST(Reconstruction, GoldenSpecMissingDataIsRejected) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const auto bp = cutting::make_bipartition(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
 
-  cutting::NeglectSpec golden(1);
-  golden.neglect(0, ansatz.golden_basis);
+  cutting::NeglectSpec golden_spec(1);
+  golden_spec.neglect(0, ansatz.golden_basis);
+  const cutting::ChainNeglectSpec golden{{golden_spec}};
 
   backend::StatevectorBackend backend(6);
   cutting::ExecutionOptions exec;
   exec.exact = true;
-  const auto data = cutting::execute_fragments(bp, golden, backend, exec);
+  const auto data = cutting::execute_chain(graph, golden, backend, exec);
 
-  EXPECT_NO_THROW(
-      (void)cutting::reconstruct_distribution(bp, data, golden));
-  EXPECT_THROW(
-      (void)cutting::reconstruct_distribution(bp, data, cutting::NeglectSpec::none(1)),
-      Error);
+  EXPECT_NO_THROW((void)cutting::reconstruct_distribution(graph, data, golden));
+  EXPECT_THROW((void)cutting::reconstruct_distribution(graph, data,
+                                                       cutting::ChainNeglectSpec::none(graph)),
+               Error);
 }
 
 }  // namespace

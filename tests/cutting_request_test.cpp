@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <span>
 
@@ -173,12 +174,28 @@ TEST(CutRequestValidation, BootstrapNeedsSampledExecution) {
 }
 
 TEST(CutRequestValidation, BootstrapNeedsReplicas) {
-  BootstrapOptions boot;
-  boot.replicas = 0;
-  CutRequest request{two_qubit_circuit()};
-  request.with_pauli("ZZ").with_cut(WirePoint{0, 0}).with_uncertainty(boot);
-  EXPECT_TRUE(contains(message_of([&] { validate(request); }),
-                       "bootstrap replicas must be positive"));
+  for (const std::size_t replicas : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE(replicas);
+    BootstrapOptions boot;
+    boot.replicas = replicas;
+    CutRequest request{two_qubit_circuit()};
+    request.with_pauli("ZZ").with_cut(WirePoint{0, 0}).with_uncertainty(boot);
+    EXPECT_TRUE(contains(message_of([&] { validate(request); }),
+                         "bootstrap: need at least 2 replicas"));
+  }
+}
+
+TEST(CutRequestValidation, BootstrapConfidenceMustBeInOpenUnitInterval) {
+  for (const double confidence :
+       {1.5, -1.0, 0.0, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(confidence);
+    BootstrapOptions boot;
+    boot.confidence = confidence;
+    CutRequest request{two_qubit_circuit()};
+    request.with_pauli("ZZ").with_cut(WirePoint{0, 0}).with_uncertainty(boot);
+    EXPECT_TRUE(contains(message_of([&] { validate(request); }),
+                         "bootstrap: confidence must be in (0, 1)"));
+  }
 }
 
 TEST(CutRequestValidation, WellFormedRequestPasses) {

@@ -2,19 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <limits>
+
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
 #include "common/error.hpp"
 #include "cutting/pipeline.hpp"
 #include "sim/statevector.hpp"
+#include "support/digest.hpp"
 
 namespace qcut::cutting {
 namespace {
 
 struct Fixture {
   circuit::GoldenAnsatz ansatz;
-  Bipartition bp;
-  FragmentData data;
+  FragmentGraph graph;
+  ChainNeglectSpec none;
+  ChainFragmentData data;
   std::vector<double> truth;
 
   static Fixture make(std::size_t shots, std::uint64_t seed) {
@@ -23,16 +29,18 @@ struct Fixture {
     options.num_qubits = 5;
     circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
     const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-    Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+    FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+    ChainNeglectSpec none = ChainNeglectSpec::none(graph);
 
     backend::StatevectorBackend backend(seed * 7 + 1);
     ExecutionOptions exec;
     exec.shots_per_variant = shots;
-    FragmentData data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
+    ChainFragmentData data = execute_chain(graph, none, backend, exec);
 
     sim::StateVector sv(5);
     sv.apply_circuit(ansatz.circuit);
-    return Fixture{std::move(ansatz), std::move(bp), std::move(data), sv.probabilities()};
+    return Fixture{std::move(ansatz), std::move(graph), std::move(none), std::move(data),
+                   sv.probabilities()};
   }
 };
 
@@ -41,7 +49,7 @@ TEST(Bootstrap, DistributionBandsCoverTruth) {
   BootstrapOptions options;
   options.replicas = 150;
   const DistributionUncertainty u =
-      bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(fx.graph, fx.data, fx.none, options);
 
   ASSERT_EQ(u.mean.size(), 32u);
   int covered = 0;
@@ -65,9 +73,9 @@ TEST(Bootstrap, StandardErrorShrinksWithShots) {
   options.replicas = 100;
 
   const DistributionUncertainty u_coarse =
-      bootstrap_distribution(coarse.bp, coarse.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(coarse.graph, coarse.data, coarse.none, options);
   const DistributionUncertainty u_fine =
-      bootstrap_distribution(fine.bp, fine.data, NeglectSpec::none(1), options);
+      bootstrap_distribution(fine.graph, fine.data, fine.none, options);
 
   double coarse_total = 0.0, fine_total = 0.0;
   for (index_t x = 0; x < 32; ++x) {
@@ -91,7 +99,7 @@ TEST(Bootstrap, ExpectationCoversStatevectorValue) {
   BootstrapOptions options;
   options.replicas = 150;
   const ExpectationUncertainty u =
-      bootstrap_expectation(fx.bp, fx.data, NeglectSpec::none(1), obs, options);
+      bootstrap_expectation(fx.graph, fx.data, fx.none, obs, options);
 
   EXPECT_NEAR(u.estimate, exact, 5.0 * u.standard_error + 0.05);
   EXPECT_LT(u.ci_lower, u.ci_upper);
@@ -109,24 +117,25 @@ TEST(Bootstrap, GoldenSpecGivesComparableErrorWithFewerVariants) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const ChainNeglectSpec none = ChainNeglectSpec::none(graph);
 
-  NeglectSpec golden(1);
-  golden.neglect(0, ansatz.golden_basis);
+  NeglectSpec golden_spec(1);
+  golden_spec.neglect(0, ansatz.golden_basis);
+  const ChainNeglectSpec golden{{golden_spec}};
 
   backend::StatevectorBackend backend(11);
   ExecutionOptions exec;
   exec.shots_per_variant = 4000;
-  const FragmentData full_data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
-  const FragmentData golden_data = execute_fragments(bp, golden, backend, exec);
+  const ChainFragmentData full_data = execute_chain(graph, none, backend, exec);
+  const ChainFragmentData golden_data = execute_chain(graph, golden, backend, exec);
 
   const DiagonalObservable obs = DiagonalObservable::parity(5);
   BootstrapOptions boot;
   boot.replicas = 100;
-  const ExpectationUncertainty u_full =
-      bootstrap_expectation(bp, full_data, NeglectSpec::none(1), obs, boot);
+  const ExpectationUncertainty u_full = bootstrap_expectation(graph, full_data, none, obs, boot);
   const ExpectationUncertainty u_golden =
-      bootstrap_expectation(bp, golden_data, golden, obs, boot);
+      bootstrap_expectation(graph, golden_data, golden, obs, boot);
 
   EXPECT_LT(u_golden.standard_error, 2.0 * u_full.standard_error + 1e-3);
 }
@@ -137,22 +146,32 @@ TEST(Bootstrap, RejectsExactData) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const ChainNeglectSpec none = ChainNeglectSpec::none(graph);
   backend::StatevectorBackend backend(2);
   ExecutionOptions exec;
   exec.exact = true;
-  const FragmentData data = execute_fragments(bp, NeglectSpec::none(1), backend, exec);
-  EXPECT_THROW((void)bootstrap_distribution(bp, data, NeglectSpec::none(1)), Error);
+  const ChainFragmentData data = execute_chain(graph, none, backend, exec);
+  EXPECT_THROW((void)bootstrap_distribution(graph, data, none), Error);
 }
 
 TEST(Bootstrap, OptionValidation) {
   const Fixture fx = Fixture::make(100, 6);
+  const DiagonalObservable parity = DiagonalObservable::parity(5);
   BootstrapOptions bad;
   bad.replicas = 1;
-  EXPECT_THROW((void)bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), bad), Error);
+  EXPECT_THROW((void)bootstrap_distribution(fx.graph, fx.data, fx.none, bad), Error);
+  EXPECT_THROW((void)bootstrap_expectation(fx.graph, fx.data, fx.none, parity, bad), Error);
   bad.replicas = 10;
-  bad.confidence = 1.5;
-  EXPECT_THROW((void)bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), bad), Error);
+  for (const double confidence :
+       {1.5, -1.0, 0.0, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(confidence);
+    bad.confidence = confidence;
+    EXPECT_THROW(check_bootstrap_options(bad), Error);
+    EXPECT_THROW((void)bootstrap_distribution(fx.graph, fx.data, fx.none, bad), Error);
+    // 1.5 would put the lower quantile's position below 0.
+    EXPECT_THROW((void)bootstrap_expectation(fx.graph, fx.data, fx.none, parity, bad), Error);
+  }
 }
 
 TEST(Bootstrap, DeterministicForSeed) {
@@ -160,12 +179,112 @@ TEST(Bootstrap, DeterministicForSeed) {
   BootstrapOptions options;
   options.replicas = 20;
   options.seed = 99;
-  const DistributionUncertainty a =
-      bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), options);
-  const DistributionUncertainty b =
-      bootstrap_distribution(fx.bp, fx.data, NeglectSpec::none(1), options);
+  const DistributionUncertainty a = bootstrap_distribution(fx.graph, fx.data, fx.none, options);
+  const DistributionUncertainty b = bootstrap_distribution(fx.graph, fx.data, fx.none, options);
   EXPECT_EQ(a.mean, b.mean);
   EXPECT_EQ(a.ci_lower, b.ci_lower);
+}
+
+/// A 3-fragment chain: every fragment's variants are resampled, and the
+/// estimate is the expectation over the chain reconstruction of the data.
+TEST(Bootstrap, RunsOnThreeFragmentChain) {
+  Circuit c(5);
+  c.h(0).cx(0, 1).ry(0.3, 1);
+  c.cx(1, 2).ry(0.5, 2).cx(2, 3).ry(0.4, 3);
+  c.cx(3, 4).ry(0.2, 4);
+  const std::vector<std::vector<circuit::WirePoint>> boundaries = {
+      {circuit::WirePoint{1, 2}}, {circuit::WirePoint{3, 6}}};
+  const FragmentGraph graph = make_fragment_chain(c, boundaries);
+  const ChainNeglectSpec none = ChainNeglectSpec::none(graph);
+
+  backend::StatevectorBackend backend(12);
+  ExecutionOptions exec;
+  exec.shots_per_variant = 3000;
+  const ChainFragmentData data = execute_chain(graph, none, backend, exec);
+
+  const DiagonalObservable obs = DiagonalObservable::parity(5);
+  BootstrapOptions boot;
+  boot.replicas = 30;
+  const ExpectationUncertainty u = bootstrap_expectation(graph, data, none, obs, boot);
+  EXPECT_EQ(u.estimate, reconstruct_diagonal_expectation(graph, data, none, obs.diagonal()));
+  EXPECT_GT(u.standard_error, 0.0);
+  EXPECT_LT(u.ci_lower, u.ci_upper);
+
+  sim::StateVector sv(5);
+  sv.apply_circuit(c);
+  EXPECT_NEAR(u.estimate, obs.expectation(sv.probabilities()), 5.0 * u.standard_error + 0.05);
+}
+
+/// Bootstrap results pinned bit for bit. Recorded through the two-fragment
+/// Bipartition API (upstream and downstream distributions keyed by setting
+/// and prep tuple) before the bootstrap moved onto the chain: the chain
+/// resample visits fragment 0's variants (ascending setting) and then
+/// fragment 1's (ascending prep), the order that API drew them in.
+struct FrozenBootstrapCase {
+  const char* name;
+  std::uint64_t seed;  // ansatz and backend seed
+  std::size_t shots_per_variant;
+  std::size_t total_shot_budget;
+  bool golden;
+  /// Bit patterns of estimate, standard_error, ci_lower, ci_upper.
+  std::array<std::uint64_t, 4> expectation;
+  /// fnv1a of mean, standard_error, ci_lower, ci_upper.
+  std::array<std::uint64_t, 4> distribution;
+};
+
+TEST(Bootstrap, MatchesFrozenDigests) {
+  const std::vector<FrozenBootstrapCase> cases = {
+      {"fixed_shots",
+       8,
+       1500,
+       0,
+       false,
+       {0xbf9f8f295cc0e30cULL, 0x3f9126fa4943df56ULL, 0xbfafb9d82d3b42ffULL,
+        0xbf844280667b179aULL},
+       {0xaa3c83131333c913ULL, 0xefd4d6163f83dc5bULL, 0xf49f55e09a81ce9bULL,
+        0x237094c3d7bc1d58ULL}},
+      {"budget_golden",
+       9,
+       0,
+       7013,
+       true,
+       {0xbfdad9e6ce7d5782ULL, 0x3f961634dc06760cULL, 0xbfdd088d599cacabULL,
+        0xbfd83d44b4969cabULL},
+       {0x78d797b1fe894d1dULL, 0xdaf3168e0a09bc20ULL, 0x3a35c8f78cb6cf7dULL,
+        0x643a0c760b276b1eULL}},
+  };
+  for (const FrozenBootstrapCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(c.seed);
+    circuit::GoldenAnsatzOptions options;
+    options.num_qubits = 5;
+    const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
+    const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
+    NeglectSpec boundary(1);
+    if (c.golden) boundary.neglect(0, ansatz.golden_basis);
+    const ChainNeglectSpec spec{{boundary}};
+
+    backend::StatevectorBackend backend(c.seed);
+    ExecutionOptions exec;
+    exec.shots_per_variant = c.shots_per_variant;
+    exec.total_shot_budget = c.total_shot_budget;
+    const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+    const ChainFragmentData data = execute_chain(graph, spec, backend, exec);
+
+    BootstrapOptions boot;
+    boot.replicas = 40;
+    const ExpectationUncertainty e =
+        bootstrap_expectation(graph, data, spec, DiagonalObservable::parity(5), boot);
+    const DistributionUncertainty d = bootstrap_distribution(graph, data, spec, boot);
+
+    const std::array<std::uint64_t, 4> expectation = {
+        std::bit_cast<std::uint64_t>(e.estimate), std::bit_cast<std::uint64_t>(e.standard_error),
+        std::bit_cast<std::uint64_t>(e.ci_lower), std::bit_cast<std::uint64_t>(e.ci_upper)};
+    const std::array<std::uint64_t, 4> distribution = {
+        fnv1a(d.mean), fnv1a(d.standard_error), fnv1a(d.ci_lower), fnv1a(d.ci_upper)};
+    EXPECT_EQ(expectation, c.expectation);
+    EXPECT_EQ(distribution, c.distribution);
+  }
 }
 
 }  // namespace

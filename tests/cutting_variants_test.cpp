@@ -22,17 +22,38 @@
 namespace qcut::cutting {
 namespace {
 
-Bipartition make_test_bipartition(std::uint64_t seed) {
+/// One cut of a golden ansatz: the two-fragment view (fragment circuits and
+/// cut qubits) and the N=2 chain the variants are built from.
+struct TestCut {
+  Bipartition bp;
+  FragmentGraph graph;
+};
+
+TestCut make_test_cut(std::uint64_t seed) {
   Rng rng(seed);
   circuit::GoldenAnsatzOptions options;
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  return make_bipartition(ansatz.circuit, cuts);
+  return TestCut{make_bipartition(ansatz.circuit, cuts),
+                 make_fragment_graph(ansatz.circuit, cuts)};
+}
+
+/// Fragment 0's variant under one setting; fragment 1's under one prep.
+Circuit upstream_variant(const TestCut& cut, MeasSetting setting) {
+  return make_fragment_variant(cut.graph, 0,
+                               FragmentVariantKey{0, encode_settings(std::array{setting})})
+      .circuit;
+}
+Circuit downstream_variant(const TestCut& cut, linalg::PrepState prep) {
+  return make_fragment_variant(cut.graph, 1,
+                               FragmentVariantKey{encode_preps(std::array{prep}), 0})
+      .circuit;
 }
 
 TEST(Variants, UpstreamVariantRealizesTomographicMeasurement) {
-  const Bipartition bp = make_test_bipartition(1);
+  const TestCut cut = make_test_cut(1);
+  const Bipartition& bp = cut.bp;
   const int cut_qubit = bp.cuts[0].f1_qubit;
 
   sim::StateVector psi(bp.f1_width());
@@ -44,11 +65,8 @@ TEST(Variants, UpstreamVariantRealizesTomographicMeasurement) {
   };
   for (const Case test_case : {Case{MeasSetting::X, Pauli::X}, Case{MeasSetting::Y, Pauli::Y},
                                Case{MeasSetting::Z, Pauli::Z}}) {
-    const UpstreamVariant variant = make_upstream_variant(
-        bp, encode_settings(std::array{test_case.setting}));
-
     sim::StateVector rotated(bp.f1_width());
-    rotated.apply_circuit(variant.circuit);
+    rotated.apply_circuit(upstream_variant(cut, test_case.setting));
     const std::vector<double> measured = rotated.probabilities();
 
     // Reference: project psi onto the eigenstates of the Pauli on the cut
@@ -73,15 +91,13 @@ TEST(Variants, UpstreamVariantRealizesTomographicMeasurement) {
 }
 
 TEST(Variants, DownstreamVariantEqualsPreparedFragment) {
-  const Bipartition bp = make_test_bipartition(2);
+  const TestCut cut = make_test_cut(2);
+  const Bipartition& bp = cut.bp;
   const int cut_qubit = bp.cuts[0].f2_qubit;
 
   for (linalg::PrepState prep : linalg::kAllPrepStates) {
-    const DownstreamVariant variant =
-        make_downstream_variant(bp, encode_preps(std::array{prep}));
-
     sim::StateVector via_variant(bp.f2_width());
-    via_variant.apply_circuit(variant.circuit);
+    via_variant.apply_circuit(downstream_variant(cut, prep));
 
     // Reference: product state with the cut qubit in the prep state.
     std::vector<linalg::CVec> initial(static_cast<std::size_t>(bp.f2_width()),
@@ -129,22 +145,16 @@ TEST(Variants, TwoCutIndicesCombineMixedRadix) {
 }
 
 TEST(Variants, VariantCircuitsExtendFragments) {
-  const Bipartition bp = make_test_bipartition(3);
-  const UpstreamVariant x_variant =
-      make_upstream_variant(bp, encode_settings(std::array{MeasSetting::X}));
-  EXPECT_EQ(x_variant.circuit.num_ops(), bp.f1.num_ops() + 1);  // one H appended
+  const TestCut cut = make_test_cut(3);
+  const Bipartition& bp = cut.bp;
+  // One H appended for X; nothing appended for Z.
+  EXPECT_EQ(upstream_variant(cut, MeasSetting::X).num_ops(), bp.f1.num_ops() + 1);
+  EXPECT_EQ(upstream_variant(cut, MeasSetting::Z).num_ops(), bp.f1.num_ops());
 
-  const UpstreamVariant z_variant =
-      make_upstream_variant(bp, encode_settings(std::array{MeasSetting::Z}));
-  EXPECT_EQ(z_variant.circuit.num_ops(), bp.f1.num_ops());  // Z: nothing appended
-
-  const DownstreamVariant zplus =
-      make_downstream_variant(bp, encode_preps(std::array{linalg::PrepState::ZPlus}));
-  EXPECT_EQ(zplus.circuit.num_ops(), bp.f2.num_ops());  // |0>: nothing prepended
-
-  const DownstreamVariant yminus =
-      make_downstream_variant(bp, encode_preps(std::array{linalg::PrepState::YMinus}));
-  EXPECT_EQ(yminus.circuit.num_ops(), bp.f2.num_ops() + 3);  // X, H, S prepended
+  // Nothing prepended for |0>; X, H, S prepended for |-i>.
+  EXPECT_EQ(downstream_variant(cut, linalg::PrepState::ZPlus).num_ops(), bp.f2.num_ops());
+  EXPECT_EQ(downstream_variant(cut, linalg::PrepState::YMinus).num_ops(),
+            bp.f2.num_ops() + 3);
 }
 
 TEST(Variants, OnlineDetectionWorksForTwoCuts) {

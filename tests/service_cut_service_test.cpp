@@ -1,6 +1,7 @@
 // CutService behavior: job queue, cross-request variant dedup, fragment
-// cache integration, and bit-for-bit equivalence with the direct
-// execute_fragments + reconstruct_distribution path under every GoldenMode.
+// cache integration, bit-for-bit equivalence with the direct execute_chain +
+// reconstruct_distribution path under every GoldenMode, and the bootstrap on
+// chains.
 
 #include "service/cut_service.hpp"
 
@@ -39,14 +40,14 @@ circuit::GoldenAnsatz make_ansatz(int n, std::uint64_t seed) {
   return circuit::make_golden_ansatz(options, rng);
 }
 
-/// Mirror of the pre-service direct pipeline (execute_fragments +
-/// reconstruct_distribution): the reference the service must match
-/// bit-for-bit at equal seeds.
+/// The direct pipeline (execute_chain + reconstruct_distribution): the
+/// reference the service must match bit-for-bit at equal seeds.
 std::vector<double> direct_raw_probabilities(const circuit::Circuit& circuit,
                                              std::span<const WirePoint> cuts,
                                              backend::Backend& backend,
                                              const CutRunOptions& options) {
   const cutting::Bipartition bp = cutting::make_bipartition(circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(circuit, cuts);
 
   cutting::ExecutionOptions exec;
   exec.shots_per_variant = options.shots_per_variant;
@@ -55,44 +56,41 @@ std::vector<double> direct_raw_probabilities(const circuit::Circuit& circuit,
   exec.pool = options.pool;
   exec.seed_stream_base = options.seed_stream_base;
 
-  NeglectSpec spec{1};
-  cutting::FragmentData data;
+  NeglectSpec spec = NeglectSpec::none(bp.num_cuts());
   switch (options.golden_mode) {
     case GoldenMode::None:
-      spec = NeglectSpec::none(bp.num_cuts());
-      data = cutting::execute_fragments(bp, spec, backend, exec);
       break;
     case GoldenMode::Provided:
       spec = *options.provided_spec;
-      data = cutting::execute_fragments(bp, spec, backend, exec);
       break;
     case GoldenMode::DetectExact:
       spec = cutting::detect_golden_exact(bp, options.golden_tol).to_spec();
-      data = cutting::execute_fragments(bp, spec, backend, exec);
       break;
     case GoldenMode::DetectOnline: {
-      const NeglectSpec full = NeglectSpec::none(bp.num_cuts());
-      cutting::FragmentData upstream = cutting::execute_upstream_only(bp, full, backend, exec);
+      // Detect from fragment 0's data under every setting, then run the
+      // chain under the detected spec: with a fixed shots_per_variant a
+      // variant's result does not depend on which other variants run.
+      const cutting::ChainFragmentData measured =
+          cutting::execute_chain(graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
       std::uint64_t num_settings = 1;
-      for (int k = 0; k < upstream.num_cuts; ++k) num_settings *= cutting::kNumMeasSettings;
+      for (int k = 0; k < bp.num_cuts(); ++k) num_settings *= cutting::kNumMeasSettings;
       std::vector<std::vector<double>> ordered(num_settings);
       for (std::uint32_t s = 0; s < num_settings; ++s) {
-        ordered[s] = upstream.upstream_distribution(s);
+        ordered[s] = measured.distribution(0, cutting::FragmentVariantKey{0, s});
       }
-      spec = cutting::detect_golden_from_counts(bp, ordered, upstream.shots_per_variant,
+      spec = cutting::detect_golden_from_counts(bp, ordered, measured.shots_per_variant,
                                                 options.online)
                  .to_spec();
-      cutting::FragmentData downstream =
-          cutting::execute_downstream_only(bp, spec, backend, exec);
-      data = std::move(upstream);
-      data.downstream = std::move(downstream.downstream);
       break;
     }
   }
 
+  const cutting::ChainNeglectSpec chain_spec{{spec}};
+  const cutting::ChainFragmentData data =
+      cutting::execute_chain(graph, chain_spec, backend, exec);
   cutting::ReconstructionOptions recon;
   recon.pool = options.pool;
-  return cutting::reconstruct_distribution(bp, data, spec, recon).raw_probabilities;
+  return cutting::reconstruct_distribution(graph, data, chain_spec, recon).raw_probabilities;
 }
 
 TEST(CutService, MatchesDirectPathBitForBitUnderAllGoldenModes) {
@@ -144,7 +142,8 @@ TEST(CutService, MatchesDirectPathBitForBitUnderAllGoldenModes) {
 
     // qcut::run is the thin synchronous wrapper over the service.
     backend::StatevectorBackend wrapper_backend(55);
-    const CutResponse wrapped = cutting::run(make_cut_request(ansatz.circuit, cuts, c.options), wrapper_backend);
+    const CutResponse wrapped =
+        cutting::run(make_cut_request(ansatz.circuit, cuts, c.options), wrapper_backend);
     EXPECT_EQ(wrapped.reconstruction.raw_probabilities, expected);
   }
 }
@@ -391,18 +390,21 @@ TEST(CutService, ObservableAutoPlanMatchesDirectEstimatePathBitForBit) {
       cutting::DiagonalObservable::from_pauli(circuit::PauliString::parse("ZZI"));
 
   // Direct path: observable-aware plan, observable-specific detection,
-  // direct fragment execution, estimate_expectation.
+  // direct fragment execution, reconstruct_diagonal_expectation.
   const auto plan = cutting::plan_best_single_cut(circuit, obs);
   ASSERT_TRUE(plan.has_value());
   const std::array<WirePoint, 1> cuts = {plan->point};
   const cutting::Bipartition bp = cutting::make_bipartition(circuit, cuts);
-  const NeglectSpec spec = cutting::detect_golden_for_observable(bp, obs).to_spec();
+  const cutting::FragmentGraph graph = cutting::make_fragment_graph(circuit, cuts);
+  const cutting::ChainNeglectSpec spec{{cutting::detect_golden_for_observable(bp, obs).to_spec()}};
 
   backend::StatevectorBackend direct_backend(61);
   cutting::ExecutionOptions exec;
   exec.shots_per_variant = 2500;
-  const cutting::FragmentData data = cutting::execute_fragments(bp, spec, direct_backend, exec);
-  const double expected = cutting::estimate_expectation(bp, data, spec, obs);
+  const cutting::ChainFragmentData data =
+      cutting::execute_chain(graph, spec, direct_backend, exec);
+  const double expected =
+      cutting::reconstruct_diagonal_expectation(graph, data, spec, obs.diagonal());
 
   // Service path: the same request expressed as an auto-planned
   // observable-target CutRequest.
@@ -514,6 +516,47 @@ TEST(CutService, PauliTargetIsRotatedAndEstimated) {
   sv.apply_circuit(ansatz.circuit);
   ASSERT_TRUE(response.expectation.has_value());
   EXPECT_NEAR(*response.expectation, sv.expectation_pauli(pauli), 1e-9);
+}
+
+/// The bootstrap on a 3-fragment chain: its estimate is the response's
+/// expectation bit for bit, and the whole result is a direct
+/// bootstrap_expectation on the response's graph, data and specs.
+TEST(CutService, BootstrapRunsOnThreeFragmentChain) {
+  circuit::Circuit c(5);
+  c.h(0).cx(0, 1).ry(0.3, 1);                 // fragment 0
+  c.cx(1, 2).ry(0.5, 2).cx(2, 3).ry(0.4, 3);  // fragment 1
+  c.cx(3, 4).ry(0.2, 4);                      // fragment 2
+  const cutting::BoundaryList boundaries = {{WirePoint{1, 2}}, {WirePoint{3, 6}}};
+  const cutting::DiagonalObservable obs = cutting::DiagonalObservable::parity(5);
+  cutting::BootstrapOptions boot;
+  boot.replicas = 40;
+
+  for (const GoldenMode mode : {GoldenMode::None, GoldenMode::DetectOnline}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    cutting::CutRequest request(c);
+    request.with_boundaries(boundaries)
+        .with_observable(obs)
+        .with_golden(mode)
+        .with_shots(2000)
+        .with_uncertainty(boot);
+
+    backend::StatevectorBackend backend(21);
+    CutService service(backend);
+    const CutResponse response = service.run(request);
+    ASSERT_EQ(response.graph.num_fragments(), 3);
+    ASSERT_TRUE(response.expectation.has_value());
+    ASSERT_TRUE(response.uncertainty.has_value());
+    const cutting::ExpectationUncertainty& u = *response.uncertainty;
+    EXPECT_EQ(u.estimate, *response.expectation);
+    EXPECT_GT(u.standard_error, 0.0);
+
+    const cutting::ExpectationUncertainty direct = cutting::bootstrap_expectation(
+        response.graph, response.data, response.specs, obs, boot);
+    EXPECT_EQ(u.estimate, direct.estimate);
+    EXPECT_EQ(u.standard_error, direct.standard_error);
+    EXPECT_EQ(u.ci_lower, direct.ci_lower);
+    EXPECT_EQ(u.ci_upper, direct.ci_upper);
+  }
 }
 
 TEST(CutService, ExactOnlineDetectionIsRejected) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -43,22 +44,14 @@ std::vector<std::vector<std::size_t>> wire_chains(const Circuit& circuit) {
 std::optional<CutAnalysis> try_analyze_cuts(const Circuit& circuit,
                                             std::span<const WirePoint> cuts,
                                             std::string* why) {
-  return try_analyze_cuts(circuit, cuts, wire_chains(circuit), why);
-}
-
-std::optional<CutAnalysis> try_analyze_cuts(const Circuit& circuit,
-                                            std::span<const WirePoint> cuts,
-                                            std::span<const std::vector<std::size_t>> chain,
-                                            std::string* why) {
   auto fail = [&](const std::string& message) -> std::optional<CutAnalysis> {
     if (why != nullptr) *why = message;
     return std::nullopt;
   };
 
-  QCUT_CHECK(chain.size() == static_cast<std::size_t>(circuit.num_qubits()),
-             "try_analyze_cuts: need one op chain per qubit");
   if (cuts.empty()) return fail("no cuts given");
   if (circuit.num_ops() == 0) return fail("circuit has no operations");
+  const std::vector<std::vector<std::size_t>> chain = wire_chains(circuit);
 
   // Validate each cut and record the wire segment (pair of op indices) it removes.
   struct CutEdge {
@@ -173,6 +166,116 @@ std::optional<CutAnalysis> try_analyze_cuts(const Circuit& circuit,
 
   analysis.cut_qubits = std::move(cut_qubits);
   return analysis;
+}
+
+std::vector<SingleCut> valid_single_cuts(const Circuit& circuit) {
+  const std::size_t num_ops = circuit.num_ops();
+  const std::vector<std::vector<std::size_t>> chains = wire_chains(circuit);
+
+  // The op graph as adjacency arrays. Edges are numbered in scan order
+  // (qubit, then position along the wire), so edge first_edge[q] + i joins
+  // chains[q][i] and chains[q][i + 1].
+  std::vector<std::size_t> first_edge(chains.size() + 1, 0);
+  std::vector<std::size_t> arc_begin(num_ops + 1, 0);
+  for (std::size_t q = 0; q < chains.size(); ++q) {
+    const std::vector<std::size_t>& ops = chains[q];
+    first_edge[q + 1] = first_edge[q] + (ops.empty() ? 0 : ops.size() - 1);
+    for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
+      ++arc_begin[ops[i] + 1];
+      ++arc_begin[ops[i + 1] + 1];
+    }
+  }
+  for (std::size_t op = 0; op < num_ops; ++op) arc_begin[op + 1] += arc_begin[op];
+  struct Arc {
+    std::size_t to;
+    std::size_t edge;
+  };
+  std::vector<Arc> arcs(arc_begin[num_ops]);
+  std::vector<std::size_t> fill(arc_begin.begin(), arc_begin.end() - 1);
+  for (std::size_t q = 0; q < chains.size(); ++q) {
+    const std::vector<std::size_t>& ops = chains[q];
+    for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
+      const std::size_t edge = first_edge[q] + i;
+      arcs[fill[ops[i]]++] = Arc{ops[i + 1], edge};
+      arcs[fill[ops[i + 1]]++] = Arc{ops[i], edge};
+    }
+  }
+
+  // Tarjan's bridge search, iterative. enter[v] numbers ops in DFS preorder
+  // and last[v] is the largest number in v's subtree, so the subtree is the
+  // range [enter[v], last[v]]. A tree edge into v is a bridge when nothing
+  // in v's subtree reaches above v (low[v] > enter[parent]); only the edge
+  // that entered v is skipped, so a parallel edge counts as a way back.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> enter(num_ops, kNone);
+  std::vector<std::size_t> low(num_ops, 0);
+  std::vector<std::size_t> last(num_ops, 0);
+  std::vector<std::size_t> entry_edge(num_ops, kNone);
+  struct Bridge {
+    std::size_t child = kNone;  // the endpoint whose subtree is one side
+    std::size_t root = kNone;   // the DFS root of the component
+  };
+  std::vector<Bridge> bridges(first_edge.back());
+  std::vector<std::pair<std::size_t, std::size_t>> stack;  // (op, next arc)
+  std::size_t counter = 0;
+  for (std::size_t root = 0; root < num_ops; ++root) {
+    if (enter[root] != kNone) continue;
+    enter[root] = low[root] = counter++;
+    stack.emplace_back(root, arc_begin[root]);
+    while (!stack.empty()) {
+      const std::size_t v = stack.back().first;
+      const std::size_t next = stack.back().second;
+      if (next < arc_begin[v + 1]) {
+        ++stack.back().second;
+        const Arc arc = arcs[next];
+        if (arc.edge == entry_edge[v]) continue;
+        if (enter[arc.to] == kNone) {
+          entry_edge[arc.to] = arc.edge;
+          enter[arc.to] = low[arc.to] = counter++;
+          stack.emplace_back(arc.to, arc_begin[arc.to]);
+        } else {
+          low[v] = std::min(low[v], enter[arc.to]);
+        }
+        continue;
+      }
+      last[v] = counter - 1;
+      stack.pop_back();
+      if (stack.empty()) continue;
+      const std::size_t parent = stack.back().first;
+      low[parent] = std::min(low[parent], low[v]);
+      if (low[v] > enter[parent]) bridges[entry_edge[v]] = Bridge{v, root};
+    }
+  }
+
+  // Removing a bridge splits its component into the child's subtree and
+  // the rest; the downstream fragment is the part holding down_op, and
+  // every other component stays upstream (try_analyze_cuts's default).
+  const auto in_subtree = [&](std::size_t op, std::size_t top) {
+    return enter[top] <= enter[op] && enter[op] <= last[top];
+  };
+  std::vector<SingleCut> cuts;
+  for (std::size_t q = 0; q < chains.size(); ++q) {
+    const std::vector<std::size_t>& ops = chains[q];
+    for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
+      const Bridge& bridge = bridges[first_edge[q] + i];
+      if (bridge.child == kNone) continue;
+      const bool subtree_is_downstream = bridge.child == ops[i + 1];
+      SingleCut cut;
+      cut.point = WirePoint{static_cast<int>(q), ops[i]};
+      cut.down_op = ops[i + 1];
+      cut.analysis.cut_qubits = {static_cast<int>(q)};
+      cut.analysis.op_fragment.resize(num_ops);
+      for (std::size_t op = 0; op < num_ops; ++op) {
+        const bool downstream =
+            subtree_is_downstream
+                ? in_subtree(op, bridge.child)
+                : in_subtree(op, bridge.root) && !in_subtree(op, bridge.child);
+        cut.analysis.op_fragment[op] = downstream ? FragmentId::Downstream : FragmentId::Upstream;
+      }
+      cuts.push_back(std::move(cut));
+    }
+  }
+  return cuts;
 }
 
 CutAnalysis analyze_cuts(const Circuit& circuit, std::span<const WirePoint> cuts) {

@@ -59,10 +59,20 @@ struct CutAnalysis {
 /// structure cut analysis walks.
 [[nodiscard]] std::vector<std::vector<std::size_t>> wire_chains(const Circuit& circuit);
 
-/// try_analyze_cuts on chains already built by wire_chains(circuit), for
-/// callers that analyze many cut sets of one circuit (the cut planner).
-[[nodiscard]] std::optional<CutAnalysis> try_analyze_cuts(
-    const Circuit& circuit, std::span<const WirePoint> cuts,
-    std::span<const std::vector<std::size_t>> chains, std::string* why = nullptr);
+/// One valid single cut and its analysis.
+struct SingleCut {
+  WirePoint point;
+  std::size_t down_op = 0;  // the op after point.after_op on point.qubit
+  CutAnalysis analysis;     // == try_analyze_cuts(circuit, {point})
+};
+
+/// Every single cut try_analyze_cuts accepts, in the order of a scan over
+/// qubits and, per qubit, along its wire, found by one bridge search of the
+/// op graph instead of one analysis per cut point. In that graph the ops
+/// are nodes and each pair of consecutive ops on a wire is an edge of its
+/// own (two ops sharing two wires are joined twice), so a single cut is
+/// valid exactly when its wire segment is a bridge, and its downstream
+/// fragment is the side of the bridge that holds down_op.
+[[nodiscard]] std::vector<SingleCut> valid_single_cuts(const Circuit& circuit);
 
 }  // namespace qcut::circuit

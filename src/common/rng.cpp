@@ -145,7 +145,10 @@ std::vector<std::uint64_t> DiscreteSampler::sample_histogram(std::size_t n, Rng&
   // draws over 2^16-2^20; 100 draws over 2^16 run ~3x faster by search.
   constexpr std::size_t kOutcomesPerDraw = 16;
   constexpr std::size_t kGuidedDraws = 2048;
-  if (n < std::min(size / kOutcomesPerDraw, kGuidedDraws)) {
+  // Guide entries hold an outcome index below 2^31 (their top bit is a
+  // flag), which every table short of 16 GiB satisfies.
+  constexpr std::size_t kMaxGuidedSize = std::size_t{1} << 31;
+  if (n < std::min(size / kOutcomesPerDraw, kGuidedDraws) || size > kMaxGuidedSize) {
     for (std::size_t i = 0; i < n; ++i) ++histogram[sample(rng)];
     return histogram;
   }
@@ -153,43 +156,63 @@ std::vector<std::uint64_t> DiscreteSampler::sample_histogram(std::size_t n, Rng&
   // A guide table over the top b bits of each draw: bucket k holds the
   // draws r in [k, k + 1) * 2^-b, exactly total / 2^b of the mass. Its
   // size depends only on (size, n): the smallest power of two at least
-  // min(4 * size, n), capped at 2^12 entries. No more entries than draws:
+  // min(16 * size, n), capped at 2^12 entries. No more entries than draws:
   // a bigger table costs more to build than its shorter scans save (1500
   // draws over 2^14 outcomes take ~25% less time with 2^11 entries than
-  // with 2^12).
+  // with 2^12). Up to 16 entries per outcome leave most of a paper-size
+  // fragment's mass in buckets that hold a single outcome.
   constexpr int kMaxGuideBits = 12;
+  constexpr std::size_t kEntriesPerOutcome = 16;
   int bits = 0;
-  while (bits < kMaxGuideBits && (std::size_t{1} << bits) < std::min(4 * size, n)) ++bits;
+  while (bits < kMaxGuideBits &&
+         (std::size_t{1} << bits) < std::min(kEntriesPerOutcome * size, n)) {
+    ++bits;
+  }
   const std::size_t buckets = std::size_t{1} << bits;
 
   // guide[k] = std::upper_bound's index of bucket k's lower bound
   // k * 2^-b * total (rounded once, as a draw's u is), clamped to size - 1
-  // as sample() clamps.
+  // as sample() clamps. u never decreases as the draw grows, so when the
+  // bucket's highest draw, (k + 1) * 2^-b - 2^-53, maps to the same index,
+  // every draw in the bucket does: the entry then carries kWhole and its
+  // draws take that index without computing u. That holds when the index
+  // is the last, or when the highest draw's u is still below cdf[index]
+  // (every u in the bucket is at least the lower bound's, which is at
+  // least cdf[index - 1]).
+  constexpr std::uint32_t kWhole = std::uint32_t{1} << 31;
   const double total = cdf_.back();
   const std::size_t last = size - 1;
   const double bucket_width = std::ldexp(1.0, -bits);
+  const int shift = 53 - bits;
   std::vector<std::uint32_t> guide(buckets);
   std::size_t at = 0;
   for (std::size_t k = 0; k < buckets; ++k) {
     const double bound = static_cast<double>(k) * bucket_width * total;
     while (at < last && !(bound < cdf_[at])) ++at;
-    guide[k] = static_cast<std::uint32_t>(at);
+    const double highest =
+        unit_from_bits(((static_cast<std::uint64_t>(k + 1) << shift) - 1) << 11) * total;
+    const bool whole = at == last || highest < cdf_[at];
+    guide[k] = static_cast<std::uint32_t>(at) | (whole ? kWhole : 0);
   }
 
-  // One draw per shot, u computed exactly as sample() computes it. The
-  // draw's bucket k = floor(r * 2^b) gives r >= k * 2^-b exactly, so its u
-  // is at least bucket k's rounded bound and its outcome at least guide[k];
-  // the scan then applies sample()'s own predicate and clamp. Expected
-  // scan length is at most 1 + size / 2^b steps for every distribution.
-  // The draws come from a local copy of the generator, written back after
-  // the loop: the histogram's stores could otherwise alias its state, which
-  // would then go through memory on every shot.
-  const int shift = 53 - bits;
+  // One draw per shot. The draw's bucket k = floor(r * 2^b) gives
+  // r >= k * 2^-b exactly, so its u, computed exactly as sample() computes
+  // it, is at least bucket k's rounded bound and its outcome at least
+  // guide[k]; the scan then applies sample()'s own predicate and clamp.
+  // Expected scan length is at most 1 + size / 2^b steps for every
+  // distribution. The draws come from a local copy of the generator,
+  // written back after the loop: the histogram's stores could otherwise
+  // alias its state, which would then go through memory on every shot.
   Rng local = rng;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t raw = local.next_u64();
+    const std::uint32_t entry = guide[(raw >> 11) >> shift];
+    if ((entry & kWhole) != 0) {
+      ++histogram[entry & ~kWhole];
+      continue;
+    }
     const double u = unit_from_bits(raw) * total;
-    std::size_t idx = guide[(raw >> 11) >> shift];
+    std::size_t idx = entry;
     while (idx < last && !(u < cdf_[idx])) ++idx;
     ++histogram[idx];
   }

@@ -98,13 +98,15 @@ class DiscreteSampler {
 
   /// Draws `n` indices and tallies them into a histogram of length size():
   /// bit for bit `n` sample() calls, and the same generator state after.
-  /// Each call builds a guide table over the top bits of the draws (4
-  /// entries per outcome, but no more than one per draw and 2^12 in all)
-  /// and finds each outcome by a forward scan from its bucket's entry:
-  /// expected O(1 + size() / entries) per draw for every distribution
-  /// shape. Fewer than min(size() / 16, 2048) draws (few draws over many
-  /// outcomes, where building the table does not pay) tally sample() draws
-  /// instead.
+  /// Each call builds a guide table over the top bits of the draws (16
+  /// entries per outcome, but no more than one per draw and 2^12 in all).
+  /// An entry whose whole bucket of draws maps to one outcome is flagged,
+  /// and its draws take that outcome without converting the draw or
+  /// comparing it; any other draw finds its outcome by a forward scan from
+  /// its bucket's entry: expected O(1 + size() / entries) per draw for
+  /// every distribution shape. Fewer than min(size() / 16, 2048) draws (few
+  /// draws over many outcomes, where building the table does not pay), or
+  /// more than 2^31 outcomes, tally sample() draws instead.
   [[nodiscard]] std::vector<std::uint64_t> sample_histogram(std::size_t n, Rng& rng) const;
 
  private:

@@ -149,8 +149,13 @@ ChainFragmentData execute_chain(const FragmentGraph& graph, const ChainNeglectSp
   }
 
   for (std::size_t v = 0; v < work.size(); ++v) {
-    data.fragments[static_cast<std::size_t>(work[v].fragment)].variants.emplace(
-        pack_variant_key(work[v].key), std::move(results[v]));
+    ChainFragmentData::PerFragment& fragment =
+        data.fragments[static_cast<std::size_t>(work[v].fragment)];
+    const std::uint64_t key = pack_variant_key(work[v].key);
+    fragment.variants.emplace(key, std::move(results[v]));
+    if (!options.exact && shots_for[v] != data.shots_per_variant) {
+      fragment.shots.emplace(key, shots_for[v]);
+    }
   }
 
   data.total_jobs = work.size();
@@ -172,6 +177,9 @@ void ingest_counts(ChainFragmentData& data, int fragment, FragmentVariantKey key
   QCUT_CHECK(data.shots_per_variant == 0 || counts.total_shots() == data.shots_per_variant,
              "ingest_counts: counts shot total does not match shots_per_variant");
   target.variants.insert_or_assign(pack_variant_key(key), counts.to_probabilities());
+  if (counts.total_shots() != data.shots_per_variant) {
+    target.shots.insert_or_assign(pack_variant_key(key), counts.total_shots());
+  }
   ++data.total_jobs;
   data.total_shots += counts.total_shots();
 }

@@ -79,10 +79,16 @@ struct ChainFragmentData {
     int width = 0;
     /// pack_variant_key(key) -> outcome distribution over 2^width.
     std::unordered_map<std::uint64_t, std::vector<double>> variants;
+    /// pack_variant_key(key) -> shots behind that distribution, for the
+    /// sampled variants whose count is not shots_per_variant (a budget's
+    /// remainder, a later DetectOnline wave, ingested counts).
+    /// execute_chain, ingest_counts and CutService record it.
+    std::unordered_map<std::uint64_t, std::size_t> shots;
   };
   std::vector<PerFragment> fragments;
 
-  std::size_t shots_per_variant = 0;  // 0 in exact mode; smallest count under a budget
+  /// 0 in exact mode; under a budget the smallest count of the first wave.
+  std::size_t shots_per_variant = 0;
   std::uint64_t total_jobs = 0;
   std::uint64_t total_shots = 0;
   double wall_seconds = 0.0;          // wall time spent gathering the data

@@ -26,35 +26,32 @@ int FragmentGraph::max_fragment_width() const {
 
 SplitQubits split_qubits(const Circuit& circuit, const CutAnalysis& analysis) {
   const int n = circuit.num_qubits();
-  std::vector<bool> in_up(static_cast<std::size_t>(n), false);
-  std::vector<bool> in_down(static_cast<std::size_t>(n), false);
-  std::vector<bool> touched(static_cast<std::size_t>(n), false);
+  constexpr std::uint8_t kUp = 1;
+  constexpr std::uint8_t kDown = 2;
+  std::vector<std::uint8_t> sides(static_cast<std::size_t>(n), 0);
   for (std::size_t i = 0; i < circuit.num_ops(); ++i) {
-    for (int q : circuit.op(i).qubits) {
-      touched[static_cast<std::size_t>(q)] = true;
-      if (analysis.op_fragment[i] == FragmentId::Upstream) {
-        in_up[static_cast<std::size_t>(q)] = true;
-      } else {
-        in_down[static_cast<std::size_t>(q)] = true;
-      }
-    }
+    const std::uint8_t side = analysis.op_fragment[i] == FragmentId::Upstream ? kUp : kDown;
+    for (int q : circuit.op(i).qubits) sides[static_cast<std::size_t>(q)] |= side;
   }
   // Idle qubits contribute a deterministic |0> output bit; they are measured
   // in the first fragment. (Sub-circuits below the first split have no idle
   // qubits: every suffix qubit carries at least one downstream op.)
-  for (int q = 0; q < n; ++q) {
-    if (!touched[static_cast<std::size_t>(q)]) in_up[static_cast<std::size_t>(q)] = true;
+  for (std::uint8_t& side : sides) {
+    if (side == 0) side = kUp;
   }
 
   SplitQubits split;
   split.up_local_of.assign(static_cast<std::size_t>(n), -1);
   split.down_local_of.assign(static_cast<std::size_t>(n), -1);
+  split.up_to_sub.reserve(static_cast<std::size_t>(n));
+  split.down_to_sub.reserve(static_cast<std::size_t>(n));
   for (int q = 0; q < n; ++q) {
-    if (in_up[static_cast<std::size_t>(q)]) {
+    const std::uint8_t side = sides[static_cast<std::size_t>(q)];
+    if ((side & kUp) != 0) {
       split.up_local_of[static_cast<std::size_t>(q)] = static_cast<int>(split.up_to_sub.size());
       split.up_to_sub.push_back(q);
     }
-    if (in_down[static_cast<std::size_t>(q)]) {
+    if ((side & kDown) != 0) {
       split.down_local_of[static_cast<std::size_t>(q)] =
           static_cast<int>(split.down_to_sub.size());
       split.down_to_sub.push_back(q);

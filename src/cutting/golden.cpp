@@ -1,6 +1,7 @@
 #include "cutting/golden.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -149,11 +150,48 @@ GoldenDetectionReport detect_golden_exact_core(const FragmentLayout& layout,
   const int num_cuts = layout.num_cuts;
   const std::vector<int>& cut_qubits = layout.cut_qubits;
   const std::vector<int>& out_qubits = layout.out_qubits;
+  const index_t out_dim = pow2(static_cast<int>(out_qubits.size()));
+
+  GoldenDetectionReport report;
+  report.violation.assign(static_cast<std::size_t>(num_cuts), {0.0, 0.0, 0.0, 0.0});
+  report.golden.assign(static_cast<std::size_t>(num_cuts), {false, false, false, false});
+
+  if (num_cuts == 1) {
+    // One cut, no context: per output bitstring, the traces of its 2x2
+    // conditional matrix rho[c][c'] = a_c * conj(a_c') against I, X, Y and
+    // Z, written out. They are the dense sum below without its products
+    // with the Paulis' zero entries, which add only signed zeros, and its
+    // products with 1, -1, i and -i, which are exact: each trace has the
+    // dense sum's value, so |trace| has its bits.
+    const index_t cut_bit = pow2(cut_qubits.front());
+    std::array<double, 4>& violation = report.violation.front();
+    for (index_t b1 = 0; b1 < out_dim; ++b1) {
+      const index_t base = scatter_bits(b1, out_qubits);
+      const linalg::cx a0 = amps[base];
+      const linalg::cx a1 = amps[base | cut_bit];
+      const linalg::cx r00 = a0 * std::conj(a0);
+      const linalg::cx r01 = a0 * std::conj(a1);
+      const linalg::cx r10 = a1 * std::conj(a0);
+      const linalg::cx r11 = a1 * std::conj(a1);
+      const std::array<double, 4> traces = {
+          std::abs(r00 + r11),                                                     // I
+          std::abs(r01 + r10),                                                     // X
+          std::abs(linalg::cx{r10.imag() - r01.imag(), r01.real() - r10.real()}),  // Y
+          std::abs(r00 - r11)};                                                    // Z
+      for (std::size_t p = 0; p < traces.size(); ++p) {
+        violation[p] = std::max(violation[p], traces[p]);
+      }
+    }
+    for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+      report.golden.front()[static_cast<std::size_t>(p)] =
+          violation[static_cast<std::size_t>(p)] <= tol;
+    }
+    return report;
+  }
 
   // Conditional (unnormalized) cut-qubit density matrices per upstream
   // output bitstring b1, back to back: entry (c, cp) of b1's matrix lives at
   // (b1 * cut_dim + c) * cut_dim + cp.
-  const index_t out_dim = pow2(static_cast<int>(out_qubits.size()));
   const index_t cut_dim = pow2(num_cuts);
   const index_t block = cut_dim * cut_dim;
   std::vector<index_t> cut_offset(cut_dim);
@@ -169,10 +207,6 @@ GoldenDetectionReport detect_golden_exact_core(const FragmentLayout& layout,
       }
     }
   }
-
-  GoldenDetectionReport report;
-  report.violation.assign(static_cast<std::size_t>(num_cuts), {0.0, 0.0, 0.0, 0.0});
-  report.golden.assign(static_cast<std::size_t>(num_cuts), {false, false, false, false});
 
   // Context combinations: each other cut takes one of the six projectors.
   std::uint64_t num_contexts = 1;

@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
 
+#include "common/error.hpp"
 #include "cutting/fragment_graph.hpp"
 #include "cutting/variants.hpp"
+#include "linalg/ops.hpp"
 #include "sim/statevector.hpp"
 
 namespace qcut::cutting {
@@ -47,15 +51,16 @@ CutView make_cut_view(const Circuit& circuit, circuit::CutAnalysis analysis) {
   FragmentLayout& up = view.upstream;
   up.num_cuts = static_cast<int>(analysis.cut_qubits.size());
   up.width = static_cast<int>(view.qubits.up_to_sub.size());
-  // Every f1 local that is not a cut wire is an output (finish_fragment's rule).
-  std::vector<bool> is_cut(static_cast<std::size_t>(up.width), false);
+  up.cut_qubits.reserve(analysis.cut_qubits.size());
   for (int q : analysis.cut_qubits) {
-    const int local = view.qubits.up_local_of[static_cast<std::size_t>(q)];
-    up.cut_qubits.push_back(local);
-    is_cut[static_cast<std::size_t>(local)] = true;
+    up.cut_qubits.push_back(view.qubits.up_local_of[static_cast<std::size_t>(q)]);
   }
+  // Every f1 local that is not a cut wire is an output (finish_fragment's rule).
+  up.out_qubits.reserve(static_cast<std::size_t>(up.width));
   for (int local = 0; local < up.width; ++local) {
-    if (!is_cut[static_cast<std::size_t>(local)]) up.out_qubits.push_back(local);
+    if (std::find(up.cut_qubits.begin(), up.cut_qubits.end(), local) == up.cut_qubits.end()) {
+      up.out_qubits.push_back(local);
+    }
   }
   view.analysis = std::move(analysis);
   return view;
@@ -82,39 +87,13 @@ std::vector<linalg::CMat> op_matrices(const Circuit& circuit) {
 sim::StateVector simulate_upstream(const Circuit& circuit,
                                    std::span<const linalg::CMat> matrices, const CutView& view) {
   sim::StateVector psi(view.f1_width());
-  std::vector<int> locals;
   for (std::size_t i = 0; i < circuit.num_ops(); ++i) {
     if (view.analysis.op_fragment[i] != circuit::FragmentId::Upstream) continue;
-    locals.clear();
-    for (int q : circuit.op(i).qubits) {
-      locals.push_back(view.qubits.up_local_of[static_cast<std::size_t>(q)]);
-    }
+    circuit::QubitList locals = circuit.op(i).qubits;
+    for (int& q : locals) q = view.qubits.up_local_of[static_cast<std::size_t>(q)];
     psi.apply_matrix(matrices[i], locals);
   }
   return psi;
-}
-
-/// Enumeration skeleton shared by the single-cut and chain planners:
-/// visits every valid single cut as
-/// visit(point, view, f1 amplitudes, up_op, down_op).
-template <typename Visit>
-void for_each_single_cut(const Circuit& circuit, Visit&& visit) {
-  const std::vector<linalg::CMat> matrices = op_matrices(circuit);
-  const std::vector<std::vector<std::size_t>> chains = circuit::wire_chains(circuit);
-  for (int q = 0; q < circuit.num_qubits(); ++q) {
-    const std::vector<std::size_t>& ops = chains[static_cast<std::size_t>(q)];
-    // Cutting after the last op on a wire is meaningless; skip it.
-    for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
-      const WirePoint point{q, ops[i]};
-      const std::array<WirePoint, 1> cuts = {point};
-      std::optional<circuit::CutAnalysis> analysis =
-          circuit::try_analyze_cuts(circuit, cuts, chains);
-      if (!analysis.has_value()) continue;
-      const CutView view = make_cut_view(circuit, *std::move(analysis));
-      const sim::StateVector upstream = simulate_upstream(circuit, matrices, view);
-      visit(point, view, upstream.amplitudes(), ops[i], ops[i + 1]);
-    }
-  }
 }
 
 /// What a single cut's neglect spec costs.
@@ -124,30 +103,30 @@ struct SpecCosts {
   std::size_t preps = 0;     // downstream preparations
 };
 
-/// SpecCosts per golden pattern. A single cut's spec, and so its costs,
-/// depend only on which of X, Y and Z are golden, so one planner call
-/// derives each of the 8 patterns at most once.
-class SpecCostTable {
- public:
-  const SpecCosts& operator()(const GoldenDetectionReport& report) {
-    std::size_t pattern = 0;
-    for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
-      if (report.golden.front()[static_cast<std::size_t>(p)]) {
-        pattern |= std::size_t{1} << (static_cast<int>(p) - 1);
+/// The SpecCosts of a single cut's report. They depend only on which of X,
+/// Y and Z are golden, so each of the 8 patterns is derived once per
+/// process.
+const SpecCosts& spec_costs(const GoldenDetectionReport& report) {
+  static const std::array<SpecCosts, 8> table = [] {
+    std::array<SpecCosts, 8> costs{};
+    for (std::size_t pattern = 0; pattern < costs.size(); ++pattern) {
+      NeglectSpec spec(1);
+      for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+        if ((pattern >> (static_cast<int>(p) - 1)) & 1U) spec.neglect(0, p);
       }
+      costs[pattern] = SpecCosts{spec.num_active_strings(), required_setting_indices(spec).size(),
+                                 required_prep_indices(spec).size()};
     }
-    std::optional<SpecCosts>& costs = table_[pattern];
-    if (!costs.has_value()) {
-      const NeglectSpec spec = report.to_spec();
-      costs = SpecCosts{spec.num_active_strings(), required_setting_indices(spec).size(),
-                        required_prep_indices(spec).size()};
+    return costs;
+  }();
+  std::size_t pattern = 0;
+  for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+    if (report.golden.front()[static_cast<std::size_t>(p)]) {
+      pattern |= std::size_t{1} << (static_cast<int>(p) - 1);
     }
-    return *costs;
   }
-
- private:
-  std::array<std::optional<SpecCosts>, 8> table_{};
-};
+  return table[pattern];
+}
 
 /// CutCandidate from one analyzed cut and its golden report.
 CutCandidate make_candidate(const WirePoint& point, const CutView& view,
@@ -172,19 +151,22 @@ CutCandidate make_candidate(const WirePoint& point, const CutView& view,
 /// amplitudes to the golden report that should rank it.
 template <typename Detect>
 std::vector<CutCandidate> enumerate_with(const Circuit& circuit, Detect&& detect) {
+  const std::vector<linalg::CMat> matrices = op_matrices(circuit);
+  std::vector<circuit::SingleCut> cuts = circuit::valid_single_cuts(circuit);
   std::vector<CutCandidate> candidates;
-  SpecCostTable spec_costs;
-  for_each_single_cut(circuit, [&](const WirePoint& point, const CutView& view,
-                                   std::span<const linalg::cx> amplitudes, std::size_t,
-                                   std::size_t) {
-    const GoldenDetectionReport report = detect(view, amplitudes);
-    candidates.push_back(make_candidate(point, view, report, spec_costs(report)));
-  });
+  candidates.reserve(cuts.size());
+  for (circuit::SingleCut& cut : cuts) {
+    const CutView view = make_cut_view(circuit, std::move(cut.analysis));
+    const sim::StateVector upstream = simulate_upstream(circuit, matrices, view);
+    const GoldenDetectionReport report = detect(view, upstream.amplitudes());
+    candidates.push_back(make_candidate(cut.point, view, report, spec_costs(report)));
+  }
   return candidates;
 }
 
-std::optional<CutCandidate> pick_best(std::vector<CutCandidate> candidates,
-                                      const PlannerOptions& options) {
+/// Index of the lowest-scoring candidate (the first of equals).
+std::optional<std::size_t> pick_best(const std::vector<CutCandidate>& candidates,
+                                     const PlannerOptions& options) {
   if (candidates.empty()) return std::nullopt;
 
   // Score: circuit evaluations dominate (that is the paper's wall-time
@@ -197,8 +179,173 @@ std::optional<CutCandidate> pick_best(std::vector<CutCandidate> candidates,
   const auto best = std::min_element(
       candidates.begin(), candidates.end(),
       [&](const CutCandidate& a, const CutCandidate& b) { return score(a) < score(b); });
-  return *best;
+  return static_cast<std::size_t>(best - candidates.begin());
 }
+
+// ---- Screening --------------------------------------------------------------
+//
+// A cut's f1 state is also the whole circuit's state with the downstream
+// ops D undone: every op of D follows every upstream op it shares a wire
+// with, so undoing D (adjoints, in reverse program order) leaves the
+// upstream state on f1's qubits and |0> on the rest. One full simulation
+// per planner call therefore serves every cut whose |D| undo steps on 2^n
+// amplitudes cost less than the |U| forward steps on 2^w1 that
+// simulate_upstream takes, above all cuts whose downstream part is a wire's
+// trailing gates and whose upstream is nearly the whole circuit.
+//
+// Those violations are approximate, so they only screen. A screened
+// verdict stands only when it is at least kScreenMargin from the
+// tolerance; otherwise, and for the cut(s) a plan finally returns, the
+// exact detector decides. How far a screened violation can be from the
+// exact detector's, with u = 2^-53 and N ops, all named gates on at most 3
+// qubits (m <= 8 amplitudes per group):
+//  * a computed gate matrix is within ~12u of a unitary in the 2-norm, and
+//    one application (m-term complex dot products) adds at most ~35u times
+//    the state's norm, so each op moves a computed state at most 64u from
+//    the exactly applied unitary;
+//  * the screen's state takes N + |D| such steps and the exact detector's
+//    upstream |U|, 2N in all, and every state keeps norm 1 + O(Nu);
+//  * a violation is a max over 2x2 traces of amplitude pairs, which moves
+//    by at most 3x the 2-norm change of the state, plus 16u of rounding in
+//    each detector.
+// So |screened - exact| <= 3 * 64u * 2N + 32u < 4.3e-14 * N + 4e-15, which
+// kMaxScreenedOps = 1024 keeps below 4.4e-11, under half of kScreenMargin.
+// A Custom op is unitary only to append_custom's check (a tolerance the
+// caller may loosen), so a circuit holding one is never screened.
+constexpr double kScreenMargin = 1e-10;
+constexpr std::size_t kMaxScreenedOps = 1024;
+// The screen keeps two full registers: above 2^20 amplitudes (16 MiB each)
+// that outgrows the upstream simulation it would save.
+constexpr int kMaxScreenedQubits = 20;
+
+/// Golden reports for the single cuts of one circuit: screened where that
+/// is cheaper and its verdicts are clear of the tolerance, exact otherwise.
+class CutJudge {
+ public:
+  CutJudge(const Circuit& circuit, double tol)
+      : circuit_(circuit), matrices_(op_matrices(circuit)), tol_(tol) {
+    screenable_ = circuit.num_ops() <= kMaxScreenedOps &&
+                  circuit.num_qubits() <= kMaxScreenedQubits &&
+                  std::none_of(circuit.ops().begin(), circuit.ops().end(),
+                               [](const circuit::Operation& op) {
+                                 return op.kind == circuit::GateKind::Custom;
+                               });
+  }
+
+  /// The exact detector's report.
+  [[nodiscard]] GoldenDetectionReport exact(const CutView& view) const {
+    const sim::StateVector upstream = simulate_upstream(circuit_, matrices_, view);
+    return detect_golden_exact_core(view.upstream, upstream.amplitudes(), tol_);
+  }
+
+  /// A report whose golden verdicts are exact(view)'s. Its violations are
+  /// exact unless `screened` is set.
+  GoldenDetectionReport operator()(const CutView& view, bool& screened) {
+    screened = false;
+    if (!screenable_) return exact(view);
+    std::size_t downstream_ops = 0;
+    for (const circuit::FragmentId id : view.analysis.op_fragment) {
+      downstream_ops += id == circuit::FragmentId::Downstream ? 1 : 0;
+    }
+    const std::size_t upstream_ops = circuit_.num_ops() - downstream_ops;
+    if ((downstream_ops << circuit_.num_qubits()) >= (upstream_ops << view.f1_width())) {
+      return exact(view);
+    }
+    GoldenDetectionReport report = screen(view);
+    for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+      // Written so that NaN goes to the exact detector too.
+      if (!(std::abs(report.violation.front()[static_cast<std::size_t>(p)] - tol_) >
+            kScreenMargin)) {
+        return exact(view);
+      }
+    }
+    screened = true;
+    return report;
+  }
+
+ private:
+  GoldenDetectionReport screen(const CutView& view) {
+    if (!full_.has_value()) {
+      full_.emplace(circuit_.num_qubits());
+      for (std::size_t i = 0; i < circuit_.num_ops(); ++i) {
+        full_->apply_matrix(matrices_[i], circuit_.op(i).qubits);
+      }
+    }
+    sim::StateVector state = *full_;
+    for (std::size_t i = circuit_.num_ops(); i-- > 0;) {
+      if (view.analysis.op_fragment[i] != circuit::FragmentId::Downstream) continue;
+      state.apply_matrix(linalg::dagger(matrices_[i]), circuit_.op(i).qubits);
+    }
+    // The f1 amplitudes, read in place: f1's cut and output qubits under
+    // their original indices, every other qubit at 0.
+    FragmentLayout layout;
+    layout.num_cuts = 1;
+    layout.width = circuit_.num_qubits();
+    layout.cut_qubits = view.analysis.cut_qubits;
+    layout.out_qubits = view.output_original();
+    return detect_golden_exact_core(layout, state.amplitudes(), tol_);
+  }
+
+  const Circuit& circuit_;
+  std::vector<linalg::CMat> matrices_;
+  double tol_;
+  bool screenable_ = false;
+  std::optional<sim::StateVector> full_;  // the whole circuit, once screened
+};
+
+/// Every valid single cut in scan order, ranked from its judged report, for
+/// the plan_* entry points. confirmed(i) is the exact candidate.
+class SingleCutRanking {
+ public:
+  SingleCutRanking(const Circuit& circuit, double tol) : judge_(circuit, tol) {
+    std::vector<circuit::SingleCut> cuts = circuit::valid_single_cuts(circuit);
+    candidates_.reserve(cuts.size());
+    views_.reserve(cuts.size());
+    costs_.reserve(cuts.size());
+    down_ops_.reserve(cuts.size());
+    screened_.reserve(cuts.size());
+    for (circuit::SingleCut& cut : cuts) {
+      CutView view = make_cut_view(circuit, std::move(cut.analysis));
+      bool screened = false;
+      const GoldenDetectionReport report = judge_(view, screened);
+      const SpecCosts& costs = spec_costs(report);
+      candidates_.push_back(make_candidate(cut.point, view, report, costs));
+      costs_.push_back(costs);
+      down_ops_.push_back(cut.down_op);
+      screened_.push_back(screened ? 1 : 0);
+      views_.push_back(std::move(view));
+    }
+  }
+
+  /// Candidates whose golden verdicts, and so terms and evaluations, are
+  /// exact; their violations may be screened.
+  [[nodiscard]] const std::vector<CutCandidate>& candidates() const { return candidates_; }
+  [[nodiscard]] const CutView& view(std::size_t i) const { return views_[i]; }
+  [[nodiscard]] const SpecCosts& costs(std::size_t i) const { return costs_[i]; }
+  [[nodiscard]] std::size_t down_op(std::size_t i) const { return down_ops_[i]; }
+
+  /// Candidate i as enumerate_single_cuts reports it.
+  CutCandidate confirmed(std::size_t i) {
+    if (screened_[i] != 0) {
+      const GoldenDetectionReport report = judge_.exact(views_[i]);
+      CutCandidate exact =
+          make_candidate(candidates_[i].point, views_[i], report, spec_costs(report));
+      QCUT_ASSERT(exact.golden_bases == candidates_[i].golden_bases,
+                  "planner: a screened golden verdict differs from the exact detector's");
+      candidates_[i] = std::move(exact);
+      screened_[i] = 0;
+    }
+    return candidates_[i];
+  }
+
+ private:
+  CutJudge judge_;
+  std::vector<CutCandidate> candidates_;
+  std::vector<CutView> views_;
+  std::vector<SpecCosts> costs_;
+  std::vector<std::size_t> down_ops_;
+  std::vector<char> screened_;
+};
 
 }  // namespace
 
@@ -224,22 +371,38 @@ std::vector<CutCandidate> enumerate_single_cuts(const Circuit& circuit,
 
 std::optional<CutCandidate> plan_best_single_cut(const Circuit& circuit,
                                                  const PlannerOptions& options) {
-  return pick_best(enumerate_single_cuts(circuit, options.golden_tol), options);
+  SingleCutRanking ranking(circuit, options.golden_tol);
+  const std::optional<std::size_t> best = pick_best(ranking.candidates(), options);
+  if (!best.has_value()) return std::nullopt;
+  return ranking.confirmed(*best);
 }
 
 std::optional<CutCandidate> plan_best_single_cut(const Circuit& circuit,
                                                  const DiagonalObservable& observable,
                                                  const PlannerOptions& options) {
-  return pick_best(enumerate_single_cuts(circuit, observable, options.golden_tol), options);
+  std::vector<CutCandidate> candidates =
+      enumerate_single_cuts(circuit, observable, options.golden_tol);
+  const std::optional<std::size_t> best = pick_best(candidates, options);
+  if (!best.has_value()) return std::nullopt;
+  return std::move(candidates[*best]);
 }
 
 namespace {
 
-/// A single-cut boundary candidate enriched with the prefix structure the
-/// chain DP needs.
+/// A set of op indices, 64 to a word.
+using OpSet = std::vector<std::uint64_t>;
+
+bool contains(const OpSet& set, std::size_t op) {
+  return ((set[op / 64] >> (op % 64)) & 1U) != 0;
+}
+
+/// A single-cut boundary candidate (entry `cut` of the ranking) enriched
+/// with the prefix structure the chain DP needs.
 struct ChainCandidate {
-  CutCandidate info;
-  std::vector<bool> upstream_ops;  // op -> belongs to the prefix
+  std::size_t cut = 0;
+  int f1_width = 0;
+  int f2_width = 0;
+  OpSet upstream_ops;  // the prefix's ops
   std::size_t num_upstream_ops = 0;
   std::size_t up_op = 0;    // last prefix op on the cut wire
   std::size_t down_op = 0;  // first suffix op on the cut wire
@@ -247,52 +410,57 @@ struct ChainCandidate {
   std::size_t preps_count = 0;     // incoming preps under the detected spec
 };
 
-std::vector<ChainCandidate> enumerate_chain_candidates(const Circuit& circuit, double tol) {
+std::vector<ChainCandidate> chain_candidates(const Circuit& circuit,
+                                             const SingleCutRanking& ranking) {
   std::vector<ChainCandidate> out;
-  SpecCostTable spec_costs;
-  for_each_single_cut(circuit, [&](const WirePoint& point, const CutView& view,
-                                   std::span<const linalg::cx> amplitudes, std::size_t up_op,
-                                   std::size_t down_op) {
-    const GoldenDetectionReport report = detect_golden_exact_core(view.upstream, amplitudes, tol);
-    const SpecCosts& costs = spec_costs(report);
-
+  out.reserve(ranking.candidates().size());
+  for (std::size_t i = 0; i < ranking.candidates().size(); ++i) {
+    const CutCandidate& info = ranking.candidates()[i];
+    const CutView& view = ranking.view(i);
     ChainCandidate candidate;
-    candidate.info = make_candidate(point, view, report, costs);
-    candidate.upstream_ops.assign(circuit.num_ops(), false);
+    candidate.cut = i;
+    candidate.f1_width = info.f1_width;
+    candidate.f2_width = info.f2_width;
+    candidate.upstream_ops.assign((circuit.num_ops() + 63) / 64, 0);
     for (std::size_t op = 0; op < circuit.num_ops(); ++op) {
       if (view.analysis.op_fragment[op] == circuit::FragmentId::Upstream) {
-        candidate.upstream_ops[op] = true;
+        candidate.upstream_ops[op / 64] |= std::uint64_t{1} << (op % 64);
         ++candidate.num_upstream_ops;
       }
     }
-    candidate.up_op = up_op;
-    candidate.down_op = down_op;
-    candidate.settings_count = costs.settings;
-    candidate.preps_count = costs.preps;
+    candidate.up_op = info.point.after_op;
+    candidate.down_op = ranking.down_op(i);
+    candidate.settings_count = ranking.costs(i).settings;
+    candidate.preps_count = ranking.costs(i).preps;
     out.push_back(std::move(candidate));
-  });
+  }
   return out;
 }
 
 /// Qubits touched by the ops strictly between two prefixes (the interior
-/// fragment's width; both cut wires are touched and counted).
-int segment_width(const Circuit& circuit, const std::vector<bool>& inner,
-                  const std::vector<bool>& outer) {
-  std::vector<bool> touched(static_cast<std::size_t>(circuit.num_qubits()), false);
-  for (std::size_t op = 0; op < circuit.num_ops(); ++op) {
-    if (outer[op] && !inner[op]) {
-      for (int q : circuit.op(op).qubits) touched[static_cast<std::size_t>(q)] = true;
+/// fragment's width; both cut wires are touched and counted). `touched`
+/// is scratch space of one flag per qubit.
+int segment_width(const Circuit& circuit, const OpSet& inner, const OpSet& outer,
+                  std::vector<char>& touched) {
+  touched.assign(static_cast<std::size_t>(circuit.num_qubits()), 0);
+  int width = 0;
+  for (std::size_t word = 0; word < outer.size(); ++word) {
+    for (std::uint64_t ops = outer[word] & ~inner[word]; ops != 0; ops &= ops - 1) {
+      const std::size_t op = word * 64 + static_cast<std::size_t>(std::countr_zero(ops));
+      for (int q : circuit.op(op).qubits) {
+        char& flag = touched[static_cast<std::size_t>(q)];
+        width += flag == 0 ? 1 : 0;
+        flag = 1;
+      }
     }
   }
-  int width = 0;
-  for (bool t : touched) width += t ? 1 : 0;
   return width;
 }
 
 bool strict_subset(const ChainCandidate& inner, const ChainCandidate& outer) {
   if (inner.num_upstream_ops >= outer.num_upstream_ops) return false;
-  for (std::size_t op = 0; op < inner.upstream_ops.size(); ++op) {
-    if (inner.upstream_ops[op] && !outer.upstream_ops[op]) return false;
+  for (std::size_t word = 0; word < inner.upstream_ops.size(); ++word) {
+    if ((inner.upstream_ops[word] & ~outer.upstream_ops[word]) != 0) return false;
   }
   return true;
 }
@@ -301,8 +469,8 @@ bool strict_subset(const ChainCandidate& inner, const ChainCandidate& outer) {
 
 std::optional<ChainPlan> plan_chain_cuts(const Circuit& circuit,
                                          const ChainPlannerOptions& options) {
-  const std::vector<ChainCandidate> candidates =
-      enumerate_chain_candidates(circuit, options.base.golden_tol);
+  SingleCutRanking ranking(circuit, options.base.golden_tol);
+  const std::vector<ChainCandidate> candidates = chain_candidates(circuit, ranking);
   if (candidates.empty()) return std::nullopt;
 
   const int cap = options.max_fragment_width;
@@ -319,13 +487,14 @@ std::optional<ChainPlan> plan_chain_cuts(const Circuit& circuit,
       static_cast<std::size_t>(max_nb) + 1, std::vector<std::ptrdiff_t>(n, -1));
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (fits(candidates[i].info.f1_width)) {
+    if (fits(candidates[i].f1_width)) {
       dp[1][i] = candidates[i].settings_count;
     }
   }
   // Valid transitions are independent of the boundary count; compute each
   // (p, i) pair's verdict once instead of re-scanning ops per nb level.
   std::vector<char> transition_ok(max_nb >= 2 ? n * n : 0, 0);
+  std::vector<char> touched;
   if (max_nb >= 2) {
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -334,9 +503,11 @@ std::optional<ChainPlan> plan_chain_cuts(const Circuit& circuit,
         if (!strict_subset(prev, next)) continue;
         // Chain adjacency: the previous boundary's wire resumes, and the
         // next boundary's wire ends, inside the fragment between them.
-        if (!next.upstream_ops[prev.down_op]) continue;
-        if (prev.upstream_ops[next.up_op]) continue;
-        if (!fits(segment_width(circuit, prev.upstream_ops, next.upstream_ops))) continue;
+        if (!contains(next.upstream_ops, prev.down_op)) continue;
+        if (contains(prev.upstream_ops, next.up_op)) continue;
+        if (!fits(segment_width(circuit, prev.upstream_ops, next.upstream_ops, touched))) {
+          continue;
+        }
         transition_ok[p * n + i] = 1;
       }
     }
@@ -366,14 +537,14 @@ std::optional<ChainPlan> plan_chain_cuts(const Circuit& circuit,
   const auto better = [&](const Choice& a, const Choice& b) {
     if (a.evaluations != b.evaluations) return a.evaluations < b.evaluations;
     if (a.nb != b.nb) return a.nb < b.nb;
-    const int ia = std::abs(candidates[a.last].info.f1_width - candidates[a.last].info.f2_width);
-    const int ib = std::abs(candidates[b.last].info.f1_width - candidates[b.last].info.f2_width);
+    const int ia = std::abs(candidates[a.last].f1_width - candidates[a.last].f2_width);
+    const int ib = std::abs(candidates[b.last].f1_width - candidates[b.last].f2_width);
     return ia < ib;
   };
   for (int nb = 1; nb <= max_nb; ++nb) {
     for (std::size_t i = 0; i < n; ++i) {
       if (dp[nb][i] == kInf) continue;
-      if (!fits(candidates[i].info.f2_width)) continue;
+      if (!fits(candidates[i].f2_width)) continue;
       const Choice choice{nb, i, dp[nb][i] + candidates[i].preps_count};
       if (!best.has_value() || better(choice, *best)) best = choice;
     }
@@ -392,15 +563,16 @@ std::optional<ChainPlan> plan_chain_cuts(const Circuit& circuit,
   plan.evaluations = best->evaluations;
   for (std::size_t step = 0; step < path.size(); ++step) {
     const ChainCandidate& candidate = candidates[path[step]];
-    plan.boundaries.push_back({candidate.info.point});
-    plan.boundary_plans.push_back(candidate.info);
-    plan.terms *= candidate.info.terms;
+    CutCandidate info = ranking.confirmed(candidate.cut);
+    plan.boundaries.push_back({info.point});
+    plan.terms *= info.terms;
     plan.fragment_widths.push_back(
-        step == 0 ? candidate.info.f1_width
+        step == 0 ? info.f1_width
                   : segment_width(circuit, candidates[path[step - 1]].upstream_ops,
-                                  candidate.upstream_ops));
+                                  candidate.upstream_ops, touched));
+    plan.boundary_plans.push_back(std::move(info));
   }
-  plan.fragment_widths.push_back(candidates[path.back()].info.f2_width);
+  plan.fragment_widths.push_back(candidates[path.back()].f2_width);
 
   // The DP conditions mirror make_fragment_chain's validation; building the
   // graph here catches any divergence before the plan escapes.

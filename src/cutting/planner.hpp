@@ -7,6 +7,17 @@
 // the run targets a specific diagonal observable - the observable-specific
 // detector, which is weaker (Definition 1 is observable-dependent) and so
 // can rank a cut golden that the distribution-level detector rejects.
+//
+// The valid cuts come from one bridge scan of the op graph
+// (circuit::valid_single_cuts). enumerate_single_cuts judges every cut
+// with the exact detector and stays the reference. The distribution-level
+// plan_* calls screen and confirm: a cut whose upstream fragment costs more
+// to simulate than undoing its downstream ops on one full-circuit state is
+// judged from that state, and the verdict stands only when every X/Y/Z
+// violation is clear of golden_tol by a margin that bounds the rounding
+// difference (planner.cpp). Other cuts, and the cut(s) a plan returns, go
+// to the exact detector, so every plan is the one enumerate_single_cuts
+// would rank, bit for bit.
 
 #include <optional>
 #include <vector>
@@ -58,13 +69,15 @@ struct PlannerOptions {
 
 /// Picks the lowest-cost cut: fewest reconstruction terms, ties broken by
 /// how evenly the fragments split. Returns nullopt if no valid single cut
-/// exists.
+/// exists. Screens candidates (see the top of this file); the result equals
+/// ranking enumerate_single_cuts(circuit, options.golden_tol).
 [[nodiscard]] std::optional<CutCandidate> plan_best_single_cut(
     const Circuit& circuit, const PlannerOptions& options = {});
 
-/// Observable-aware planning: ranks the observable-specific candidate set.
-/// For expectation-value workloads this can pick a cut with fewer variant
-/// executions than any distribution-level golden cut admits.
+/// Observable-aware planning: ranks the observable-specific candidate set
+/// (judged exactly, unscreened). For expectation-value workloads this can
+/// pick a cut with fewer variant executions than any distribution-level
+/// golden cut admits.
 [[nodiscard]] std::optional<CutCandidate> plan_best_single_cut(
     const Circuit& circuit, const DiagonalObservable& observable,
     const PlannerOptions& options = {});
@@ -103,6 +116,8 @@ struct ChainPlan {
 /// boundaries whose fragments all satisfy max_fragment_width. Returns
 /// nullopt when no such chain exists. With no width cap this degenerates to
 /// the best single boundary (more boundaries never cost fewer evaluations).
+/// Screens boundary candidates like plan_best_single_cut; every returned
+/// boundary_plans entry is the exact candidate.
 [[nodiscard]] std::optional<ChainPlan> plan_chain_cuts(const Circuit& circuit,
                                                        const ChainPlannerOptions& options = {});
 

@@ -13,7 +13,8 @@ namespace qcut::cutting {
 
 namespace {
 
-/// One multinomial resample of every variant distribution in `data`.
+/// One multinomial resample of every variant distribution in `data`, each
+/// with the shots recorded for it (data.shots_per_variant where none is).
 ///
 /// Fragments are visited in order and each fragment's variants in ascending
 /// packed key, so the RNG consumption sequence (and with it every bootstrap
@@ -22,10 +23,12 @@ namespace {
 /// and rehash histories.
 ChainFragmentData resample(const ChainFragmentData& data, Rng& rng) {
   ChainFragmentData replica = data;
-  const std::size_t shots = data.shots_per_variant;
   for (ChainFragmentData::PerFragment& fragment : replica.fragments) {
     for (const std::uint64_t key : sorted_keys(fragment.variants)) {
       std::vector<double>& probs = fragment.variants.at(key);
+      const auto recorded = fragment.shots.find(key);
+      const std::size_t shots =
+          recorded != fragment.shots.end() ? recorded->second : data.shots_per_variant;
       const auto histogram = sim::sample_histogram(probs, shots, rng);
       probs = sim::histogram_to_probabilities(histogram);
     }

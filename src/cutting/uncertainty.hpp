@@ -36,8 +36,9 @@ struct DistributionUncertainty {
 
 /// Bootstraps the reconstructed distribution. `data` must be sampled
 /// (shots_per_variant > 0); exact data has no sampling error. Each replica
-/// resamples every variant in `data` with shots_per_variant shots, fragment
-/// by fragment and each fragment's variants in ascending packed key, so the
+/// resamples every variant in `data` with the shots recorded for it in
+/// PerFragment::shots (shots_per_variant where none is), fragment by
+/// fragment and each fragment's variants in ascending packed key, so the
 /// replicas are a pure function of (data, seed).
 [[nodiscard]] DistributionUncertainty bootstrap_distribution(
     const FragmentGraph& graph, const ChainFragmentData& data, const ChainNeglectSpec& spec,

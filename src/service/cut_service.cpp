@@ -714,13 +714,17 @@ void CutService::absorb_wave(const JobPtr& job) {
   }
   cutting::ChainFragmentData& data = j.response.data;
   data.wall_seconds += j.wave_timer.elapsed_seconds();
+  const bool sampled = !j.request.options.exact;
   for (const VariantSlot& slot : j.slots) {
     // A null result is a neglected failure (OnVariantFailure::Neglect):
     // the variant was dropped from reconstruction, so it contributes no
     // distribution - and never poisons the per-fragment data.
     if (slot.result == nullptr) continue;
-    data.fragments[static_cast<std::size_t>(slot.fragment)].variants.emplace(
-        cutting::pack_variant_key(slot.key), *slot.result);
+    cutting::ChainFragmentData::PerFragment& fragment =
+        data.fragments[static_cast<std::size_t>(slot.fragment)];
+    const std::uint64_t key = cutting::pack_variant_key(slot.key);
+    fragment.variants.emplace(key, *slot.result);
+    if (sampled && slot.shots != data.shots_per_variant) fragment.shots.emplace(key, slot.shots);
   }
   j.slots.clear();
   j.slots.shrink_to_fit();

@@ -45,6 +45,7 @@ std::size_t FairDispatcher::staged() const {
 }
 
 void FairDispatcher::pump(std::unique_lock<std::mutex>& lock) {
+  QCUT_ASSERT(lock.owns_lock(), "FairDispatcher::pump: caller must hold the lock");
   while (in_pool_ < width_ && staged_ > 0) {
     // Min-(pass, head sequence) over tenants with staged work. The map's
     // ordered scan plus the sequence tie-break make selection a pure
@@ -69,10 +70,14 @@ void FairDispatcher::pump(std::unique_lock<std::mutex>& lock) {
     if (dispatches_) dispatches_->add();
     if (staged_gauge_) staged_gauge_->set(static_cast<std::int64_t>(staged_));
 
-    lock.unlock();
-    // Discarded future: completion is tracked by the wrapper below, and
-    // the task itself owns error delivery (group tasks route failures into
-    // their job's promise).
+    // Submitted with the lock held: a finishing task pumps from inside its
+    // wrapper after giving up its own in_pool_ count, so if the lock were
+    // released here, the task submitted now could run and finish, drain()
+    // could see nothing in flight and destroy this object, and the wrapper
+    // would then re-lock and notify through freed memory. The pool's own
+    // lock is only ever taken after this one. Discarded future: completion
+    // is tracked by the wrapper below, and the task itself owns error
+    // delivery (group tasks route failures into their job's promise).
     auto ignored = pool_.submit([this, task = std::move(task)]() {
       try {
         task();
@@ -89,7 +94,6 @@ void FairDispatcher::pump(std::unique_lock<std::mutex>& lock) {
       drained_.notify_all();
     });
     (void)ignored;
-    lock.lock();
   }
 }
 

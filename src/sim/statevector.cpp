@@ -79,17 +79,31 @@ void StateVector::apply_matrix(const CMat& m, std::span<const int> qubits) {
   }
 }
 
+// apply_1q and apply_2q spell out GCC's std::complex product of finite
+// values, (a*c - b*d, a*d + b*c), in real arithmetic, and sum in the
+// complex expressions' order: bit for bit those expressions for finite
+// amplitudes, without the NaN-recovery branch that keeps their loops scalar.
+// Amplitudes are read as interleaved (re, im) doubles, the layout
+// std::complex guarantees.
+
 void StateVector::apply_1q(const CMat& m, int qubit) {
   const index_t stride = pow2(qubit);
-  const cx m00 = m(0, 0), m01 = m(0, 1), m10 = m(1, 0), m11 = m(1, 1);
+  const double m00r = m(0, 0).real(), m00i = m(0, 0).imag();
+  const double m01r = m(0, 1).real(), m01i = m(0, 1).imag();
+  const double m10r = m(1, 0).real(), m10i = m(1, 0).imag();
+  const double m11r = m(1, 1).real(), m11i = m(1, 1).imag();
+  double* amps = reinterpret_cast<double*>(amps_.data());
   for (index_t base = 0; base < dim(); base += 2 * stride) {
     for (index_t offset = 0; offset < stride; ++offset) {
-      const index_t i0 = base + offset;
-      const index_t i1 = i0 + stride;
-      const cx a0 = amps_[i0];
-      const cx a1 = amps_[i1];
-      amps_[i0] = m00 * a0 + m01 * a1;
-      amps_[i1] = m10 * a0 + m11 * a1;
+      double* p0 = amps + 2 * (base + offset);
+      double* p1 = p0 + 2 * stride;
+      const double a0r = p0[0], a0i = p0[1];
+      const double a1r = p1[0], a1i = p1[1];
+      // m00 * a0 + m01 * a1 and m10 * a0 + m11 * a1
+      p0[0] = (m00r * a0r - m00i * a0i) + (m01r * a1r - m01i * a1i);
+      p0[1] = (m00r * a0i + m00i * a0r) + (m01r * a1i + m01i * a1r);
+      p1[0] = (m10r * a0r - m10i * a0i) + (m11r * a1r - m11i * a1i);
+      p1[1] = (m10r * a0i + m10i * a0r) + (m11r * a1i + m11i * a1r);
     }
   }
 }
@@ -101,19 +115,35 @@ void StateVector::apply_2q(const CMat& m, int q0, int q1) {
   const index_t mask0 = pow2(q0);
   const index_t mask1 = pow2(q1);
   const std::array<int, 2> positions = {lo, hi};
+  std::array<double, 16> mr{};
+  std::array<double, 16> mi{};
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      mr[4 * r + c] = m(r, c).real();
+      mi[4 * r + c] = m(r, c).imag();
+    }
+  }
+  double* amps = reinterpret_cast<double*>(amps_.data());
   const index_t groups = dim() >> 2;
   for (index_t g = 0; g < groups; ++g) {
     const index_t base = insert_zero_bits(g, positions);
     const std::array<index_t, 4> idx = {base, base | mask0, base | mask1, base | mask0 | mask1};
-    std::array<cx, 4> in;
-    for (int j = 0; j < 4; ++j) in[static_cast<std::size_t>(j)] = amps_[idx[static_cast<std::size_t>(j)]];
-    for (int r = 0; r < 4; ++r) {
-      cx acc{0.0, 0.0};
-      for (int c = 0; c < 4; ++c) {
-        acc += m(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) *
-               in[static_cast<std::size_t>(c)];
+    std::array<double, 4> in_r{};
+    std::array<double, 4> in_i{};
+    for (std::size_t j = 0; j < 4; ++j) {
+      in_r[j] = amps[2 * idx[j]];
+      in_i[j] = amps[2 * idx[j] + 1];
+    }
+    for (std::size_t r = 0; r < 4; ++r) {
+      // acc = 0; acc += m(r, c) * in[c] for c = 0..3
+      double acc_r = 0.0;
+      double acc_i = 0.0;
+      for (std::size_t c = 0; c < 4; ++c) {
+        acc_r += mr[4 * r + c] * in_r[c] - mi[4 * r + c] * in_i[c];
+        acc_i += mr[4 * r + c] * in_i[c] + mi[4 * r + c] * in_r[c];
       }
-      amps_[idx[static_cast<std::size_t>(r)]] = acc;
+      amps[2 * idx[r]] = acc_r;
+      amps[2 * idx[r] + 1] = acc_i;
     }
   }
 }

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <vector>
+
+#include "circuit/random.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace qcut::circuit {
 namespace {
@@ -141,6 +147,122 @@ TEST(Dag, RejectsContradictoryCuts) {
 TEST(Dag, WirePointEquality) {
   EXPECT_EQ((WirePoint{1, 2}), (WirePoint{1, 2}));
   EXPECT_FALSE((WirePoint{1, 2}) == (WirePoint{1, 3}));
+}
+
+// ---- valid_single_cuts: one bridge scan == try_analyze_cuts per point ------
+
+/// valid_single_cuts(c) against its definition: every (qubit, position)
+/// that try_analyze_cuts accepts, in scan order, with that analysis.
+void expect_scan_matches_per_point_analysis(const Circuit& c) {
+  std::vector<SingleCut> expected;
+  for (int q = 0; q < c.num_qubits(); ++q) {
+    const std::vector<std::size_t> ops = c.ops_on_qubit(q);
+    for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
+      const std::array<WirePoint, 1> cuts = {WirePoint{q, ops[i]}};
+      std::optional<CutAnalysis> analysis = try_analyze_cuts(c, cuts);
+      if (analysis.has_value()) {
+        expected.push_back(SingleCut{cuts[0], ops[i + 1], *std::move(analysis)});
+      }
+    }
+  }
+  const std::vector<SingleCut> actual = valid_single_cuts(c);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(actual[i].point, expected[i].point);
+    EXPECT_EQ(actual[i].down_op, expected[i].down_op);
+    EXPECT_EQ(actual[i].analysis.op_fragment, expected[i].analysis.op_fragment);
+    EXPECT_EQ(actual[i].analysis.cut_qubits, expected[i].analysis.cut_qubits);
+  }
+}
+
+TEST(Dag, SingleCutScanHandBuiltCases) {
+  {
+    // Two consecutive 2q ops on one wire pair: two parallel edges, so
+    // neither wire between them is a bridge on its own.
+    Circuit c(3);
+    c.h(0).cx(0, 1).cz(0, 1).ry(0.3, 1).cx(1, 2).h(2);
+    expect_scan_matches_per_point_analysis(c);
+    EXPECT_EQ(valid_single_cuts(c).size(), 4u);
+  }
+  {
+    // Disconnected sub-circuits: the other block stays upstream.
+    Circuit c(4);
+    c.h(0).cx(0, 1).ry(0.2, 1).h(2).cx(2, 3).rz(0.4, 3).ry(0.1, 0).h(3);
+    expect_scan_matches_per_point_analysis(c);
+  }
+  {
+    // Idle qubits and wires carrying a single op.
+    Circuit c(6);
+    c.h(1).cx(1, 3).x(4).ry(0.5, 3).cx(3, 1).h(1);
+    expect_scan_matches_per_point_analysis(c);
+  }
+  {
+    // Three-qubit gates.
+    Circuit c(5);
+    c.h(0).h(1).ccx(0, 1, 2).ry(0.3, 2).append(GateKind::CSWAP, {2, 3, 4});
+    c.h(4).ccx(2, 3, 4).rz(0.2, 3);
+    expect_scan_matches_per_point_analysis(c);
+  }
+  {
+    // A ring: no single cut disconnects it.
+    Circuit c(3);
+    c.cx(0, 1).cx(1, 2).cx(2, 0);
+    expect_scan_matches_per_point_analysis(c);
+    EXPECT_TRUE(valid_single_cuts(c).empty());
+  }
+  EXPECT_TRUE(valid_single_cuts(Circuit(3)).empty());
+}
+
+/// A seeded circuit of 1-, 2- and 3-qubit gates on random wires, sparse
+/// enough that many wire segments are bridges.
+Circuit sparse_random_circuit(int num_qubits, int num_ops, Rng& rng) {
+  Circuit c(num_qubits);
+  const auto qubit = [&] { return static_cast<int>(rng.uniform_int(0, num_qubits - 1)); };
+  for (int i = 0; i < num_ops; ++i) {
+    const std::uint64_t kind = rng.uniform_int(0, 9);
+    const int a = qubit();
+    int b = qubit();
+    while (num_qubits > 1 && b == a) b = qubit();
+    int t = qubit();
+    while (num_qubits > 2 && (t == a || t == b)) t = qubit();
+    if (kind < 5 || num_qubits == 1) {
+      c.ry(rng.uniform(), a);
+    } else if (kind < 9 || num_qubits == 2) {
+      c.cx(a, b);
+    } else if (rng.uniform_int(0, 1) == 0) {
+      c.ccx(a, b, t);
+    } else {
+      c.append(GateKind::CSWAP, {a, b, t});
+    }
+  }
+  return c;
+}
+
+TEST(Dag, SingleCutScanMatchesPerPointAnalysisOnSeededCircuits) {
+  Rng rng(424242);
+  std::size_t cuts = 0;
+  for (int rep = 0; rep < 40; ++rep) {
+    for (int n = 1; n <= 8; ++n) {
+      SCOPED_TRACE(testing::Message() << "rep " << rep << ", " << n << " qubits");
+      const int num_ops = 2 + static_cast<int>(rng.uniform_int(0, 24));
+      const Circuit sparse = sparse_random_circuit(n, num_ops, rng);
+      expect_scan_matches_per_point_analysis(sparse);
+      cuts += valid_single_cuts(sparse).size();
+
+      RandomCircuitOptions options;
+      options.num_qubits = n;
+      options.depth = 1 + rep % 4;
+      options.two_qubit_fraction = 0.3;
+      expect_scan_matches_per_point_analysis(random_circuit(options, rng));
+      if (n >= 3) {
+        GoldenAnsatzOptions golden;
+        golden.num_qubits = n;
+        expect_scan_matches_per_point_analysis(make_golden_ansatz(golden, rng).circuit);
+      }
+    }
+  }
+  EXPECT_GT(cuts, 500u);
 }
 
 }  // namespace

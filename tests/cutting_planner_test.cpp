@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -273,29 +274,129 @@ TEST(Planner, SingleCutCandidatesMatchCommittedDigest) {
   EXPECT_EQ(parity.hash, 0x482d2a6a881a10c4ULL) << std::hex << parity.hash;
 }
 
+/// Adds a chain plan (or its absence) to `digest`; returns whether one was
+/// found.
+bool add_plan(Fnv1a& digest, const std::optional<ChainPlan>& plan) {
+  digest.add(static_cast<std::uint64_t>(plan.has_value()));
+  if (!plan.has_value()) return false;
+  for (const std::vector<circuit::WirePoint>& boundary : plan->boundaries) {
+    for (const circuit::WirePoint& point : boundary) {
+      digest.add(static_cast<std::uint64_t>(point.qubit));
+      digest.add(static_cast<std::uint64_t>(point.after_op));
+    }
+  }
+  for (const CutCandidate& c : plan->boundary_plans) digest.add(c);
+  for (const int width : plan->fragment_widths) digest.add(static_cast<std::uint64_t>(width));
+  digest.add(plan->terms);
+  digest.add(static_cast<std::uint64_t>(plan->evaluations));
+  return true;
+}
+
+/// Adds a planned single cut (or its absence) to `digest`.
+void add_best(Fnv1a& digest, const std::optional<CutCandidate>& best) {
+  digest.add(static_cast<std::uint64_t>(best.has_value()));
+  if (best.has_value()) digest.add(*best);
+}
+
 TEST(Planner, ChainPlansMatchCommittedDigest) {
   Fnv1a digest;
   std::size_t planned = 0;
   for (const Circuit& circuit : planner_corpus()) {
     ChainPlannerOptions options;
     options.max_fragment_width = circuit.num_qubits() / 2 + 1;
-    const std::optional<ChainPlan> plan = plan_chain_cuts(circuit, options);
-    digest.add(static_cast<std::uint64_t>(plan.has_value()));
-    if (!plan.has_value()) continue;
-    ++planned;
-    for (const std::vector<circuit::WirePoint>& boundary : plan->boundaries) {
-      for (const circuit::WirePoint& point : boundary) {
-        digest.add(static_cast<std::uint64_t>(point.qubit));
-        digest.add(static_cast<std::uint64_t>(point.after_op));
-      }
-    }
-    for (const CutCandidate& c : plan->boundary_plans) digest.add(c);
-    for (const int width : plan->fragment_widths) digest.add(static_cast<std::uint64_t>(width));
-    digest.add(plan->terms);
-    digest.add(static_cast<std::uint64_t>(plan->evaluations));
+    if (add_plan(digest, plan_chain_cuts(circuit, options))) ++planned;
   }
   EXPECT_GT(planned, 50u);
   EXPECT_EQ(digest.hash, 0x021170517ef70eecULL) << std::hex << digest.hash;
+}
+
+// ---- plan_* where the exact detector must decide ----------------------------
+//
+// plan_best_single_cut and plan_chain_cuts may judge a candidate from an
+// approximate statevector, but only where its verdicts are clear of the
+// tolerance and the circuit qualifies. These digests, recorded before the
+// planner screened any candidate, pin the cases that must go to the exact
+// detector instead.
+
+/// `circuit` with Custom ops: an RXX block on wires 0 and 1 in front, and a
+/// U after the last op of every wire, so every cut whose downstream part is
+/// a wire's trailing gates has a Custom op downstream.
+Circuit with_custom_ops(const Circuit& circuit, Rng& rng) {
+  Circuit out(circuit.num_qubits());
+  out.append_custom(circuit::gate_matrix(circuit::GateKind::RXX, {rng.uniform(0.0, 3.0)}),
+                    {0, 1}, "rxx");
+  std::vector<int> identity(static_cast<std::size_t>(circuit.num_qubits()));
+  for (int q = 0; q < circuit.num_qubits(); ++q) identity[static_cast<std::size_t>(q)] = q;
+  for (const circuit::Operation& op : circuit.ops()) out.append_remapped(op, identity);
+  for (int q = 0; q < circuit.num_qubits(); ++q) {
+    out.append_custom(circuit::gate_matrix(circuit::GateKind::U,
+                                           {rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0),
+                                            rng.uniform(0.0, 3.0)}),
+                      {q}, "u");
+  }
+  return out;
+}
+
+/// Golden tolerances that put verdicts on the tolerance itself: 0, where a
+/// golden element's violation sits at or just above it, and the smallest,
+/// a middle and the largest X/Y/Z violation the exact detector reports on
+/// `circuit`.
+std::vector<double> boundary_tolerances(const Circuit& circuit) {
+  std::vector<double> violations;
+  for (const CutCandidate& c : enumerate_single_cuts(circuit, 1e-9)) {
+    for (const Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+      violations.push_back(c.violation[static_cast<std::size_t>(p)]);
+    }
+  }
+  std::vector<double> tolerances = {0.0};
+  if (!violations.empty()) {
+    std::sort(violations.begin(), violations.end());
+    tolerances.push_back(violations.front());
+    tolerances.push_back(violations[violations.size() / 2]);
+    tolerances.push_back(violations.back());
+  }
+  return tolerances;
+}
+
+TEST(Planner, BestSingleCutsMatchCommittedDigest) {
+  Fnv1a digest;
+  for (const Circuit& circuit : planner_corpus()) add_best(digest, plan_best_single_cut(circuit));
+  EXPECT_EQ(digest.hash, 0xf543b23bd2db2325ULL) << std::hex << digest.hash;
+}
+
+TEST(Planner, PlansAtBoundaryTolerancesMatchCommittedDigest) {
+  Fnv1a best_digest;
+  Fnv1a chain_digest;
+  std::size_t plans = 0;
+  for (const Circuit& circuit : planner_corpus()) {
+    for (const double tol : boundary_tolerances(circuit)) {
+      PlannerOptions options;
+      options.golden_tol = tol;
+      add_best(best_digest, plan_best_single_cut(circuit, options));
+      ChainPlannerOptions chain;
+      chain.base = options;
+      chain.max_fragment_width = circuit.num_qubits() / 2 + 1;
+      if (add_plan(chain_digest, plan_chain_cuts(circuit, chain))) ++plans;
+    }
+  }
+  EXPECT_GT(plans, 200u);
+  EXPECT_EQ(best_digest.hash, 0xeb433e12046df7c6ULL) << std::hex << best_digest.hash;
+  EXPECT_EQ(chain_digest.hash, 0x05b076139235946dULL) << std::hex << chain_digest.hash;
+}
+
+TEST(Planner, PlansWithCustomOpsMatchCommittedDigest) {
+  Rng rng(31);
+  Fnv1a best_digest;
+  Fnv1a chain_digest;
+  for (const Circuit& corpus_circuit : planner_corpus()) {
+    const Circuit circuit = with_custom_ops(corpus_circuit, rng);
+    add_best(best_digest, plan_best_single_cut(circuit));
+    ChainPlannerOptions chain;
+    chain.max_fragment_width = circuit.num_qubits() / 2 + 1;
+    add_plan(chain_digest, plan_chain_cuts(circuit, chain));
+  }
+  EXPECT_EQ(best_digest.hash, 0x87e1ebb522f92a73ULL) << std::hex << best_digest.hash;
+  EXPECT_EQ(chain_digest.hash, 0x20035d035295cc0eULL) << std::hex << chain_digest.hash;
 }
 
 }  // namespace

@@ -219,7 +219,11 @@ TEST(Bootstrap, RunsOnThreeFragmentChain) {
 /// Bipartition API (upstream and downstream distributions keyed by setting
 /// and prep tuple) before the bootstrap moved onto the chain: the chain
 /// resample visits fragment 0's variants (ascending setting) and then
-/// fragment 1's (ascending prep), the order that API drew them in.
+/// fragment 1's (ascending prep), the order that API drew them in. The
+/// budget case's standard error and bands were re-recorded when the
+/// resample moved from the smallest share to each variant's own count: its
+/// 7013 shots give five of the six variants 1169 and the last 1168, and the
+/// old resample drew all six at 1168. Its estimate did not move.
 struct FrozenBootstrapCase {
   const char* name;
   std::uint64_t seed;  // ansatz and backend seed
@@ -248,10 +252,10 @@ TEST(Bootstrap, MatchesFrozenDigests) {
        0,
        7013,
        true,
-       {0xbfdad9e6ce7d5782ULL, 0x3f961634dc06760cULL, 0xbfdd088d599cacabULL,
-        0xbfd83d44b4969cabULL},
-       {0x78d797b1fe894d1dULL, 0xdaf3168e0a09bc20ULL, 0x3a35c8f78cb6cf7dULL,
-        0x643a0c760b276b1eULL}},
+       {0xbfdad9e6ce7d5782ULL, 0x3f95d6808f1f7b2fULL, 0xbfdd16158f32435cULL,
+        0xbfd850f56d65af11ULL},
+       {0xdf940fbb05420f63ULL, 0xc141c7c7465e0960ULL, 0xe175af2a1f4543b9ULL,
+        0x02acef0aa0eed43fULL}},
   };
   for (const FrozenBootstrapCase& c : cases) {
     SCOPED_TRACE(c.name);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -17,10 +18,13 @@
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
 #include "common/error.hpp"
+#include "common/ordered.hpp"
 #include "cutting/fragment_executor.hpp"
 #include "cutting/golden.hpp"
 #include "cutting/reconstructor.hpp"
 #include "cutting/variants.hpp"
+#include "metrics/stats.hpp"
+#include "sim/sampling.hpp"
 #include "sim/statevector.hpp"
 #include "support/run_cut.hpp"
 
@@ -557,6 +561,53 @@ TEST(CutService, BootstrapRunsOnThreeFragmentChain) {
     EXPECT_EQ(u.ci_lower, direct.ci_lower);
     EXPECT_EQ(u.ci_upper, direct.ci_upper);
   }
+}
+
+/// Under DetectOnline a total budget is split wave by wave, so fragment 1's
+/// variants run fewer shots than fragment 0's, and the bootstrap must
+/// resample each variant with its own count. 9000 shots over two waves:
+/// fragment 0's three settings get 4500 / 3 = 1500 each, and the golden
+/// boundary leaves fragment 1 four preps at 4500 / 4 = 1125.
+TEST(CutService, BootstrapResamplesEachVariantWithItsOwnShots) {
+  const auto ansatz = make_ansatz(5, 26);
+  const cutting::DiagonalObservable obs = cutting::DiagonalObservable::parity(5);
+  cutting::BootstrapOptions boot;
+  boot.replicas = 12;
+  cutting::CutRequest request(ansatz.circuit);
+  request.with_cut(ansatz.cut)
+      .with_observable(obs)
+      .with_golden(GoldenMode::DetectOnline)
+      .with_shot_budget(9000)
+      .with_uncertainty(boot);
+
+  backend::StatevectorBackend backend(5);
+  CutService service(backend);
+  const CutResponse response = service.run(request);
+  ASSERT_TRUE(response.uncertainty.has_value());
+  ASSERT_EQ(response.data.fragments.size(), 2u);
+  ASSERT_EQ(response.data.fragments[0].variants.size(), 3u);
+  ASSERT_EQ(response.data.fragments[1].variants.size(), 4u);
+  ASSERT_EQ(response.data.total_shots, 9000u);
+
+  // The replicas drawn by hand, every variant at its own wave's share.
+  const std::array<std::size_t, 2> shots = {1500, 1125};
+  Rng rng(boot.seed);
+  std::vector<double> values;
+  for (std::size_t r = 0; r < boot.replicas; ++r) {
+    Rng replica_rng = rng.child(r);
+    cutting::ChainFragmentData replica = response.data;
+    for (std::size_t f = 0; f < replica.fragments.size(); ++f) {
+      auto& variants = replica.fragments[f].variants;
+      for (const std::uint64_t key : sorted_keys(variants)) {
+        std::vector<double>& probs = variants.at(key);
+        probs =
+            sim::histogram_to_probabilities(sim::sample_histogram(probs, shots[f], replica_rng));
+      }
+    }
+    values.push_back(cutting::reconstruct_diagonal_expectation(response.graph, replica,
+                                                               response.specs, obs.diagonal()));
+  }
+  EXPECT_EQ(response.uncertainty->standard_error, metrics::summarize(values).stddev);
 }
 
 TEST(CutService, ExactOnlineDetectionIsRejected) {

@@ -187,6 +187,22 @@ TEST(FairDispatcher, EqualWeightsFallBackToSubmissionOrder) {
   EXPECT_EQ(dispatch_order(submissions), "XYXYXY");
 }
 
+TEST(FairDispatcher, TeardownWaitsForEveryWrapper) {
+  // A finishing task releases the next staged one from inside its wrapper,
+  // and its wrapper then still locks and notifies the dispatcher. drain()
+  // must count it until it is done: destroying the dispatcher right after
+  // drain(), round after round on a contended pool, must never leave a
+  // wrapper touching freed memory (a hang, a crash or an ASan report).
+  parallel::ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  for (int round = 0; round < 2000; ++round) {
+    auto dispatcher = std::make_unique<FairDispatcher>(pool, /*width=*/1);
+    for (int i = 0; i < 4; ++i) dispatcher->submit("t", 1, [&ran] { ran.fetch_add(1); });
+    dispatcher.reset();
+  }
+  EXPECT_EQ(ran.load(), 8000);
+}
+
 // ---- Admission control end to end --------------------------------------------
 
 TEST(CutServiceOverload, RejectsPastJobWatermarkWithTypedError) {

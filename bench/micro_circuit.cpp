@@ -1,14 +1,19 @@
 // Per-call cost of the circuit handling a CutService job does on its
 // scheduler thread before any simulation: copying the request circuit (as
 // cutting::resolve does), carving the fragment chain (make_fragment_chain),
-// and building and keying every fragment variant (make_fragment_variant +
-// service::hash_variant_execution, as a cache lookup does). Two shapes: the
+// building and byte-hashing every fragment variant (make_fragment_variant +
+// service::hash_variant_execution), and keying a wave the way the service
+// does, from one stream per fragment and no circuit
+// (service::fragment_key_stream + fragment_variant_key). Two shapes: the
 // perfbench sweep_warm job (depth-3 QAOA on a 12-qubit path, middle wire
 // cut) and the paper's 6-qubit Fig. 2 circuit with its designed cut.
 // Writes BENCH_micro_circuit.json: median seconds and heap allocations per
-// call of each step, plus sizeof(circuit::Operation); no gate.
+// call of each step, plus sizeof(circuit::Operation).
+//
+// Gate, timed in interleaved rounds (medians): exits nonzero unless keying
+// the sweep shape's wave takes at most 0.4x the time of building and
+// hashing its 9 variants.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -19,6 +24,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "bench_timing.hpp"
 #include "circuit/random.hpp"
 #include "common/stopwatch.hpp"
 #include "cutting/variants.hpp"
@@ -45,30 +51,10 @@ std::atomic<std::size_t> g_allocations{0};
 namespace {
 
 using namespace qcut;
+using bench::interleaved_median_seconds;
+using bench::median_seconds_per_call;
 using circuit::Circuit;
 using circuit::WirePoint;
-
-/// Median seconds per call over 7 rounds, each round long enough (>= 20 ms)
-/// for the clock.
-template <typename Call>
-double median_seconds_per_call(Call&& call) {
-  std::size_t calls = 1;
-  for (;;) {
-    Stopwatch watch;
-    for (std::size_t i = 0; i < calls; ++i) call();
-    if (watch.elapsed_seconds() >= 0.02) break;
-    calls *= 2;
-  }
-  constexpr int kRounds = 7;
-  std::vector<double> rounds;
-  for (int r = 0; r < kRounds; ++r) {
-    Stopwatch watch;
-    for (std::size_t i = 0; i < calls; ++i) call();
-    rounds.push_back(watch.elapsed_seconds() / static_cast<double>(calls));
-  }
-  std::nth_element(rounds.begin(), rounds.begin() + kRounds / 2, rounds.end());
-  return rounds[kRounds / 2];
-}
 
 /// Heap allocations one call makes (the count is deterministic).
 template <typename Call>
@@ -90,6 +76,7 @@ int main() {
   Stopwatch wall;
   std::vector<std::pair<std::string, double>> extras;
   std::uint64_t sink = 0;
+  double gate_ratio = 0.0;
 
   std::vector<Shape> shapes;
   {
@@ -129,14 +116,29 @@ int main() {
         sink += service::hash_variant_execution(variant.circuit, 4000, false, 1, "sv").lo;
       }
     };
+    // The variants are fragment-major, as a service wave's slots are.
+    const auto cached_keys = [&] {
+      int stream_fragment = -1;
+      service::HashStream stream;
+      for (const auto& [fragment, key] : variants) {
+        if (fragment != stream_fragment) {
+          stream_fragment = fragment;
+          const cutting::ChainFragment& frag = graph.fragments[static_cast<std::size_t>(fragment)];
+          stream = service::fragment_key_stream(frag, "sv");
+        }
+        sink += service::fragment_variant_key(stream, key, 4000, false, 1).lo;
+      }
+    };
 
     const std::vector<std::pair<std::string, double>> steps = {
         {"copy", median_seconds_per_call(copy)},
         {"fragment_chain", median_seconds_per_call(chain)},
-        {"variants_and_keys", median_seconds_per_call(keys)}};
+        {"variants_and_keys", median_seconds_per_call(keys)},
+        {"cached_wave_keys", median_seconds_per_call(cached_keys)}};
     const std::vector<double> allocations = {allocations_per_call(copy),
                                              allocations_per_call(chain),
-                                             allocations_per_call(keys)};
+                                             allocations_per_call(keys),
+                                             allocations_per_call(cached_keys)};
     std::cout << shape.name << " (" << shape.circuit.num_ops() << " ops, " << variants.size()
               << " variants):";
     for (std::size_t s = 0; s < steps.size(); ++s) {
@@ -146,7 +148,11 @@ int main() {
       std::cout << " " << steps[s].first << " " << steps[s].second * 1e6 << " us / "
                 << allocations[s] << " allocs;";
     }
-    std::cout << "\n";
+    const auto [built, cached] = interleaved_median_seconds(keys, cached_keys);
+    const double ratio = cached / built;
+    extras.emplace_back(shape.name + "_cached_over_built_keys", ratio);
+    std::cout << " interleaved: cached_wave_keys " << ratio << "x variants_and_keys\n";
+    if (shape.name == "sweep_qaoa12") gate_ratio = ratio;
   }
   extras.emplace_back("sizeof_operation_bytes", static_cast<double>(sizeof(circuit::Operation)));
   std::cout << "sizeof(Operation) " << sizeof(circuit::Operation) << " B\n";
@@ -154,5 +160,13 @@ int main() {
   // Printing the sink keeps the timed calls from being optimized away.
   std::cout << "checksum " << sink << "\n";
   (void)bench::write_bench_json("micro_circuit", wall.elapsed_seconds(), 1.0, extras);
+
+  constexpr double kKeyRatio = 0.4;
+  if (gate_ratio > kKeyRatio) {
+    std::cout << "micro_circuit: keying the sweep wave takes " << gate_ratio
+              << "x the time of building and hashing its variants, above the " << kKeyRatio
+              << "x target\n";
+    return 1;
+  }
   return 0;
 }

@@ -3,29 +3,43 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
-#include <set>
 
 #include "common/error.hpp"
 
 namespace qcut::cutting {
 
+namespace {
+
+/// Ascending and duplicate-free, in place.
+std::vector<std::uint32_t> sorted_unique(std::vector<std::uint32_t> indices) {
+  std::sort(indices.begin(), indices.end());
+  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
+  return indices;
+}
+
+}  // namespace
+
 std::vector<std::uint32_t> required_setting_indices(const NeglectSpec& spec) {
-  std::set<std::uint32_t> indices;
-  for (const std::vector<Pauli>& basis : spec.active_strings()) {
-    indices.insert(settings_index_for_basis(basis));
+  const std::vector<std::vector<Pauli>> strings = spec.active_strings();
+  std::vector<std::uint32_t> indices;
+  indices.reserve(strings.size());
+  for (const std::vector<Pauli>& basis : strings) {
+    indices.push_back(settings_index_for_basis(basis));
   }
-  return {indices.begin(), indices.end()};
+  return sorted_unique(std::move(indices));
 }
 
 std::vector<std::uint32_t> required_prep_indices(const NeglectSpec& spec) {
-  std::set<std::uint32_t> indices;
+  const std::vector<std::vector<Pauli>> strings = spec.active_strings();
   const std::uint32_t slot_count = static_cast<std::uint32_t>(1) << spec.num_cuts();
-  for (const std::vector<Pauli>& basis : spec.active_strings()) {
+  std::vector<std::uint32_t> indices;
+  indices.reserve(strings.size() * slot_count);
+  for (const std::vector<Pauli>& basis : strings) {
     for (std::uint32_t slots = 0; slots < slot_count; ++slots) {
-      indices.insert(preps_index_for_basis(basis, slots));
+      indices.push_back(preps_index_for_basis(basis, slots));
     }
   }
-  return {indices.begin(), indices.end()};
+  return sorted_unique(std::move(indices));
 }
 
 VariantCounts count_variants(const NeglectSpec& spec) {

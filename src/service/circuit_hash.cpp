@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <vector>
 
 namespace qcut::service {
 
@@ -83,6 +84,31 @@ Hash128 hash_variant_execution(const circuit::Circuit& variant_circuit, std::siz
   stream.write_u64(exact ? 0 : seed_stream);
   stream.write_string(backend_identity);
   return stream.digest();
+}
+
+HashStream fragment_key_stream(const cutting::ChainFragment& fragment,
+                               std::string_view backend_identity) {
+  HashStream stream;
+  stream.write_string(backend_identity);
+  for (const std::vector<int>* qubits : {&fragment.in_qubits, &fragment.out_cut_qubits}) {
+    stream.write_u64(qubits->size());
+    for (int q : *qubits) stream.write_i64(q);
+  }
+  // The variant is built on width() qubits; Circuit::compose accepts a
+  // narrower body, so the body's own width does not pin it.
+  stream.write_i64(fragment.width());
+  hash_circuit_into(stream, fragment.circuit);
+  return stream;
+}
+
+Hash128 fragment_variant_key(HashStream fragment_stream, cutting::FragmentVariantKey variant,
+                             std::size_t shots, bool exact, std::uint64_t seed_stream) {
+  fragment_stream.write_u64(variant.prep_index);
+  fragment_stream.write_u64(variant.setting_index);
+  fragment_stream.write_u64(exact ? 0 : shots);
+  fragment_stream.write_u64(exact ? 1 : 0);
+  fragment_stream.write_u64(exact ? 0 : seed_stream);
+  return fragment_stream.digest();
 }
 
 }  // namespace qcut::service

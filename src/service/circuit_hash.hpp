@@ -3,11 +3,21 @@
 //
 // The fragment-result cache and the cross-request variant deduplicator are
 // keyed by a 128-bit content hash of everything that determines a variant's
-// outcome distribution under the backend determinism contract: the variant
-// circuit itself (gate kinds, qubit wiring, parameter bit patterns, custom
-// unitaries), the shot count, exact/sampling mode, the seed stream, and the
-// backend identity. Two requests that arrive at byte-identical executions
-// share one result, no matter which cut-run request produced them.
+// outcome distribution under the backend determinism contract. The service
+// keys a variant without building its circuit: one stream per fragment
+// covers the backend identity, the fragment's incoming and outgoing cut
+// qubits, its width and its body (gate kinds, qubit wiring, parameter bit
+// patterns, custom unitaries); each variant copies that stream and adds its
+// prep and setting tuple indices, the shot count, exact/sampling mode and
+// the seed stream (exact executions ignore shots and seed). Those are
+// exactly what cutting::make_fragment_variant and the backend read, so two
+// variants with equal keys are byte-identical executions and share one
+// result, no matter which cut-run request produced them. Circuits are
+// built only for the cache misses that launch.
+//
+// hash_variant_execution keys a built circuit instead; perfbench's replay,
+// bench/micro_circuit and the committed-digest tests call it. Its keys are
+// in a different format from the service's.
 //
 // The hash is a double-lane FNV-1a (not cryptographic): collisions are a
 // correctness hazard only past ~2^64 cached entries, far beyond any
@@ -19,6 +29,7 @@
 #include <string_view>
 
 #include "circuit/circuit.hpp"
+#include "cutting/variants.hpp"
 
 namespace qcut::service {
 
@@ -68,11 +79,25 @@ void hash_circuit_into(HashStream& stream, const circuit::Circuit& circuit);
 /// Content hash of a circuit alone.
 [[nodiscard]] Hash128 hash_circuit(const circuit::Circuit& circuit);
 
-/// Content hash of one variant execution: the full cache/dedup key.
-/// `exact` executions pass shots = 0.
+/// Content hash of one built variant circuit's execution. Exact executions
+/// ignore shots and the seed stream.
 [[nodiscard]] Hash128 hash_variant_execution(const circuit::Circuit& variant_circuit,
                                              std::size_t shots, bool exact,
                                              std::uint64_t seed_stream,
                                              std::string_view backend_identity);
+
+/// The part every cache key of `fragment`'s variants shares: the backend
+/// identity, the length-prefixed in_qubits and out_cut_qubits, the
+/// fragment's width, and its body. Hash it once per fragment and finish
+/// each variant's key with fragment_variant_key.
+[[nodiscard]] HashStream fragment_key_stream(const cutting::ChainFragment& fragment,
+                                             std::string_view backend_identity);
+
+/// Cache/dedup key of one variant execution: `fragment_stream` (a copy of
+/// fragment_key_stream's) plus the prep and setting tuple indices and the
+/// run fields. Exact executions ignore shots and the seed stream.
+[[nodiscard]] Hash128 fragment_variant_key(HashStream fragment_stream,
+                                           cutting::FragmentVariantKey variant, std::size_t shots,
+                                           bool exact, std::uint64_t seed_stream);
 
 }  // namespace qcut::service

@@ -538,19 +538,24 @@ void CutService::issue_wave(const JobPtr& job, const std::vector<WaveVariant>& v
     return;
   }
 
-  // Prepare every request before issuing any: a throw while issuing would
-  // strand the wave's pending count.
+  // Key every slot before issuing any: a throw while issuing would strand
+  // the wave's pending count. Slots are fragment-major, so each fragment's
+  // shared key stream is hashed once; no circuit is built here.
   std::vector<PreparedVariant> prepared;
   prepared.reserve(j.slots.size());
+  int stream_fragment = -1;
+  HashStream fragment_stream;
   for (const VariantSlot& slot : j.slots) {
+    if (slot.fragment != stream_fragment) {
+      stream_fragment = slot.fragment;
+      fragment_stream = fragment_key_stream(
+          graph.fragments[static_cast<std::size_t>(slot.fragment)], backend_identity_);
+    }
     PreparedVariant p;
-    p.circuit = cutting::make_fragment_variant(graph, slot.fragment, slot.key).circuit;
     p.seed_stream = opt.seed_stream_base + cutting::fragment_seed_offset(slot.fragment) +
                     cutting::variant_seed_index(graph, slot.fragment, slot.key);
-    p.shots = slot.shots;
-    p.key = hash_variant_execution(p.circuit, p.shots, opt.exact, p.seed_stream,
-                                   backend_identity_);
-    prepared.push_back(std::move(p));
+    p.key = fragment_variant_key(fragment_stream, slot.key, slot.shots, opt.exact, p.seed_stream);
+    prepared.push_back(p);
   }
 
   j.pending.store(j.slots.size());
@@ -589,8 +594,9 @@ void CutService::issue_wave(const JobPtr& job, const std::vector<WaveVariant>& v
   }
 
   // Cache hits and in-flight joins resolve inside request_batch; the
-  // surviving variants come back as `to_launch` and are executed in
-  // shared-prefix groups, one Backend::run_batch per group on the pool.
+  // surviving variants come back as `to_launch`, are built, and are
+  // executed in shared-prefix groups, one Backend::run_batch per group on
+  // the pool.
   // Per-variant shots, seed streams, and cache keys are untouched, so the
   // executed results are bit-for-bit those of per-variant backend.run
   // calls (the run_batch determinism contract).
@@ -600,22 +606,41 @@ void CutService::issue_wave(const JobPtr& job, const std::vector<WaveVariant>& v
 }
 
 void CutService::launch_variant_groups(const JobPtr& job,
-                                       std::vector<PreparedVariant>& prepared,
+                                       const std::vector<PreparedVariant>& prepared,
                                        const std::vector<std::size_t>& to_launch, bool exact) {
+  // Every launched key is claimed in flight: if a build throws, fail them
+  // all before anything runs, so none is stranded and the wave's pending
+  // count still reaches zero through the failure callbacks.
+  const FragmentGraph& graph = job->response.graph;
+  std::vector<circuit::Circuit> circuits;
+  circuits.reserve(to_launch.size());
+  try {
+    for (std::size_t idx : to_launch) {
+      const VariantSlot& slot = job->slots[idx];
+      circuits.push_back(cutting::make_fragment_variant(graph, slot.fragment, slot.key).circuit);
+    }
+  } catch (...) {
+    std::vector<Hash128> keys;
+    keys.reserve(to_launch.size());
+    for (std::size_t idx : to_launch) keys.push_back(prepared[idx].key);
+    scheduler_.complete_failed(keys, std::current_exception());
+    return;
+  }
+
   // Group the surviving variants by longest common circuit prefix; each
   // group becomes one pool task running one backend batch. Without prefix
   // batching every variant is its own group (the per-variant reference
   // path, minus the batch plan).
   std::vector<cutting::PrefixGroup> groups;
   if (prefix_batching_) {
-    std::vector<const circuit::Circuit*> circuits;
-    circuits.reserve(to_launch.size());
-    for (std::size_t idx : to_launch) circuits.push_back(&prepared[idx].circuit);
-    groups = cutting::group_by_shared_prefix(circuits);
+    std::vector<const circuit::Circuit*> pointers;
+    pointers.reserve(circuits.size());
+    for (const circuit::Circuit& c : circuits) pointers.push_back(&c);
+    groups = cutting::group_by_shared_prefix(pointers);
   } else {
-    groups.reserve(to_launch.size());
-    for (std::size_t i = 0; i < to_launch.size(); ++i) {
-      groups.push_back(cutting::PrefixGroup{prepared[to_launch[i]].circuit.num_ops(), {i}});
+    groups.reserve(circuits.size());
+    for (std::size_t i = 0; i < circuits.size(); ++i) {
+      groups.push_back(cutting::PrefixGroup{circuits[i].num_ops(), {i}});
     }
   }
 
@@ -638,9 +663,10 @@ void CutService::launch_variant_groups(const JobPtr& job,
     task->batch.jobs.reserve(group.members.size());
     task->keys.reserve(group.members.size());
     for (std::size_t member : group.members) {
-      PreparedVariant& p = prepared[to_launch[member]];
+      const std::size_t idx = to_launch[member];
+      const PreparedVariant& p = prepared[idx];
       task->batch.jobs.push_back(
-          backend::BatchJob{std::move(p.circuit), p.shots, p.seed_stream});
+          backend::BatchJob{std::move(circuits[member]), job->slots[idx].shots, p.seed_stream});
       task->keys.push_back(p.key);
     }
     if (group.members.size() > 1) {

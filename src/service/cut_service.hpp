@@ -177,12 +177,11 @@ class CutService {
  private:
   using JobPtr = std::shared_ptr<CutJob>;
 
-  /// One fully prepared variant execution of the current wave: the built
-  /// variant circuit plus everything that identifies the execution.
+  /// What identifies one variant execution of the current wave beyond its
+  /// slot: the cache key and the seed stream. Its circuit is built only if
+  /// the key misses and this wave launches it.
   struct PreparedVariant {
-    circuit::Circuit circuit{1};
     Hash128 key;
-    std::size_t shots = 0;
     std::uint64_t seed_stream = 0;
   };
 
@@ -191,15 +190,17 @@ class CutService {
   void admit(const JobPtr& job);
   void issue_wave(const JobPtr& job, const std::vector<WaveVariant>& variants);
 
-  /// Executes the cache-missed, deduped variants of a wave: groups them by
-  /// shared circuit prefix and submits one Backend::run_batch pool task per
-  /// group, publishing each variant through VariantScheduler::complete.
+  /// Executes the cache-missed, deduped variants of a wave: builds their
+  /// circuits, groups them by shared circuit prefix and submits one
+  /// Backend::run_batch pool task per group, publishing each variant through
+  /// VariantScheduler::complete. A build that throws fails every launched
+  /// key, so none is left in flight.
   /// Groups failing with TransientError are retried per options.retry with
   /// the identical batch; exhausted or permanent failures fail every key of
   /// the group atomically (VariantScheduler::complete_failed). `job` is the
   /// issuing job: a stop condition (deadline / cancellation) observed before
   /// a group runs drains the group's keys without touching the backend.
-  void launch_variant_groups(const JobPtr& job, std::vector<PreparedVariant>& prepared,
+  void launch_variant_groups(const JobPtr& job, const std::vector<PreparedVariant>& prepared,
                              const std::vector<std::size_t>& to_launch, bool exact);
   void absorb_wave(const JobPtr& job);
   void handle_fragment_wave_complete(const JobPtr& job);

@@ -212,10 +212,10 @@ Tracer& Tracer::global() {
   return tracer;
 }
 
-Span::Span(Tracer& tracer, std::string name) {
+Span::Span(Tracer& tracer, std::string_view name) {
   if (!enabled()) return;
   tracer_ = &tracer;
-  name_ = std::move(name);
+  name_ = name;
   ++tracer.thread_log().depth;  // count open spans for nested depths
   start_ns_ = tracer.now_ns();
 }

@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -139,11 +140,12 @@ class Tracer {
   std::uint32_t next_track_ = 1;
 };
 
-/// RAII span: captures the start time when telemetry::enabled() at
-/// construction, records on destruction. Use through TELEMETRY_SPAN.
+/// RAII span: captures the start time and copies the name when
+/// telemetry::enabled() at construction, records on destruction. A disabled
+/// span allocates nothing. Use through TELEMETRY_SPAN.
 class Span {
  public:
-  Span(Tracer& tracer, std::string name);
+  Span(Tracer& tracer, std::string_view name);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "circuit/random.hpp"
 #include "common/rng.hpp"
+#include "cutting/fragment_executor.hpp"
 #include "cutting/variants.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/ops.hpp"
@@ -94,6 +97,113 @@ TEST(CircuitHash, ExactModeIgnoresShotsAndSeed) {
   const Circuit c = small_circuit();
   EXPECT_EQ(hash_variant_execution(c, 100, true, 1, "sv"),
             hash_variant_execution(c, 999, true, 42, "sv"));
+}
+
+// ---- Per-fragment variant keys -----------------------------------------------
+
+/// A hand-built 3-qubit fragment with two incoming and two outgoing cuts.
+cutting::ChainFragment key_fragment(Circuit body) {
+  cutting::ChainFragment fragment;
+  fragment.to_original = {0, 1, 2};
+  fragment.in_qubits = {0, 1};
+  fragment.out_cut_qubits = {1, 2};
+  fragment.circuit = std::move(body);
+  return fragment;
+}
+
+struct KeyInputs {
+  cutting::ChainFragment fragment = key_fragment(small_circuit());
+  cutting::FragmentVariantKey variant{3, 5};
+  std::size_t shots = 1000;
+  bool exact = false;
+  std::uint64_t seed_stream = 7;
+  std::string backend = "sv";
+
+  [[nodiscard]] Hash128 key() const {
+    return fragment_variant_key(fragment_key_stream(fragment, backend), variant, shots, exact,
+                                seed_stream);
+  }
+};
+
+TEST(FragmentVariantKey, ChangesWithEveryInput) {
+  const KeyInputs base;
+  std::vector<std::pair<std::string, KeyInputs>> changed;
+  const auto with = [&](const std::string& name, auto&& edit) {
+    KeyInputs inputs = base;
+    edit(inputs);
+    changed.emplace_back(name, std::move(inputs));
+  };
+  const auto body = [](KeyInputs& k, const Circuit& c) { k.fragment.circuit = c; };
+
+  with("op kind", [&](KeyInputs& k) {
+    Circuit c(3);
+    c.h(0).cx(0, 1).rx(0.25, 1).cx(1, 2);
+    body(k, c);
+  });
+  with("op qubit", [&](KeyInputs& k) {
+    Circuit c(3);
+    c.h(0).cx(0, 1).rz(0.25, 2).cx(1, 2);
+    body(k, c);
+  });
+  with("parameter bits", [&](KeyInputs& k) {
+    Circuit c(3);
+    c.h(0).cx(0, 1).rz(std::nextafter(0.25, 1.0), 1).cx(1, 2);
+    body(k, c);
+  });
+  with("fragment width", [&](KeyInputs& k) { k.fragment.to_original = {0, 1, 2, 3}; });
+  with("body width", [&](KeyInputs& k) {
+    Circuit c(4);
+    c.h(0).cx(0, 1).rz(0.25, 1).cx(1, 2);
+    body(k, c);
+    k.fragment.to_original = {0, 1, 2, 3};
+  });
+  with("in_qubits entry", [](KeyInputs& k) { k.fragment.in_qubits = {0, 2}; });
+  with("in_qubits order", [](KeyInputs& k) { k.fragment.in_qubits = {1, 0}; });
+  with("out_cut_qubits entry", [](KeyInputs& k) { k.fragment.out_cut_qubits = {1, 0}; });
+  with("out_cut_qubits order", [](KeyInputs& k) { k.fragment.out_cut_qubits = {2, 1}; });
+  with("qubit moved between lists", [](KeyInputs& k) {
+    k.fragment.in_qubits = {0, 1, 1};
+    k.fragment.out_cut_qubits = {2};
+  });
+  with("prep", [](KeyInputs& k) { k.variant.prep_index = 4; });
+  with("setting", [](KeyInputs& k) { k.variant.setting_index = 6; });
+  with("prep and setting swapped", [](KeyInputs& k) { k.variant = {5, 3}; });
+  with("shots", [](KeyInputs& k) { k.shots = 1001; });
+  with("seed stream", [](KeyInputs& k) { k.seed_stream = 8; });
+  with("exact", [](KeyInputs& k) { k.exact = true; });
+  with("backend identity", [](KeyInputs& k) { k.backend = "noisy"; });
+
+  EXPECT_EQ(KeyInputs{}.key(), base.key());
+  std::vector<Hash128> keys = {base.key()};
+  for (const auto& [name, inputs] : changed) {
+    SCOPED_TRACE(name);
+    const Hash128 key = inputs.key();
+    for (const Hash128& seen : keys) EXPECT_NE(key, seen);
+    keys.push_back(key);
+  }
+}
+
+TEST(FragmentVariantKey, DistinguishesNegativeZero) {
+  KeyInputs positive;
+  Circuit c(3);
+  c.h(0).cx(0, 1).rz(0.0, 1).cx(1, 2);
+  positive.fragment.circuit = c;
+  KeyInputs negative;
+  Circuit d(3);
+  d.h(0).cx(0, 1).rz(-0.0, 1).cx(1, 2);
+  negative.fragment.circuit = d;
+  EXPECT_NE(positive.key(), negative.key());
+}
+
+TEST(FragmentVariantKey, ExactModeIgnoresShotsAndSeed) {
+  KeyInputs a;
+  a.exact = true;
+  a.shots = 100;
+  a.seed_stream = 1;
+  KeyInputs b = a;
+  b.shots = 999;
+  b.seed_stream = 42;
+  EXPECT_EQ(a.key(), b.key());
 }
 
 // ---- Committed cache keys ----------------------------------------------------
@@ -187,6 +297,155 @@ void append_variant_keys(const Circuit& circuit,
       keys.push_back(hash_variant_execution(variant, 0, true, 0, "sv"));
     }
   }
+}
+
+struct CutCase {
+  Circuit circuit;
+  std::vector<std::vector<WirePoint>> boundaries;
+};
+
+/// 5 qubits, 3 fragments: {0,1} -q1-> {1,2,3} -q3-> {3,4}.
+CutCase chain3() {
+  Circuit c(5);
+  c.h(0).cx(0, 1).ry(0.3, 1);
+  c.cx(1, 2).ry(0.5, 2).cx(2, 3).ry(0.4, 3);
+  c.cx(3, 4).ry(0.2, 4);
+  return {std::move(c), {{WirePoint{1, 2}}, {WirePoint{3, 6}}}};
+}
+
+/// 7 qubits, 4 fragments: {0,1} -q1-> {1,2,3} -q3-> {3,4,5} -q5-> {5,6}.
+CutCase chain4() {
+  Circuit c(7);
+  c.h(0).cx(0, 1).ry(0.3, 1);
+  c.cx(1, 2).ry(0.5, 2).cx(2, 3).ry(0.4, 3);
+  c.cx(3, 4).ry(0.2, 4).cx(4, 5).ry(0.6, 5);
+  c.cx(5, 6).ry(0.1, 6);
+  return {std::move(c), {{WirePoint{1, 2}}, {WirePoint{3, 6}}, {WirePoint{5, 10}}}};
+}
+
+/// 6 qubits, 3 fragments with a 2-cut first boundary.
+CutCase two_cut_chain3() {
+  Circuit c(6);
+  c.h(0).cx(0, 1).ry(0.3, 1).cx(1, 2).ry(0.5, 2);
+  c.cx(1, 3).ry(0.2, 3).cx(2, 4).ry(0.6, 4).cx(3, 4).ry(0.1, 4);
+  c.cx(4, 5).ry(0.7, 5);
+  return {std::move(c), {{WirePoint{1, 3}, WirePoint{2, 4}}, {WirePoint{4, 10}}}};
+}
+
+/// The circuits the committed variant digests cover, plus 3- and 4-fragment
+/// chains.
+std::vector<CutCase> key_corpus() {
+  std::vector<CutCase> cases;
+  Circuit sweep = circuit::qaoa_path(12, 3, 0.4, 0.3);
+  const WirePoint sweep_cut = circuit::middle_cut(sweep);
+  cases.push_back({std::move(sweep), {{sweep_cut}}});
+  for (const int n : {5, 6, 7}) {
+    Rng rng(static_cast<std::uint64_t>(100 + n));
+    circuit::GoldenAnsatzOptions options;
+    options.num_qubits = n;
+    circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
+    cases.push_back({std::move(ansatz.circuit), {{ansatz.cut}}});
+  }
+  cases.push_back(chain3());
+  cases.push_back(chain4());
+  cases.push_back(two_cut_chain3());
+  return cases;
+}
+
+/// One slot's key in the service's format and its built circuit's key.
+struct SlotKeys {
+  Hash128 fragment_key;
+  Hash128 circuit_key;
+};
+
+/// Keys every variant of every corpus graph, twice (each graph carved again
+/// from a copy), under five run-field sets: sampled at the slot's seed
+/// stream and at that stream plus 2^20, sampled at one seed shared by every
+/// slot, and exact at two shot/seed pairs.
+std::vector<SlotKeys> corpus_slot_keys() {
+  struct RunFields {
+    std::size_t shots;
+    bool exact;
+    std::uint64_t seed_offset;  // added to the slot's own seed stream
+    bool shared_seed;           // the offset alone, for every slot
+  };
+  const std::vector<RunFields> runs = {
+      {4000, false, 0, false},
+      {4000, false, 1u << 20, false},
+      {2000, false, 9, true},
+      {0, true, 0, false},
+      {4000, true, 5, true},
+  };
+  std::vector<SlotKeys> out;
+  for (const CutCase& c : key_corpus()) {
+    for (int copy = 0; copy < 2; ++copy) {
+      const Circuit circuit = c.circuit;
+      const cutting::FragmentGraph graph = cutting::make_fragment_chain(circuit, c.boundaries);
+      const cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
+      for (int f = 0; f < graph.num_fragments(); ++f) {
+        const cutting::ChainFragment& fragment = graph.fragments[static_cast<std::size_t>(f)];
+        const HashStream stream = fragment_key_stream(fragment, "sv");
+        for (const cutting::FragmentVariantKey key :
+             cutting::required_fragment_variants(graph, f, spec)) {
+          const Circuit variant = cutting::make_fragment_variant(graph, f, key).circuit;
+          const std::uint64_t slot_seed =
+              cutting::fragment_seed_offset(f) + cutting::variant_seed_index(graph, f, key);
+          for (const RunFields& run : runs) {
+            const std::uint64_t seed = run.seed_offset + (run.shared_seed ? 0 : slot_seed);
+            SlotKeys keys;
+            keys.fragment_key = fragment_variant_key(stream, key, run.shots, run.exact, seed);
+            keys.circuit_key = hash_variant_execution(variant, run.shots, run.exact, seed, "sv");
+            out.push_back(keys);
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(FragmentVariantKey, EqualExactlyWhenBuiltCircuitKeysAreEqual) {
+  const std::vector<SlotKeys> slots = corpus_slot_keys();
+  ASSERT_EQ(slots.size(), 2u * 5u * (4u * 9u + 27u + 45u + 123u));
+  std::size_t equal_pairs = 0;
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    for (std::size_t j = i + 1; j < slots.size(); ++j) {
+      const bool same_fragment_key = slots[i].fragment_key == slots[j].fragment_key;
+      const bool same_circuit_key = slots[i].circuit_key == slots[j].circuit_key;
+      if (same_fragment_key != same_circuit_key) ++mismatches;
+      if (same_circuit_key) ++equal_pairs;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // Per variant at least: its two copies meet in each of the three sampled
+  // run-field sets (3 pairs), and its four exact keys are all equal (6
+  // pairs). The 3- and 4-fragment chains also share their first two
+  // fragments, which adds more.
+  EXPECT_GE(equal_pairs, (slots.size() / 10u) * (3u + 6u));
+}
+
+/// The keys the service's cache holds: sampled at the service's seed
+/// streams and exact, over the variant digest's circuits and the chains.
+TEST(FragmentVariantKey, KeysMatchCommittedDigest) {
+  std::vector<Hash128> keys;
+  for (const CutCase& c : key_corpus()) {
+    const cutting::FragmentGraph graph = cutting::make_fragment_chain(c.circuit, c.boundaries);
+    const cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
+    for (int f = 0; f < graph.num_fragments(); ++f) {
+      const cutting::ChainFragment& fragment = graph.fragments[static_cast<std::size_t>(f)];
+      const HashStream stream = fragment_key_stream(fragment, "sv");
+      for (const cutting::FragmentVariantKey key :
+           cutting::required_fragment_variants(graph, f, spec)) {
+        const std::uint64_t seed =
+            cutting::fragment_seed_offset(f) + cutting::variant_seed_index(graph, f, key);
+        keys.push_back(fragment_variant_key(stream, key, 4000, false, seed));
+        keys.push_back(fragment_variant_key(stream, key, 0, true, 0));
+      }
+    }
+  }
+  ASSERT_EQ(keys.size(), 2u * (4u * 9u + 27u + 45u + 123u));
+  EXPECT_EQ(fnv1a(keys), 0xb661dc3176a6212bULL) << std::hex << fnv1a(keys);
 }
 
 TEST(CircuitHash, CircuitKeysMatchCommittedDigest) {

@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -196,6 +197,24 @@ TEST(CutService, DifferentSeedStreamsDoNotShareCacheEntries) {
   EXPECT_EQ(service.stats().scheduler.cache_hits, 0u);
 }
 
+/// 5 qubits, 3 fragments: {0,1} -q1-> {1,2,3} -q3-> {3,4}.
+circuit::Circuit chain3_circuit() {
+  circuit::Circuit c(5);
+  c.h(0).cx(0, 1).ry(0.3, 1);                 // fragment 0
+  c.cx(1, 2).ry(0.5, 2).cx(2, 3).ry(0.4, 3);  // fragment 1
+  c.cx(3, 4).ry(0.2, 4);                      // fragment 2
+  return c;
+}
+
+cutting::CutRequest chain3_request(GoldenMode mode, const std::string& tenant) {
+  cutting::CutRequest request(chain3_circuit());
+  request.with_boundaries({{WirePoint{1, 2}}, {WirePoint{3, 6}}})
+      .with_golden(mode)
+      .with_shots(1500)
+      .with_tenant(tenant);
+  return request;
+}
+
 /// Backend wrapper that blocks every run() until released, so a test can
 /// guarantee two jobs' identical variants are in flight simultaneously.
 class GatedBackend final : public backend::Backend {
@@ -234,42 +253,91 @@ class GatedBackend final : public backend::Backend {
 TEST(CutService, ConcurrentIdenticalRequestsDeduplicateInFlight) {
   const auto ansatz = make_ansatz(5, 14);
   const std::array<WirePoint, 1> cuts = {ansatz.cut};
-
-  backend::StatevectorBackend inner(9);
-  GatedBackend gated(inner);
-
-  CutServiceOptions service_options;
-  service_options.cache_capacity = 0;  // cache off: sharing must come from dedup alone
-  CutService service(gated, service_options);
-
   CutRunOptions run;
   run.shots_per_variant = 600;
 
-  auto f1 = service.submit(make_cut_request(ansatz.circuit, cuts, run));
-  auto f2 = service.submit(make_cut_request(ansatz.circuit, cuts, run));
+  // One tenant's N=2 request twice, and two tenants' 3-fragment requests:
+  // either way every variant of every fragment runs once.
+  struct Twins {
+    cutting::CutRequest first;
+    cutting::CutRequest second;
+    std::uint64_t variants = 0;
+    std::uint64_t shots_per_variant = 0;
+  };
+  std::vector<Twins> cases;
+  cases.push_back({make_cut_request(ansatz.circuit, cuts, run),
+                   make_cut_request(ansatz.circuit, cuts, run), 9, 600});
+  cases.push_back({chain3_request(GoldenMode::None, "alpha"),
+                   chain3_request(GoldenMode::None, "beta"), 3 + 18 + 6, 1500});
 
-  // Wait until both jobs' 9 variants are requested (none can finish: the
-  // backend gate is closed), then open the gate.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (service.stats().scheduler.requests < 18u) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "variant requests never arrived";
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (const Twins& twins : cases) {
+    SCOPED_TRACE(twins.variants);
+    backend::StatevectorBackend inner(9);
+    GatedBackend gated(inner);
+
+    CutServiceOptions service_options;
+    service_options.cache_capacity = 0;  // cache off: sharing must come from dedup alone
+    CutService service(gated, service_options);
+
+    auto f1 = service.submit(twins.first);
+    auto f2 = service.submit(twins.second);
+
+    // Wait until both jobs' variants are requested (none can finish: the
+    // backend gate is closed), then open the gate.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (service.stats().scheduler.requests < 2 * twins.variants) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "variant requests never arrived";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    gated.release();
+
+    const CutResponse r1 = f1.get();
+    const CutResponse r2 = f2.get();
+    EXPECT_EQ(r1.reconstruction.raw_probabilities, r2.reconstruction.raw_probabilities);
+
+    const CutServiceStats stats = service.stats();
+    EXPECT_EQ(stats.scheduler.requests, 2 * twins.variants);
+    EXPECT_EQ(stats.scheduler.executions, twins.variants);   // each variant ran once
+    EXPECT_EQ(stats.scheduler.dedup_joins, twins.variants);  // the twin joined in flight
+    EXPECT_EQ(inner.stats().jobs, twins.variants);
+
+    // Physical usage is attributed to whichever job launched each variant.
+    EXPECT_EQ(r1.backend_delta.jobs + r2.backend_delta.jobs, twins.variants);
+    EXPECT_EQ(r1.backend_delta.shots + r2.backend_delta.shots,
+              twins.variants * twins.shots_per_variant);
   }
-  gated.release();
+}
 
-  const CutResponse r1 = f1.get();
-  const CutResponse r2 = f2.get();
-  EXPECT_EQ(r1.reconstruction.raw_probabilities, r2.reconstruction.raw_probabilities);
+/// Every variant of every fragment of a resubmitted request is a cache hit,
+/// whether the same tenant or another one resubmits it, and under online
+/// detection (one wave per fragment) as under a single wave: bit for bit,
+/// with no backend execution.
+TEST(CutService, ResubmittedChainRequestIsServedWhollyFromCache) {
+  for (const GoldenMode mode : {GoldenMode::None, GoldenMode::DetectOnline}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    backend::StatevectorBackend backend(41);
+    CutService service(backend);
+    const CutResponse first = service.run(chain3_request(mode, "alpha"));
+    const std::uint64_t executions = service.stats().scheduler.executions;
+    const std::uint64_t backend_jobs = backend.stats().jobs;
+    ASSERT_EQ(executions, first.data.total_jobs);
+    ASSERT_EQ(first.graph.num_fragments(), 3);
 
-  const CutServiceStats stats = service.stats();
-  EXPECT_EQ(stats.scheduler.requests, 18u);
-  EXPECT_EQ(stats.scheduler.executions, 9u);   // each variant ran once
-  EXPECT_EQ(stats.scheduler.dedup_joins, 9u);  // the twin joined in flight
-  EXPECT_EQ(inner.stats().jobs, 9u);
-
-  // Physical usage is attributed to whichever job launched each variant.
-  EXPECT_EQ(r1.backend_delta.jobs + r2.backend_delta.jobs, 9u);
-  EXPECT_EQ(r1.backend_delta.shots + r2.backend_delta.shots, 9u * 600u);
+    for (const std::string tenant : {"alpha", "beta"}) {
+      SCOPED_TRACE(tenant);
+      const std::uint64_t hits_before = service.stats().scheduler.cache_hits;
+      const CutResponse again = service.run(chain3_request(mode, tenant));
+      EXPECT_EQ(service.stats().scheduler.executions, executions);
+      EXPECT_EQ(service.stats().scheduler.cache_hits - hits_before, first.data.total_jobs);
+      EXPECT_EQ(backend.stats().jobs, backend_jobs);
+      EXPECT_EQ(again.backend_delta.jobs, 0u);
+      EXPECT_EQ(again.data.total_jobs, first.data.total_jobs);
+      for (std::size_t f = 0; f < 3; ++f) {
+        EXPECT_EQ(again.data.fragments[f].variants, first.data.fragments[f].variants);
+      }
+      EXPECT_EQ(again.reconstruction.raw_probabilities, first.reconstruction.raw_probabilities);
+    }
+  }
 }
 
 TEST(CutService, DeterministicUnderConcurrentMixedLoad) {

@@ -211,7 +211,7 @@ TEST(Span, DisabledModeOverheadStaysSmall) {
   }
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  // Disabled spans are one branch plus a string move; even debug or
+  // A disabled span is one branch and no allocation; even debug or
   // sanitizer builds clear this very generous guard (~1us per span).
   EXPECT_LT(seconds, 1.0);
   EXPECT_TRUE(tracer.events().empty());

@@ -39,7 +39,7 @@ struct DetectionStats {
 std::vector<std::vector<double>> sampled_upstream(const circuit::Circuit& circuit,
                                                   std::span<const circuit::WirePoint> cuts,
                                                   backend::Backend& backend, std::size_t shots) {
-  const cutting::FragmentGraph graph = cutting::make_fragment_graph(circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_bipartition(circuit, cuts);
   std::vector<std::vector<double>> upstream;
   for (std::uint32_t s = 0; s < 3; ++s) {
     const circuit::Circuit variant =

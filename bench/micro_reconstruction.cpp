@@ -39,7 +39,7 @@ struct Fixture {
     options.num_qubits = num_qubits;
     circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
     const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-    cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
+    cutting::FragmentGraph graph = cutting::make_bipartition(ansatz.circuit, cuts);
     cutting::ChainNeglectSpec standard = cutting::ChainNeglectSpec::none(graph);
     cutting::ChainNeglectSpec golden = standard;
     golden.boundary(0).neglect(0, ansatz.golden_basis);
@@ -78,7 +78,7 @@ void BM_FragmentExecutionStandard(benchmark::State& state) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_bipartition(ansatz.circuit, cuts);
   backend::StatevectorBackend backend(4);
   const cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
   std::uint64_t stream = 0;
@@ -97,7 +97,7 @@ void BM_FragmentExecutionGolden(benchmark::State& state) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_bipartition(ansatz.circuit, cuts);
   backend::StatevectorBackend backend(4);
   cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
   spec.boundary(0).neglect(0, ansatz.golden_basis);
@@ -258,7 +258,7 @@ double parallel_reconstruction_speedup(int threads, double& serial_seconds_out,
   options.block_width = 8;  // 17 qubits total: a 16-qubit upstream fragment
   options.downstream_depth = 2;
   const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
-  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, ansatz.cuts);
+  const cutting::FragmentGraph graph = cutting::make_bipartition(ansatz.circuit, ansatz.cuts);
   const cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(graph);
   backend::StatevectorBackend backend(3);
   cutting::ExecutionOptions exec;

@@ -18,7 +18,7 @@ int main() {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_bipartition(ansatz.circuit, cuts);
 
   // Golden spec: only the 6 surviving variants get exported.
   cutting::NeglectSpec golden(1);

@@ -24,7 +24,6 @@ int main() {
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
   const cutting::Bipartition bp = cutting::make_bipartition(ansatz.circuit, cuts);
-  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
 
   backend::StatevectorBackend backend(99);
 
@@ -33,7 +32,7 @@ int main() {
     std::vector<std::vector<double>> upstream;
     for (std::uint32_t s = 0; s < 3; ++s) {
       const circuit::Circuit variant =
-          cutting::make_fragment_variant(graph, 0, cutting::FragmentVariantKey{0, s}).circuit;
+          cutting::make_fragment_variant(bp, 0, cutting::FragmentVariantKey{0, s}).circuit;
       upstream.push_back(backend.run(variant, shots, shots + s).to_probabilities());
     }
     const cutting::GoldenDetectionReport report =

@@ -66,8 +66,7 @@ int main() {
         if (op.kind == circuit::GateKind::RZZ && op.acts_on(3)) cut_after = i;
       }
       const std::array<circuit::WirePoint, 1> cuts = {circuit::WirePoint{3, cut_after}};
-      const cutting::Bipartition bp = cutting::make_bipartition(ansatz, cuts);
-      const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz, cuts);
+      const cutting::Bipartition graph = cutting::make_bipartition(ansatz, cuts);
 
       // Exact fragment data once; each edge observable reuses it.
       cutting::ExecutionOptions exec;
@@ -88,7 +87,7 @@ int main() {
 
         // Observable-specific golden bases for this edge (if any).
         const cutting::ChainNeglectSpec spec{
-            {cutting::detect_golden_for_observable(bp, obs).to_spec()}};
+            {cutting::detect_golden_for_observable(graph, obs).to_spec()}};
         zz_cut.push_back(
             cutting::reconstruct_diagonal_expectation(graph, data, spec, obs.diagonal()));
         zz_exact.push_back(sv.expectation_pauli(edge));

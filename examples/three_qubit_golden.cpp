@@ -29,7 +29,7 @@ int main() {
             << circuit::render_ascii(circuit, std::array{cut}) << '\n';
 
   const std::array<circuit::WirePoint, 1> cuts = {cut};
-  const cutting::FragmentGraph graph = cutting::make_fragment_graph(circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_bipartition(circuit, cuts);
 
   // Gather exact fragment data and show each term's upstream weighted trace
   //   g(M) = sum_r r tr(Pi_b1 rho_f1(M^r))

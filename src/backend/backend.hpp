@@ -85,7 +85,7 @@ class Backend {
   /// bit-for-bit equal results for every (circuit, shots, seed_stream).
   /// Backends must fold every result-affecting construction parameter in
   /// — seeds, noise models, engine configuration (the statevector backend
-  /// includes its sampling seed and gate-fusion flags). The default is
+  /// includes its sampling seed and whether it fuses gates). The default is
   /// name(), which carries none of that; callers caching across backends
   /// that keep the default should override the namespace per cache (see
   /// CutServiceOptions::backend_identity).

@@ -20,8 +20,8 @@ StatevectorBackend::StatevectorBackend(std::uint64_t seed, sim::EngineOptions en
 
 std::string StatevectorBackend::identity() const {
   // The construction seed drives every sampled Counts; the device token
-  // carries the result-affecting engine configuration (fusion flags, the
-  // dispatched SIMD ISA) — both must separate cache namespaces (the
+  // carries the result-affecting engine configuration (fusion on or off,
+  // the dispatched SIMD ISA) — both must separate cache namespaces (the
   // Backend::identity() contract). Two scalar-vs-SIMD backends therefore
   // never share a fragment-cache entry, while two equal-flag SIMD backends
   // do.

@@ -10,8 +10,8 @@
 // callers.
 //
 // Identity-bearing vs bit-neutral knobs (the Backend::identity() contract):
-//   * Identity-bearing — the sampling seed, gate fusion (EngineOptions::
-//     fuse + every FusionOptions flag), and the SIMD path's dispatched ISA
+//   * Identity-bearing — the sampling seed, gate fusion
+//     (EngineOptions::fuse), and the SIMD path's dispatched ISA
 //     (EngineOptions::simd): each changes sampled counts or probabilities
 //     by floating-point rounding, so each separates cache namespaces.
 //   * Bit-neutral — kernel specialization, threading (threshold, grain,
@@ -36,8 +36,8 @@ class StatevectorBackend : public Backend {
   [[nodiscard]] std::string name() const override { return "statevector"; }
 
   /// name() plus every result-affecting construction parameter: the
-  /// sampling seed and the device's identity token (gate-fusion flags and
-  /// the dispatched SIMD ISA). Backends whose identity() strings are equal
+  /// sampling seed and the device's identity token (gate fusion on or off
+  /// and the dispatched SIMD ISA). Backends whose identity() strings are equal
   /// return bit-for-bit equal results.
   [[nodiscard]] std::string identity() const override;
 

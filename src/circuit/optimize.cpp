@@ -223,8 +223,7 @@ CMat embed_in_block(const CMat& m, std::span<const int> op_qubits,
 
 }  // namespace
 
-GateFusion::GateFusion(int num_qubits, FusionOptions options)
-    : options_(options), pending_(static_cast<std::size_t>(num_qubits)) {}
+GateFusion::GateFusion(int num_qubits) : pending_(static_cast<std::size_t>(num_qubits)) {}
 
 void GateFusion::flush_qubit(int q, std::vector<Operation>& out) {
   Pending& p = pending_[static_cast<std::size_t>(q)];
@@ -276,20 +275,16 @@ int GateFusion::block_on(int q) const noexcept {
   return -1;
 }
 
-void GateFusion::push_1q(const Operation& op, std::vector<Operation>& out) {
+void GateFusion::push_1q(const Operation& op) {
   const int q = op.qubits[0];
   if (const int bi = block_on(q); bi >= 0) {
-    if (options_.fold_1q_into_2q) {
-      PendingBlock& blk = blocks_[static_cast<std::size_t>(bi)];
-      blk.matrix = embed_in_block(op.matrix(), op.qubits, blk.qubits) * blk.matrix;
-      blk.dirty = true;
-      ++stats_.folded_1q_gates;
-      return;
-    }
-    flush_block(static_cast<std::size_t>(bi), out);
+    PendingBlock& blk = blocks_[static_cast<std::size_t>(bi)];
+    blk.matrix = embed_in_block(op.matrix(), op.qubits, blk.qubits) * blk.matrix;
+    blk.dirty = true;
+    ++stats_.folded_1q_gates;
+    return;
   }
   Pending& p = pending_[static_cast<std::size_t>(q)];
-  if (p.length > 0 && !options_.merge_1q_runs) flush_qubit(q, out);
   if (p.length == 0) {
     p.matrix = op.matrix();
     p.first = op;
@@ -304,118 +299,51 @@ void GateFusion::push_2q(const Operation& op, std::vector<Operation>& out) {
   // Never densify a (phased) permutation or diagonal 2q gate: the
   // simulator runs those as index shuffles / per-amplitude multiplies
   // (sim/engine.hpp classifies with the same linalg predicate).
-  const bool dense = !linalg::is_phased_permutation(op.matrix());
-  const int a = op.qubits[0];
-  const int b = op.qubits[1];
-
-  if (dense && options_.merge_2q_chains) {
-    // Resolve pending blocks overlapping this op's wires until the op either
-    // merges into one or no overlap remains. Flushing here preserves order:
-    // the flushed block's gates all precede `op` in the source stream.
-    while (true) {
-      const int bi_a = block_on(a);
-      const int bi_b = block_on(b);
-      if (bi_a >= 0 && bi_a == bi_b) {
-        // Both wires inside one block: fold the 4x4 in.
-        PendingBlock& blk = blocks_[static_cast<std::size_t>(bi_a)];
-        blk.matrix = embed_in_block(op.matrix(), op.qubits, blk.qubits) * blk.matrix;
-        ++blk.ops;
-        blk.dirty = true;
-        ++stats_.merged_2q_gates;
-        return;
-      }
-      if (bi_a >= 0 && bi_b >= 0) {
-        // Wires split across two blocks; retire one and re-resolve.
-        flush_block(static_cast<std::size_t>(bi_b), out);
-        continue;
-      }
-      const int bi = bi_a >= 0 ? bi_a : bi_b;
-      if (bi < 0) break;
-      PendingBlock& blk = blocks_[static_cast<std::size_t>(bi)];
-      if (options_.fuse_to_3q && blk.qubits.size() == 2) {
-        // Shares one wire with a 2q chain: grow the chain to a 3q block.
-        const int fresh = bi_a >= 0 ? b : a;
-        CMat m = op.matrix();
-        Pending& pf = pending_[static_cast<std::size_t>(fresh)];
-        if (pf.length > 0) {
-          if (options_.fold_1q_into_2q) {
-            m = m * expand_1q_to_2q(pf.matrix, op.qubits[0] == fresh ? 0 : 1);
-            stats_.folded_1q_gates += pf.length;
-            pf = Pending{};
-          } else {
-            flush_qubit(fresh, out);
-          }
-        }
-        const std::vector<int> old_qubits = blk.qubits;
-        blk.qubits.push_back(fresh);
-        blk.matrix = embed_in_block(m, op.qubits, blk.qubits) *
-                     embed_in_block(blk.matrix, old_qubits, blk.qubits);
-        ++blk.ops;
-        blk.dirty = true;
-        ++stats_.merged_2q_gates;
-        ++stats_.fused_3q_blocks;
-        return;
-      }
-      flush_block(static_cast<std::size_t>(bi), out);
-    }
-  } else {
+  if (linalg::is_phased_permutation(op.matrix())) {
     for (int q : op.qubits) {
       if (const int bi = block_on(q); bi >= 0) flush_block(static_cast<std::size_t>(bi), out);
     }
-  }
-
-  if (!dense || !options_.fold_1q_into_2q) {
-    // Either the op must keep its specialized kernel class, or pending 1q
-    // runs cannot legally fold into it; flush its wires and pass through.
     for (int q : op.qubits) flush_qubit(q, out);
-    if (dense && options_.merge_2q_chains) {
-      PendingBlock blk;
-      blk.matrix = op.matrix();
-      blk.qubits.assign(op.qubits.begin(), op.qubits.end());
-      blk.first = op;
-      blk.ops = 1;
-      blocks_.push_back(std::move(blk));
-      return;
-    }
     out.push_back(op);
     return;
   }
 
-  CMat m = op.matrix();
-  bool folded = false;
+  // A dense gate on both wires of one chain folds in. Otherwise every chain
+  // it touches is retired (the one on its second wire first); their gates
+  // all precede `op` in the source stream, so order is preserved.
+  const int a = op.qubits[0];
+  const int b = op.qubits[1];
+  if (const int bi = block_on(a); bi >= 0 && bi == block_on(b)) {
+    PendingBlock& blk = blocks_[static_cast<std::size_t>(bi)];
+    blk.matrix = embed_in_block(op.matrix(), op.qubits, blk.qubits) * blk.matrix;
+    ++blk.ops;
+    blk.dirty = true;
+    ++stats_.merged_2q_gates;
+    return;
+  }
+  if (const int bi = block_on(b); bi >= 0) flush_block(static_cast<std::size_t>(bi), out);
+  if (const int bi = block_on(a); bi >= 0) flush_block(static_cast<std::size_t>(bi), out);
+
+  // Open a chain, with any pending 1q runs on its wires folded in.
+  PendingBlock blk;
+  blk.matrix = op.matrix();
   for (int pos = 0; pos < 2; ++pos) {
     Pending& p = pending_[static_cast<std::size_t>(op.qubits[pos])];
     if (p.length == 0) continue;
-    m = m * expand_1q_to_2q(p.matrix, pos);
+    blk.matrix = blk.matrix * expand_1q_to_2q(p.matrix, pos);
     stats_.folded_1q_gates += p.length;
     p = Pending{};
-    folded = true;
+    blk.dirty = true;
   }
-  if (options_.merge_2q_chains) {
-    PendingBlock blk;
-    blk.matrix = std::move(m);
-    blk.qubits.assign(op.qubits.begin(), op.qubits.end());
-    blk.first = op;
-    blk.ops = 1;
-    blk.dirty = folded;
-    blocks_.push_back(std::move(blk));
-    return;
-  }
-  if (!folded) {
-    out.push_back(op);
-    return;
-  }
-  Operation fused;
-  fused.kind = GateKind::Custom;
-  fused.qubits = op.qubits;
-  fused.custom = std::move(m);
-  fused.label = "fused";
-  out.push_back(std::move(fused));
+  blk.qubits.assign(op.qubits.begin(), op.qubits.end());
+  blk.first = op;
+  blk.ops = 1;
+  blocks_.push_back(std::move(blk));
 }
 
 void GateFusion::push(const Operation& op, std::vector<Operation>& out) {
   if (op.num_qubits() == 1) {
-    push_1q(op, out);
+    push_1q(op);
     return;
   }
   if (op.num_qubits() == 2) {
@@ -445,8 +373,8 @@ void GateFusion::flush(std::vector<Operation>& out) {
   }
 }
 
-Circuit fuse_gates(const Circuit& circuit, FusionOptions options, FusionStats* stats) {
-  GateFusion scan(circuit.num_qubits(), options);
+Circuit fuse_gates(const Circuit& circuit, FusionStats* stats) {
+  GateFusion scan(circuit.num_qubits());
   std::vector<Operation> ops;
   ops.reserve(circuit.num_ops());
   for (const Operation& op : circuit.ops()) scan.push(op, ops);

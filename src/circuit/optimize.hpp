@@ -31,48 +31,28 @@ struct OptimizeStats {
 // ---- Gate fusion ------------------------------------------------------------
 //
 // Fusion merges runs of adjacent single-qubit gates into one 2x2 matrix,
-// folds pending single-qubit gates into the next two-qubit gate touching the
-// same wire, and chains dense two-qubit gates on the same wire pair into one
-// 4x4 (optionally growing to an 8x8 when a chain picks up a third wire),
-// shrinking the op stream the simulator walks. Unlike the peephole passes
-// above it is only *numerically* unitary-preserving: the fused matrices are
-// floating-point products of the originals, so a fused circuit may deviate
-// from the original by rounding (well under 1e-12 for realistic depths).
-// Consumers that promise bit-for-bit results must treat fusion as a
-// result-affecting knob (see sim::EngineOptions and the fragment-cache
-// identity).
-
-struct FusionOptions {
-  /// Merge maximal runs of adjacent 1q gates on the same wire into one 2x2.
-  bool merge_1q_runs = true;
-
-  /// Fold pending 1q matrices into the next 2q gate touching the same wire
-  /// (one dense 4x4 instead of 1q + 2q applications). Gates whose matrix
-  /// is a (phased) permutation or diagonal — CX/CZ/CY/SWAP/ISwap/CP/CRZ/
-  /// RZZ — never absorb: the simulator runs those as index shuffles or
-  /// per-amplitude multiplies (sim/engine.hpp), and a dense fused 4x4
-  /// would forfeit far more arithmetic than the saved memory pass regains.
-  bool fold_1q_into_2q = true;
-
-  /// Chain adjacent dense 2q gates on the same wire pair (in either order)
-  /// into a single 4x4. The never-densify rule above still applies: a CX in
-  /// the middle of a chain flushes it and is emitted verbatim, keeping its
-  /// specialized permutation kernel.
-  bool merge_2q_chains = true;
-
-  /// When a dense 2q gate shares exactly one wire with a pending 2q chain,
-  /// grow the chain to a 3-qubit 8x8 block instead of flushing it. Off by
-  /// default: the engine's GenericKQ fallback applies k>=3 matrices by
-  /// gather/scatter, which only pays off for deep chains on few wires.
-  /// Requires merge_2q_chains.
-  bool fuse_to_3q = false;
-};
+// folds pending single-qubit gates into the next dense two-qubit gate
+// touching the same wire, and chains dense two-qubit gates on the same wire
+// pair into one 4x4, shrinking the op stream the simulator walks. Gates
+// whose matrix is a (phased) permutation or diagonal - CX/CZ/CY/SWAP/ISwap/
+// CP/CRZ/RZZ - never absorb anything: the simulator runs those as index
+// shuffles or per-amplitude multiplies (sim/engine.hpp), and a dense fused
+// 4x4 would forfeit far more arithmetic than the saved memory pass regains;
+// such a gate in the middle of a chain flushes it and is emitted verbatim.
+// Chains never grow past two wires: a dense gate sharing one wire with a
+// pending chain flushes it.
+//
+// Unlike the peephole passes above fusion is only *numerically*
+// unitary-preserving: the fused matrices are floating-point products of the
+// originals, so a fused circuit may deviate from the original by rounding
+// (well under 1e-12 for realistic depths). Consumers that promise
+// bit-for-bit results must treat fusion as a result-affecting knob (see
+// sim::EngineOptions and the fragment-cache identity).
 
 struct FusionStats {
   std::size_t merged_1q_gates = 0;   // 1q gates absorbed into a fused 2x2
-  std::size_t folded_1q_gates = 0;   // 1q gates folded into a 2q/3q matrix
-  std::size_t merged_2q_gates = 0;   // 2q gates absorbed into a pending block
-  std::size_t fused_3q_blocks = 0;   // chains that grew to a 3-qubit 8x8
+  std::size_t folded_1q_gates = 0;   // 1q gates folded into a 2q matrix
+  std::size_t merged_2q_gates = 0;   // 2q gates absorbed into a pending chain
 };
 
 /// Streaming gate-fusion scan.
@@ -87,7 +67,7 @@ struct FusionStats {
 /// suffix bit-for-bit identically to a standalone full-circuit fusion.
 class GateFusion {
  public:
-  explicit GateFusion(int num_qubits, FusionOptions options = {});
+  explicit GateFusion(int num_qubits);
 
   /// Consumes `op`; appends settled operations to `out`.
   void push(const Operation& op, std::vector<Operation>& out);
@@ -104,12 +84,12 @@ class GateFusion {
     std::size_t length = 0;
   };
 
-  /// A pending multi-qubit chain. Matrix bit j (LSB = bit 0 of the row and
+  /// A pending two-qubit chain. Matrix bit j (LSB = bit 0 of the row and
   /// column index) corresponds to wire qubits[j]. Invariant: no wire in
   /// `qubits` has a nonempty Pending slot — 1q gates on a chained wire fold
-  /// into the block (or flush it when fold_1q_into_2q is off).
+  /// into the block.
   struct PendingBlock {
-    CMat matrix;          // 4x4 or 8x8 product (later gates on the left)
+    CMat matrix;          // 4x4 product (later gates on the left)
     std::vector<int> qubits;
     Operation first;      // emitted verbatim when the block absorbed nothing
     std::size_t ops = 0;  // source 2q gates absorbed
@@ -119,18 +99,16 @@ class GateFusion {
   void flush_qubit(int q, std::vector<Operation>& out);
   void flush_block(std::size_t index, std::vector<Operation>& out);
   void flush_wire(int q, std::vector<Operation>& out);
-  void push_1q(const Operation& op, std::vector<Operation>& out);
+  void push_1q(const Operation& op);
   void push_2q(const Operation& op, std::vector<Operation>& out);
   [[nodiscard]] int block_on(int q) const noexcept;
 
-  FusionOptions options_;
   std::vector<Pending> pending_;  // one slot per qubit; length == 0 means empty
   std::vector<PendingBlock> blocks_;  // pairwise wire-disjoint
   FusionStats stats_;
 };
 
 /// Applies gate fusion to a whole circuit (push every op, then flush).
-[[nodiscard]] Circuit fuse_gates(const Circuit& circuit, FusionOptions options = {},
-                                 FusionStats* stats = nullptr);
+[[nodiscard]] Circuit fuse_gates(const Circuit& circuit, FusionStats* stats = nullptr);
 
 }  // namespace qcut::circuit

@@ -258,30 +258,10 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
   return graph;
 }
 
-FragmentGraph make_fragment_graph(const Circuit& circuit, std::span<const WirePoint> cuts) {
+Bipartition make_bipartition(const Circuit& circuit, std::span<const WirePoint> cuts) {
   const std::vector<std::vector<WirePoint>> boundaries = {
       std::vector<WirePoint>(cuts.begin(), cuts.end())};
   return make_fragment_chain(circuit, boundaries);
-}
-
-Bipartition to_bipartition(const FragmentGraph& graph) {
-  QCUT_CHECK(graph.num_fragments() == 2,
-             "to_bipartition: the two-fragment view requires exactly 2 fragments, got " +
-                 std::to_string(graph.num_fragments()));
-  const ChainFragment& f1 = graph.fragments[0];
-  const ChainFragment& f2 = graph.fragments[1];
-
-  Bipartition bp;
-  bp.f1 = f1.circuit;
-  bp.f2 = f2.circuit;
-  bp.f1_to_original = f1.to_original;
-  bp.f2_to_original = f2.to_original;
-  bp.f1_output_qubits = f1.output_qubits;
-  bp.num_original_qubits = graph.num_original_qubits;
-  for (const BoundaryWire& wire : graph.boundaries[0].wires) {
-    bp.cuts.push_back(CutWire{wire.original_qubit, wire.up_qubit, wire.down_qubit});
-  }
-  return bp;
 }
 
 ChainNeglectSpec ChainNeglectSpec::none(const FragmentGraph& graph) {

@@ -14,9 +14,8 @@
 // Topology is restricted to a *chain*: every cut wire of boundary b must be
 // measured in fragment b and re-prepared in fragment b+1 (no
 // fragment-skipping wires, no branching fragment DAGs; see ROADMAP open
-// items). The classic two-fragment split is the N=2 chain, and
-// make_bipartition (bipartition.hpp) is now a thin wrapper over
-// make_fragment_chain.
+// items). The classic two-fragment split is the N=2 chain: Bipartition
+// (golden.hpp) names it and make_bipartition builds it.
 
 #include <span>
 #include <vector>
@@ -103,13 +102,11 @@ struct SplitQubits {
 [[nodiscard]] FragmentGraph make_fragment_chain(
     const Circuit& circuit, std::span<const std::vector<circuit::WirePoint>> boundaries);
 
-/// The N=2 chain from a flat cut list (one boundary).
-[[nodiscard]] FragmentGraph make_fragment_graph(const Circuit& circuit,
-                                                std::span<const circuit::WirePoint> cuts);
-
-/// Two-fragment view of an N=2 graph (throws otherwise), the input of the
-/// per-bipartition golden detectors.
-[[nodiscard]] Bipartition to_bipartition(const FragmentGraph& graph);
+/// The N=2 chain from a flat cut list (one boundary), the input of the
+/// per-bipartition golden detectors. Throws qcut::Error (with the reason)
+/// if the cuts do not induce a valid bipartition.
+[[nodiscard]] Bipartition make_bipartition(const Circuit& circuit,
+                                           std::span<const circuit::WirePoint> cuts);
 
 /// One NeglectSpec per boundary.
 class ChainNeglectSpec {

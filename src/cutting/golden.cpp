@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
+#include "cutting/fragment_graph.hpp"
 #include "linalg/ops.hpp"
 #include "metrics/stats.hpp"
 #include "sim/statevector.hpp"
@@ -128,19 +130,27 @@ const std::vector<linalg::CMat>& context_projectors() {
 
 }  // namespace
 
-FragmentLayout upstream_layout(const Bipartition& bp) {
+const ChainFragment& upstream_fragment(const Bipartition& bp) {
+  QCUT_CHECK(bp.num_fragments() == 2,
+             "golden detection needs a 2-fragment bipartition, got " +
+                 std::to_string(bp.num_fragments()) + " fragments");
+  return bp.fragments.front();
+}
+
+FragmentLayout fragment_layout(const ChainFragment& fragment) {
   FragmentLayout layout;
-  layout.num_cuts = bp.num_cuts();
-  layout.width = bp.f1_width();
-  layout.cut_qubits = bp.f1_cut_qubits();
-  layout.out_qubits = bp.f1_output_qubits;
+  layout.num_cuts = fragment.num_out();
+  layout.width = fragment.width();
+  layout.cut_qubits = fragment.out_cut_qubits;
+  layout.out_qubits = fragment.output_qubits;
   return layout;
 }
 
 GoldenDetectionReport detect_golden_exact(const Bipartition& bp, double tol) {
-  sim::StateVector psi(bp.f1_width());
-  psi.apply_circuit(bp.f1);
-  return detect_golden_exact_core(upstream_layout(bp), psi.amplitudes(), tol);
+  const ChainFragment& upstream = upstream_fragment(bp);
+  sim::StateVector psi(upstream.width());
+  psi.apply_circuit(upstream.circuit);
+  return detect_golden_exact_core(fragment_layout(upstream), psi.amplitudes(), tol);
 }
 
 GoldenDetectionReport detect_golden_exact_core(const FragmentLayout& layout,
@@ -349,13 +359,14 @@ GoldenDetectionReport detect_golden_from_counts_core(const FragmentLayout& layou
 GoldenDetectionReport detect_golden_from_counts(
     const Bipartition& bp, const std::vector<std::vector<double>>& upstream_probabilities,
     std::size_t shots, const OnlineDetectionOptions& options) {
+  const ChainFragment& upstream = upstream_fragment(bp);
   std::uint64_t num_settings = 1;
-  for (int k = 0; k < bp.num_cuts(); ++k) num_settings *= kNumMeasSettings;
+  for (int k = 0; k < upstream.num_out(); ++k) num_settings *= kNumMeasSettings;
   QCUT_CHECK(upstream_probabilities.size() == num_settings,
              "detect_golden_from_counts: need all 3^K upstream settings");
 
   return detect_golden_from_counts_core(
-      upstream_layout(bp), 1,
+      fragment_layout(upstream), 1,
       [&](std::size_t, std::uint32_t s) -> const std::vector<double>& {
         return upstream_probabilities[s];
       },

@@ -29,11 +29,30 @@
 #include <span>
 #include <vector>
 
+#include "circuit/circuit.hpp"
+#include "circuit/dag.hpp"
 #include "cutting/basis.hpp"
-#include "cutting/bipartition.hpp"
 #include "linalg/matrix.hpp"
 
 namespace qcut::cutting {
+
+using circuit::Circuit;
+using circuit::WirePoint;
+
+struct ChainFragment;
+struct FragmentGraph;
+
+/// The two-fragment split of Section II-B of the paper is the N=2 chain
+/// (fragment_graph.hpp, which includes this header): fragments[0] is the
+/// upstream fragment f1, fragments[1] the downstream f2, and boundaries[0]
+/// holds the cut wires. make_bipartition builds one.
+using Bipartition = FragmentGraph;
+
+/// Fragment 0 of a two-fragment graph: the upstream side the
+/// per-bipartition detectors below read. Throws qcut::Error for any other
+/// fragment count, because boundary b of a longer chain is a property of
+/// its whole prefix (detect_chain_golden_exact), never of fragment b alone.
+[[nodiscard]] const ChainFragment& upstream_fragment(const Bipartition& bp);
 
 class NeglectSpec {
  public:
@@ -100,12 +119,14 @@ struct FragmentLayout {
   std::vector<int> out_qubits;   // remaining locals (conditioning bits)
 };
 
-/// The layout of a bipartition's upstream fragment f1.
-[[nodiscard]] FragmentLayout upstream_layout(const Bipartition& bp);
+/// The layout of a chain fragment's outgoing boundary: its tomography
+/// locals are the cut qubits, its final-bit locals the conditioning bits.
+[[nodiscard]] FragmentLayout fragment_layout(const ChainFragment& fragment);
 
 /// Exact detection from the upstream fragment's statevector.
 /// An element is declared golden when its violation is at most `tol`.
-/// Simulates bp.f1 and runs detect_golden_exact_core on its amplitudes.
+/// Simulates fragment 0 of `bp` and runs detect_golden_exact_core on its
+/// amplitudes.
 [[nodiscard]] GoldenDetectionReport detect_golden_exact(const Bipartition& bp,
                                                         double tol = 1e-9);
 
@@ -125,8 +146,9 @@ struct OnlineDetectionOptions {
 /// Statistical detection from measured upstream probabilities.
 ///
 /// `upstream_probabilities[s]` is the empirical outcome distribution of the
-/// upstream variant with setting-tuple index s (length 2^{f1 width}); all
-/// 3^K settings must be present. `shots` is the shot count behind each.
+/// upstream variant with setting-tuple index s (length 2^w, w the width of
+/// fragment 0); all 3^K settings must be present. `shots` is the shot count
+/// behind each.
 /// A cell passes when |g_hat| <= z * sigma_hat + min_threshold with z the
 /// union-bound normal critical value; an element is golden when every cell
 /// passes.

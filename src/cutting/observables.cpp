@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "cutting/fragment_graph.hpp"
 #include "linalg/ops.hpp"
 #include "sim/statevector.hpp"
 
@@ -158,14 +159,12 @@ GoldenDetectionReport detect_golden_for_observable(const Bipartition& bp,
 
 std::optional<GoldenDetectionReport> try_detect_golden_for_observable(
     const Bipartition& bp, const DiagonalObservable& observable, double tol) {
-  std::vector<int> output_original;
-  for (int local : bp.f1_output_qubits) {
-    output_original.push_back(bp.f1_to_original[static_cast<std::size_t>(local)]);
-  }
-  sim::StateVector psi(bp.f1_width());
-  psi.apply_circuit(bp.f1);
-  return try_detect_golden_for_observable_core(upstream_layout(bp), psi.amplitudes(), observable,
-                                               output_original, bp.f2_to_original, tol);
+  const ChainFragment& upstream = upstream_fragment(bp);
+  sim::StateVector psi(upstream.width());
+  psi.apply_circuit(upstream.circuit);
+  return try_detect_golden_for_observable_core(fragment_layout(upstream), psi.amplitudes(),
+                                               observable, upstream.output_original,
+                                               bp.fragments[1].to_original, tol);
 }
 
 std::optional<GoldenDetectionReport> try_detect_golden_for_observable_core(

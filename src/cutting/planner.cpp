@@ -22,7 +22,7 @@ namespace {
 /// What ranking and golden detection need from one single cut, read off
 /// its cut analysis instead of built fragment circuits. The qubit
 /// assignment is make_fragment_chain's own (split_qubits), so the layout is
-/// the one make_bipartition's f1 and f2 would have.
+/// the one make_bipartition's fragments f1 and f2 would have.
 struct CutView {
   circuit::CutAnalysis analysis;
   SplitQubits qubits;       // original qubit <-> f1 / f2 locals
@@ -82,7 +82,7 @@ std::vector<linalg::CMat> op_matrices(const Circuit& circuit) {
 
 /// The f1 state of `view`, simulated in place: every upstream op of the
 /// original circuit, in program order, on its f1-local qubits. These are
-/// the ops, matrices and qubit lists make_bipartition's f1 would apply, so
+/// the ops, matrices and qubit lists of make_bipartition's fragment 0, so
 /// the amplitudes are bit for bit the same.
 sim::StateVector simulate_upstream(const Circuit& circuit,
                                    std::span<const linalg::CMat> matrices, const CutView& view) {

@@ -401,8 +401,7 @@ void CutService::admit(const JobPtr& job) {
       const double golden_tol = j.shed ? j.shed_golden_tol : opt.golden_tol;
       std::vector<NeglectSpec> specs;
       for (const std::vector<circuit::WirePoint>& boundary : r.boundaries) {
-        const cutting::Bipartition bp =
-            cutting::make_bipartition(j.resolved.circuit, boundary);
+        const cutting::Bipartition bp = cutting::make_bipartition(j.resolved.circuit, boundary);
         std::optional<cutting::GoldenDetectionReport> observable_report;
         if (j.resolved.observable.has_value()) {
           observable_report = cutting::try_detect_golden_for_observable(
@@ -780,18 +779,12 @@ void CutService::handle_fragment_wave_complete(const JobPtr& job) {
       f > 0 ? cutting::required_prep_indices(j.response.specs.boundary(f - 1))
             : std::vector<std::uint32_t>{0};
 
-  cutting::FragmentLayout layout;
-  layout.num_cuts = graph.boundaries[static_cast<std::size_t>(f)].num_cuts();
-  layout.width = fragment.width();
-  layout.cut_qubits = fragment.out_cut_qubits;
-  layout.out_qubits = fragment.output_qubits;
-
   // Smallest per-variant shot count of this wave as the test's sample size
   // (conservative when a total budget splits unevenly).
   const std::uint64_t detect_start_ns =
       j.traced ? telemetry::Tracer::global().now_ns() : 0;
   const cutting::GoldenDetectionReport detection = cutting::detect_golden_from_counts_core(
-      layout, contexts.size(),
+      cutting::fragment_layout(fragment), contexts.size(),
       [&](std::size_t context, std::uint32_t setting) -> const std::vector<double>& {
         return j.response.data.distribution(f, FragmentVariantKey{contexts[context], setting});
       },

@@ -111,14 +111,7 @@ class CpuDevice final : public Device {
   [[nodiscard]] const DeviceCaps& caps() const noexcept override { return caps_; }
 
   [[nodiscard]] std::string identity_token() const override {
-    std::string token;
-    if (options_.fuse) {
-      token += "+fusion";
-      if (!options_.fusion.merge_1q_runs) token += "-nomerge";
-      if (!options_.fusion.fold_1q_into_2q) token += "-nofold";
-      if (!options_.fusion.merge_2q_chains) token += "-no2q";
-      if (options_.fusion.fuse_to_3q) token += "+3q";
-    }
+    std::string token = options_.fuse ? "+fusion" : "";
     // The dispatched ISA, not just the flag: AVX2 and AVX-512 tiers place
     // different runs in the scalar tail (uncontracted rounding), so equal
     // tokens require equal dispatch.
@@ -154,7 +147,7 @@ class CpuDevice final : public Device {
     if (engine.fuse) {
       // Only the settled operations are compiled (and later applied) before
       // a fork; the scan state rides along for compile_suffix to clone.
-      circuit::GateFusion scan(rep.num_qubits(), engine.fusion);
+      circuit::GateFusion scan(rep.num_qubits());
       std::vector<circuit::Operation> settled;
       for (std::size_t i = 0; i < prefix_ops; ++i) scan.push(rep.op(i), settled);
       program->compiled = compile_ops(settled, rep.num_qubits(), engine);

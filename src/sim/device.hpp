@@ -16,7 +16,7 @@
 //   device->probabilities(*state, probs);
 //
 // Determinism contract: a Device's identity_token() must encode every
-// result-affecting configuration (gate fusion flags, the dispatched SIMD
+// result-affecting configuration (gate fusion, the dispatched SIMD
 // ISA); two devices with equal caps().name and identity_token() return
 // bit-for-bit equal results for every program/state sequence. Knobs that
 // are bit-for-bit neutral (specialization, threading, cache blocking,
@@ -112,7 +112,7 @@ class Device {
 
   /// Every result-affecting device configuration, rendered as a token a
   /// backend appends to its cache identity ("" when the device is bit-exact
-  /// with the generic reference; "+fusion...", "+simd(avx2)" otherwise).
+  /// with the generic reference; "+fusion", "+simd(avx2)" otherwise).
   [[nodiscard]] virtual std::string identity_token() const = 0;
 
   /// Compiles a whole circuit (fusion + classification as configured).

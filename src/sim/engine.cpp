@@ -562,7 +562,7 @@ CompiledCircuit compile_ops(std::span<const Operation> ops, int num_qubits,
 
 CompiledCircuit compile_circuit(const circuit::Circuit& circuit, const EngineOptions& options) {
   if (!options.fuse) return compile_ops(circuit.ops(), circuit.num_qubits(), options);
-  circuit::GateFusion scan(circuit.num_qubits(), options.fusion);
+  circuit::GateFusion scan(circuit.num_qubits());
   std::vector<Operation> fused;
   fused.reserve(circuit.num_ops());
   for (const Operation& op : circuit.ops()) scan.push(op, fused);
@@ -575,11 +575,6 @@ CompiledCircuit compile_circuit(const circuit::Circuit& circuit, const EngineOpt
                                      compiled.fusion_stats_.folded_1q_gates +
                                      compiled.fusion_stats_.merged_2q_gates);
   return compiled;
-}
-
-void run_circuit(const circuit::Circuit& circuit, StateVector& state,
-                 const EngineOptions& options) {
-  compile_circuit(circuit, options).apply(state);
 }
 
 }  // namespace qcut::sim

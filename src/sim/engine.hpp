@@ -92,9 +92,6 @@ struct EngineOptions {
   /// 1e-12); backends expose this knob in their cache identity.
   bool fuse = true;
 
-  /// Fusion pass configuration (used when `fuse` is set).
-  circuit::FusionOptions fusion{};
-
   /// Execute through the SoA/SIMD kernel path (AVX2, or AVX-512 where the
   /// CPU has it). FMA contraction makes this deviate from the scalar
   /// kernels by floating-point rounding (within 1e-12 per amplitude);
@@ -194,7 +191,6 @@ class CompiledCircuit {
   [[nodiscard]] int num_qubits() const noexcept { return num_qubits_; }
   [[nodiscard]] std::size_t num_ops() const noexcept { return ops_.size(); }
   [[nodiscard]] KernelClass kernel_class(std::size_t i) const { return ops_.at(i).cls; }
-  [[nodiscard]] const EngineOptions& options() const noexcept { return options_; }
   [[nodiscard]] std::span<const CompiledOp> compiled_ops() const noexcept { return ops_; }
   [[nodiscard]] std::span<const Segment> segments() const noexcept { return segments_; }
 
@@ -243,9 +239,5 @@ class CompiledCircuit {
 /// Fuses (when options.fuse) and classifies a whole circuit.
 [[nodiscard]] CompiledCircuit compile_circuit(const circuit::Circuit& circuit,
                                               const EngineOptions& options = {});
-
-/// Convenience: compile `circuit` and apply it to `state`.
-void run_circuit(const circuit::Circuit& circuit, StateVector& state,
-                 const EngineOptions& options = {});
 
 }  // namespace qcut::sim

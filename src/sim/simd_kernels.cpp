@@ -49,14 +49,6 @@ index_t group_count(const CompiledOp& op, index_t dim) noexcept {
   return 0;
 }
 
-bool compiled_with_simd() noexcept {
-#if defined(QCUT_SIMD_AVX2)
-  return true;
-#else
-  return false;
-#endif
-}
-
 IsaLevel best_isa() noexcept {
 #if defined(QCUT_SIMD_AVX512)
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {

@@ -50,9 +50,6 @@ struct KernelTable {
 /// iteration count kernels and the chunking layer agree on.
 [[nodiscard]] index_t group_count(const CompiledOp& op, index_t dim) noexcept;
 
-/// True when this build compiled at least the AVX2 tier.
-[[nodiscard]] bool compiled_with_simd() noexcept;
-
 /// Widest ISA both the build and this CPU support; Scalar when the SIMD
 /// tiers are compiled out or the CPU lacks AVX2+FMA.
 [[nodiscard]] IsaLevel best_isa() noexcept;

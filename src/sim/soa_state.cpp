@@ -15,29 +15,18 @@ SoAState::SoAState(int num_qubits) : num_qubits_(num_qubits) {
 
 SoAState SoAState::from_statevector(const StateVector& sv) {
   SoAState out(sv.num_qubits());
-  out.assign_from(sv);
-  return out;
-}
-
-void SoAState::assign_from(const StateVector& sv) {
-  QCUT_CHECK(sv.num_qubits() == num_qubits_, "SoAState::assign_from: width mismatch");
   const CVec& amps = sv.amplitudes();
-  for (index_t i = 0; i < dim(); ++i) {
-    re_[i] = amps[i].real();
-    im_[i] = amps[i].imag();
+  for (index_t i = 0; i < out.dim(); ++i) {
+    out.re_[i] = amps[i].real();
+    out.im_[i] = amps[i].imag();
   }
+  return out;
 }
 
 void SoAState::extract_to(StateVector& sv) const {
   QCUT_CHECK(sv.num_qubits() == num_qubits_, "SoAState::extract_to: width mismatch");
   std::span<cx> amps = sv.raw_amplitudes();
   for (index_t i = 0; i < dim(); ++i) amps[i] = cx{re_[i], im_[i]};
-}
-
-void SoAState::set_zero_state() {
-  std::fill(re_.begin(), re_.end(), 0.0);
-  std::fill(im_.begin(), im_.end(), 0.0);
-  re_[0] = 1.0;
 }
 
 cx SoAState::amplitude(index_t basis_state) const {
@@ -48,12 +37,6 @@ cx SoAState::amplitude(index_t basis_state) const {
 void SoAState::probabilities_into(std::vector<double>& out) const {
   out.resize(dim());
   for (index_t i = 0; i < dim(); ++i) out[i] = re_[i] * re_[i] + im_[i] * im_[i];
-}
-
-std::vector<double> SoAState::probabilities() const {
-  std::vector<double> out;
-  probabilities_into(out);
-  return out;
 }
 
 }  // namespace qcut::sim

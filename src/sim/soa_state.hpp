@@ -25,15 +25,8 @@ class SoAState {
 
   [[nodiscard]] static SoAState from_statevector(const StateVector& sv);
 
-  /// Overwrites this state with `sv`'s amplitudes (widths must match);
-  /// reuses the existing buffers.
-  void assign_from(const StateVector& sv);
-
   /// Writes the amplitudes back into `sv` (widths must match).
   void extract_to(StateVector& sv) const;
-
-  /// Resets to |0...0> without reallocating.
-  void set_zero_state();
 
   [[nodiscard]] int num_qubits() const noexcept { return num_qubits_; }
   [[nodiscard]] index_t dim() const noexcept { return static_cast<index_t>(re_.size()); }
@@ -48,7 +41,6 @@ class SoAState {
   /// Measurement probabilities, re^2 + im^2 per amplitude — the same
   /// expression StateVector::probabilities_into evaluates via std::norm.
   void probabilities_into(std::vector<double>& out) const;
-  [[nodiscard]] std::vector<double> probabilities() const;
 
  private:
   int num_qubits_ = 0;

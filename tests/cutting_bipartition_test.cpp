@@ -1,11 +1,21 @@
-#include "cutting/bipartition.hpp"
+// make_bipartition: the two-fragment FragmentGraph a single set of cuts
+// yields. Checks fragment widths, qubit maps, boundary wires, output and
+// cut qubits, and the ops each fragment circuit carries.
+
+#include "cutting/fragment_graph.hpp"
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 
 namespace qcut::cutting {
 namespace {
+
+using circuit::WirePoint;
 
 /// The paper's 3-qubit example: U12 on (0,1), cut wire 1, U23 on (1,2).
 Circuit chain3() {
@@ -20,31 +30,34 @@ Circuit chain3() {
 TEST(Bipartition, ThreeQubitChain) {
   const std::array<WirePoint, 1> cuts = {WirePoint{1, 1}};
   const Bipartition bp = make_bipartition(chain3(), cuts);
+  ASSERT_EQ(bp.num_fragments(), 2);
+  const ChainFragment& f1 = bp.fragments[0];
+  const ChainFragment& f2 = bp.fragments[1];
 
   EXPECT_EQ(bp.num_original_qubits, 3);
-  EXPECT_EQ(bp.num_cuts(), 1);
-  EXPECT_EQ(bp.f1_width(), 2);
-  EXPECT_EQ(bp.f2_width(), 2);
-  EXPECT_EQ(bp.f1_to_original, (std::vector<int>{0, 1}));
-  EXPECT_EQ(bp.f2_to_original, (std::vector<int>{1, 2}));
+  EXPECT_EQ(bp.total_cuts(), 1);
+  EXPECT_EQ(f1.width(), 2);
+  EXPECT_EQ(f2.width(), 2);
+  EXPECT_EQ(f1.to_original, (std::vector<int>{0, 1}));
+  EXPECT_EQ(f2.to_original, (std::vector<int>{1, 2}));
 
-  ASSERT_EQ(bp.cuts.size(), 1u);
-  EXPECT_EQ(bp.cuts[0].original_qubit, 1);
-  EXPECT_EQ(bp.cuts[0].f1_qubit, 1);
-  EXPECT_EQ(bp.cuts[0].f2_qubit, 0);
+  ASSERT_EQ(bp.boundaries[0].wires.size(), 1u);
+  EXPECT_EQ(bp.boundaries[0].wires[0].original_qubit, 1);
+  EXPECT_EQ(bp.boundaries[0].wires[0].up_qubit, 1);
+  EXPECT_EQ(bp.boundaries[0].wires[0].down_qubit, 0);
 
-  EXPECT_EQ(bp.f1_output_qubits, (std::vector<int>{0}));
-  EXPECT_EQ(bp.f1_output_width(), 1);
-  EXPECT_EQ(bp.f1_cut_qubits(), (std::vector<int>{1}));
-  EXPECT_EQ(bp.f2_cut_qubits(), (std::vector<int>{0}));
+  EXPECT_EQ(f1.output_qubits, (std::vector<int>{0}));
+  EXPECT_EQ(f1.output_width(), 1);
+  EXPECT_EQ(f1.out_cut_qubits, (std::vector<int>{1}));
+  EXPECT_EQ(f2.in_qubits, (std::vector<int>{0}));
 
   // Fragment circuits carry the right ops.
-  EXPECT_EQ(bp.f1.num_ops(), 2u);
-  EXPECT_EQ(bp.f1.op(0).kind, circuit::GateKind::CX);
-  EXPECT_EQ(bp.f1.op(0).qubits, (std::vector<int>{0, 1}));
-  EXPECT_EQ(bp.f2.num_ops(), 2u);
-  EXPECT_EQ(bp.f2.op(0).kind, circuit::GateKind::CX);
-  EXPECT_EQ(bp.f2.op(0).qubits, (std::vector<int>{0, 1}));  // remapped 1->0, 2->1
+  EXPECT_EQ(f1.circuit.num_ops(), 2u);
+  EXPECT_EQ(f1.circuit.op(0).kind, circuit::GateKind::CX);
+  EXPECT_EQ(f1.circuit.op(0).qubits, (std::vector<int>{0, 1}));
+  EXPECT_EQ(f2.circuit.num_ops(), 2u);
+  EXPECT_EQ(f2.circuit.op(0).kind, circuit::GateKind::CX);
+  EXPECT_EQ(f2.circuit.op(0).qubits, (std::vector<int>{0, 1}));  // remapped 1->0, 2->1
 }
 
 TEST(Bipartition, FiveQubitMiddleCut) {
@@ -54,11 +67,11 @@ TEST(Bipartition, FiveQubitMiddleCut) {
   c.cx(2, 3).cx(3, 4).rz(0.7, 4);       // downstream {2,3,4}
   const std::array<WirePoint, 1> cuts = {WirePoint{2, 3}};
   const Bipartition bp = make_bipartition(c, cuts);
-  EXPECT_EQ(bp.f1_width(), 3);
-  EXPECT_EQ(bp.f2_width(), 3);
-  EXPECT_EQ(bp.f1_to_original, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(bp.f2_to_original, (std::vector<int>{2, 3, 4}));
-  EXPECT_EQ(bp.f1_output_qubits, (std::vector<int>{0, 1}));
+  EXPECT_EQ(bp.fragments[0].width(), 3);
+  EXPECT_EQ(bp.fragments[1].width(), 3);
+  EXPECT_EQ(bp.fragments[0].to_original, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(bp.fragments[1].to_original, (std::vector<int>{2, 3, 4}));
+  EXPECT_EQ(bp.fragments[0].output_qubits, (std::vector<int>{0, 1}));
 }
 
 TEST(Bipartition, IdleQubitGoesUpstream) {
@@ -66,10 +79,10 @@ TEST(Bipartition, IdleQubitGoesUpstream) {
   c.cx(0, 1).ry(0.2, 1).cx(1, 2);  // qubit 3 idle
   const std::array<WirePoint, 1> cuts = {WirePoint{1, 1}};
   const Bipartition bp = make_bipartition(c, cuts);
-  EXPECT_EQ(bp.f1_to_original, (std::vector<int>{0, 1, 3}));
-  EXPECT_EQ(bp.f2_to_original, (std::vector<int>{1, 2}));
+  EXPECT_EQ(bp.fragments[0].to_original, (std::vector<int>{0, 1, 3}));
+  EXPECT_EQ(bp.fragments[1].to_original, (std::vector<int>{1, 2}));
   // Idle qubit 3 is an f1 output.
-  EXPECT_EQ(bp.f1_output_qubits, (std::vector<int>{0, 2}));
+  EXPECT_EQ(bp.fragments[0].output_qubits, (std::vector<int>{0, 2}));
 }
 
 TEST(Bipartition, TwoCutsSharedDownstream) {
@@ -79,12 +92,12 @@ TEST(Bipartition, TwoCutsSharedDownstream) {
   c.cx(1, 2);       // downstream
   const std::array<WirePoint, 2> cuts = {WirePoint{1, 1}, WirePoint{2, 3}};
   const Bipartition bp = make_bipartition(c, cuts);
-  EXPECT_EQ(bp.num_cuts(), 2);
-  EXPECT_EQ(bp.f1_to_original, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(bp.f2_to_original, (std::vector<int>{1, 2}));
-  EXPECT_EQ(bp.f1_output_qubits, (std::vector<int>{0, 3}));
-  EXPECT_EQ(bp.f1_cut_qubits(), (std::vector<int>{1, 2}));
-  EXPECT_EQ(bp.f2_cut_qubits(), (std::vector<int>{0, 1}));
+  EXPECT_EQ(bp.total_cuts(), 2);
+  EXPECT_EQ(bp.fragments[0].to_original, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(bp.fragments[1].to_original, (std::vector<int>{1, 2}));
+  EXPECT_EQ(bp.fragments[0].output_qubits, (std::vector<int>{0, 3}));
+  EXPECT_EQ(bp.fragments[0].out_cut_qubits, (std::vector<int>{1, 2}));
+  EXPECT_EQ(bp.fragments[1].in_qubits, (std::vector<int>{0, 1}));
 }
 
 TEST(Bipartition, CutOrderIsPreserved) {
@@ -92,11 +105,11 @@ TEST(Bipartition, CutOrderIsPreserved) {
   c.h(0).cx(0, 1);
   c.h(3).cx(3, 2);
   c.cx(1, 2);
-  // Same cuts, reversed order: cuts[] must follow the caller's order.
+  // Same cuts, reversed order: the wires must follow the caller's order.
   const std::array<WirePoint, 2> cuts = {WirePoint{2, 3}, WirePoint{1, 1}};
   const Bipartition bp = make_bipartition(c, cuts);
-  EXPECT_EQ(bp.cuts[0].original_qubit, 2);
-  EXPECT_EQ(bp.cuts[1].original_qubit, 1);
+  EXPECT_EQ(bp.boundaries[0].wires[0].original_qubit, 2);
+  EXPECT_EQ(bp.boundaries[0].wires[1].original_qubit, 1);
 }
 
 TEST(Bipartition, InvalidCutsThrow) {
@@ -116,8 +129,8 @@ TEST(Bipartition, CustomGatesSurviveFragmentation) {
   c.append_custom(linalg::CMat::identity(4), {1, 2}, "U2");
   const std::array<WirePoint, 1> cuts = {WirePoint{1, 1}};
   const Bipartition bp = make_bipartition(c, cuts);
-  EXPECT_EQ(bp.f1.op(0).label, "U1");
-  EXPECT_EQ(bp.f2.op(0).label, "U2");
+  EXPECT_EQ(bp.fragments[0].circuit.op(0).label, "U1");
+  EXPECT_EQ(bp.fragments[1].circuit.op(0).label, "U2");
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ TEST(ShotBudget, SplitsEvenlyWithRemainderToEarliest) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_bipartition(ansatz.circuit, cuts);
 
   backend::StatevectorBackend backend(2);
   ExecutionOptions exec;
@@ -40,7 +40,7 @@ TEST(ShotBudget, BudgetTooSmallRejected) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_bipartition(ansatz.circuit, cuts);
   backend::StatevectorBackend backend(3);
   ExecutionOptions exec;
   exec.total_shot_budget = 5;  // fewer than 9 variants
@@ -53,7 +53,7 @@ TEST(ShotBudget, GoldenGetsMoreShotsPerVariantAtEqualBudget) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_bipartition(ansatz.circuit, cuts);
 
   NeglectSpec golden(1);
   golden.neglect(0, ansatz.golden_basis);

@@ -141,7 +141,7 @@ TEST(ChainCutting, SpecCutCountMustMatchEveryBoundary) {
   circuit::MultiCutAnsatzOptions options;
   options.num_cuts = 2;
   const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, ansatz.cuts);
+  const FragmentGraph graph = make_bipartition(ansatz.circuit, ansatz.cuts);
   ASSERT_EQ(graph.boundaries[0].num_cuts(), 2);
 
   backend::StatevectorBackend backend(1);
@@ -206,7 +206,7 @@ ChainFragmentData synthetic_chain_data(const FragmentGraph& graph, const ChainNe
 FragmentGraph sweep_like_graph() {
   const Circuit c = circuit::qaoa_path(8, 2, 0.3, 0.35);
   const std::array<WirePoint, 1> cuts = {circuit::middle_cut(c)};
-  return make_fragment_graph(c, cuts);
+  return make_bipartition(c, cuts);
 }
 
 /// One 4-cut boundary: 4^4 = 256 terms, so the reduction sums them in
@@ -216,7 +216,7 @@ FragmentGraph four_cut_graph() {
   circuit::MultiCutAnsatzOptions options;
   options.num_cuts = 4;
   const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
-  return make_fragment_graph(ansatz.circuit, ansatz.cuts);
+  return make_bipartition(ansatz.circuit, ansatz.cuts);
 }
 
 /// 7 qubits, 4 fragments: {0,1} -q1-> {1,2,3} -q3-> {3,4,5} -q5-> {5,6}, so
@@ -240,7 +240,7 @@ FragmentGraph wide_last_graph() {
   c.h(0).cx(0, 1).ry(0.3, 1);  // ops 0-2, fragment 0
   for (int q = 1; q + 1 < 8; ++q) c.cx(q, q + 1).ry(0.1 * q, q + 1);
   const std::array<WirePoint, 1> cuts = {WirePoint{1, 2}};
-  return make_fragment_graph(c, cuts);
+  return make_bipartition(c, cuts);
 }
 
 /// N=2 whose fragment 0 has runs of one entry on both sides: it is {1,2,3}
@@ -251,7 +251,7 @@ FragmentGraph runs_of_one_graph() {
   c.h(3).cx(3, 2).ry(0.4, 2).cx(2, 1).ry(0.3, 1);  // ops 0-4, fragment 0
   c.cx(1, 0).ry(0.2, 0);                           // ops 5-6, fragment 1
   const std::array<WirePoint, 1> cuts = {WirePoint{1, 4}};
-  return make_fragment_graph(c, cuts);
+  return make_bipartition(c, cuts);
 }
 
 /// 6 qubits, 3 fragments, a 2-cut first boundary: {0,1,2} -q1,q2->
@@ -384,7 +384,7 @@ TEST(ChainCutting, TwoFragmentChainMatchesFrozenBipartitionDigests) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_bipartition(ansatz.circuit, cuts);
 
   NeglectSpec golden(1);
   golden.neglect(0, ansatz.golden_basis);

@@ -1,5 +1,7 @@
-// FragmentGraph construction: chain splitting, the N=2 equivalence with
-// make_bipartition, and rejection of non-chain topologies.
+// FragmentGraph construction: chain splitting, the two-fragment split
+// make_bipartition builds (the N=2 chain), rejection of non-chain
+// topologies, and the per-bipartition detectors' refusal of longer chains.
+// The field-by-field layout of a bipartition is in cutting_bipartition_test.
 
 #include "cutting/fragment_graph.hpp"
 
@@ -9,6 +11,7 @@
 #include <array>
 
 #include "common/error.hpp"
+#include "cutting/observables.hpp"
 
 namespace qcut::cutting {
 namespace {
@@ -82,30 +85,30 @@ TEST(FragmentGraph, ThreeFragmentChainStructure) {
   EXPECT_EQ(f2.circuit.num_ops(), 3u);
 }
 
-TEST(FragmentGraph, TwoFragmentGraphMatchesBipartition) {
+TEST(FragmentGraph, BipartitionIsTheTwoFragmentChain) {
   Circuit c(4);
   c.cx(0, 1).ry(0.2, 1).cx(1, 2).cx(2, 3);
   const std::array<WirePoint, 1> cuts = {WirePoint{1, 1}};
 
-  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  const std::vector<std::vector<WirePoint>> boundaries = {{cuts.begin(), cuts.end()}};
+  const FragmentGraph graph = make_fragment_chain(c, boundaries);
   const Bipartition bp = make_bipartition(c, cuts);
 
   ASSERT_EQ(graph.num_fragments(), 2);
-  EXPECT_EQ(graph.fragments[0].to_original, bp.f1_to_original);
-  EXPECT_EQ(graph.fragments[1].to_original, bp.f2_to_original);
-  EXPECT_EQ(graph.fragments[0].output_qubits, bp.f1_output_qubits);
-  EXPECT_EQ(graph.fragments[0].out_cut_qubits, bp.f1_cut_qubits());
-  EXPECT_EQ(graph.fragments[1].in_qubits, bp.f2_cut_qubits());
-  EXPECT_EQ(graph.fragments[0].circuit.num_ops(), bp.f1.num_ops());
-  EXPECT_EQ(graph.fragments[1].circuit.num_ops(), bp.f2.num_ops());
+  ASSERT_EQ(bp.num_fragments(), 2);
+  EXPECT_EQ(graph.fragments[0].to_original, bp.fragments[0].to_original);
+  EXPECT_EQ(graph.fragments[1].to_original, bp.fragments[1].to_original);
+  EXPECT_EQ(graph.fragments[0].output_qubits, bp.fragments[0].output_qubits);
+  EXPECT_EQ(graph.fragments[0].out_cut_qubits, bp.fragments[0].out_cut_qubits);
+  EXPECT_EQ(graph.fragments[1].in_qubits, bp.fragments[1].in_qubits);
+  EXPECT_EQ(graph.fragments[0].circuit.num_ops(), bp.fragments[0].circuit.num_ops());
+  EXPECT_EQ(graph.fragments[1].circuit.num_ops(), bp.fragments[1].circuit.num_ops());
 
-  const Bipartition round_trip = to_bipartition(graph);
-  EXPECT_EQ(round_trip.f1_to_original, bp.f1_to_original);
-  EXPECT_EQ(round_trip.f2_to_original, bp.f2_to_original);
-  EXPECT_EQ(round_trip.cuts.size(), bp.cuts.size());
-  EXPECT_EQ(round_trip.cuts[0].original_qubit, bp.cuts[0].original_qubit);
-  EXPECT_EQ(round_trip.cuts[0].f1_qubit, bp.cuts[0].f1_qubit);
-  EXPECT_EQ(round_trip.cuts[0].f2_qubit, bp.cuts[0].f2_qubit);
+  ASSERT_EQ(bp.num_boundaries(), 1);
+  EXPECT_EQ(graph.boundaries[0].wires.size(), bp.boundaries[0].wires.size());
+  EXPECT_EQ(graph.boundaries[0].wires[0].original_qubit, bp.boundaries[0].wires[0].original_qubit);
+  EXPECT_EQ(graph.boundaries[0].wires[0].up_qubit, bp.boundaries[0].wires[0].up_qubit);
+  EXPECT_EQ(graph.boundaries[0].wires[0].down_qubit, bp.boundaries[0].wires[0].down_qubit);
 }
 
 TEST(FragmentGraph, FragmentSkippingWireIsRejected) {
@@ -129,9 +132,24 @@ TEST(FragmentGraph, OutOfOrderBoundariesAreRejected) {
   EXPECT_THROW((void)make_fragment_chain(c, boundaries), Error);
 }
 
-TEST(FragmentGraph, ToBipartitionRequiresTwoFragments) {
+TEST(FragmentGraph, BipartitionDetectorsRejectLongerChains) {
+  // Boundary b of a chain is tested on its whole prefix, so none of the
+  // per-bipartition detectors may quietly read fragment 0 of three.
   const FragmentGraph graph = make_fragment_chain(chain5(), chain5_boundaries());
-  EXPECT_THROW((void)to_bipartition(graph), Error);
+  ASSERT_EQ(graph.num_fragments(), 3);
+  const DiagonalObservable observable(std::vector<double>(32, 1.0));
+  const std::vector<std::vector<double>> upstream(3, std::vector<double>(4, 0.25));
+
+  EXPECT_THROW((void)detect_golden_exact(graph), Error);
+  EXPECT_THROW((void)detect_golden_from_counts(graph, upstream, 1000), Error);
+  EXPECT_THROW((void)detect_golden_for_observable(graph, observable), Error);
+  EXPECT_THROW((void)try_detect_golden_for_observable(graph, observable), Error);
+
+  // The same detectors accept the two-fragment prefix split of boundary 0.
+  const Bipartition bp = make_bipartition(chain5(), chain5_boundaries()[0]);
+  EXPECT_NO_THROW((void)detect_golden_exact(bp));
+  EXPECT_NO_THROW((void)detect_golden_from_counts(bp, upstream, 1000));
+  EXPECT_NO_THROW((void)detect_golden_for_observable(bp, observable));
 }
 
 TEST(FragmentGraph, ChainNeglectSpecCountsTerms) {

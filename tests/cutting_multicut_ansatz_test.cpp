@@ -36,7 +36,7 @@ TEST_P(MultiCutSweep, PerCutGoldenYHoldsAndReconstructsExactly) {
 
   ASSERT_EQ(ansatz.cuts.size(), static_cast<std::size_t>(param.num_cuts));
   const Bipartition bp = make_bipartition(ansatz.circuit, ansatz.cuts);
-  EXPECT_EQ(bp.num_cuts(), param.num_cuts);
+  EXPECT_EQ(bp.total_cuts(), param.num_cuts);
 
   // Exact detection: Y golden at every cut.
   const GoldenDetectionReport report = detect_golden_exact(bp, 1e-9);
@@ -88,7 +88,7 @@ TEST(MultiCutAnsatz, ExecutionCountsMatchFormula) {
   circuit::MultiCutAnsatzOptions options;
   options.num_cuts = 2;
   const circuit::MultiCutAnsatz ansatz = circuit::make_multi_cut_golden_ansatz(options, rng);
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, ansatz.cuts);
+  const FragmentGraph graph = make_bipartition(ansatz.circuit, ansatz.cuts);
 
   NeglectSpec spec(2);
   spec.neglect(0, Pauli::Y).neglect(1, Pauli::Y);

@@ -74,7 +74,7 @@ TEST(ReconstructedExpectation, MatchesStatevector) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_bipartition(ansatz.circuit, cuts);
   const ChainNeglectSpec none = ChainNeglectSpec::none(graph);
 
   backend::StatevectorBackend backend(3);
@@ -136,7 +136,7 @@ TEST(ObservableGolden, WeakerObservableAdmitsMoreGoldenBases) {
   ExecutionOptions exec;
   exec.exact = true;
   const NeglectSpec spec = observable_report.to_spec();
-  const FragmentGraph graph = make_fragment_graph(c, cuts);
+  const FragmentGraph graph = make_bipartition(c, cuts);
   const ChainNeglectSpec chain_spec{{spec}};
   const ChainFragmentData data = execute_chain(graph, chain_spec, backend, exec);
   sim::StateVector sv(3);

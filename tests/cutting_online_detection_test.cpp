@@ -22,7 +22,7 @@ using circuit::WirePoint;
 std::vector<std::vector<double>> sampled_upstream(const Circuit& circuit,
                                                   std::span<const WirePoint> cuts,
                                                   std::size_t shots, std::uint64_t seed) {
-  const FragmentGraph graph = make_fragment_graph(circuit, cuts);
+  const FragmentGraph graph = make_bipartition(circuit, cuts);
   backend::StatevectorBackend backend(seed);
   std::vector<std::vector<double>> upstream;
   for (std::uint32_t s = 0; s < 3; ++s) {

@@ -58,7 +58,7 @@ TEST(PauliEstimation, ThroughTheCutMatchesStatevector) {
 
     // The original cut point stays valid on the rotated circuit.
     const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-    const FragmentGraph graph = make_fragment_graph(plan.rotated_circuit, cuts);
+    const FragmentGraph graph = make_bipartition(plan.rotated_circuit, cuts);
     const ChainNeglectSpec none = ChainNeglectSpec::none(graph);
 
     backend::StatevectorBackend backend(3);
@@ -85,12 +85,11 @@ TEST(PauliEstimation, GoldenYMayBreakForYObservables) {
   pauli.set_label(0, linalg::Pauli::Y);  // Y on an upstream output qubit
   const PauliEstimationPlan plan = prepare_pauli_estimation(ansatz.circuit, pauli);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const Bipartition bp = make_bipartition(plan.rotated_circuit, cuts);
-  const FragmentGraph graph = make_fragment_graph(plan.rotated_circuit, cuts);
+  const Bipartition graph = make_bipartition(plan.rotated_circuit, cuts);
 
   // Exact detection on the ROTATED circuit decides whether Y is still
   // golden; whatever it says, the reconstruction must match.
-  const ChainNeglectSpec spec{{detect_golden_exact(bp, 1e-9).to_spec()}};
+  const ChainNeglectSpec spec{{detect_golden_exact(graph, 1e-9).to_spec()}};
 
   backend::StatevectorBackend backend(4);
   ExecutionOptions exec;
@@ -108,7 +107,7 @@ TEST(CountsIngestion, ManualPipelineMatchesBuiltIn) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_bipartition(ansatz.circuit, cuts);
 
   NeglectSpec boundary(1);
   boundary.neglect(0, ansatz.golden_basis);
@@ -159,7 +158,7 @@ TEST(CountsIngestion, Validation) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_bipartition(ansatz.circuit, cuts);
   const int width = graph.fragments[0].width();
   ASSERT_NE(width, 2);
 

@@ -155,8 +155,8 @@ CutCandidate reference_candidate(const circuit::WirePoint& point, const Bipartit
   const NeglectSpec spec = report.to_spec();
   CutCandidate candidate;
   candidate.point = point;
-  candidate.f1_width = bp.f1_width();
-  candidate.f2_width = bp.f2_width();
+  candidate.f1_width = bp.fragments[0].width();
+  candidate.f2_width = bp.fragments[1].width();
   candidate.violation = report.violation.front();
   for (const Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
     if (report.golden.front()[static_cast<std::size_t>(p)]) candidate.golden_bases.push_back(p);

@@ -319,7 +319,7 @@ TEST(Reconstruction, MismatchedFragmentDataIsRejected) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_bipartition(ansatz.circuit, cuts);
   const cutting::ChainNeglectSpec none = cutting::ChainNeglectSpec::none(graph);
 
   cutting::ChainFragmentData extra_fragment = cutting::make_chain_data(graph);
@@ -340,7 +340,7 @@ TEST(Reconstruction, GoldenSpecMissingDataIsRejected) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<WirePoint, 1> cuts = {ansatz.cut};
-  const cutting::FragmentGraph graph = cutting::make_fragment_graph(ansatz.circuit, cuts);
+  const cutting::FragmentGraph graph = cutting::make_bipartition(ansatz.circuit, cuts);
 
   cutting::NeglectSpec golden_spec(1);
   golden_spec.neglect(0, ansatz.golden_basis);

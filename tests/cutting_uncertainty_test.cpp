@@ -29,7 +29,7 @@ struct Fixture {
     options.num_qubits = 5;
     circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
     const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-    FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+    FragmentGraph graph = make_bipartition(ansatz.circuit, cuts);
     ChainNeglectSpec none = ChainNeglectSpec::none(graph);
 
     backend::StatevectorBackend backend(seed * 7 + 1);
@@ -117,7 +117,7 @@ TEST(Bootstrap, GoldenSpecGivesComparableErrorWithFewerVariants) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_bipartition(ansatz.circuit, cuts);
   const ChainNeglectSpec none = ChainNeglectSpec::none(graph);
 
   NeglectSpec golden_spec(1);
@@ -146,7 +146,7 @@ TEST(Bootstrap, RejectsExactData) {
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+  const FragmentGraph graph = make_bipartition(ansatz.circuit, cuts);
   const ChainNeglectSpec none = ChainNeglectSpec::none(graph);
   backend::StatevectorBackend backend(2);
   ExecutionOptions exec;
@@ -272,7 +272,7 @@ TEST(Bootstrap, MatchesFrozenDigests) {
     ExecutionOptions exec;
     exec.shots_per_variant = c.shots_per_variant;
     exec.total_shot_budget = c.total_shot_budget;
-    const FragmentGraph graph = make_fragment_graph(ansatz.circuit, cuts);
+    const FragmentGraph graph = make_bipartition(ansatz.circuit, cuts);
     const ChainFragmentData data = execute_chain(graph, spec, backend, exec);
 
     BootstrapOptions boot;

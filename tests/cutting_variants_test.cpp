@@ -22,42 +22,33 @@
 namespace qcut::cutting {
 namespace {
 
-/// One cut of a golden ansatz: the two-fragment view (fragment circuits and
-/// cut qubits) and the N=2 chain the variants are built from.
-struct TestCut {
-  Bipartition bp;
-  FragmentGraph graph;
-};
-
-TestCut make_test_cut(std::uint64_t seed) {
+/// One cut of a golden ansatz: the N=2 chain the variants are built from.
+Bipartition make_test_cut(std::uint64_t seed) {
   Rng rng(seed);
   circuit::GoldenAnsatzOptions options;
   options.num_qubits = 5;
   const circuit::GoldenAnsatz ansatz = circuit::make_golden_ansatz(options, rng);
   const std::array<circuit::WirePoint, 1> cuts = {ansatz.cut};
-  return TestCut{make_bipartition(ansatz.circuit, cuts),
-                 make_fragment_graph(ansatz.circuit, cuts)};
+  return make_bipartition(ansatz.circuit, cuts);
 }
 
 /// Fragment 0's variant under one setting; fragment 1's under one prep.
-Circuit upstream_variant(const TestCut& cut, MeasSetting setting) {
-  return make_fragment_variant(cut.graph, 0,
-                               FragmentVariantKey{0, encode_settings(std::array{setting})})
+Circuit upstream_variant(const Bipartition& bp, MeasSetting setting) {
+  return make_fragment_variant(bp, 0, FragmentVariantKey{0, encode_settings(std::array{setting})})
       .circuit;
 }
-Circuit downstream_variant(const TestCut& cut, linalg::PrepState prep) {
-  return make_fragment_variant(cut.graph, 1,
-                               FragmentVariantKey{encode_preps(std::array{prep}), 0})
+Circuit downstream_variant(const Bipartition& bp, linalg::PrepState prep) {
+  return make_fragment_variant(bp, 1, FragmentVariantKey{encode_preps(std::array{prep}), 0})
       .circuit;
 }
 
 TEST(Variants, UpstreamVariantRealizesTomographicMeasurement) {
-  const TestCut cut = make_test_cut(1);
-  const Bipartition& bp = cut.bp;
-  const int cut_qubit = bp.cuts[0].f1_qubit;
+  const Bipartition bp = make_test_cut(1);
+  const ChainFragment& f1 = bp.fragments[0];
+  const int cut_qubit = bp.boundaries[0].wires[0].up_qubit;
 
-  sim::StateVector psi(bp.f1_width());
-  psi.apply_circuit(bp.f1);
+  sim::StateVector psi(f1.width());
+  psi.apply_circuit(f1.circuit);
 
   struct Case {
     MeasSetting setting;
@@ -65,8 +56,8 @@ TEST(Variants, UpstreamVariantRealizesTomographicMeasurement) {
   };
   for (const Case test_case : {Case{MeasSetting::X, Pauli::X}, Case{MeasSetting::Y, Pauli::Y},
                                Case{MeasSetting::Z, Pauli::Z}}) {
-    sim::StateVector rotated(bp.f1_width());
-    rotated.apply_circuit(upstream_variant(cut, test_case.setting));
+    sim::StateVector rotated(f1.width());
+    rotated.apply_circuit(upstream_variant(bp, test_case.setting));
     const std::vector<double> measured = rotated.probabilities();
 
     // Reference: project psi onto the eigenstates of the Pauli on the cut
@@ -91,20 +82,20 @@ TEST(Variants, UpstreamVariantRealizesTomographicMeasurement) {
 }
 
 TEST(Variants, DownstreamVariantEqualsPreparedFragment) {
-  const TestCut cut = make_test_cut(2);
-  const Bipartition& bp = cut.bp;
-  const int cut_qubit = bp.cuts[0].f2_qubit;
+  const Bipartition bp = make_test_cut(2);
+  const ChainFragment& f2 = bp.fragments[1];
+  const int cut_qubit = bp.boundaries[0].wires[0].down_qubit;
 
   for (linalg::PrepState prep : linalg::kAllPrepStates) {
-    sim::StateVector via_variant(bp.f2_width());
-    via_variant.apply_circuit(downstream_variant(cut, prep));
+    sim::StateVector via_variant(f2.width());
+    via_variant.apply_circuit(downstream_variant(bp, prep));
 
     // Reference: product state with the cut qubit in the prep state.
-    std::vector<linalg::CVec> initial(static_cast<std::size_t>(bp.f2_width()),
+    std::vector<linalg::CVec> initial(static_cast<std::size_t>(f2.width()),
                                       linalg::CVec{linalg::cx{1, 0}, linalg::cx{0, 0}});
     initial[static_cast<std::size_t>(cut_qubit)] = linalg::prep_state_vector(prep);
     sim::StateVector reference = sim::StateVector::product_state(initial);
-    reference.apply_circuit(bp.f2);
+    reference.apply_circuit(f2.circuit);
 
     const std::vector<double> a = via_variant.probabilities();
     const std::vector<double> b = reference.probabilities();
@@ -145,16 +136,16 @@ TEST(Variants, TwoCutIndicesCombineMixedRadix) {
 }
 
 TEST(Variants, VariantCircuitsExtendFragments) {
-  const TestCut cut = make_test_cut(3);
-  const Bipartition& bp = cut.bp;
+  const Bipartition bp = make_test_cut(3);
+  const std::size_t f1_ops = bp.fragments[0].circuit.num_ops();
+  const std::size_t f2_ops = bp.fragments[1].circuit.num_ops();
   // One H appended for X; nothing appended for Z.
-  EXPECT_EQ(upstream_variant(cut, MeasSetting::X).num_ops(), bp.f1.num_ops() + 1);
-  EXPECT_EQ(upstream_variant(cut, MeasSetting::Z).num_ops(), bp.f1.num_ops());
+  EXPECT_EQ(upstream_variant(bp, MeasSetting::X).num_ops(), f1_ops + 1);
+  EXPECT_EQ(upstream_variant(bp, MeasSetting::Z).num_ops(), f1_ops);
 
   // Nothing prepended for |0>; X, H, S prepended for |-i>.
-  EXPECT_EQ(downstream_variant(cut, linalg::PrepState::ZPlus).num_ops(), bp.f2.num_ops());
-  EXPECT_EQ(downstream_variant(cut, linalg::PrepState::YMinus).num_ops(),
-            bp.f2.num_ops() + 3);
+  EXPECT_EQ(downstream_variant(bp, linalg::PrepState::ZPlus).num_ops(), f2_ops);
+  EXPECT_EQ(downstream_variant(bp, linalg::PrepState::YMinus).num_ops(), f2_ops + 3);
 }
 
 TEST(Variants, OnlineDetectionWorksForTwoCuts) {

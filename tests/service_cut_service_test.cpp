@@ -51,8 +51,7 @@ std::vector<double> direct_raw_probabilities(const circuit::Circuit& circuit,
                                              std::span<const WirePoint> cuts,
                                              backend::Backend& backend,
                                              const CutRunOptions& options) {
-  const cutting::Bipartition bp = cutting::make_bipartition(circuit, cuts);
-  const cutting::FragmentGraph graph = cutting::make_fragment_graph(circuit, cuts);
+  const cutting::Bipartition graph = cutting::make_bipartition(circuit, cuts);
 
   cutting::ExecutionOptions exec;
   exec.shots_per_variant = options.shots_per_variant;
@@ -61,7 +60,7 @@ std::vector<double> direct_raw_probabilities(const circuit::Circuit& circuit,
   exec.pool = options.pool;
   exec.seed_stream_base = options.seed_stream_base;
 
-  NeglectSpec spec = NeglectSpec::none(bp.num_cuts());
+  NeglectSpec spec = NeglectSpec::none(graph.total_cuts());
   switch (options.golden_mode) {
     case GoldenMode::None:
       break;
@@ -69,7 +68,7 @@ std::vector<double> direct_raw_probabilities(const circuit::Circuit& circuit,
       spec = *options.provided_spec;
       break;
     case GoldenMode::DetectExact:
-      spec = cutting::detect_golden_exact(bp, options.golden_tol).to_spec();
+      spec = cutting::detect_golden_exact(graph, options.golden_tol).to_spec();
       break;
     case GoldenMode::DetectOnline: {
       // Detect from fragment 0's data under every setting, then run the
@@ -78,12 +77,12 @@ std::vector<double> direct_raw_probabilities(const circuit::Circuit& circuit,
       const cutting::ChainFragmentData measured =
           cutting::execute_chain(graph, cutting::ChainNeglectSpec::none(graph), backend, exec);
       std::uint64_t num_settings = 1;
-      for (int k = 0; k < bp.num_cuts(); ++k) num_settings *= cutting::kNumMeasSettings;
+      for (int k = 0; k < graph.total_cuts(); ++k) num_settings *= cutting::kNumMeasSettings;
       std::vector<std::vector<double>> ordered(num_settings);
       for (std::uint32_t s = 0; s < num_settings; ++s) {
         ordered[s] = measured.distribution(0, cutting::FragmentVariantKey{0, s});
       }
-      spec = cutting::detect_golden_from_counts(bp, ordered, measured.shots_per_variant,
+      spec = cutting::detect_golden_from_counts(graph, ordered, measured.shots_per_variant,
                                                 options.online)
                  .to_spec();
       break;
@@ -466,9 +465,9 @@ TEST(CutService, ObservableAutoPlanMatchesDirectEstimatePathBitForBit) {
   const auto plan = cutting::plan_best_single_cut(circuit, obs);
   ASSERT_TRUE(plan.has_value());
   const std::array<WirePoint, 1> cuts = {plan->point};
-  const cutting::Bipartition bp = cutting::make_bipartition(circuit, cuts);
-  const cutting::FragmentGraph graph = cutting::make_fragment_graph(circuit, cuts);
-  const cutting::ChainNeglectSpec spec{{cutting::detect_golden_for_observable(bp, obs).to_spec()}};
+  const cutting::Bipartition graph = cutting::make_bipartition(circuit, cuts);
+  const cutting::ChainNeglectSpec spec{
+      {cutting::detect_golden_for_observable(graph, obs).to_spec()}};
 
   backend::StatevectorBackend direct_backend(61);
   cutting::ExecutionOptions exec;

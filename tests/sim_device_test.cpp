@@ -20,8 +20,10 @@
 
 #include "circuit/random.hpp"
 #include "common/rng.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/simd_kernels.hpp"
 #include "sim/statevector.hpp"
+#include "support/digest.hpp"
 
 namespace qcut::sim {
 namespace {
@@ -74,6 +76,44 @@ TEST(CpuDevice, ApplyMatchesEngineReference) {
     for (index_t i = 0; i < reference.dim(); ++i) {
       EXPECT_EQ(amps[i], reference.amplitude(i)) << i;
     }
+  }
+}
+
+// Frozen digests of the default device's raw amplitude bits (zero signs
+// included) over 96 seeded circuits of widths 1..12, fused and unfused,
+// serial and threaded + cache-blocked. Threading and blocking are
+// bit-neutral, so both modes share one digest per fusion setting.
+TEST(CpuDevice, AmplitudesMatchFrozenDigests) {
+  parallel::ThreadPool pool(3);
+  const auto digest = [&](bool fuse, bool threaded) {
+    EngineOptions options;
+    options.fuse = fuse;
+    if (threaded) {
+      options.threading_threshold_qubits = 2;
+      options.min_parallel_work = 0;
+      options.cache_block_qubits = 3;
+      options.pool = &pool;
+    } else {
+      options.threading_threshold_qubits = 27;
+    }
+    const auto device = make_cpu_device(options);
+    std::vector<double> bits;
+    for (std::uint64_t seed = 0; seed < 96; ++seed) {
+      const int width = 1 + static_cast<int>(seed % 12);
+      const Circuit c = random_circuit_of(width, 4 + static_cast<int>(seed % 5), 9000 + seed);
+      const auto program = device->compile(c);
+      const auto state = device->create_state(width);
+      device->apply(*program, *state);
+      for (const cx& amp : device->amplitudes(*state)) {
+        bits.push_back(amp.real());
+        bits.push_back(amp.imag());
+      }
+    }
+    return fnv1a(bits);
+  };
+  for (const bool threaded : {false, true}) {
+    EXPECT_EQ(digest(true, threaded), 0x3c0eaddd743cef4bULL) << "fused, threaded=" << threaded;
+    EXPECT_EQ(digest(false, threaded), 0x8230b458228b66c0ULL) << "unfused, threaded=" << threaded;
   }
 }
 
@@ -186,13 +226,6 @@ TEST(CpuDevice, IdentityTokenEncodesResultAffectingKnobsOnly) {
   EngineOptions no_fuse;
   no_fuse.fuse = false;
   EXPECT_EQ(make_cpu_device(no_fuse)->identity_token(), "");
-
-  EngineOptions flags;
-  flags.fusion.merge_1q_runs = false;
-  flags.fusion.fold_1q_into_2q = false;
-  flags.fusion.merge_2q_chains = false;
-  flags.fusion.fuse_to_3q = true;
-  EXPECT_EQ(make_cpu_device(flags)->identity_token(), "+fusion-nomerge-nofold-no2q+3q");
 
   // Bit-neutral knobs must NOT appear: threading, grain, blocking.
   EngineOptions neutral;

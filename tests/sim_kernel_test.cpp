@@ -34,7 +34,6 @@ namespace qcut::sim {
 namespace {
 
 using circuit::Circuit;
-using circuit::FusionOptions;
 using circuit::GateFusion;
 using circuit::GateKind;
 using circuit::Operation;
@@ -479,7 +478,7 @@ TEST(Fusion, MergesRunsAndFoldsIntoTwoQubitGates) {
   Circuit c(2);
   c.h(0).t(0).s(0).ch(0, 1).h(1).rz(0.3, 1);
   circuit::FusionStats stats;
-  const Circuit fused = circuit::fuse_gates(c, FusionOptions{}, &stats);
+  const Circuit fused = circuit::fuse_gates(c, &stats);
   // h-t-s fold into the dense ch, which opens a 2q chain; the trailing h-rz
   // on wire 1 fold into the chain too. Everything collapses to one 4x4.
   EXPECT_EQ(fused.num_ops(), 1u);
@@ -498,13 +497,12 @@ TEST(Fusion, ChainsDenseTwoQubitGatesOnOneWirePair) {
   c.append(GateKind::CRX, {0, 1}, {0.4}).ch(1, 0).append(GateKind::CRX, {0, 1}, {0.7});
   c.cx(0, 1).append(GateKind::CRX, {1, 2}, {0.2});
   circuit::FusionStats stats;
-  const Circuit fused = circuit::fuse_gates(c, FusionOptions{}, &stats);
+  const Circuit fused = circuit::fuse_gates(c, &stats);
   ASSERT_EQ(fused.num_ops(), 3u);  // fused(crx,ch,crx), cx, crx
   EXPECT_EQ(fused.op(0).kind, GateKind::Custom);
   EXPECT_EQ(fused.op(1).kind, GateKind::CX);
   EXPECT_EQ(fused.op(2).kind, GateKind::CRX);
   EXPECT_EQ(stats.merged_2q_gates, 2u);
-  EXPECT_EQ(stats.fused_3q_blocks, 0u);
   EXPECT_TRUE(circuit_unitary(c).approx_equal(circuit_unitary(fused), 1e-12));
 }
 
@@ -514,33 +512,22 @@ TEST(Fusion, SingleDenseTwoQubitGateEmitsVerbatim) {
   Circuit c(2);
   c.append(GateKind::CRX, {0, 1}, {0.4});
   circuit::FusionStats stats;
-  const Circuit fused = circuit::fuse_gates(c, FusionOptions{}, &stats);
+  const Circuit fused = circuit::fuse_gates(c, &stats);
   ASSERT_EQ(fused.num_ops(), 1u);
   EXPECT_EQ(fused.op(0).kind, GateKind::CRX);
   EXPECT_EQ(stats.merged_2q_gates, 0u);
 }
 
-TEST(Fusion, FuseTo3qGrowsSharedWireChainsInto8x8) {
+TEST(Fusion, ChainsStayOnTwoWires) {
+  // Each dense gate shares one wire with the pending chain, which flushes
+  // at every handoff instead of growing to three qubits.
   Circuit c(3);
   c.append(GateKind::CRX, {0, 1}, {0.4}).ch(1, 2).append(GateKind::CRX, {2, 0}, {0.7});
-  FusionOptions opts;
-  opts.fuse_to_3q = true;
   circuit::FusionStats stats;
-  const Circuit fused = circuit::fuse_gates(c, opts, &stats);
-  ASSERT_EQ(fused.num_ops(), 1u);
-  EXPECT_EQ(fused.op(0).kind, GateKind::Custom);
-  EXPECT_EQ(fused.op(0).num_qubits(), 3);
-  EXPECT_EQ(stats.merged_2q_gates, 2u);
-  EXPECT_EQ(stats.fused_3q_blocks, 1u);
+  const Circuit fused = circuit::fuse_gates(c, &stats);
+  EXPECT_EQ(fused.num_ops(), 3u);
+  EXPECT_EQ(stats.merged_2q_gates, 0u);
   EXPECT_TRUE(circuit_unitary(c).approx_equal(circuit_unitary(fused), 1e-12));
-
-  // Default options keep chains at 2 qubits: same circuit flushes at each
-  // wire handoff instead.
-  circuit::FusionStats flat_stats;
-  const Circuit flat = circuit::fuse_gates(c, FusionOptions{}, &flat_stats);
-  EXPECT_EQ(flat.num_ops(), 3u);
-  EXPECT_EQ(flat_stats.fused_3q_blocks, 0u);
-  EXPECT_TRUE(circuit_unitary(c).approx_equal(circuit_unitary(flat), 1e-12));
 }
 
 TEST(Fusion, NeverDensifiesPermutationOrDiagonalGates) {
@@ -550,7 +537,7 @@ TEST(Fusion, NeverDensifiesPermutationOrDiagonalGates) {
   Circuit c(2);
   c.h(0).t(0).cx(0, 1).s(1).cz(0, 1);
   circuit::FusionStats stats;
-  const Circuit fused = circuit::fuse_gates(c, FusionOptions{}, &stats);
+  const Circuit fused = circuit::fuse_gates(c, &stats);
   EXPECT_EQ(stats.folded_1q_gates, 0u);
   ASSERT_EQ(fused.num_ops(), 4u);  // fused(h,t), cx, s, cz
   EXPECT_EQ(fused.op(1).kind, GateKind::CX);
@@ -570,13 +557,13 @@ TEST(Fusion, StreamingSplitMatchesWholeCircuitFusion) {
   const Circuit c = circuit::random_circuit(rc, rng);
 
   std::vector<Operation> whole;
-  GateFusion whole_scan(c.num_qubits(), FusionOptions{});
+  GateFusion whole_scan(c.num_qubits());
   for (const Operation& op : c.ops()) whole_scan.push(op, whole);
   whole_scan.flush(whole);
 
   for (std::size_t split = 0; split <= c.num_ops(); ++split) {
     std::vector<Operation> emitted;
-    GateFusion prefix_scan(c.num_qubits(), FusionOptions{});
+    GateFusion prefix_scan(c.num_qubits());
     for (std::size_t i = 0; i < split; ++i) prefix_scan.push(c.op(i), emitted);
     GateFusion member_scan = prefix_scan;  // the per-member clone
     for (std::size_t i = split; i < c.num_ops(); ++i) member_scan.push(c.op(i), emitted);

@@ -1,5 +1,6 @@
 #include "cutting/request.hpp"
 
+#include <cmath>
 #include <string>
 
 #include "common/error.hpp"
@@ -191,8 +192,9 @@ std::vector<circuit::WirePoint> ResolvedRequest::flat_cuts() const {
 void validate(const CutRequest& request) {
   QCUT_CHECK(request.circuit.num_qubits() >= 2,
              "CutRequest: circuit must have at least 2 qubits to cut");
-  QCUT_CHECK(!request.deadline_seconds.has_value() || *request.deadline_seconds > 0.0,
-             "CutRequest: deadline_seconds must be positive when set");
+  QCUT_CHECK(!request.deadline_seconds.has_value() ||
+                 (std::isfinite(*request.deadline_seconds) && *request.deadline_seconds > 0.0),
+             "CutRequest: deadline_seconds must be positive and finite when set");
   QCUT_CHECK(request.tenant_weight > 0, "CutRequest: tenant_weight must be >= 1");
   if (request.load_shed.has_value()) {
     QCUT_CHECK(request.load_shed->shot_fraction > 0.0 &&

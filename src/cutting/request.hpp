@@ -180,9 +180,11 @@ struct CutRequest {
 
   /// When set, the job must finish within this many seconds of submission
   /// (measured on the service's monotonic clock); past the deadline the job
-  /// fails with DeadlineExceeded at the next wave boundary. A deadline that
-  /// is already unmeetable at submit() (<= 0, or deadline_at_ns in the past)
-  /// is rejected immediately without enqueueing.
+  /// fails with DeadlineExceeded at the next wave boundary. Must be finite
+  /// and > 0 (validate() rejects anything else); a deadline past the
+  /// clock's 2^64 ns range is no deadline. A deadline already unmeetable at
+  /// submit() (deadline_at_ns in the past) is rejected immediately without
+  /// enqueueing.
   std::optional<double> deadline_seconds;
 
   /// Absolute variant of deadline_seconds: a point on the service's

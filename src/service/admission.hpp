@@ -44,6 +44,8 @@ struct AdmissionOptions {
   /// job. A job too large for an absolute budget even on an idle service
   /// still rejects immediately - waiting could never help.
   bool block = false;
+  /// Finite and >= 0 (CutService's constructor checks); a bound past the
+  /// clock's 2^64 ns range leaves only the request's deadline to end a wait.
   double max_block_seconds = 30.0;
 
   /// Base of the retry-after hint carried by ResourceExhausted: the hint is

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "common/error.hpp"
@@ -24,6 +26,21 @@ using cutting::FragmentGraph;
 using cutting::FragmentVariantKey;
 using cutting::GoldenMode;
 using cutting::NeglectSpec;
+
+namespace {
+
+/// The instant `seconds` (finite, >= 0) after `from_ns` on the service
+/// clock, saturated at the clock's last value: an instant past 2^64 ns is
+/// never reached.
+std::uint64_t saturating_instant_ns(std::uint64_t from_ns, double seconds) {
+  constexpr std::uint64_t kLast = std::numeric_limits<std::uint64_t>::max();
+  const double span_ns = seconds * 1e9;
+  if (!(span_ns < 18446744073709551616.0)) return kLast;  // 2^64
+  const auto span = static_cast<std::uint64_t>(span_ns);
+  return span > kLast - from_ns ? kLast : from_ns + span;
+}
+
+}  // namespace
 
 CutService::CutService(backend::Backend& backend, CutServiceOptions options)
     : backend_(backend),
@@ -64,16 +81,28 @@ CutService::CutService(backend::Backend& backend, CutServiceOptions options)
                                         telemetry::exponential_bounds(1e-4, 4.0, 12))),
       wait_batch_(metrics_.histogram("service.tenant_wait_seconds.batch",
                                      telemetry::exponential_bounds(1e-4, 4.0, 12))),
-      scheduler_thread_([this] { scheduler_loop(); }) {}
+      scheduler_threads_gauge_(metrics_.gauge("service.scheduler_threads")),
+      max_schedulers_(pool_.size()) {
+  QCUT_CHECK(std::isfinite(admission_.max_block_seconds) && admission_.max_block_seconds >= 0.0,
+             "CutServiceOptions: admission.max_block_seconds must be finite and >= 0");
+  // Reserved up front, so starting a thread later cannot reallocate.
+  schedulers_.reserve(max_schedulers_);
+  schedulers_.emplace_back([this] { scheduler_loop(); });
+  scheduler_threads_gauge_->set(1);
+}
 
 CutService::~CutService() {
   wait_idle();
+  std::vector<std::thread> schedulers;
   {
+    // Past this point no thread starts (push_ready_locked checks stopping_).
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
+    schedulers.swap(schedulers_);
   }
   wake_.notify_all();
-  scheduler_thread_.join();
+  for (std::thread& scheduler : schedulers) scheduler.join();
+  scheduler_threads_gauge_->set(0);
 }
 
 std::future<CutResponse> CutService::submit(CutRequest request) {
@@ -89,7 +118,9 @@ CutService::SubmittedJob CutService::submit_job(CutRequest request) {
   const std::uint64_t submit_ns = clock_();
   std::uint64_t deadline_ns = 0;
   if (request.deadline_seconds.has_value()) {
-    deadline_ns = submit_ns + static_cast<std::uint64_t>(*request.deadline_seconds * 1e9);
+    deadline_ns = saturating_instant_ns(submit_ns, *request.deadline_seconds);
+    // Past the clock's range: no deadline.
+    if (deadline_ns == std::numeric_limits<std::uint64_t>::max()) deadline_ns = 0;
   }
   if (request.deadline_at_ns.has_value()) {
     deadline_ns = deadline_ns == 0 ? *request.deadline_at_ns
@@ -116,7 +147,7 @@ CutService::SubmittedJob CutService::submit_job(CutRequest request) {
         // injected clock bounds the total wait; the slice duration merely
         // sets the polling cadence when a notify is missed.
         const std::uint64_t block_deadline_ns =
-            submit_ns + static_cast<std::uint64_t>(admission_.max_block_seconds * 1e9);
+            saturating_instant_ns(submit_ns, admission_.max_block_seconds);
         while (!admitted && clock_() < block_deadline_ns &&
                (deadline_ns == 0 || clock_() < deadline_ns)) {
           admission_cv_.wait_for(lock, std::chrono::milliseconds(5));
@@ -164,10 +195,8 @@ CutService::SubmittedJob CutService::submit_job(CutRequest request) {
     ++active_jobs_;
     active_jobs_gauge_->set(static_cast<std::int64_t>(active_jobs_));
     jobs_.emplace(job->id, job);
-    ready_.push_back(std::move(job));
-    queue_depth_gauge_->set(static_cast<std::int64_t>(ready_.size()));
+    push_ready_locked(std::move(job));
   }
-  wake_.notify_one();
   return handle;
 }
 
@@ -217,22 +246,67 @@ void CutService::record_job_phase(CutJob& job, const char* name, std::uint64_t s
 }
 
 void CutService::scheduler_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    JobPtr job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [&] { return stopping_ || !ready_.empty(); });
-      if (ready_.empty()) return;  // stopping, and nothing left to drive
-      job = std::move(ready_.front());
-      ready_.pop_front();
-      queue_depth_gauge_->set(static_cast<std::int64_t>(ready_.size()));
-    }
+    wake_.wait(lock, [&] { return stopping_ || !ready_.empty(); });
+    if (ready_.empty()) return;  // stopping, and nothing left to drive
+    JobPtr job = std::move(ready_.front());
+    ready_.pop_front();
+    queue_depth_gauge_->set(static_cast<std::int64_t>(ready_.size()));
+    ++busy_schedulers_;
+    lock.unlock();
+
     try {
       advance(job);
     } catch (...) {
       fail(job, std::current_exception());
     }
+
+    // Hand-off. Until here this thread is the job's only holder: a wave it
+    // issued cannot requeue the job, because the wave's pending count still
+    // includes the issuer's own count. The thread stops counting as busy
+    // before it lets go, so neither the job requeued below nor the next
+    // request of a client woken by the promise starts a thread for work
+    // this one is about to take.
+    const bool finished = job->phase == JobPhase::Done || job->phase == JobPhase::Failed;
+    lock.lock();
+    --busy_schedulers_;
+    if (!finished) {
+      // Release the issuer's count; a wave already complete (every variant
+      // a cache hit, or every group finished first) requeues the job now.
+      if (job->pending.fetch_sub(1) == 1) push_ready_locked(job);
+      continue;
+    }
+    jobs_.erase(job->id);
+    release_admission_locked(*job);
+    lock.unlock();
+    // Bookkeeping precedes the promise: the promise is the caller's sync
+    // point, and stats must already reflect the job when it unblocks.
+    if (job->phase == JobPhase::Done) {
+      job->promise.set_value(std::move(job->response));
+    } else {
+      job->promise.set_exception(std::exchange(job->error, nullptr));
+    }
+    idle_.notify_all();
+    lock.lock();
   }
+}
+
+void CutService::push_ready_locked(JobPtr job) {
+  ready_.push_back(std::move(job));
+  queue_depth_gauge_->set(static_cast<std::int64_t>(ready_.size()));
+  if (busy_schedulers_ + ready_.size() > schedulers_.size() &&
+      schedulers_.size() < max_schedulers_ && !stopping_) {
+    try {
+      schedulers_.emplace_back([this] { scheduler_loop(); });
+      scheduler_threads_gauge_->set(static_cast<std::int64_t>(schedulers_.size()));
+    } catch (const std::system_error&) {
+      // The system has no thread to spare: stop growing. The running
+      // threads still drain the queue.
+      max_schedulers_ = schedulers_.size();
+    }
+  }
+  wake_.notify_one();
 }
 
 void CutService::enqueue_ready(const JobPtr& job) {
@@ -241,13 +315,10 @@ void CutService::enqueue_ready(const JobPtr& job) {
   // observed completion (via wait_idle or the job future) and destroyed the
   // service. Holding the mutex pins the service until the notify returns.
   std::lock_guard<std::mutex> lock(mutex_);
-  ready_.push_back(job);
-  queue_depth_gauge_->set(static_cast<std::int64_t>(ready_.size()));
-  wake_.notify_one();
+  push_ready_locked(job);
 }
 
 void CutService::advance(const JobPtr& job) {
-  if (job->phase == JobPhase::Done || job->phase == JobPhase::Failed) return;
   // Stop conditions (cancellation, deadline) are checked at every wave
   // boundary and win over wave failures: a cancelled job fails with
   // CancelledError even if its last wave also saw backend errors.
@@ -328,7 +399,7 @@ void CutService::admit(const JobPtr& job) {
   maybe_shed(j);
 
   // A traced job gets its own virtual tracer track ("job <id>"): the job
-  // hops between the scheduler thread and pool workers, so phase spans are
+  // hops between scheduler threads and pool workers, so phase spans are
   // recorded from measured timestamps instead of thread-bound RAII scopes.
   telemetry::Tracer& tracer = telemetry::Tracer::global();
   if (telemetry::enabled()) {
@@ -340,11 +411,12 @@ void CutService::admit(const JobPtr& job) {
   // Resolve target and cut selection: Pauli targets become a rotated
   // circuit plus a Z-form diagonal observable; Auto[Chain]Plan runs the
   // planner (observable-aware for single-boundary observable targets).
-  // Planning runs here on the scheduler thread deliberately: offloading it
+  // Planning runs here on a scheduler thread deliberately: offloading it
   // to the shared pool lets blocked backend executions starve another
   // request's planning (priority inversion - the in-flight-dedup liveness
-  // test deadlocks on a 1-worker pool), while the scheduler thread is
-  // always free between waves.
+  // test deadlocks on a 1-worker pool), while planning here needs no pool
+  // worker. Several jobs may plan at once, each on its own scheduler thread
+  // and over its own copy of the circuit.
   j.resolved = cutting::resolve(j.request);
   if (j.traced) record_job_phase(j, "job.plan", j.job_start_ns, tracer.now_ns());
   CutResponse& r = j.response;
@@ -532,14 +604,15 @@ void CutService::issue_wave(const JobPtr& job, const std::vector<WaveVariant>& v
   wave_variants_->record(static_cast<double>(j.slots.size()));
   if (j.traced) j.wave_start_ns = telemetry::Tracer::global().now_ns();
 
-  if (j.slots.empty()) {
-    enqueue_ready(job);
-    return;
-  }
+  // The wave's pending count covers every slot plus the issuing thread,
+  // whose count the hand-off in scheduler_loop releases: until then no
+  // callback can requeue the job, however fast its wave completes.
+  j.pending.store(j.slots.size() + 1);
+  if (j.slots.empty()) return;
 
-  // Key every slot before issuing any: a throw while issuing would strand
-  // the wave's pending count. Slots are fragment-major, so each fragment's
-  // shared key stream is hashed once; no circuit is built here.
+  // Key every slot before issuing any, so a throw while keying issues
+  // nothing. Slots are fragment-major, so each fragment's shared key stream
+  // is hashed once; no circuit is built here.
   std::vector<PreparedVariant> prepared;
   prepared.reserve(j.slots.size());
   int stream_fragment = -1;
@@ -557,7 +630,6 @@ void CutService::issue_wave(const JobPtr& job, const std::vector<WaveVariant>& v
     prepared.push_back(p);
   }
 
-  j.pending.store(j.slots.size());
   std::vector<VariantScheduler::BatchItem> items;
   items.reserve(prepared.size());
   for (std::size_t i = 0; i < prepared.size(); ++i) {
@@ -565,8 +637,9 @@ void CutService::issue_wave(const JobPtr& job, const std::vector<WaveVariant>& v
                                    VariantSource source) {
       CutJob& owner = *job;
       if (error != nullptr) {
-        // Collect every slot failure; the scheduler thread resolves them at
-        // the wave boundary (enriched Fail error or per-variant Neglect).
+        // Collect every slot failure; the job's next scheduler turn resolves
+        // them at the wave boundary (enriched Fail error or per-variant
+        // Neglect).
         {
           std::lock_guard<std::mutex> lock(owner.failure_mutex);
           owner.failures.push_back(SlotFailure{i, error});
@@ -682,12 +755,14 @@ void CutService::launch_variant_groups(const JobPtr& job,
     dispatcher_.submit(job->tenant_key, job->effective_weight, [this, task]() {
       // A job already past its deadline (or cancelled) drains its claimed
       // keys without touching the backend; the wave's pending count reaches
-      // zero through the failure callbacks and the scheduler thread fails
-      // the job with the stop error.
-      if (std::exception_ptr stop = job_stop_error(*task->owner)) {
-        scheduler_.complete_failed(task->keys, stop);
-        return;
-      }
+      // zero through the failure callbacks and the job's next scheduler
+      // turn fails it with the stop error. A group another job joined in
+      // flight still runs: that job needs the results, not the stop error.
+      const auto abandoned = [&] {
+        const std::exception_ptr stop = job_stop_error(*task->owner);
+        return stop != nullptr && scheduler_.abandon_unshared(task->keys, stop);
+      };
+      if (abandoned()) return;
       std::vector<CachedDistribution> results(task->keys.size());
       std::exception_ptr error;
       for (std::size_t attempt = 1;; ++attempt) {
@@ -706,7 +781,7 @@ void CutService::launch_variant_groups(const JobPtr& job,
           // fault-free result. Backoff delays shape wall time only.
           error = std::current_exception();
           if (attempt >= retry_.max_attempts) break;
-          if (job_stop_error(*task->owner) != nullptr) break;
+          if (abandoned()) return;
           retries_->add();
           const double delay =
               backoff_seconds(retry_, attempt, task->retry_stream);
@@ -849,16 +924,7 @@ void CutService::reconstruct_and_finish(const JobPtr& job) {
   j.response.backend_delta.simulated_device_seconds = 0.0;
 
   j.phase = JobPhase::Done;
-  // Bookkeeping precedes the promise: the promise is the caller's sync
-  // point, and stats must already reflect the job when it unblocks.
-  jobs_completed_->add();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    jobs_.erase(j.id);
-    release_admission_locked(j);
-  }
-  j.promise.set_value(std::move(j.response));
-  idle_.notify_all();
+  jobs_completed_->add();  // the hand-off delivers the response
 }
 
 void CutService::fail(const JobPtr& job, std::exception_ptr error) {
@@ -882,15 +948,8 @@ void CutService::fail(const JobPtr& job, std::exception_ptr error) {
     } catch (...) {
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    jobs_.erase(j.id);
-    release_admission_locked(j);
-  }
-  // Drop the job's own exception copies before delivery; the promise's
-  // shared state then holds the only long-lived reference, and the wave
-  // bookkeeping above is already final.
-  j.error = nullptr;
+  // Drop the wave's exception copies; the hand-off moves `error` into the
+  // promise, whose shared state then holds the only long-lived reference.
   {
     std::lock_guard<std::mutex> lock(j.failure_mutex);
     j.failures.clear();
@@ -898,8 +957,7 @@ void CutService::fail(const JobPtr& job, std::exception_ptr error) {
   if (error == nullptr) {
     error = std::make_exception_ptr(Error("CutService: job failed without a cause"));
   }
-  j.promise.set_exception(std::move(error));
-  idle_.notify_all();
+  j.error = std::move(error);
 }
 
 std::exception_ptr CutService::job_stop_error(CutJob& job) {

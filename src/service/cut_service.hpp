@@ -22,6 +22,14 @@
 // distribution job and an observable job over the same fragments share
 // every variant.
 //
+// Threading: scheduler threads advance jobs (planning, wave issue,
+// detection, reconstruction) and the pool executes their variants. One
+// scheduler thread starts with the service; another starts whenever a job
+// becomes ready while every running one holds a job, up to the pool's
+// worker count. A thread holds a job from taking it off the ready queue
+// until the hand-off that ends its turn (scheduler_loop), so one job is
+// never advanced by two threads at once.
+//
 // Determinism: given equal seeds the service produces distributions
 // bit-for-bit identical to the direct execute_chain +
 // reconstruct_distribution path, regardless of concurrency, caching, or
@@ -36,6 +44,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "backend/backend.hpp"
 #include "common/retry.hpp"
@@ -130,7 +139,7 @@ class CutService {
  public:
   explicit CutService(backend::Backend& backend, CutServiceOptions options = {});
 
-  /// Waits for every submitted job, then stops the scheduler thread.
+  /// Waits for every submitted job, then stops the scheduler threads.
   ~CutService();
 
   CutService(const CutService&) = delete;
@@ -185,7 +194,15 @@ class CutService {
     std::uint64_t seed_stream = 0;
   };
 
+  /// One scheduler thread: takes ready jobs, advances each by one step and
+  /// hands it off (see the hand-off comment in the loop).
   void scheduler_loop();
+
+  /// Queues a ready job and wakes a scheduler thread for it, starting one
+  /// more thread when every running one holds a job, up to the pool's
+  /// worker count. Caller holds mutex_.
+  void push_ready_locked(JobPtr job);
+
   void advance(const JobPtr& job);
   void admit(const JobPtr& job);
   void issue_wave(const JobPtr& job, const std::vector<WaveVariant>& variants);
@@ -199,12 +216,15 @@ class CutService {
   /// the identical batch; exhausted or permanent failures fail every key of
   /// the group atomically (VariantScheduler::complete_failed). `job` is the
   /// issuing job: a stop condition (deadline / cancellation) observed before
-  /// a group runs drains the group's keys without touching the backend.
+  /// a group runs, or between its retries, drains the group's keys without
+  /// touching the backend, unless another job joined one of them in flight
+  /// (VariantScheduler::abandon_unshared).
   void launch_variant_groups(const JobPtr& job, const std::vector<PreparedVariant>& prepared,
                              const std::vector<std::size_t>& to_launch, bool exact);
   void absorb_wave(const JobPtr& job);
   void handle_fragment_wave_complete(const JobPtr& job);
   void reconstruct_and_finish(const JobPtr& job);
+  /// Marks the job Failed with `error`; the hand-off delivers it.
   void fail(const JobPtr& job, std::exception_ptr error);
   void enqueue_ready(const JobPtr& job);
 
@@ -232,8 +252,8 @@ class CutService {
   void finalize_degradation(CutJob& job);
 
   /// Returns the job's admission budgets to the pool and wakes blocked
-  /// submitters. Called exactly once per finished job (done or failed),
-  /// with mutex_ held.
+  /// submitters. Called exactly once per finished job (done or failed), by
+  /// its hand-off, with mutex_ held.
   void release_admission_locked(CutJob& job);
 
   /// Applies the job's LoadShedPolicy when the service is past the shed
@@ -254,9 +274,8 @@ class CutService {
   telemetry::MetricsRegistry& metrics_;  // before cache_/scheduler_: they register on it
   FragmentResultCache cache_;
   VariantScheduler scheduler_;
-  /// Weighted-fair release of variant-group tasks into the pool. Before
-  /// scheduler_thread_ (tasks reference service state) and after the pool
-  /// reference it dispatches onto.
+  /// Weighted-fair release of variant-group tasks into the pool. After the
+  /// pool reference it dispatches onto.
   FairDispatcher dispatcher_;
 
   // Fault tolerance: retry policy plus the injected clock and sleeper
@@ -292,6 +311,9 @@ class CutService {
   std::shared_ptr<telemetry::Histogram> wait_interactive_;
   std::shared_ptr<telemetry::Histogram> wait_standard_;
   std::shared_ptr<telemetry::Histogram> wait_batch_;
+  /// Scheduler threads started ("service.scheduler_threads"; 0 once the
+  /// service is destroyed).
+  std::shared_ptr<telemetry::Gauge> scheduler_threads_gauge_;
 
   mutable std::mutex mutex_;
   std::condition_variable wake_;
@@ -308,7 +330,12 @@ class CutService {
   bool stopping_ = false;
   std::uint64_t next_job_id_ = 1;
 
-  std::thread scheduler_thread_;  // last member: starts after state is ready
+  /// Scheduler threads, started on demand up to max_schedulers_ (the
+  /// pool's worker count, or fewer if the system refuses a thread), and how
+  /// many of them hold a job right now.
+  std::vector<std::thread> schedulers_;
+  std::size_t max_schedulers_;
+  std::size_t busy_schedulers_ = 0;
 };
 
 }  // namespace qcut::service

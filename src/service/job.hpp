@@ -79,7 +79,10 @@ struct CutJob {
 
   std::promise<cutting::CutResponse> promise;
 
-  // Owned by the service's scheduler thread between waves.
+  // Owned by the scheduler thread advancing the job, one at a time: a
+  // thread holds the job from taking it off the ready queue until its
+  // hand-off (CutService::scheduler_loop), and a wave cannot requeue the
+  // job before the hand-off releases the issuer's count in `pending`.
   JobPhase phase = JobPhase::Queued;
   int wave_fragment = 0;  // online mode: which fragment the current wave runs
   /// DetectOnline with a total_shot_budget: the budget not yet committed
@@ -87,7 +90,9 @@ struct CutJob {
   std::size_t online_budget_remaining = 0;
   cutting::CutResponse response;
 
-  // Current wave.
+  // Current wave. `pending` counts the wave's unfinished slots plus one
+  // for the issuing scheduler thread until its hand-off; whoever brings it
+  // to zero requeues the job.
   std::vector<VariantSlot> slots;
   std::atomic<std::size_t> pending{0};
   std::size_t wave_smallest_share = 0;  // the wave's per-variant shot floor
@@ -95,7 +100,7 @@ struct CutJob {
   Stopwatch total_timer;
 
   // Telemetry: engaged at admission when telemetry::enabled(). The job hops
-  // between the scheduler thread and pool workers, so its phase spans are
+  // between scheduler threads and pool workers, so its phase spans are
   // recorded on a dedicated virtual tracer track ("job <id>") from measured
   // tracer-clock timestamps rather than RAII scopes.
   bool traced = false;
@@ -104,21 +109,22 @@ struct CutJob {
   std::uint64_t wave_start_ns = 0; // tracer-clock start of the current wave
 
   // Slot failures are collected as they arrive (pool threads) and resolved
-  // by the scheduler thread at the wave boundary, once pending hits 0:
-  // OnVariantFailure::Fail propagates the first failure enriched with the
-  // variant's identity and the co-failure count; Neglect drops the failed
-  // variants from reconstruction and the job continues.
+  // by the job's next scheduler turn at the wave boundary, once pending
+  // hits 0: OnVariantFailure::Fail propagates the first failure enriched
+  // with the variant's identity and the co-failure count; Neglect drops the
+  // failed variants from reconstruction and the job continues.
   std::atomic<bool> failed{false};
   std::mutex failure_mutex;
   std::vector<SlotFailure> failures;
 
-  /// Terminal error (deadline, cancellation, or a Fail-policy wave
-  /// failure); owned by the scheduler thread.
+  /// Terminal error (deadline, cancellation, a Fail-policy wave failure or
+  /// any other throw), set by CutService::fail and moved into the promise
+  /// by the hand-off.
   std::exception_ptr error;
 
   // Graceful degradation (OnVariantFailure::Neglect): variants dropped so
   // far and, per boundary, how many reconstruction strings they removed.
-  // Owned by the scheduler thread between waves.
+  // Owned by the scheduler thread advancing the job.
   std::vector<cutting::NeglectedVariant> neglected;
   std::vector<std::uint64_t> dropped_strings;  // one entry per boundary
 
@@ -132,14 +138,15 @@ struct CutJob {
   std::uint32_t effective_weight = 1;
 
   // Admission accounting: the budgets this job holds until it finishes
-  // (released in reconstruct_and_finish / fail), and when it was admitted
-  // (service clock, for the per-class wait histogram).
+  // (released by the hand-off of a done or failed job), and when it was
+  // admitted (service clock, for the per-class wait histogram).
   std::uint64_t admitted_variants = 0;
   std::uint64_t admitted_bytes = 0;
   std::uint64_t submit_ns = 0;
 
   // Load shedding: set by admit() when the service was past the shed
-  // watermark and the request opted in. Owned by the scheduler thread.
+  // watermark and the request opted in. Owned by the scheduler thread
+  // advancing the job.
   bool shed = false;
   double shed_shot_fraction = 1.0;
   double shed_golden_tol = 0.0;     // tolerance actually used by DetectExact

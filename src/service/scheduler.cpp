@@ -117,19 +117,48 @@ void VariantScheduler::complete_failed(std::span<const Hash128> keys,
   // happen under one lock, before any notification, so callbacks (and any
   // concurrent request_batch) never observe a half-failed group.
   std::vector<std::vector<Waiter>> waiters_per_key;
-  waiters_per_key.reserve(keys.size());
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    waiters_per_key = evict_failed_locked(keys);
+  }
+  notify_failed(waiters_per_key, error);
+}
+
+bool VariantScheduler::abandon_unshared(std::span<const Hash128> keys,
+                                        const std::exception_ptr& error) {
+  std::vector<std::vector<Waiter>> waiters_per_key;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const Hash128& key : keys) {
-      failures_->add();
       const auto it = in_flight_.find(key);
       QCUT_CHECK(it != in_flight_.end(),
-                 "VariantScheduler::complete_failed: key was not claimed in flight");
-      waiters_per_key.push_back(std::move(it->second));
-      in_flight_.erase(it);
+                 "VariantScheduler::abandon_unshared: key was not claimed in flight");
+      if (it->second.size() > 1) return false;  // the launcher plus a joiner
     }
-    in_flight_gauge_->set(static_cast<std::int64_t>(in_flight_.size()));
+    waiters_per_key = evict_failed_locked(keys);
   }
+  notify_failed(waiters_per_key, error);
+  return true;
+}
+
+std::vector<std::vector<VariantScheduler::Waiter>> VariantScheduler::evict_failed_locked(
+    std::span<const Hash128> keys) {
+  std::vector<std::vector<Waiter>> waiters_per_key;
+  waiters_per_key.reserve(keys.size());
+  for (const Hash128& key : keys) {
+    failures_->add();
+    const auto it = in_flight_.find(key);
+    QCUT_CHECK(it != in_flight_.end(),
+               "VariantScheduler::complete_failed: key was not claimed in flight");
+    waiters_per_key.push_back(std::move(it->second));
+    in_flight_.erase(it);
+  }
+  in_flight_gauge_->set(static_cast<std::int64_t>(in_flight_.size()));
+  return waiters_per_key;
+}
+
+void VariantScheduler::notify_failed(std::vector<std::vector<Waiter>>& waiters_per_key,
+                                     const std::exception_ptr& error) {
   for (std::vector<Waiter>& waiters : waiters_per_key) {
     for (Waiter& w : waiters) {
       w.callback(nullptr, error,

@@ -93,6 +93,14 @@ class VariantScheduler {
   /// split a follower batch across live and dying keys.
   void complete_failed(std::span<const Hash128> keys, const std::exception_ptr& error);
 
+  /// complete_failed() for a group its launcher no longer needs (its job
+  /// stopped), unless another request joined one of the keys in flight:
+  /// then nothing changes and it returns false, because the group must
+  /// still run for the joiner. The check and the eviction share one
+  /// critical section with joins, so no request joins a key it abandons.
+  [[nodiscard]] bool abandon_unshared(std::span<const Hash128> keys,
+                                      const std::exception_ptr& error);
+
   [[nodiscard]] SchedulerStats stats() const;
 
  private:
@@ -100,6 +108,14 @@ class VariantScheduler {
     Callback callback;
     bool launcher = false;  // this request claimed the execution
   };
+
+  /// Evicts `keys` from the in-flight table and returns their waiters.
+  /// Caller holds mutex_.
+  std::vector<std::vector<Waiter>> evict_failed_locked(std::span<const Hash128> keys);
+
+  /// Invokes every evicted waiter with `error`, outside mutex_.
+  static void notify_failed(std::vector<std::vector<Waiter>>& waiters_per_key,
+                            const std::exception_ptr& error);
 
   FragmentResultCache& cache_;
   mutable std::mutex mutex_;

@@ -8,7 +8,7 @@
 // into that thread's ring buffer on destruction, with depth maintained by a
 // per-thread stack so nested scopes reconstruct their parent chain. Virtual
 // tracks (alloc_track / record_on) let a logical owner — e.g. one
-// CutService job whose phases hop between the scheduler thread and pool
+// CutService job whose phases hop between scheduler threads and pool
 // workers — lay its spans on a single timeline: parent/child is then
 // determined by timing containment on the track, exactly how the Chrome
 // trace viewer nests "X" (complete) events.

@@ -198,6 +198,21 @@ TEST(CutRequestValidation, BootstrapConfidenceMustBeInOpenUnitInterval) {
   }
 }
 
+TEST(CutRequestValidation, DeadlineMustBePositiveAndFinite) {
+  for (const double seconds : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(seconds);
+    CutRequest request{two_qubit_circuit()};
+    request.with_cut(WirePoint{0, 0}).with_deadline(seconds);
+    EXPECT_TRUE(contains(message_of([&] { validate(request); }),
+                         "deadline_seconds must be positive and finite when set"));
+  }
+  CutRequest largest{two_qubit_circuit()};
+  largest.with_cut(WirePoint{0, 0}).with_deadline(std::numeric_limits<double>::max());
+  EXPECT_NO_THROW(validate(largest));
+}
+
 TEST(CutRequestValidation, WellFormedRequestPasses) {
   const auto ansatz = make_ansatz(5, 41);
   CutRequest request(ansatz.circuit);

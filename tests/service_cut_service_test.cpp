@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -20,6 +21,7 @@
 #include "circuit/random.hpp"
 #include "common/error.hpp"
 #include "common/ordered.hpp"
+#include "common/stopwatch.hpp"
 #include "cutting/fragment_executor.hpp"
 #include "cutting/golden.hpp"
 #include "cutting/reconstructor.hpp"
@@ -675,6 +677,129 @@ TEST(CutService, BootstrapResamplesEachVariantWithItsOwnShots) {
                                                                response.specs, obs.diagonal()));
   }
   EXPECT_EQ(response.uncertainty->standard_error, metrics::summarize(values).stddev);
+}
+
+// ---- Scheduler threads -------------------------------------------------------
+
+/// An injected service clock that blocks its first call from any thread but
+/// the test's own: the first scheduler thread's admit of the first job. The
+/// test releases it on every exit path, before the service is destroyed.
+struct ClockHold {
+  std::thread::id test_thread = std::this_thread::get_id();
+  std::atomic<bool> taken{false};
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool holding = false;
+  bool released = false;
+
+  bool wait_until_holding() {
+    std::unique_lock<std::mutex> lock(mutex);
+    return changed.wait_for(lock, std::chrono::seconds(30), [&] { return holding; });
+  }
+
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      released = true;
+    }
+    changed.notify_all();
+  }
+};
+
+MonotonicClock holding_clock(std::shared_ptr<ClockHold> hold) {
+  return [hold = std::move(hold)]() -> std::uint64_t {
+    if (std::this_thread::get_id() != hold->test_thread && !hold->taken.exchange(true)) {
+      std::unique_lock<std::mutex> lock(hold->mutex);
+      hold->holding = true;
+      hold->changed.notify_all();
+      hold->changed.wait(lock, [&] { return hold->released; });
+    }
+    return monotonic_now_ns();
+  };
+}
+
+std::int64_t scheduler_threads(const CutService& service) {
+  const telemetry::MetricsSnapshot snapshot = service.stats().telemetry;
+  const telemetry::GaugeSample* gauge = snapshot.find_gauge("service.scheduler_threads");
+  return gauge != nullptr ? gauge->value : -1;
+}
+
+/// While one job holds the only scheduler thread (its admit is stuck in the
+/// clock), a second job is served by a second thread started for it.
+TEST(CutService, StartsASchedulerThreadWhileEveryRunningOneHoldsAJob) {
+  auto hold = std::make_shared<ClockHold>();
+  backend::StatevectorBackend backend(17);
+  parallel::ThreadPool pool(2);
+  telemetry::MetricsRegistry registry;
+  CutServiceOptions options;
+  options.pool = &pool;
+  options.metrics = &registry;
+  options.clock = holding_clock(hold);
+  CutService service(backend, options);
+  // Declared after the service, so it releases the clock before the
+  // service's destructor waits for the held job.
+  struct ReleaseOnExit {
+    ClockHold& hold;
+    ~ReleaseOnExit() { hold.release(); }
+  } release_on_exit{*hold};
+
+  auto held = service.submit(chain3_request(GoldenMode::None, "alpha"));
+  ASSERT_TRUE(hold->wait_until_holding()) << "the first job never reached admission";
+  EXPECT_EQ(scheduler_threads(service), 1);
+
+  auto other = service.submit(chain3_request(GoldenMode::DetectOnline, "beta"));
+  const bool served = other.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  const std::int64_t threads = scheduler_threads(service);
+  hold->release();
+  EXPECT_TRUE(served) << "the second job waited for the held one";
+  EXPECT_EQ(threads, 2);
+
+  EXPECT_EQ(other.get().graph.num_fragments(), 3);
+  EXPECT_EQ(held.get().graph.num_fragments(), 3);
+  EXPECT_EQ(scheduler_threads(service), 2);
+}
+
+/// One thread serves any load on a 1-worker pool, and requests run one at a
+/// time never start a second thread on a larger pool: a job's own waves and
+/// its client's next request find its thread free.
+TEST(CutService, SchedulerThreadsStayAtOneWithoutConcurrentJobs) {
+  const auto ansatz = make_ansatz(5, 27);
+  {
+    backend::StatevectorBackend backend(3);
+    parallel::ThreadPool pool(1);
+    telemetry::MetricsRegistry registry;
+    CutServiceOptions options;
+    options.pool = &pool;
+    options.metrics = &registry;
+    CutService service(backend, options);
+    std::vector<std::future<CutResponse>> futures;
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+      cutting::CutRequest request = chain3_request(GoldenMode::DetectOnline, "alpha");
+      request.with_seed(seed << 20);
+      futures.push_back(service.submit(std::move(request)));
+    }
+    for (auto& future : futures) EXPECT_EQ(future.get().graph.num_fragments(), 3);
+    EXPECT_EQ(scheduler_threads(service), 1);
+  }
+  {
+    backend::StatevectorBackend backend(3);
+    parallel::ThreadPool pool(4);
+    telemetry::MetricsRegistry registry;
+    CutServiceOptions options;
+    options.pool = &pool;
+    options.metrics = &registry;
+    CutService service(backend, options);
+    for (int repeat = 0; repeat < 2; ++repeat) {  // the second pass is all cache hits
+      for (const GoldenMode mode : {GoldenMode::None, GoldenMode::DetectOnline}) {
+        EXPECT_EQ(service.run(chain3_request(mode, "alpha")).graph.num_fragments(), 3);
+      }
+      cutting::CutRequest planned(ansatz.circuit);
+      planned.with_auto_plan().with_golden(GoldenMode::DetectExact).with_shots(500);
+      EXPECT_EQ(service.run(planned).graph.num_fragments(), 2);
+    }
+    EXPECT_GT(service.stats().scheduler.cache_hits, 0u);
+    EXPECT_EQ(scheduler_threads(service), 1);
+  }
 }
 
 TEST(CutService, ExactOnlineDetectionIsRejected) {

@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -510,6 +512,61 @@ TEST(FaultTolerantService, DeadlineExceededOnInjectedClock) {
   EXPECT_EQ(in_flight->value, 0);
 }
 
+/// A non-finite deadline is a malformed request; a finite one past the
+/// clock's 2^64 ns range, up to the largest double, is no deadline at all.
+TEST(FaultTolerantService, DeadlineBeyondTheClockRangeMeansNoDeadline) {
+  const circuit::GoldenAnsatz ansatz = make_ansatz(4, 9);
+  const std::vector<WirePoint> cuts{ansatz.cut};
+  CutRunOptions options;
+  options.shots_per_variant = 100;
+
+  backend::StatevectorBackend backend(2);
+  telemetry::MetricsRegistry registry;
+  CutServiceOptions service_options;
+  service_options.metrics = &registry;
+  CutService service(backend, service_options);
+
+  cutting::CutRequest infinite = make_cut_request(ansatz.circuit, cuts, options);
+  infinite.with_deadline(std::numeric_limits<double>::infinity());
+  EXPECT_THROW((void)service.submit(infinite), Error);
+  EXPECT_EQ(service.stats().jobs_submitted, 0u);
+
+  const CutResponse reference = service.run(make_cut_request(ansatz.circuit, cuts, options));
+  for (const double seconds : {1e300, std::numeric_limits<double>::max()}) {
+    SCOPED_TRACE(seconds);
+    cutting::CutRequest far = make_cut_request(ansatz.circuit, cuts, options);
+    far.with_deadline(seconds);
+    EXPECT_EQ(service.run(far).reconstruction.raw_probabilities,
+              reference.reconstruction.raw_probabilities);
+  }
+  EXPECT_EQ(service.stats().telemetry.counter_value("service.deadline_exceeded"), 0u);
+}
+
+/// Near the end of the clock's range a deadline that would pass 2^64 ns
+/// saturates into no deadline instead of wrapping to an instant already past.
+TEST(FaultTolerantService, DeadlineSaturatesAtTheEndOfTheClock) {
+  const circuit::GoldenAnsatz ansatz = make_ansatz(4, 10);
+  const std::vector<WirePoint> cuts{ansatz.cut};
+  CutRunOptions options;
+  options.shots_per_variant = 100;
+
+  backend::StatevectorBackend backend(2);
+  telemetry::MetricsRegistry registry;
+  CutServiceOptions service_options;
+  service_options.metrics = &registry;
+  constexpr std::uint64_t kNearTheEnd = std::numeric_limits<std::uint64_t>::max() - 500'000'000;
+  service_options.clock = [] { return kNearTheEnd; };
+  CutService service(backend, service_options);
+
+  for (const double seconds : {1.0, 1e300}) {
+    SCOPED_TRACE(seconds);
+    cutting::CutRequest request = make_cut_request(ansatz.circuit, cuts, options);
+    request.with_deadline(seconds);
+    EXPECT_FALSE(service.run(request).probabilities().empty());
+  }
+  EXPECT_EQ(service.stats().telemetry.counter_value("service.deadline_exceeded"), 0u);
+}
+
 // ---- Cancellation ------------------------------------------------------------
 
 TEST(FaultTolerantService, CancelDuringHangingBackendCall) {
@@ -558,6 +615,62 @@ TEST(FaultTolerantService, CancelDuringHangingBackendCall) {
   ASSERT_NE(in_flight, nullptr);
   EXPECT_EQ(in_flight->value, 0);
   EXPECT_EQ(after.jobs_completed, 1u);
+}
+
+/// Cancelling a job must not fail another job that joined its variants in
+/// flight: the shared groups still run for the joiner.
+TEST(FaultTolerantService, CancelKeepsTheVariantsATwinJoined) {
+  const circuit::GoldenAnsatz ansatz = make_ansatz(4, 13);
+  const std::vector<WirePoint> cuts{ansatz.cut};
+  CutRunOptions options;
+  options.shots_per_variant = 100;
+
+  backend::StatevectorBackend clean(4);
+  const CutResponse reference = run_cut(ansatz.circuit, cuts, clean, options);
+
+  backend::StatevectorBackend inner(4);
+  FaultPlan plan;
+  plan.hang_rate = 1.0;  // every stream's first call blocks until released
+  FaultInjectingBackend faulty(inner, plan);
+
+  parallel::ThreadPool pool(1);
+  telemetry::MetricsRegistry registry;
+  CutServiceOptions service_options;
+  service_options.pool = &pool;
+  service_options.metrics = &registry;
+  service_options.retry.max_attempts = 1;
+  service_options.sleeper = noop_sleeper();
+  CutService service(faulty, service_options);
+
+  const auto wait_for = [&](const auto& done, const char* what) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!done()) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << what;
+      std::this_thread::yield();
+    }
+  };
+
+  // A blocker holds the only worker, so the launcher's groups wait in the
+  // dispatcher while its twin joins every one of their variants.
+  CutRunOptions other_seeds = options;
+  other_seeds.seed_stream_base = 1u << 20;
+  auto blocker = service.submit(make_cut_request(ansatz.circuit, cuts, other_seeds));
+  wait_for([&] { return faulty.hanging() > 0; }, "the blocker never reached the backend");
+  CutService::SubmittedJob launcher =
+      service.submit_job(make_cut_request(ansatz.circuit, cuts, options));
+  wait_for([&] { return service.stats().scheduler.requests == 18; },
+           "the launcher never requested its variants");
+  auto twin = service.submit(make_cut_request(ansatz.circuit, cuts, options));
+  wait_for([&] { return service.stats().scheduler.dedup_joins == 9; },
+           "the twin never joined the launcher's variants");
+
+  EXPECT_TRUE(service.cancel(launcher.id));
+  faulty.release_hangs();
+  EXPECT_THROW((void)launcher.future.get(), CancelledError);
+  EXPECT_EQ(twin.get().reconstruction.raw_probabilities,
+            reference.reconstruction.raw_probabilities);
+  EXPECT_FALSE(blocker.get().probabilities().empty());
+  EXPECT_EQ(service.stats().scheduler.executions, 18u);
 }
 
 TEST(FaultTolerantService, CancelUnknownJobReturnsFalse) {

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -291,6 +292,55 @@ TEST(CutServiceOverload, BoundedBlockAdmitsWhenLoadDrains) {
   std::thread cooperative([&] {
     // Blocks inside submit() until the first job returns its budget.
     second_promise.set_value(service.submit(small_request(ansatz, 2)));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  backend.release_hangs();
+  cooperative.join();
+
+  EXPECT_EQ(first.get().probabilities().size(), 1u << 5);
+  EXPECT_EQ(second.get().get().probabilities().size(), 1u << 5);
+  EXPECT_EQ(service.stats().jobs_rejected, 0u);
+}
+
+TEST(CutServiceOverload, BlockBoundMustBeFiniteAndNonNegative) {
+  backend::StatevectorBackend backend(11);
+  for (const double seconds : {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    SCOPED_TRACE(seconds);
+    CutServiceOptions options;
+    options.admission.block = true;
+    options.admission.max_block_seconds = seconds;
+    EXPECT_THROW(CutService(backend, options), Error);
+  }
+}
+
+/// A block bound past the clock's 2^64 ns range waits until load drains.
+TEST(CutServiceOverload, HugeBlockBoundWaitsUntilLoadDrains) {
+  backend::StatevectorBackend inner(11);
+  FaultPlan plan;
+  plan.hang_rate = 1.0;
+  FaultInjectingBackend backend(inner, plan);
+
+  parallel::ThreadPool pool(2);
+  CutServiceOptions options;
+  options.pool = &pool;
+  options.sleeper = noop_sleeper();
+  options.admission.max_queued_jobs = 1;
+  options.admission.block = true;
+  options.admission.max_block_seconds = 1e300;
+  CutService service(backend, options);
+
+  const circuit::GoldenAnsatz ansatz = make_ansatz(5, 23);
+  std::future<cutting::CutResponse> first = service.submit(small_request(ansatz, 1));
+
+  std::promise<std::future<cutting::CutResponse>> second_promise;
+  std::future<std::future<cutting::CutResponse>> second = second_promise.get_future();
+  std::thread cooperative([&] {
+    try {
+      second_promise.set_value(service.submit(small_request(ansatz, 2)));
+    } catch (...) {
+      second_promise.set_exception(std::current_exception());
+    }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   backend.release_hangs();

@@ -4,8 +4,9 @@
 // A 3-fragment chain is built so the INTERIOR fragment has width W and K
 // cut wires on each boundary: it must execute 6^K x 3^K variants, and all
 // 3^K setting variants of one prep tuple share "preparations + body"
-// verbatim. The per-variant path simulates every variant from |0...0>; the
-// batched path (ExecutionOptions::prefix_batching, the default) simulates
+// verbatim. The per-variant path (the backend behind
+// support/per_variant_backend.hpp, whose run_batch runs every job through
+// run()) simulates every variant from |0...0>; the batched path simulates
 // each shared prefix once and forks cheap suffixes through
 // StatevectorBackend::run_batch. Both paths produce bit-for-bit identical
 // data — the totals and every per-variant distribution are compared after
@@ -30,6 +31,7 @@
 #include "common/table.hpp"
 #include "cutting/fragment_executor.hpp"
 #include "cutting/reconstructor.hpp"
+#include "support/per_variant_backend.hpp"
 
 namespace {
 
@@ -96,15 +98,13 @@ ChainFixture make_fixture(int interior_width, int cuts, int interior_depth, std:
 /// Best-of-`repeats` wall seconds for one execute_chain configuration.
 /// `last_data_out` receives the data of the final repeat (fixed seeds, so
 /// the two paths' final repeats are comparable bit for bit).
-double time_execution(const ChainFixture& fixture, backend::Backend& backend,
-                      bool prefix_batching, int repeats,
+double time_execution(const ChainFixture& fixture, backend::Backend& backend, int repeats,
                       cutting::ChainFragmentData& last_data_out) {
   const cutting::ChainNeglectSpec spec = cutting::ChainNeglectSpec::none(fixture.graph);
   double best = 0.0;
   for (int r = 0; r < repeats; ++r) {
     cutting::ExecutionOptions exec;
     exec.shots_per_variant = 128;
-    exec.prefix_batching = prefix_batching;
     exec.seed_stream_base = static_cast<std::uint64_t>(r) << 40;
     Stopwatch watch;
     cutting::ChainFragmentData data =
@@ -151,16 +151,15 @@ int main() {
 
   for (const Config& config : configs) {
     const ChainFixture fixture = make_fixture(config.width, config.cuts, kInteriorDepth, 29);
-    backend::StatevectorBackend serial_backend(11);
+    backend::StatevectorBackend serial_inner(11);
+    backend::PerVariantBackend serial_backend(serial_inner);
     backend::StatevectorBackend batched_backend(11);
     cutting::ChainFragmentData serial_data;
     cutting::ChainFragmentData batched_data;
-    const double serial_seconds = time_execution(fixture, serial_backend,
-                                                 /*prefix_batching=*/false, kRepeats,
-                                                 serial_data);
-    const double batched_seconds = time_execution(fixture, batched_backend,
-                                                  /*prefix_batching=*/true, kRepeats,
-                                                  batched_data);
+    const double serial_seconds =
+        time_execution(fixture, serial_backend, kRepeats, serial_data);
+    const double batched_seconds =
+        time_execution(fixture, batched_backend, kRepeats, batched_data);
     const double speedup = serial_seconds / batched_seconds;
 
     if (!same_data(serial_data, batched_data)) {

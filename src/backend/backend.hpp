@@ -86,9 +86,9 @@ class Backend {
   /// Backends must fold every result-affecting construction parameter in
   /// — seeds, noise models, engine configuration (the statevector backend
   /// includes its sampling seed and whether it fuses gates). The default is
-  /// name(), which carries none of that; callers caching across backends
-  /// that keep the default should override the namespace per cache (see
-  /// CutServiceOptions::backend_identity).
+  /// name(), which carries none of that, so a backend that keeps it must
+  /// not share a cache with a differently configured twin. A CutService
+  /// owns one backend and one cache and folds identity() into every key.
   [[nodiscard]] virtual std::string identity() const { return name(); }
 
   /// Samples `shots` measurements of all qubits after running `circuit`.

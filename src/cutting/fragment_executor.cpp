@@ -105,48 +105,26 @@ ChainFragmentData execute_chain(const FragmentGraph& graph, const ChainNeglectSp
     data.shots_per_variant = shots_for.empty() ? 0 : shots_for.back();  // smallest share
   }
 
-  // Pre-size the result slots so worker threads write disjoint entries.
-  std::vector<std::vector<double>> results(work.size());
-  if (options.prefix_batching) {
-    // Batched path: one run_batch call carrying every variant plus the
-    // shared-prefix plan. Per-variant shots and seed streams are preserved,
-    // so the results are bit-for-bit those of the per-variant branch below.
-    backend::BatchRequest batch;
-    batch.exact = options.exact;
-    batch.pool = &pool;
-    batch.jobs.reserve(work.size());
-    for (std::size_t v = 0; v < work.size(); ++v) {
-      const WorkItem& item = work[v];
-      backend::BatchJob job;
-      job.circuit = make_fragment_variant(graph, item.fragment, item.key).circuit;
-      job.shots = shots_for[v];
-      job.seed_stream = options.seed_stream_base + fragment_seed_offset(item.fragment) +
-                        variant_seed_index(graph, item.fragment, item.key);
-      batch.jobs.push_back(std::move(job));
-    }
-    std::vector<const Circuit*> circuits;
-    circuits.reserve(batch.jobs.size());
-    for (const backend::BatchJob& job : batch.jobs) circuits.push_back(&job.circuit);
-    for (PrefixGroup& group : group_by_shared_prefix(circuits)) {
-      batch.groups.push_back(
-          backend::BatchPrefixGroup{group.prefix_ops, std::move(group.members)});
-    }
-    results = std::move(backend.run_batch(batch).probabilities);
-  } else {
-    parallel::parallel_for(pool, 0, work.size(), [&](std::size_t v) {
-      const WorkItem& item = work[v];
-      const FragmentVariant variant = make_fragment_variant(graph, item.fragment, item.key);
-      if (options.exact) {
-        results[v] = backend.exact_probabilities(variant.circuit);
-      } else {
-        const backend::Counts counts =
-            backend.run(variant.circuit, shots_for[v],
-                        options.seed_stream_base + fragment_seed_offset(item.fragment) +
-                            variant_seed_index(graph, item.fragment, item.key));
-        results[v] = counts.to_probabilities();
-      }
-    });
+  backend::BatchRequest batch;
+  batch.exact = options.exact;
+  batch.pool = &pool;
+  batch.jobs.reserve(work.size());
+  for (std::size_t v = 0; v < work.size(); ++v) {
+    const WorkItem& item = work[v];
+    backend::BatchJob job;
+    job.circuit = make_fragment_variant(graph, item.fragment, item.key).circuit;
+    job.shots = shots_for[v];
+    job.seed_stream = options.seed_stream_base + fragment_seed_offset(item.fragment) +
+                      variant_seed_index(graph, item.fragment, item.key);
+    batch.jobs.push_back(std::move(job));
   }
+  std::vector<const Circuit*> circuits;
+  circuits.reserve(batch.jobs.size());
+  for (const backend::BatchJob& job : batch.jobs) circuits.push_back(&job.circuit);
+  for (PrefixGroup& group : group_by_shared_prefix(circuits)) {
+    batch.groups.push_back(backend::BatchPrefixGroup{group.prefix_ops, std::move(group.members)});
+  }
+  std::vector<std::vector<double>> results = backend.run_batch(batch).probabilities;
 
   for (std::size_t v = 0; v < work.size(); ++v) {
     ChainFragmentData::PerFragment& fragment =

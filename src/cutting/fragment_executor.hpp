@@ -52,15 +52,6 @@ struct ExecutionOptions {
 
   /// Base of the deterministic seed-stream block used for this execution.
   std::uint64_t seed_stream_base = 0;
-
-  /// Group variant circuits by longest common prefix and execute each group
-  /// through Backend::run_batch, so backends with a native batch path (the
-  /// statevector simulator) simulate each shared body once — one full
-  /// simulation per prep tuple instead of per variant — and fork cheap
-  /// suffixes for the 3^Kout trailing-rotation variants. Results are
-  /// bit-for-bit identical either way (the run_batch determinism contract);
-  /// disable only to time or test the per-variant reference path.
-  bool prefix_batching = true;
 };
 
 /// Per-variant shot plan shared by every execution path: a fixed per-variant
@@ -109,8 +100,13 @@ struct ChainFragmentData {
 /// collects the distributions. Variants are enumerated fragment by fragment
 /// (fragment 0 first, keys ascending), the shot plan is split across that
 /// order, and seed streams are assigned per variant, so results do not
-/// depend on scheduling. Variants are independent and are fanned out over
-/// the thread pool.
+/// depend on scheduling. Every variant goes into one Backend::run_batch
+/// call over the pool, with the circuits grouped by longest common prefix:
+/// backends with a native batch path (the statevector simulator) simulate
+/// each shared body once - one full simulation per prep tuple instead of
+/// per variant - and fork cheap suffixes for the 3^Kout trailing-rotation
+/// variants. By the run_batch determinism contract the results are bit for
+/// bit those of per-variant run() / exact_probabilities() calls.
 [[nodiscard]] ChainFragmentData execute_chain(const FragmentGraph& graph,
                                               const ChainNeglectSpec& spec,
                                               backend::Backend& backend,

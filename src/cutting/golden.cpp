@@ -112,10 +112,6 @@ NeglectSpec GoldenDetectionReport::to_spec() const {
   return spec;
 }
 
-namespace {
-
-/// Context operators for "the other cuts": the six preparation-state
-/// projectors (eigenstate projectors of X, Y, Z).
 const std::vector<linalg::CMat>& context_projectors() {
   static const std::vector<linalg::CMat> projectors = [] {
     std::vector<linalg::CMat> out;
@@ -127,8 +123,6 @@ const std::vector<linalg::CMat>& context_projectors() {
   }();
   return projectors;
 }
-
-}  // namespace
 
 const ChainFragment& upstream_fragment(const Bipartition& bp) {
   QCUT_CHECK(bp.num_fragments() == 2,

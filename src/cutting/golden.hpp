@@ -161,6 +161,12 @@ struct OnlineDetectionOptions {
 /// see DESIGN.md). Single-cut case reduces to neglect(cut0, Y).
 [[nodiscard]] NeglectSpec neglect_odd_y_strings(int num_cuts);
 
+/// Context operators for "the other cuts" of a multi-cut exact test: the
+/// six preparation-state projectors (eigenstate projectors of X, Y, Z), in
+/// linalg::kAllPrepStates order. Shared by the distribution-level and the
+/// observable detectors.
+[[nodiscard]] const std::vector<linalg::CMat>& context_projectors();
+
 // ---- Per-boundary detection for fragment chains -----------------------------
 //
 // Definition 1 at boundary b of a chain is a property of the *prefix*

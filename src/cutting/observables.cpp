@@ -132,18 +132,6 @@ bool try_factorize(const std::vector<double>& diagonal, std::span<const int> a_q
   return true;
 }
 
-const std::vector<linalg::CMat>& context_projectors() {
-  static const std::vector<linalg::CMat> projectors = [] {
-    std::vector<linalg::CMat> out;
-    for (linalg::PrepState s : linalg::kAllPrepStates) {
-      const linalg::CVec& v = linalg::prep_state_vector(s);
-      out.push_back(linalg::outer(v, v));
-    }
-    return out;
-  }();
-  return projectors;
-}
-
 }  // namespace
 
 GoldenDetectionReport detect_golden_for_observable(const Bipartition& bp,

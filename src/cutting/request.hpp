@@ -99,7 +99,9 @@ enum class OnVariantFailure {
   /// Drop the failed variant from reconstruction the same way a neglected
   /// basis element is dropped, and report the induced error bound in
   /// CutResponse::degradation. Trades a small, *quantified* reconstruction
-  /// error for availability - the job still completes.
+  /// error for availability - the job still completes. A failing
+  /// shared-prefix batch is split and its members rerun alone, so only the
+  /// variants whose own execution fails are dropped, never their siblings.
   Neglect,
 };
 

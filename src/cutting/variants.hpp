@@ -50,10 +50,6 @@ struct FragmentVariantKey {
 [[nodiscard]] constexpr std::uint64_t pack_variant_key(FragmentVariantKey key) noexcept {
   return (static_cast<std::uint64_t>(key.prep_index) << 32) | key.setting_index;
 }
-[[nodiscard]] constexpr FragmentVariantKey unpack_variant_key(std::uint64_t packed) noexcept {
-  return FragmentVariantKey{static_cast<std::uint32_t>(packed >> 32),
-                            static_cast<std::uint32_t>(packed & 0xffffffffu)};
-}
 
 struct FragmentVariant {
   FragmentVariantKey key;

@@ -45,14 +45,12 @@ std::uint64_t saturating_instant_ns(std::uint64_t from_ns, double seconds) {
 CutService::CutService(backend::Backend& backend, CutServiceOptions options)
     : backend_(backend),
       pool_(options.pool != nullptr ? *options.pool : parallel::ThreadPool::global()),
-      backend_identity_(options.backend_identity.empty() ? backend.identity()
-                                                         : std::move(options.backend_identity)),
-      prefix_batching_(options.prefix_batching),
+      backend_identity_(backend.identity()),
       metrics_(options.metrics != nullptr ? *options.metrics
                                           : telemetry::MetricsRegistry::global()),
       cache_(options.cache_capacity, &metrics_, options.cache_max_bytes),
       scheduler_(cache_, &metrics_),
-      dispatcher_(pool_, options.dispatch_width, &metrics_),
+      dispatcher_(pool_, /*width=*/0, &metrics_),
       retry_(options.retry),
       sleeper_(options.sleeper ? std::move(options.sleeper) : default_sleeper()),
       clock_(options.clock ? std::move(options.clock) : MonotonicClock(monotonic_now_ns)),
@@ -350,7 +348,6 @@ void CutService::advance(const JobPtr& job) {
         reconstruct_and_finish(job);
       }
       break;
-    case JobPhase::Reconstructing:
     case JobPhase::Done:
     case JobPhase::Failed:
       break;
@@ -700,30 +697,17 @@ void CutService::launch_variant_groups(const JobPtr& job,
   }
 
   // Group the surviving variants by longest common circuit prefix; each
-  // group becomes one pool task running one backend batch. Without prefix
-  // batching every variant is its own group (the per-variant reference
-  // path, minus the batch plan).
-  std::vector<cutting::PrefixGroup> groups;
-  if (prefix_batching_) {
-    std::vector<const circuit::Circuit*> pointers;
-    pointers.reserve(circuits.size());
-    for (const circuit::Circuit& c : circuits) pointers.push_back(&c);
-    groups = cutting::group_by_shared_prefix(pointers);
-  } else {
-    groups.reserve(circuits.size());
-    for (std::size_t i = 0; i < circuits.size(); ++i) {
-      groups.push_back(cutting::PrefixGroup{circuits[i].num_ops(), {i}});
-    }
-  }
-
-  for (cutting::PrefixGroup& group : groups) {
+  // group becomes one pool task running one backend batch.
+  std::vector<const circuit::Circuit*> pointers;
+  pointers.reserve(circuits.size());
+  for (const circuit::Circuit& c : circuits) pointers.push_back(&c);
+  for (cutting::PrefixGroup& group : cutting::group_by_shared_prefix(pointers)) {
     // Everything the task needs, moved out of the wave-local state: the
     // task may outlive issue_wave's stack frame.
     struct GroupTask {
       backend::BatchRequest batch;
       std::vector<Hash128> keys;
-      JobPtr owner;                    // the issuing job, for stop checks
-      std::uint64_t retry_stream = 0;  // jitter stream: first member's seed stream
+      JobPtr owner;  // the issuing job, for stop checks
     };
     auto task = std::make_shared<GroupTask>();
     task->owner = job;
@@ -747,63 +731,91 @@ void CutService::launch_variant_groups(const JobPtr& job,
       all.resize(task->batch.jobs.size());
       for (std::size_t m = 0; m < all.size(); ++m) all[m] = m;
     }
-    task->retry_stream = task->batch.jobs.front().seed_stream;
     // Weighted-fair release into the pool: the dispatcher grants pool slots
     // across tenants by stride, so one job's large wave cannot monopolize
     // the workers. Execution order changes nothing but wall clock - seed
     // streams are per variant, so results stay bit-for-bit identical.
     dispatcher_.submit(job->tenant_key, job->effective_weight, [this, task]() {
-      // A job already past its deadline (or cancelled) drains its claimed
-      // keys without touching the backend; the wave's pending count reaches
-      // zero through the failure callbacks and the job's next scheduler
-      // turn fails it with the stop error. A group another job joined in
-      // flight still runs: that job needs the results, not the stop error.
-      const auto abandoned = [&] {
-        const std::exception_ptr stop = job_stop_error(*task->owner);
-        return stop != nullptr && scheduler_.abandon_unshared(task->keys, stop);
-      };
-      if (abandoned()) return;
-      std::vector<CachedDistribution> results(task->keys.size());
-      std::exception_ptr error;
-      for (std::size_t attempt = 1;; ++attempt) {
-        error = nullptr;
-        try {
-          backend::BatchResult batched = backend_.run_batch(task->batch);
-          for (std::size_t m = 0; m < task->keys.size(); ++m) {
-            results[m] =
-                std::make_shared<const std::vector<double>>(std::move(batched.probabilities[m]));
-          }
-          break;
-        } catch (const TransientError&) {
-          // Retry the IDENTICAL batch (circuits, shots, seed streams are
-          // untouched): per the backend contract a throwing call was
-          // side-effect-free, so a retried success is bit-for-bit the
-          // fault-free result. Backoff delays shape wall time only.
-          error = std::current_exception();
-          if (attempt >= retry_.max_attempts) break;
-          if (abandoned()) return;
-          retries_->add();
-          const double delay =
-              backoff_seconds(retry_, attempt, task->retry_stream);
-          backoff_seconds_->record(delay);
-          sleeper_(delay);
-        } catch (...) {
-          error = std::current_exception();  // permanent: never retried
-          break;
+      std::vector<backend::BatchJob>& jobs = task->batch.jobs;
+      // The jitter stream of a batch is its first member's seed stream.
+      BatchOutcome outcome =
+          run_with_retry(*task->owner, task->batch, task->keys, jobs.front().seed_stream);
+      if (outcome.abandoned) return;
+      if (outcome.error == nullptr) {
+        // One complete() per claimed key: no key is ever left in flight.
+        for (std::size_t m = 0; m < task->keys.size(); ++m) {
+          scheduler_.complete(task->keys[m], std::move(outcome.results[m]), nullptr);
         }
-      }
-      if (error != nullptr) {
-        // Fail every key of the group atomically: waiters re-requesting a
-        // key claim a fresh execution, never a half-failed group. Failures
-        // never enter the cache.
-        scheduler_.complete_failed(task->keys, error);
         return;
       }
-      // One complete() per claimed key: no key is ever left in flight.
+      if (task->keys.size() == 1) {
+        scheduler_.complete(task->keys.front(), nullptr, outcome.error);  // never cached
+        return;
+      }
+      // The batch failed as a whole, though possibly through one member
+      // only: split it. Each member runs alone under the same policy, with
+      // its own seed stream as its jitter stream, and only the keys whose
+      // own run fails are failed - the variants a per-variant execution
+      // would have lost, and the only ones OnVariantFailure::Neglect drops.
+      // Each complete() may be a job's last act, so nothing touches the
+      // service after the last one.
       for (std::size_t m = 0; m < task->keys.size(); ++m) {
-        scheduler_.complete(task->keys[m], std::move(results[m]), nullptr);
+        backend::BatchRequest alone;
+        alone.exact = task->batch.exact;
+        alone.jobs.push_back(std::move(jobs[m]));
+        BatchOutcome own = run_with_retry(*task->owner, alone, std::span(&task->keys[m], 1),
+                                          alone.jobs.front().seed_stream);
+        if (own.abandoned) continue;
+        scheduler_.complete(task->keys[m],
+                            own.error == nullptr ? std::move(own.results.front()) : nullptr,
+                            own.error);
       }
     });
+  }
+}
+
+CutService::BatchOutcome CutService::run_with_retry(CutJob& owner,
+                                                    const backend::BatchRequest& batch,
+                                                    std::span<const Hash128> keys,
+                                                    std::uint64_t jitter_stream) {
+  BatchOutcome outcome;
+  // A job already past its deadline (or cancelled) drains its claimed keys
+  // without touching the backend; the wave's pending count reaches zero
+  // through the failure callbacks and the job's next scheduler turn fails
+  // it with the stop error. Keys another job joined in flight still run:
+  // that job needs the results, not the stop error. An abandon notifies the
+  // waiters, so it is the last act here as well.
+  const auto abandoned = [&] {
+    const std::exception_ptr stop = job_stop_error(owner);
+    outcome.abandoned = stop != nullptr && scheduler_.abandon_unshared(keys, stop);
+    return outcome.abandoned;
+  };
+  if (abandoned()) return outcome;
+  for (std::size_t attempt = 1;; ++attempt) {
+    try {
+      backend::BatchResult batched = backend_.run_batch(batch);
+      outcome.error = nullptr;
+      outcome.results.reserve(batched.probabilities.size());
+      for (std::vector<double>& probabilities : batched.probabilities) {
+        outcome.results.push_back(
+            std::make_shared<const std::vector<double>>(std::move(probabilities)));
+      }
+      return outcome;
+    } catch (const TransientError&) {
+      // Retry the IDENTICAL batch (circuits, shots, seed streams are
+      // untouched): per the backend contract a throwing call was
+      // side-effect-free, so a retried success is bit-for-bit the
+      // fault-free result. Backoff delays shape wall time only.
+      outcome.error = std::current_exception();
+      if (attempt >= retry_.max_attempts || abandoned()) return outcome;
+      retries_->add();
+      const double delay = backoff_seconds(retry_, attempt, jitter_stream);
+      backoff_seconds_->record(delay);
+      sleeper_(delay);
+    } catch (...) {
+      outcome.error = std::current_exception();  // permanent: never retried
+      return outcome;
+    }
   }
 }
 
@@ -875,7 +887,6 @@ void CutService::handle_fragment_wave_complete(const JobPtr& job) {
 
 void CutService::reconstruct_and_finish(const JobPtr& job) {
   CutJob& j = *job;
-  j.phase = JobPhase::Reconstructing;
   j.response.fragment_seconds = j.response.data.wall_seconds;
   finalize_degradation(j);
 

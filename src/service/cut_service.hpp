@@ -41,6 +41,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -75,26 +76,6 @@ struct CutServiceOptions {
   /// to unbounded (the pre-admission behavior).
   AdmissionOptions admission;
 
-  /// Weighted-fair dispatch width: variant-group tasks concurrently
-  /// released into the pool (see FairDispatcher); 0 = the pool's worker
-  /// count.
-  unsigned dispatch_width = 0;
-
-  /// Cache-key namespace for the backend. Defaults to backend.identity(),
-  /// which folds in result-affecting backend configuration (e.g. the
-  /// statevector engine's gate fusion); override when distinct backends
-  /// still share an identity (e.g. two noisy backends with different
-  /// construction seeds).
-  std::string backend_identity;
-
-  /// Group each wave's cache-missed, deduped variants by longest common
-  /// circuit prefix and execute each group through one Backend::run_batch
-  /// call (backends with a native batch path simulate each shared prefix
-  /// once). Per-variant seed streams and cache keys are unchanged, so
-  /// results are bit-for-bit identical either way; disable only to test or
-  /// time the per-variant reference path.
-  bool prefix_batching = true;
-
   /// Registry the service's instruments (job counters, scheduler, cache)
   /// register on; nullptr selects the global registry. Pass a private
   /// registry to isolate one service's metrics from the rest of the
@@ -104,7 +85,8 @@ struct CutServiceOptions {
   /// Retry policy for variant-group executions failing with TransientError
   /// (common/retry.hpp). Retries re-run the identical (circuit, shots,
   /// seed stream) batch, so a retried success is bit-for-bit the fault-free
-  /// result. max_attempts = 1 disables retry.
+  /// result. max_attempts = 1 disables retry. A group whose batch still
+  /// fails is split: each member runs alone under this same policy.
   RetryPolicy retry;
 
   /// How retry code waits out backoff delays; the default really sleeps.
@@ -212,15 +194,33 @@ class CutService {
   /// Backend::run_batch pool task per group, publishing each variant through
   /// VariantScheduler::complete. A build that throws fails every launched
   /// key, so none is left in flight.
-  /// Groups failing with TransientError are retried per options.retry with
-  /// the identical batch; exhausted or permanent failures fail every key of
-  /// the group atomically (VariantScheduler::complete_failed). `job` is the
-  /// issuing job: a stop condition (deadline / cancellation) observed before
-  /// a group runs, or between its retries, drains the group's keys without
+  /// A group's batch runs under run_with_retry. When a batch of several
+  /// members ends in an error, each member runs alone under the same policy
+  /// and only the keys whose own run fails are failed, so one bad variant
+  /// never takes its prefix siblings down with it. `job` is the issuing
+  /// job: a stop condition (deadline / cancellation) observed before a
+  /// batch runs, or between its retries, drains the batch's keys without
   /// touching the backend, unless another job joined one of them in flight
   /// (VariantScheduler::abandon_unshared).
   void launch_variant_groups(const JobPtr& job, const std::vector<PreparedVariant>& prepared,
                              const std::vector<std::size_t>& to_launch, bool exact);
+
+  /// What one batch run under the retry policy ended in.
+  struct BatchOutcome {
+    bool abandoned = false;                   // a stop condition drained the keys instead
+    std::vector<CachedDistribution> results;  // one per job when it succeeded
+    std::exception_ptr error;                 // set when it failed
+  };
+
+  /// Runs `batch` through backend.run_batch, retrying TransientError per
+  /// options.retry with the identical batch and `jitter_stream` as the
+  /// backoff jitter stream. A stop condition of `owner` seen before the
+  /// first attempt or between retries abandons `keys` (abandon_unshared)
+  /// instead; nothing is published here.
+  [[nodiscard]] BatchOutcome run_with_retry(CutJob& owner, const backend::BatchRequest& batch,
+                                            std::span<const Hash128> keys,
+                                            std::uint64_t jitter_stream);
+
   void absorb_wave(const JobPtr& job);
   void handle_fragment_wave_complete(const JobPtr& job);
   void reconstruct_and_finish(const JobPtr& job);
@@ -269,8 +269,8 @@ class CutService {
 
   backend::Backend& backend_;
   parallel::ThreadPool& pool_;
-  std::string backend_identity_;
-  const bool prefix_batching_;
+  /// backend_.identity(), folded into every cache key.
+  const std::string backend_identity_;
   telemetry::MetricsRegistry& metrics_;  // before cache_/scheduler_: they register on it
   FragmentResultCache cache_;
   VariantScheduler scheduler_;

@@ -39,11 +39,6 @@ void FairDispatcher::drain() {
   drained_.wait(lock, [this] { return staged_ == 0 && in_pool_ == 0; });
 }
 
-std::size_t FairDispatcher::staged() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return staged_;
-}
-
 void FairDispatcher::pump(std::unique_lock<std::mutex>& lock) {
   QCUT_ASSERT(lock.owns_lock(), "FairDispatcher::pump: caller must hold the lock");
   while (in_pool_ < width_ && staged_ > 0) {

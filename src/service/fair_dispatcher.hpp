@@ -65,9 +65,6 @@ class FairDispatcher {
   /// Blocks until all submitted tasks have completed.
   void drain();
 
-  /// Staged tasks not yet released into the pool (point-in-time).
-  [[nodiscard]] std::size_t staged() const;
-
  private:
   struct Tenant {
     std::uint64_t pass = 0;    // virtual time; min pass dispatches next
@@ -82,7 +79,7 @@ class FairDispatcher {
   parallel::ThreadPool& pool_;
   unsigned width_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable drained_;
   // std::map: deterministic iteration order for the min-pass scan
   // (no-unordered-iteration).

@@ -23,18 +23,6 @@ std::string tenant_dispatch_key(const cutting::CutRequest& request) {
   return request.tenant_id + suffix;
 }
 
-const char* to_string(JobPhase phase) noexcept {
-  switch (phase) {
-    case JobPhase::Queued: return "queued";
-    case JobPhase::ExecutingFragments: return "executing-fragments";
-    case JobPhase::ExecutingFragmentWave: return "executing-fragment-wave";
-    case JobPhase::Reconstructing: return "reconstructing";
-    case JobPhase::Done: return "done";
-    case JobPhase::Failed: return "failed";
-  }
-  return "unknown";
-}
-
 WavePlan plan_wave(const std::vector<WaveVariant>& variants, std::size_t shots_per_variant,
                    std::size_t total_shot_budget, bool exact) {
   const std::vector<std::size_t> shots_for =

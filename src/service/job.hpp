@@ -33,12 +33,9 @@ enum class JobPhase {
   Queued,                 // submitted, not yet planned
   ExecutingFragments,     // single wave: every fragment together
   ExecutingFragmentWave,  // online detection: one fragment's wave
-  Reconstructing,
   Done,
   Failed,
 };
-
-[[nodiscard]] const char* to_string(JobPhase phase) noexcept;
 
 /// One variant execution a job is waiting on. Slots are preallocated before
 /// requests are issued, so completion callbacks (which may run concurrently
@@ -151,7 +148,6 @@ struct CutJob {
   double shed_shot_fraction = 1.0;
   double shed_golden_tol = 0.0;     // tolerance actually used by DetectExact
   double shed_neglect_mass = 0.0;   // summed violation of extra-neglected elements
-  std::uint64_t shed_planned_shots = 0;  // shots actually planned while shed
 
   JobAccounting accounting;
 };

@@ -86,11 +86,10 @@ class VariantScheduler {
   /// dead one.
   void complete(const Hash128& key, CachedDistribution result, std::exception_ptr error);
 
-  /// Fails every key of a group at once: all keys are evicted from the
-  /// in-flight table under ONE critical section before any waiter is
-  /// notified. When a grouped backend batch throws, this closes the window
-  /// in which a concurrent request could observe the group half-evicted and
-  /// split a follower batch across live and dying keys.
+  /// Fails several keys at once: all keys are evicted from the in-flight
+  /// table under ONE critical section before any waiter is notified, so a
+  /// concurrent request never observes the set half-evicted. The service
+  /// uses it when it cannot run a launch at all (a variant build throws).
   void complete_failed(std::span<const Hash128> keys, const std::exception_ptr& error);
 
   /// complete_failed() for a group its launcher no longer needs (its job

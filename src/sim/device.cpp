@@ -1,5 +1,6 @@
 #include "sim/device.hpp"
 
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -8,14 +9,6 @@
 #include "sim/soa_state.hpp"
 
 namespace qcut::sim {
-
-void Device::apply_batch(const CompiledProgram& program,
-                         std::span<DeviceState* const> states) const {
-  for (DeviceState* state : states) {
-    QCUT_CHECK(state != nullptr, "Device::apply_batch: null state");
-    apply(program, *state);
-  }
-}
 
 std::string ProgramSummary::to_string() const {
   std::ostringstream os;
@@ -31,26 +24,6 @@ std::string ProgramSummary::to_string() const {
 }
 
 namespace {
-
-/// Reinterprets caller-supplied column-major custom matrices: the engine is
-/// row-major, so a ColMajor program transposes every Custom op's matrix at
-/// compile time. Named gates carry no raw buffer and pass through.
-circuit::Circuit with_row_major_layout(const circuit::Circuit& circuit) {
-  circuit::Circuit out(circuit.num_qubits());
-  for (const circuit::Operation& op : circuit.ops()) {
-    if (op.kind == circuit::GateKind::Custom) {
-      const linalg::CMat& m = op.custom;
-      linalg::CMat t(m.cols(), m.rows());
-      for (index_t r = 0; r < m.rows(); ++r) {
-        for (index_t c = 0; c < m.cols(); ++c) t(c, r) = m(r, c);
-      }
-      out.append_custom(std::move(t), op.qubits, op.label);
-    } else {
-      out.append(op.kind, op.qubits, op.params);
-    }
-  }
-  return out;
-}
 
 class CpuDeviceState final : public DeviceState {
  public:
@@ -122,23 +95,16 @@ class CpuDevice final : public Device {
   }
 
   [[nodiscard]] std::unique_ptr<CompiledProgram> compile(
-      const circuit::Circuit& circuit, const ProgramOptions& options) const override {
+      const circuit::Circuit& circuit) const override {
     auto program = std::make_unique<CpuCompiledProgram>();
     program->source_ops = circuit.num_ops();
-    if (options.layout == MatrixLayout::ColMajor) {
-      program->compiled = compile_circuit(with_row_major_layout(circuit), options_);
-    } else {
-      program->compiled = compile_circuit(circuit, options_);
-    }
+    program->compiled = compile_circuit(circuit, options_);
     return program;
   }
 
   [[nodiscard]] std::unique_ptr<CompiledProgram> compile_prefix(
-      const circuit::Circuit& rep, std::size_t prefix_ops,
-      const ProgramOptions& options) const override {
+      const circuit::Circuit& rep, std::size_t prefix_ops) const override {
     QCUT_CHECK(prefix_ops <= rep.num_ops(), "compile_prefix: prefix_ops out of range");
-    QCUT_CHECK(options.layout == MatrixLayout::RowMajor,
-               "compile_prefix: prefix forking supports row-major programs only");
     const EngineOptions& engine = options_;
     auto program = std::make_unique<CpuCompiledProgram>();
     program->source_ops = prefix_ops;
@@ -185,11 +151,6 @@ class CpuDevice final : public Device {
     return std::make_unique<CpuDeviceState>(num_qubits, caps_.isa != IsaLevel::Scalar);
   }
 
-  [[nodiscard]] std::unique_ptr<DeviceState> clone_state(
-      const DeviceState& state) const override {
-    return std::make_unique<CpuDeviceState>(checked_state(state));
-  }
-
   void copy_state(const DeviceState& src, DeviceState& dst) const override {
     const auto& s = checked_state(src);
     auto& d = checked_state(dst);
@@ -200,16 +161,6 @@ class CpuDevice final : public Device {
     } else {
       d.sv_ = s.sv_;  // copy-assignment reuses the destination buffer
     }
-  }
-
-  [[nodiscard]] std::size_t workspace_size(const CompiledProgram& program) const override {
-    // SIMD programs applied to an interleaved StateVector round-trip through
-    // an SoA scratch copy (2 doubles per amplitude); states created by this
-    // device are already SoA in that configuration, so apply() through the
-    // Device interface is always in place.
-    const auto& p = checked_program(program);
-    if (p.compiled.isa() == IsaLevel::Scalar || caps_.isa != IsaLevel::Scalar) return 0;
-    return (index_t{2} * sizeof(double)) << p.compiled.num_qubits();
   }
 
   void apply(const CompiledProgram& program, DeviceState& state) const override {

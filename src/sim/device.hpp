@@ -19,13 +19,12 @@
 // result-affecting configuration (gate fusion, the dispatched SIMD
 // ISA); two devices with equal caps().name and identity_token() return
 // bit-for-bit equal results for every program/state sequence. Knobs that
-// are bit-for-bit neutral (specialization, threading, cache blocking,
-// workspace placement) must NOT appear in the token.
+// are bit-for-bit neutral (specialization, threading, cache blocking) must
+// NOT appear in the token.
 
 #include <array>
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -34,36 +33,12 @@
 
 namespace qcut::sim {
 
-/// Amplitude precision a device computes in. The CPU engine is fixed at
-/// complex<double>; the enum exists so mixed-precision devices can declare
-/// themselves without an interface change.
-enum class ComputeType {
-  C128,
-};
-
-/// Element order of raw matrices supplied in Custom operations. The engine
-/// stores row-major; a column-major program transposes every custom matrix
-/// at compile time (named gates carry no raw buffer and are unaffected).
-enum class MatrixLayout {
-  RowMajor,
-  ColMajor,
-};
-
 /// Static capabilities of a device, queryable before any compilation.
 struct DeviceCaps {
-  std::string name;                              // "cpu"
-  ComputeType compute_type = ComputeType::C128;  // amplitude precision
-  int max_qubits = 26;                           // widest supported state
-  bool supports_prefix_fork = true;  // compile_prefix/compile_suffix usable
+  std::string name;  // "cpu"
   /// ISA the SIMD path would dispatch to (Scalar when the device was built
   /// without SIMD, the host lacks AVX2, or EngineOptions::simd is off).
   IsaLevel isa = IsaLevel::Scalar;
-};
-
-/// Per-compilation options. `layout` only reinterprets caller-supplied
-/// matrix buffers.
-struct ProgramOptions {
-  MatrixLayout layout = MatrixLayout::RowMajor;
 };
 
 /// Compile-time profile of a program: what the op stream became.
@@ -117,43 +92,28 @@ class Device {
 
   /// Compiles a whole circuit (fusion + classification as configured).
   [[nodiscard]] virtual std::unique_ptr<CompiledProgram> compile(
-      const circuit::Circuit& circuit, const ProgramOptions& options = {}) const = 0;
+      const circuit::Circuit& circuit) const = 0;
 
   /// Compiles the first `prefix_ops` operations of `rep` into a program that
   /// remembers its fusion frontier, so compile_suffix can continue it.
   [[nodiscard]] virtual std::unique_ptr<CompiledProgram> compile_prefix(
-      const circuit::Circuit& rep, std::size_t prefix_ops,
-      const ProgramOptions& options = {}) const = 0;
+      const circuit::Circuit& rep, std::size_t prefix_ops) const = 0;
 
   /// Compiles the remainder of `full` after a compile_prefix of its first
   /// ops. The guarantee mirrors circuit::GateFusion's stream property:
   /// apply(prefix) then apply(suffix) is bit-for-bit identical to applying
-  /// compile(full) with the same options.
+  /// compile(full).
   [[nodiscard]] virtual std::unique_ptr<CompiledProgram> compile_suffix(
       const CompiledProgram& prefix, const circuit::Circuit& full) const = 0;
 
   /// Fresh |0...0> state of the given width.
   [[nodiscard]] virtual std::unique_ptr<DeviceState> create_state(int num_qubits) const = 0;
 
-  /// Deep copy (exact, bit-for-bit).
-  [[nodiscard]] virtual std::unique_ptr<DeviceState> clone_state(
-      const DeviceState& state) const = 0;
-
   /// Overwrites `dst` with `src` (exact; both from this device, same width).
   virtual void copy_state(const DeviceState& src, DeviceState& dst) const = 0;
 
-  /// Scratch bytes apply() allocates beyond the state itself for this
-  /// program (0 when it applies in place).
-  [[nodiscard]] virtual std::size_t workspace_size(const CompiledProgram& program) const = 0;
-
   /// Applies every compiled operation in order.
   virtual void apply(const CompiledProgram& program, DeviceState& state) const = 0;
-
-  /// Applies one program to many states. The default loops over apply();
-  /// devices with native batching override it. Results are bit-for-bit
-  /// identical to the loop either way.
-  virtual void apply_batch(const CompiledProgram& program,
-                           std::span<DeviceState* const> states) const;
 
   /// Measurement distribution of `state` (|amp|^2, resized to dim()).
   virtual void probabilities(const DeviceState& state, std::vector<double>& out) const = 0;
@@ -164,8 +124,7 @@ class Device {
 
 /// CPU device over the gate-kernel engine. `options` fixes the
 /// result-affecting configuration (fusion, SIMD) and the execution defaults
-/// (threading, cache blocking) for every program the device compiles;
-/// ProgramOptions can only further restrict bit-neutral features.
+/// (threading, cache blocking) for every program the device compiles.
 [[nodiscard]] std::unique_ptr<Device> make_cpu_device(const EngineOptions& options = {});
 
 }  // namespace qcut::sim

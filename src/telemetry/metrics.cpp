@@ -212,6 +212,7 @@ std::string MetricsSnapshot::to_json(int indent) const {
 std::shared_ptr<Counter> MetricsRegistry::counter(std::string name) {
   auto instrument = std::make_shared<Counter>();
   std::lock_guard<std::mutex> lock(mutex_);
+  retire_dead_locked();
   counters_.push_back({std::move(name), instrument});
   return instrument;
 }
@@ -219,6 +220,7 @@ std::shared_ptr<Counter> MetricsRegistry::counter(std::string name) {
 std::shared_ptr<Gauge> MetricsRegistry::gauge(std::string name) {
   auto instrument = std::make_shared<Gauge>();
   std::lock_guard<std::mutex> lock(mutex_);
+  retire_dead_locked();
   gauges_.push_back({std::move(name), instrument});
   return instrument;
 }
@@ -227,45 +229,84 @@ std::shared_ptr<Histogram> MetricsRegistry::histogram(std::string name,
                                                       std::vector<double> upper_bounds) {
   auto instrument = std::make_shared<Histogram>(std::move(upper_bounds));
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const Named<Histogram>& existing : histograms_) {
-    QCUT_CHECK(existing.name != name ||
-                   existing.instrument->upper_bounds() == instrument->upper_bounds(),
+  retire_dead_locked();
+  const auto check_bounds = [&](const std::vector<double>& bounds) {
+    QCUT_CHECK(bounds == instrument->upper_bounds(),
                "MetricsRegistry: histogram '" + name +
                    "' re-registered with different bucket bounds");
+  };
+  for (const Named<Histogram>& existing : histograms_) {
+    if (existing.name == name) check_bounds(existing.instrument->upper_bounds());
   }
+  const auto retired = retired_histograms_.find(name);
+  if (retired != retired_histograms_.end()) check_bounds(retired->second.upper_bounds);
   histograms_.push_back({std::move(name), instrument});
   return instrument;
+}
+
+void MetricsRegistry::retire_dead_locked() {
+  // use_count() == 1: no component holds the instrument any more, and the
+  // registry never hands it out again, so its values are final. The
+  // acquire fence pairs with the release in the last owner's decrement, so
+  // every value it recorded is visible here. ThreadSanitizer does not model
+  // fences (GCC warns about them under it); the values read are atomics,
+  // so it has no race to report either way.
+  const auto dead = [](const auto& named) {
+    if (named.instrument.use_count() != 1) return false;
+#ifndef __SANITIZE_THREAD__
+    std::atomic_thread_fence(std::memory_order_acquire);
+#endif
+    return true;
+  };
+  std::erase_if(counters_, [&](const Named<Counter>& c) {
+    if (!dead(c)) return false;
+    retired_counters_[c.name] += c.instrument->value();
+    return true;
+  });
+  std::erase_if(gauges_, [&](const Named<Gauge>& g) {
+    if (!dead(g)) return false;
+    retired_gauges_[g.name] += g.instrument->value();
+    return true;
+  });
+  std::erase_if(histograms_, [&](const Named<Histogram>& h) {
+    if (!dead(h)) return false;
+    accumulate(retired_histograms_[h.name], h.name, *h.instrument);
+    return true;
+  });
+}
+
+void MetricsRegistry::accumulate(HistogramSample& sample, const std::string& name,
+                                 const Histogram& histogram) {
+  if (sample.upper_bounds.empty()) {
+    sample.name = name;
+    sample.upper_bounds = histogram.upper_bounds();
+    sample.buckets.assign(histogram.upper_bounds().size() + 1, 0);
+    sample.min = std::numeric_limits<double>::infinity();
+    sample.max = -std::numeric_limits<double>::infinity();
+  }
+  for (const Histogram::Shard& shard : histogram.shards_) {
+    for (std::size_t b = 0; b < shard.buckets.size(); ++b) {
+      sample.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
+    }
+    sample.count += shard.count.load(std::memory_order_relaxed);
+    sample.sum += shard.sum.load(std::memory_order_relaxed);
+    sample.min = std::min(sample.min, shard.min.load(std::memory_order_relaxed));
+    sample.max = std::max(sample.max, shard.max.load(std::memory_order_relaxed));
+  }
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
 
-  std::map<std::string, std::uint64_t> counter_totals;
+  std::map<std::string, std::uint64_t> counter_totals = retired_counters_;
   for (const Named<Counter>& c : counters_) counter_totals[c.name] += c.instrument->value();
 
-  std::map<std::string, std::int64_t> gauge_totals;
+  std::map<std::string, std::int64_t> gauge_totals = retired_gauges_;
   for (const Named<Gauge>& g : gauges_) gauge_totals[g.name] += g.instrument->value();
 
-  std::map<std::string, HistogramSample> histogram_totals;
+  std::map<std::string, HistogramSample> histogram_totals = retired_histograms_;
   for (const Named<Histogram>& h : histograms_) {
-    HistogramSample& sample = histogram_totals[h.name];
-    const Histogram& hist = *h.instrument;
-    if (sample.upper_bounds.empty()) {
-      sample.name = h.name;
-      sample.upper_bounds = hist.upper_bounds();
-      sample.buckets.assign(hist.upper_bounds().size() + 1, 0);
-      sample.min = std::numeric_limits<double>::infinity();
-      sample.max = -std::numeric_limits<double>::infinity();
-    }
-    for (const Histogram::Shard& shard : hist.shards_) {
-      for (std::size_t b = 0; b < shard.buckets.size(); ++b) {
-        sample.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
-      }
-      sample.count += shard.count.load(std::memory_order_relaxed);
-      sample.sum += shard.sum.load(std::memory_order_relaxed);
-      sample.min = std::min(sample.min, shard.min.load(std::memory_order_relaxed));
-      sample.max = std::max(sample.max, shard.max.load(std::memory_order_relaxed));
-    }
+    accumulate(histogram_totals[h.name], h.name, *h.instrument);
   }
 
   MetricsSnapshot snap;

@@ -16,8 +16,13 @@
 // instruments — their per-instance stats views stay exact — while
 // snapshot() sums same-named instruments into one series, the way a
 // process-level scrape would. Instruments are shared_ptr-owned by both the
-// registry and the component, so a snapshot taken after a component died
-// still includes everything it recorded (metrics are cumulative).
+// registry and the component. Once only the registry holds one (its
+// component died), the next registration folds it into a per-name retired
+// total and drops it: a counter's value, a gauge's last value, a
+// histogram's buckets, count, sum, min and max. A snapshot starts from
+// those totals, so it still includes everything a dead component recorded
+// (metrics are cumulative), while a process that builds and destroys
+// components in a loop keeps only its live instruments.
 //
 // Cost model: counters, gauges, and histogram recording are a few relaxed
 // atomic operations and are ALWAYS on — the stats views (CacheStats,
@@ -33,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -184,7 +190,9 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Creates and registers a new instrument under `name`. Callers keep the
-  /// returned handle (recording never takes the registry lock).
+  /// returned handle (recording never takes the registry lock); once every
+  /// copy of it is dropped, a later registration retires it (see the
+  /// instance model above).
   [[nodiscard]] std::shared_ptr<Counter> counter(std::string name);
   [[nodiscard]] std::shared_ptr<Gauge> gauge(std::string name);
   /// Same-named histograms must agree on bounds (they aggregate bucket-wise);
@@ -205,10 +213,23 @@ class MetricsRegistry {
     std::string name;
     std::shared_ptr<T> instrument;
   };
+
+  /// Folds every instrument only the registry still holds into the retired
+  /// totals and drops it. Caller holds mutex_.
+  void retire_dead_locked();
+
+  /// Adds `histogram`'s shards into `sample` (shaped on first use).
+  static void accumulate(HistogramSample& sample, const std::string& name,
+                         const Histogram& histogram);
+
   mutable std::mutex mutex_;
   std::vector<Named<Counter>> counters_;
   std::vector<Named<Gauge>> gauges_;
   std::vector<Named<Histogram>> histograms_;
+  // Per-name totals of retired instruments; snapshot() starts from them.
+  std::map<std::string, std::uint64_t> retired_counters_;
+  std::map<std::string, std::int64_t> retired_gauges_;
+  std::map<std::string, HistogramSample> retired_histograms_;
 };
 
 }  // namespace qcut::telemetry

@@ -1,7 +1,8 @@
 // Batched, prefix-sharing execution: the shared-prefix grouping, the
 // Backend::run_batch determinism contract (batched execution bit-for-bit
 // identical to per-variant run on both the native statevector path and the
-// serial fallback), batch-vs-serial equality through execute_chain and the
+// serial fallback), equality with the per-variant reference
+// (support/per_variant_backend.hpp) through execute_chain and the
 // CutService under every GoldenMode, and the DetectOnline budget
 // amortization across fragment waves.
 
@@ -23,6 +24,7 @@
 #include "cutting/variants.hpp"
 #include "noise/standard_channels.hpp"
 #include "service/cut_service.hpp"
+#include "support/per_variant_backend.hpp"
 
 namespace qcut::cutting {
 namespace {
@@ -204,9 +206,9 @@ TEST(RunBatch, RejectsMalformedPrefixGroups) {
   EXPECT_THROW((void)backend.run_batch(batch), Error);
 }
 
-/// execute_chain with and without prefix batching across spec x shot-plan x
-/// backend combinations: identical per-variant distributions, totals, and
-/// reconstructions.
+/// execute_chain on a backend and on the same backend behind the
+/// per-variant reference across spec x shot-plan x backend combinations:
+/// identical per-variant distributions, totals, and reconstructions.
 TEST(BatchedExecution, ExecuteChainBatchedEqualsPerVariantEverywhere) {
   const Circuit c = chain5();
   const FragmentGraph graph = make_fragment_chain(c, chain5_boundaries());
@@ -250,10 +252,8 @@ TEST(BatchedExecution, ExecuteChainBatchedEqualsPerVariantEverywhere) {
       backend::Backend& batched_backend =
           noisy ? static_cast<backend::Backend&>(noisy_batched) : sv_batched;
 
-      ExecutionOptions serial_exec = tc.exec;
-      serial_exec.prefix_batching = false;
-      const ChainFragmentData expected = execute_chain(graph, *tc.spec, serial_backend,
-                                                       serial_exec);
+      backend::PerVariantBackend per_variant(serial_backend);
+      const ChainFragmentData expected = execute_chain(graph, *tc.spec, per_variant, tc.exec);
       const ChainFragmentData actual = execute_chain(graph, *tc.spec, batched_backend,
                                                      tc.exec);
 
@@ -279,10 +279,11 @@ TEST(BatchedExecution, ExecuteChainBatchedEqualsPerVariantEverywhere) {
   }
 }
 
-/// The service with prefix batching on vs off, across every GoldenMode x
-/// {sampled, exact} x {StatevectorBackend, NoisyBackend fallback}: identical
-/// CutResponse reconstructions and logical totals.
-TEST(BatchedExecution, ServicePrefixBatchingIsBitForBitUnderAllGoldenModes) {
+/// The service on a backend and on the same backend behind the per-variant
+/// reference, across every GoldenMode x {sampled, exact} x
+/// {StatevectorBackend, NoisyBackend fallback}: identical CutResponse
+/// reconstructions and logical totals.
+TEST(BatchedExecution, ServiceSharedPrefixBatchesAreBitForBitUnderAllGoldenModes) {
   const Circuit c = chain5();
   const auto boundaries = chain5_boundaries();
 
@@ -318,19 +319,17 @@ TEST(BatchedExecution, ServicePrefixBatchingIsBitForBitUnderAllGoldenModes) {
         request.with_provided_specs(detect_chain_golden_specs(c, boundaries));
       }
 
-      const auto run_with = [&](bool prefix_batching) {
+      const auto run_with = [&](bool per_variant) {
         backend::StatevectorBackend sv(71);
         backend::NoisyBackend noisy_backend(small_noise(), 71);
-        backend::Backend& backend =
-            noisy ? static_cast<backend::Backend&>(noisy_backend) : sv;
-        service::CutServiceOptions options;
-        options.prefix_batching = prefix_batching;
-        service::CutService service(backend, options);
+        backend::Backend& inner = noisy ? static_cast<backend::Backend&>(noisy_backend) : sv;
+        backend::PerVariantBackend reference(inner);
+        service::CutService service(per_variant ? reference : inner);
         return service.run(request);
       };
 
-      const CutResponse expected = run_with(false);
-      const CutResponse actual = run_with(true);
+      const CutResponse expected = run_with(true);
+      const CutResponse actual = run_with(false);
 
       EXPECT_EQ(actual.reconstruction.raw_probabilities,
                 expected.reconstruction.raw_probabilities);

@@ -347,66 +347,158 @@ TEST(FaultTolerantService, RecordingSleeperObservesDeterministicBackoff) {
 
 // ---- Permanent failures: Fail policy -----------------------------------------
 
+/// The four golden modes and the Provided spec for the permanent-fault
+/// tests on the 5-qubit golden ansatz of seed 31 (one cut).
+const GoldenMode kAllModes[] = {GoldenMode::None, GoldenMode::Provided, GoldenMode::DetectExact,
+                                GoldenMode::DetectOnline};
+
+CutRunOptions permanent_fault_options(const circuit::GoldenAnsatz& ansatz, GoldenMode mode) {
+  CutRunOptions options;
+  options.shots_per_variant = 300;
+  options.golden_mode = mode;
+  if (mode == GoldenMode::Provided) {
+    NeglectSpec golden_spec(1);
+    golden_spec.neglect_string({ansatz.golden_basis});
+    options.provided_spec = golden_spec;
+  }
+  return options;
+}
+
+/// Setting indices of fragment 0 a fault-free run of `options` executes
+/// (prep 0: fragment 0 has no incoming boundary). They share one circuit
+/// prefix, so the service runs them as one batch.
+std::vector<std::uint32_t> executed_fragment0_settings(const circuit::GoldenAnsatz& ansatz,
+                                                       const CutRunOptions& options) {
+  backend::StatevectorBackend backend(9);
+  telemetry::MetricsRegistry registry;
+  CutServiceOptions service_options;
+  service_options.metrics = &registry;
+  CutService service(backend, service_options);
+  const std::vector<WirePoint> cuts{ansatz.cut};
+  const CutResponse response = service.run(make_cut_request(ansatz.circuit, cuts, options));
+  std::vector<std::uint32_t> settings;
+  for (std::uint32_t setting = 0; setting < 3; ++setting) {
+    if (response.data.fragments[0].variants.count(
+            cutting::pack_variant_key(FragmentVariantKey{0, setting})) > 0) {
+      settings.push_back(setting);
+    }
+  }
+  return settings;
+}
+
 TEST(FaultTolerantService, PermanentFaultFailsJobWithVariantContext) {
   const circuit::GoldenAnsatz ansatz = make_ansatz(5, 31);
   const std::vector<WirePoint> cuts{ansatz.cut};
 
-  const GoldenMode modes[] = {GoldenMode::None, GoldenMode::Provided,
-                              GoldenMode::DetectExact, GoldenMode::DetectOnline};
-  NeglectSpec golden_spec(1);
-  golden_spec.neglect_string({ansatz.golden_basis});
-
-  for (const GoldenMode mode : modes) {
-    CutRunOptions options;
-    options.shots_per_variant = 300;
-    options.golden_mode = mode;
-    if (mode == GoldenMode::Provided) options.provided_spec = golden_spec;
-
-    // Fragment 0's X-setting variant fails permanently; everything else is
-    // clean. The stream is independent of the golden mode.
-    const FragmentVariantKey target{0, 0};
-    backend::StatevectorBackend inner(9);
-    FaultPlan plan;
-    plan.permanent_streams = {
-        variant_stream(ansatz.circuit, ansatz.cut, 0, 0, target)};
-    FaultInjectingBackend faulty(inner, plan);
-
-    telemetry::MetricsRegistry registry;
-    CutServiceOptions service_options;
-    service_options.metrics = &registry;
-    service_options.sleeper = noop_sleeper();
-    CutService service(faulty, service_options);
-
-    auto failing = service.submit(make_cut_request(ansatz.circuit, cuts, options));
-    try {
-      (void)failing.get();
-      FAIL() << "expected PermanentError, mode " << static_cast<int>(mode);
-    } catch (const PermanentError& e) {
-      // S1: the propagated error carries the failing variant's identity and
-      // keeps its taxonomy type through the context re-wrap.
-      const std::string what = e.what();
-      EXPECT_NE(what.find("variant (fragment 0"), std::string::npos) << what;
-      EXPECT_NE(what.find("injected permanent fault"), std::string::npos) << what;
+  for (const GoldenMode mode : kAllModes) {
+    const CutRunOptions options = permanent_fault_options(ansatz, mode);
+    const std::vector<std::uint32_t> settings = executed_fragment0_settings(ansatz, options);
+    ASSERT_GE(settings.size(), 2u) << "fragment 0 must run a batch of several settings";
+    if (mode == GoldenMode::None) {
+      ASSERT_EQ(settings.size(), 3u);
     }
 
-    // No pending key leaks: every in-flight key was drained.
-    const CutServiceStats after_failure = service.stats();
-    const auto* in_flight = after_failure.telemetry.find_gauge("scheduler.in_flight");
-    ASSERT_NE(in_flight, nullptr);
-    EXPECT_EQ(in_flight->value, 0);
+    // Each of fragment 0's settings in turn fails permanently; everything
+    // else is clean. The stream is independent of the golden mode. The
+    // failing member's batch is split, so the error names exactly that
+    // variant and none of its prefix siblings.
+    for (const std::uint32_t setting : settings) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) + ", setting " +
+                   std::to_string(setting));
+      const FragmentVariantKey target{0, setting};
+      backend::StatevectorBackend inner(9);
+      FaultPlan plan;
+      plan.permanent_streams = {variant_stream(ansatz.circuit, ansatz.cut, 0, 0, target)};
+      FaultInjectingBackend faulty(inner, plan);
 
-    // The next job on the SAME service completes normally (a different seed
-    // base moves every variant off the permanent stream).
-    CutRunOptions healthy = options;
-    healthy.seed_stream_base = 424242;
-    const CutResponse response =
-        service.run(make_cut_request(ansatz.circuit, cuts, healthy));
-    const std::vector<double> probs = response.probabilities();
-    double total = 0.0;
-    for (double p : probs) total += p;
-    EXPECT_NEAR(total, 1.0, 1e-9);
-    EXPECT_EQ(service.stats().jobs_failed, 1u);
-    EXPECT_EQ(service.stats().jobs_completed, 1u);
+      telemetry::MetricsRegistry registry;
+      CutServiceOptions service_options;
+      service_options.metrics = &registry;
+      service_options.sleeper = noop_sleeper();
+      CutService service(faulty, service_options);
+
+      auto failing = service.submit(make_cut_request(ansatz.circuit, cuts, options));
+      try {
+        (void)failing.get();
+        FAIL() << "expected PermanentError";
+      } catch (const PermanentError& e) {
+        // S1: the propagated error carries the failing variant's identity and
+        // keeps its taxonomy type through the context re-wrap.
+        const std::string what = e.what();
+        EXPECT_NE(what.find("variant (fragment 0, prep 0, setting " + std::to_string(setting) +
+                            ") failed"),
+                  std::string::npos)
+            << what;
+        EXPECT_EQ(what.find("co-failed"), std::string::npos) << what;
+        EXPECT_NE(what.find("injected permanent fault"), std::string::npos) << what;
+      }
+
+      // No pending key leaks: every in-flight key was drained.
+      const CutServiceStats after_failure = service.stats();
+      const auto* in_flight = after_failure.telemetry.find_gauge("scheduler.in_flight");
+      ASSERT_NE(in_flight, nullptr);
+      EXPECT_EQ(in_flight->value, 0);
+
+      // The next job on the SAME service completes normally (a different
+      // seed base moves every variant off the permanent stream).
+      CutRunOptions healthy = options;
+      healthy.seed_stream_base = 424242;
+      const CutResponse response = service.run(make_cut_request(ansatz.circuit, cuts, healthy));
+      const std::vector<double> probs = response.probabilities();
+      double total = 0.0;
+      for (double p : probs) total += p;
+      EXPECT_NEAR(total, 1.0, 1e-9);
+      EXPECT_EQ(service.stats().jobs_failed, 1u);
+      EXPECT_EQ(service.stats().jobs_completed, 1u);
+    }
+  }
+}
+
+TEST(FaultTolerantService, NeglectDropsOnlyTheFailingMemberOfABatch) {
+  const circuit::GoldenAnsatz ansatz = make_ansatz(5, 31);
+  const std::vector<WirePoint> cuts{ansatz.cut};
+
+  for (const GoldenMode mode : kAllModes) {
+    const CutRunOptions options = permanent_fault_options(ansatz, mode);
+    const std::vector<std::uint32_t> settings = executed_fragment0_settings(ansatz, options);
+    ASSERT_GE(settings.size(), 2u);
+
+    for (const std::uint32_t setting : settings) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) + ", setting " +
+                   std::to_string(setting));
+      const FragmentVariantKey target{0, setting};
+      backend::StatevectorBackend inner(9);
+      FaultPlan plan;
+      plan.permanent_streams = {variant_stream(ansatz.circuit, ansatz.cut, 0, 0, target)};
+      FaultInjectingBackend faulty(inner, plan);
+
+      telemetry::MetricsRegistry registry;
+      CutServiceOptions service_options;
+      service_options.metrics = &registry;
+      service_options.sleeper = noop_sleeper();
+      CutService service(faulty, service_options);
+
+      cutting::CutRequest request = make_cut_request(ansatz.circuit, cuts, options);
+      request.with_neglect_failures();
+      const CutResponse degraded = service.run(request);
+      ASSERT_TRUE(degraded.degradation.has_value());
+      const cutting::DegradationReport& report = *degraded.degradation;
+      ASSERT_EQ(report.neglected_variants.size(), 1u);
+      EXPECT_EQ(report.neglected_variants[0].fragment, 0);
+      EXPECT_EQ(report.neglected_variants[0].key, target);
+
+      // Resubmitted, only the failing variant executes again (failures never
+      // enter the cache); every variant its siblings served is a cache hit.
+      const SchedulerStats before = service.stats().scheduler;
+      const CutResponse again = service.run(request);
+      const SchedulerStats after = service.stats().scheduler;
+      ASSERT_TRUE(again.degradation.has_value());
+      EXPECT_EQ(again.degradation->neglected_variants.size(), 1u);
+      EXPECT_EQ(after.executions - before.executions, 1u);
+      EXPECT_EQ(after.cache_hits - before.cache_hits, after.requests - before.requests - 1);
+      EXPECT_EQ(again.reconstruction.raw_probabilities, degraded.reconstruction.raw_probabilities);
+      EXPECT_EQ(service.stats().jobs_completed, 2u);
+    }
   }
 }
 
@@ -442,9 +534,6 @@ TEST(FaultTolerantService, NeglectedVariantDegradesWithinReportedBound) {
   CutServiceOptions service_options;
   service_options.metrics = &registry;
   service_options.sleeper = noop_sleeper();
-  // A grouped batch fails as one unit (every variant of the group is
-  // co-neglected); run ungrouped so exactly the targeted variant drops.
-  service_options.prefix_batching = false;
   CutService service(faulty, service_options);
 
   cutting::CutRequest request = make_cut_request(ansatz.circuit, cuts, options);

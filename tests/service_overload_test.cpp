@@ -521,7 +521,6 @@ TEST(CutServiceOverload, FairSchedulingKeepsResultsBitForBit) {
   CutServiceOptions options;
   options.pool = &pool;
   options.cache_capacity = 0;
-  options.dispatch_width = 1;  // tightest interleaving across tenants
   CutService service(backend, options);
   std::vector<std::future<cutting::CutResponse>> futures;
   for (int i = 0; i < 6; ++i) {

@@ -3,7 +3,8 @@
 //    plan/wave/detect/reconstruct spans contained in the "job" span,
 //  * the metrics snapshot's cache counters bit-match the legacy CacheStats
 //    view on the same run,
-//  * telemetry on vs off leaves the response bit-for-bit identical.
+//  * telemetry on vs off leaves the response bit-for-bit identical,
+//  * services built and destroyed on one registry leave their totals.
 
 #include <gtest/gtest.h>
 
@@ -188,6 +189,25 @@ TEST(ServiceTelemetry, UntracedJobsCarryNoPhaseData) {
   EXPECT_EQ(stats.telemetry.counter_value("service.jobs_completed"), 1u);
   EXPECT_EQ(stats.telemetry.counter_value("cache.misses"), stats.cache.misses);
   EXPECT_GT(stats.cache.misses, 0u);
+}
+
+TEST(ServiceTelemetry, DestroyedServicesLeaveTheirTotalsOnTheRegistry) {
+  // The qcut::run shape: one short-lived service per call on a shared
+  // registry. The dead services' instruments retire into per-name totals,
+  // so the job count stays exact.
+  telemetry::MetricsRegistry registry;
+  constexpr int kServices = 5;
+  for (int i = 0; i < kServices; ++i) {
+    backend::StatevectorBackend backend(3);
+    CutServiceOptions options;
+    options.metrics = &registry;
+    CutService service(backend, options);
+    cutting::CutRequest request(chain_circuit());
+    request.with_cut(circuit::WirePoint{1, 1}).with_exact();
+    (void)service.run(request);
+  }
+  EXPECT_EQ(registry.snapshot().counter_value("service.jobs_completed"),
+            static_cast<std::uint64_t>(kServices));
 }
 
 }  // namespace

@@ -6,8 +6,7 @@
 //  * compile_prefix/compile_suffix forking is bit-for-bit identical to a
 //    whole-circuit compile at every split point (the stream property,
 //    lifted to the Device level);
-//  * state management (create/clone/copy) is exact;
-//  * column-major programs transpose custom matrices and nothing else;
+//  * state management (create/copy) is exact;
 //  * identity tokens encode exactly the result-affecting knobs;
 //  * summaries report what the op stream became.
 
@@ -38,9 +37,8 @@ Circuit random_circuit_of(int width, int depth, std::uint64_t seed) {
   return circuit::random_circuit(rc, rng);
 }
 
-std::vector<double> device_probabilities(const Device& device, const Circuit& c,
-                                         const ProgramOptions& options = {}) {
-  const auto program = device.compile(c, options);
+std::vector<double> device_probabilities(const Device& device, const Circuit& c) {
+  const auto program = device.compile(c);
   const auto state = device.create_state(c.num_qubits());
   device.apply(*program, *state);
   std::vector<double> probs;
@@ -51,9 +49,7 @@ std::vector<double> device_probabilities(const Device& device, const Circuit& c,
 TEST(CpuDevice, CapsDescribeTheEngine) {
   const auto device = make_cpu_device();
   EXPECT_EQ(device->caps().name, "cpu");
-  EXPECT_EQ(device->caps().compute_type, ComputeType::C128);
   EXPECT_EQ(device->caps().isa, IsaLevel::Scalar);  // simd defaults off
-  EXPECT_TRUE(device->caps().supports_prefix_fork);
 
   EngineOptions simd_options;
   simd_options.simd = true;
@@ -137,66 +133,22 @@ TEST(CpuDevice, PrefixSuffixForkMatchesWholeCompileAtEverySplit) {
   }
 }
 
-TEST(CpuDevice, CloneAndCopyStateAreExact) {
+TEST(CpuDevice, CopyStateIsExact) {
   const auto device = make_cpu_device();
   const Circuit c = random_circuit_of(5, 10, 11);
   const auto program = device->compile(c);
   const auto state = device->create_state(5);
   device->apply(*program, *state);
 
-  const auto clone = device->clone_state(*state);
-  EXPECT_EQ(clone->num_qubits(), 5);
-  EXPECT_EQ(clone->dim(), index_t{32});
-  EXPECT_EQ(device->amplitudes(*clone), device->amplitudes(*state));
-
   const auto copy = device->create_state(5);
   device->copy_state(*state, *copy);
+  EXPECT_EQ(copy->num_qubits(), 5);
+  EXPECT_EQ(copy->dim(), index_t{32});
   EXPECT_EQ(device->amplitudes(*copy), device->amplitudes(*state));
 
   // The copy is independent: advancing the original leaves it untouched.
   device->apply(*program, *state);
   EXPECT_NE(device->amplitudes(*copy), device->amplitudes(*state));
-}
-
-TEST(CpuDevice, ApplyBatchMatchesPerStateApply) {
-  const auto device = make_cpu_device();
-  const Circuit c = random_circuit_of(4, 8, 13);
-  const auto program = device->compile(c);
-
-  const auto a = device->create_state(4);
-  const auto b = device->create_state(4);
-  device->apply(*program, *b);  // b gets one extra application up front
-  std::vector<DeviceState*> states = {a.get(), b.get()};
-  device->apply_batch(*program, states);
-
-  const auto reference = device->create_state(4);
-  device->apply(*program, *reference);
-  EXPECT_EQ(device->amplitudes(*a), device->amplitudes(*reference));
-  device->apply(*program, *reference);
-  EXPECT_EQ(device->amplitudes(*b), device->amplitudes(*reference));
-}
-
-TEST(CpuDevice, ColMajorProgramsTransposeCustomMatrices) {
-  // An RY matrix is real and non-symmetric, so layout matters and the
-  // transpose is easy to build by hand.
-  const double theta = 0.9;
-  Circuit row(1);
-  row.ry(theta, 0);
-  linalg::CMat transposed(2, 2);
-  const linalg::CMat ry = row.op(0).matrix();
-  for (index_t r = 0; r < 2; ++r) {
-    for (index_t c = 0; c < 2; ++c) transposed(c, r) = ry(r, c);
-  }
-  Circuit col(1);
-  col.append_custom(transposed, {0});  // column-major buffer of RY
-
-  const auto device = make_cpu_device();
-  ProgramOptions col_options;
-  col_options.layout = MatrixLayout::ColMajor;
-  const std::vector<double> want = device_probabilities(*device, row);
-  const std::vector<double> got = device_probabilities(*device, col, col_options);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_DOUBLE_EQ(got[i], want[i]);
 }
 
 TEST(CpuDevice, SummaryReportsCompiledShape) {
@@ -215,9 +167,6 @@ TEST(CpuDevice, SummaryReportsCompiledShape) {
   EXPECT_EQ(s.isa, IsaLevel::Scalar);
   EXPECT_GT(s.fused_fraction(), 0.0);
   EXPECT_FALSE(s.to_string().empty());
-
-  // Workspace: in-place for scalar programs and for SoA states.
-  EXPECT_EQ(device->workspace_size(*device->compile(c)), 0u);
 }
 
 TEST(CpuDevice, IdentityTokenEncodesResultAffectingKnobsOnly) {

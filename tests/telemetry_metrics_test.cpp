@@ -1,10 +1,12 @@
 // Metrics registry: counter exactness under concurrency, histogram bucket
-// semantics, snapshot aggregation of same-named instruments, and the JSON
-// emission (validated by parsing it back).
+// semantics, snapshot aggregation of same-named instruments, retirement of
+// instruments whose component died, and the JSON emission (validated by
+// parsing it back).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -160,6 +162,50 @@ TEST(MetricsRegistry, SnapshotSumsSameNamedInstruments) {
   EXPECT_EQ(sample->buckets[2], 1u);
   EXPECT_DOUBLE_EQ(sample->min, 0.5);
   EXPECT_DOUBLE_EQ(sample->max, 9.0);
+}
+
+TEST(MetricsRegistry, DroppedInstrumentsRetireIntoTheirTotals) {
+  // Once only the registry holds an instrument (its component died), the
+  // next registration folds it into its name's total and frees it; every
+  // value it recorded stays in the snapshot.
+  MetricsRegistry registry;
+  std::weak_ptr<Counter> dead_counter;
+  std::weak_ptr<Gauge> dead_gauge;
+  std::weak_ptr<Histogram> dead_histogram;
+  {
+    const auto counter = registry.counter("retired.hits");
+    const auto gauge = registry.gauge("retired.depth");
+    const auto histogram = registry.histogram("retired.sizes", {1.0, 2.0});
+    counter->add(7);
+    gauge->set(-3);
+    histogram->record(0.5);
+    histogram->record(9.0);
+    dead_counter = counter;
+    dead_gauge = gauge;
+    dead_histogram = histogram;
+  }
+  EXPECT_FALSE(dead_counter.expired());  // nothing registered since
+  const auto live = registry.counter("retired.hits");
+  live->add(5);
+  EXPECT_TRUE(dead_counter.expired());
+  EXPECT_TRUE(dead_gauge.expired());
+  EXPECT_TRUE(dead_histogram.expired());
+
+  const MetricsSnapshot snapshot = registry.snapshot();
+  EXPECT_EQ(snapshot.counter_value("retired.hits"), 12u);
+  const GaugeSample* depth = snapshot.find_gauge("retired.depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->value, -3);
+  const HistogramSample* sizes = snapshot.find_histogram("retired.sizes");
+  ASSERT_NE(sizes, nullptr);
+  EXPECT_EQ(sizes->count, 2u);
+  EXPECT_EQ(sizes->buckets, (std::vector<std::uint64_t>{1, 0, 1}));
+  EXPECT_DOUBLE_EQ(sizes->sum, 9.5);
+  EXPECT_DOUBLE_EQ(sizes->min, 0.5);
+  EXPECT_DOUBLE_EQ(sizes->max, 9.0);
+
+  // A retired histogram still fixes its name's bucket bounds.
+  EXPECT_THROW((void)registry.histogram("retired.sizes", {1.0, 3.0}), qcut::Error);
 }
 
 TEST(MetricsRegistry, HistogramBoundsMismatchThrows) {

@@ -2,25 +2,30 @@
 // paper-size CutService job spends most of its scheduler and worker time
 // in: plan_best_single_cut and plan_chain_cuts on the paper's Fig. 2
 // circuits at 5-7 qubits (the chain capped at n/2+1 qubits per fragment,
-// as the benchmark's chain requests are); sim::sample_histogram at 4000
-// shots over 2^3, 2^4 and 2^5 outcomes (paper-size fragments), over 2^16
-// outcomes at 4000 and 20000 shots (a wide fragment) and at 100 shots, and
-// over 2^18 outcomes at 1000 and 4000 shots (the 100- and 1000-shot rows
-// lie below the crossover, where it tallies single draws, the others above
-// it, where it builds a guide table); and
-// StatevectorBackend::run_batch on one prefix group, the 3 setting variants
-// of a 4-qubit Fig. 2 fragment at 4000 shots each (a whole pool task of a
-// paper-size job). Writes BENCH_micro_planner.json (median seconds per
-// call).
+// as the benchmark's chain requests are); sim::sample_histogram and the
+// guide table it falls back on (DiscreteSampler::sample_histogram), timed
+// in interleaved rounds on one input, at 2^3-2^8, 2^10 and 2^12 outcomes x
+// 4000 and 20000 shots (paper-size fragments up to a sweep's 12-qubit
+// one: the rows show where one binomial per outcome overtakes one draw
+// per shot); sim::sample_histogram alone over 2^16 outcomes at 4000 and
+// 20000 shots (a wide fragment) and at 100 shots, and over 2^18 outcomes
+// at 1000 and 4000 shots (the 100- and 1000-shot rows lie below the guide
+// table's crossover, where it tallies single draws, the others above it,
+// where it builds a guide table); and StatevectorBackend::run_batch on one
+// prefix group, the 3 setting variants of a 4-qubit Fig. 2 fragment at
+// 4000 shots each (a whole pool task of a paper-size job). Writes
+// BENCH_micro_planner.json (median seconds per call).
 //
 // Gates, each timed in interleaved rounds in this process (medians); exits
-// nonzero unless both hold:
+// nonzero unless all three hold:
 //  * plan_best_single_cut, which screens cuts from one full-circuit
 //    simulation, takes at most 0.85x the time of enumerate_single_cuts, the
 //    exact detector on every cut, on the 7-qubit Fig. 2 circuit;
 //  * building a DiscreteSampler and tallying 4000 single sample() draws
-//    over 2^4 outcomes takes at least 1.3x as long as sim::sample_histogram
-//    on the same input.
+//    over 2^4 outcomes takes at least 1.3x as long as the guide table
+//    (DiscreteSampler::sample_histogram) on the same input;
+//  * sim::sample_histogram, one binomial per outcome there, takes at most
+//    0.25x the guide table's time at 2^4 outcomes x 4000 shots.
 
 #include <algorithm>
 #include <cstdint>
@@ -105,13 +110,35 @@ int main() {
   std::cout << "7 qubits: enumerate_single_cuts " << enumerate * 1e6
             << " us, plan_best_single_cut " << plan * 1e6 << " us -> " << plan_ratio << "x\n";
 
+  // Both samplers on one input per shape, interleaved; the pair of rows
+  // shows which side of its choice sim::sample_histogram takes. 2^4 x 4000
+  // is also the binomial gate's shape.
+  double binomial_ratio = 0.0;
+  for (const std::size_t shots : {std::size_t{4000}, std::size_t{20000}}) {
+    for (const int bits : {3, 4, 5, 6, 7, 8, 10, 12}) {
+      const std::vector<double> probs = seeded_distribution(pow2(bits), 97);
+      Rng rng(5);
+      const auto [chosen, guide] = interleaved_median_seconds(
+          [&] { sink += sim::sample_histogram(probs, shots, rng).back(); },
+          [&] { sink += DiscreteSampler(probs, 1e-9).sample_histogram(shots, rng).back(); });
+      const std::string shape =
+          std::to_string(pow2(bits)) + "_outcomes_" + std::to_string(shots) + "_shots_seconds";
+      extras.emplace_back("sample_histogram_" + shape, chosen);
+      extras.emplace_back("guide_table_" + shape, guide);
+      std::cout << shots << " shots over 2^" << bits << " outcomes: sample_histogram "
+                << chosen * 1e6 << " us, guide table " << guide * 1e6 << " us\n";
+      if (bits == 4 && shots == 4000) binomial_ratio = chosen / guide;
+    }
+  }
+  extras.emplace_back("sample_histogram_over_guide_table_16_outcomes_4000_shots", binomial_ratio);
+  std::cout << "4000 shots over 2^4 outcomes: sample_histogram / guide table -> " << binomial_ratio
+            << "x\n";
   struct SamplingShape {
     int bits;
     std::size_t shots;
   };
   for (const SamplingShape shape :
-       {SamplingShape{3, 4000}, SamplingShape{4, 4000}, SamplingShape{5, 4000},
-        SamplingShape{16, 4000}, SamplingShape{16, 20000}, SamplingShape{16, 100},
+       {SamplingShape{16, 4000}, SamplingShape{16, 20000}, SamplingShape{16, 100},
         SamplingShape{18, 1000}, SamplingShape{18, 4000}}) {
     const std::vector<double> probs = seeded_distribution(pow2(shape.bits), 97);
     Rng rng(5);
@@ -159,22 +186,23 @@ int main() {
               << " us\n";
   }
 
-  // The gate: the guide table against single-draw searches on one input.
+  // The single-draw gate: the guide table against single-draw searches on
+  // one input.
   const std::vector<double> gate_probs = seeded_distribution(pow2(4), 97);
   Rng gate_rng(9);
-  const auto [single_draws, histogram] = interleaved_median_seconds(
+  const auto [single_draws, guide_table] = interleaved_median_seconds(
       [&] {
         const DiscreteSampler sampler(gate_probs, 1e-9);
         std::vector<std::uint64_t> tally(sampler.size(), 0);
         for (int i = 0; i < 4000; ++i) ++tally[sampler.sample(gate_rng)];
         sink += tally.back();
       },
-      [&] { sink += sim::sample_histogram(gate_probs, 4000, gate_rng).back(); });
-  const double ratio = single_draws / histogram;
+      [&] { sink += DiscreteSampler(gate_probs, 1e-9).sample_histogram(4000, gate_rng).back(); });
+  const double ratio = single_draws / guide_table;
   extras.emplace_back("single_draws_16_outcomes_4000_shots_seconds", single_draws);
   extras.emplace_back("single_draws_over_sample_histogram", ratio);
   std::cout << "4000 single draws over 2^4 outcomes: " << single_draws * 1e6
-            << " us, sample_histogram " << histogram * 1e6 << " us -> " << ratio << "x\n";
+            << " us, guide table " << guide_table * 1e6 << " us -> " << ratio << "x\n";
 
   // Printing the sink keeps the timed calls from being optimized away.
   std::cout << "checksum " << sink << "\n";
@@ -190,7 +218,14 @@ int main() {
   constexpr double kTargetRatio = 1.3;
   if (ratio < kTargetRatio) {
     std::cout << "micro_planner: single draws take " << ratio
-              << "x sample_histogram's time, below the " << kTargetRatio << "x target\n";
+              << "x the guide table's time, below the " << kTargetRatio << "x target\n";
+    status = 1;
+  }
+  constexpr double kBinomialRatio = 0.25;
+  if (binomial_ratio > kBinomialRatio) {
+    std::cout << "micro_planner: sample_histogram takes " << binomial_ratio
+              << "x the guide table's time at 2^4 outcomes x 4000 shots, above the "
+              << kBinomialRatio << "x target\n";
     status = 1;
   }
   return status;

@@ -93,6 +93,137 @@ double Rng::normal(double mean, double stddev) { return mean + stddev * normal()
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
+namespace {
+
+/// Binomial(n, p) for p <= 1/2 and n p < 10 by inverting the cdf: walk
+/// f(0) = (1 - p)^n, f(x) = f(x - 1) (n + 1 - x) / x * p / (1 - p) until
+/// the uniform falls inside f(x). A uniform beyond the mass the rounded
+/// terms cover (only ever by rounding) is redrawn once the walk reaches n
+/// or a term underflows to 0, after which every term is 0, so the walk
+/// never runs far past the mean however large n is.
+double binomial_inversion(Rng& rng, double n, double p) {
+  const double s = p / (1.0 - p);
+  const double a = (n + 1.0) * s;
+  const double f0 = std::exp(n * std::log1p(-p));
+  for (;;) {
+    double u = rng.uniform();
+    double f = f0;
+    double x = 0.0;
+    while (u > f && x < n && f > 0.0) {
+      u -= f;
+      x += 1.0;
+      f *= a / x - s;
+    }
+    if (u <= f) return x;
+  }
+}
+
+/// log(k!) - ((k + 1/2) log(k + 1) - (k + 1) + log(2 pi) / 2), the error of
+/// Stirling's formula, for an integer k >= 0: tabulated to k = 9, a series
+/// above.
+double stirling_tail(double k) {
+  static constexpr double kTable[10] = {
+      0.08106146679532726, 0.04134069595540929, 0.02767792568499834, 0.02079067210376509,
+      0.01664469118982119, 0.01387612882307075, 0.01189670994589177, 0.01041126526197209,
+      0.009255462182712733, 0.008330563433362871};
+  if (k <= 9.0) return kTable[static_cast<int>(k)];
+  const double next = k + 1.0;
+  const double next2 = next * next;
+  return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / 1260.0 / next2) / next2) / next;
+}
+
+/// Binomial(n, p) for p <= 1/2 and n p >= 10: Hörmann's BTRD, transformed
+/// rejection with decomposition, step for step as published. The variate
+/// comes from K = floor((2 a / (1/2 - |U|) + b) U + c) for a uniform U in
+/// [-1/2, 1/2); 86% of the time V alone selects the region where that
+/// hat is accepted outright, and otherwise V is tested against f(K) /
+/// f(m), by recursion when K lies within 15 of the mode m, else by
+/// squeezes and Stirling's formula. Every K is range-checked as a double
+/// before it becomes an integer.
+double binomial_btrd(Rng& rng, double n, double p) {
+  const double q = 1.0 - p;
+  const double m = std::floor((n + 1.0) * p);
+  const double r = p / q;
+  const double nr = (n + 1.0) * r;
+  const double npq = n * p * q;
+  const double sqrt_npq = std::sqrt(npq);
+  const double b = 1.15 + 2.53 * sqrt_npq;
+  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
+  const double c = n * p + 0.5;
+  const double alpha = (2.83 + 5.1 / b) * sqrt_npq;
+  const double v_r = 0.92 - 4.2 / b;
+  const double u_rv_r = 0.86 * v_r;
+  const auto in_range = [n](double k) { return k >= 0.0 && k <= n; };  // false for NaN
+  for (;;) {
+    // Step 1: the region of the hat that is accepted without a test.
+    double v = rng.uniform();
+    if (v <= u_rv_r) {
+      const double u = v / v_r - 0.43;
+      const double k = std::floor((2.0 * a / (0.5 - std::abs(u)) + b) * u + c);
+      if (in_range(k)) return k;
+      continue;
+    }
+    // Step 2: a uniform point (U, V) outside that region.
+    double u = 0.0;
+    if (v >= v_r) {
+      u = rng.uniform() - 0.5;
+    } else {
+      u = v / v_r - 0.93;
+      u = std::copysign(0.5, u) - u;
+      v = rng.uniform() * v_r;
+    }
+    // Step 3.0. |U| = 1/2 (us == 0, reachable by rounding) would put K at
+    // infinity, outside [0, n]: rejected before dividing by it.
+    const double us = 0.5 - std::abs(u);
+    if (!(us > 0.0)) continue;
+    const double k = std::floor((2.0 * a / us + b) * u + c);
+    if (!in_range(k)) continue;
+    v = v * alpha / (a / (us * us) + b);
+    const double km = std::abs(k - m);
+    if (km <= 15.0) {
+      // Step 3.1: f(K) / f(m) by recursion.
+      double f = 1.0;
+      if (m < k) {
+        for (double i = m + 1.0; i <= k; i += 1.0) f *= nr / i - r;
+      } else {
+        for (double i = k + 1.0; i <= m; i += 1.0) v *= nr / i - r;
+      }
+      if (v <= f) return k;
+      continue;
+    }
+    // Step 3.2: squeeze acceptance or rejection.
+    v = std::log(v);
+    const double rho = (km / npq) * (((km / 3.0 + 0.625) * km + 1.0 / 6.0) / npq + 0.5);
+    const double t = -km * km / (2.0 * npq);
+    if (v < t - rho) return k;
+    if (v > t + rho) continue;
+    // Steps 3.3 and 3.4: the final test, log f(K) / f(m) by Stirling.
+    const double nm = n - m + 1.0;
+    const double h = (m + 0.5) * std::log((m + 1.0) / (r * nm)) + stirling_tail(m) +
+                     stirling_tail(n - m);
+    const double nk = n - k + 1.0;
+    if (v <= h + (n + 1.0) * std::log(nm / nk) + (k + 0.5) * std::log(nk * r / (k + 1.0)) -
+                 stirling_tail(k) - stirling_tail(n - k)) {
+      return k;
+    }
+  }
+}
+
+}  // namespace
+
+std::uint64_t Rng::binomial(std::uint64_t n, double p) {
+  QCUT_CHECK(p >= 0.0 && p <= 1.0, "Rng::binomial: p must be in [0, 1]");
+  QCUT_CHECK(n <= (std::uint64_t{1} << 53), "Rng::binomial: n must be at most 2^53");
+  if (n == 0 || p == 0.0) return 0;
+  if (p == 1.0) return n;
+  if (p > 0.5) return n - binomial(n, 1.0 - p);
+  const double trials = static_cast<double>(n);
+  // Both draws return an integer in [0, n], exact as a double since n <= 2^53.
+  const double k = trials * p < 10.0 ? binomial_inversion(*this, trials, p)
+                                     : binomial_btrd(*this, trials, p);
+  return static_cast<std::uint64_t>(k);
+}
+
 std::uint64_t Rng::next_u64() { return engine_(); }
 
 DiscreteSampler::DiscreteSampler(std::span<const double> weights, double negative_tolerance) {

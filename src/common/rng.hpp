@@ -62,6 +62,17 @@ class Rng {
   /// True with probability p.
   [[nodiscard]] bool bernoulli(double p);
 
+  /// Binomial(n, p): the number of successes in n trials of probability p,
+  /// exactly distributed. For p > 1/2 it draws n - Binomial(n, 1 - p);
+  /// then it inverts the cdf by sequential search when n p < 10 (one
+  /// uniform), and above that runs Hörmann's BTRD ("The generation of
+  /// binomial random variates", 1993; ~1.2 uniforms per variate at any
+  /// n p). n == 0, p == 0 and p == 1 return without a draw. Written here
+  /// rather than through std::binomial_distribution, whose algorithm
+  /// differs between standard libraries. Requires p in [0, 1] and
+  /// n <= 2^53.
+  [[nodiscard]] std::uint64_t binomial(std::uint64_t n, double p);
+
   /// Raw 64 random bits.
   [[nodiscard]] std::uint64_t next_u64();
 

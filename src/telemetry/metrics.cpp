@@ -265,7 +265,7 @@ void MetricsRegistry::retire_dead_locked() {
   });
   std::erase_if(gauges_, [&](const Named<Gauge>& g) {
     if (!dead(g)) return false;
-    retired_gauges_[g.name] += g.instrument->value();
+    retired_gauges_.insert(g.name);
     return true;
   });
   std::erase_if(histograms_, [&](const Named<Histogram>& h) {
@@ -301,8 +301,13 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   std::map<std::string, std::uint64_t> counter_totals = retired_counters_;
   for (const Named<Counter>& c : counters_) counter_totals[c.name] += c.instrument->value();
 
-  std::map<std::string, std::int64_t> gauge_totals = retired_gauges_;
-  for (const Named<Gauge>& g : gauges_) gauge_totals[g.name] += g.instrument->value();
+  // A gauge only the registry holds belongs to a dead component, whose
+  // level is 0.
+  std::map<std::string, std::int64_t> gauge_totals;
+  for (const std::string& name : retired_gauges_) gauge_totals.emplace(name, 0);
+  for (const Named<Gauge>& g : gauges_) {
+    gauge_totals[g.name] += g.instrument.use_count() == 1 ? 0 : g.instrument->value();
+  }
 
   std::map<std::string, HistogramSample> histogram_totals = retired_histograms_;
   for (const Named<Histogram>& h : histograms_) {

@@ -18,11 +18,14 @@
 // process-level scrape would. Instruments are shared_ptr-owned by both the
 // registry and the component. Once only the registry holds one (its
 // component died), the next registration folds it into a per-name retired
-// total and drops it: a counter's value, a gauge's last value, a
-// histogram's buckets, count, sum, min and max. A snapshot starts from
-// those totals, so it still includes everything a dead component recorded
-// (metrics are cumulative), while a process that builds and destroys
-// components in a loop keeps only its live instruments.
+// total and drops it: a counter's value, a histogram's buckets, count, sum,
+// min and max. A snapshot starts from those totals, so it still includes
+// everything a dead component counted (counters and histograms are
+// cumulative), while a process that builds and destroys components in a
+// loop keeps only its live instruments. A gauge is a level, not a total: a
+// dead component's level is 0, so a gauge only the registry holds adds
+// nothing to a snapshot, and a retired gauge leaves only its name, which
+// snapshots still list.
 //
 // Cost model: counters, gauges, and histogram recording are a few relaxed
 // atomic operations and are ALWAYS on — the stats views (CacheStats,
@@ -41,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -215,7 +219,7 @@ class MetricsRegistry {
   };
 
   /// Folds every instrument only the registry still holds into the retired
-  /// totals and drops it. Caller holds mutex_.
+  /// totals (a gauge into its name alone) and drops it. Caller holds mutex_.
   void retire_dead_locked();
 
   /// Adds `histogram`'s shards into `sample` (shaped on first use).
@@ -226,9 +230,10 @@ class MetricsRegistry {
   std::vector<Named<Counter>> counters_;
   std::vector<Named<Gauge>> gauges_;
   std::vector<Named<Histogram>> histograms_;
-  // Per-name totals of retired instruments; snapshot() starts from them.
+  // Per-name totals of retired instruments, and the names of retired
+  // gauges (listed at 0); snapshot() starts from them.
   std::map<std::string, std::uint64_t> retired_counters_;
-  std::map<std::string, std::int64_t> retired_gauges_;
+  std::set<std::string> retired_gauges_;
   std::map<std::string, HistogramSample> retired_histograms_;
 };
 

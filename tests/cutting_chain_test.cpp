@@ -24,6 +24,7 @@
 #include "parallel/thread_pool.hpp"
 #include "sim/statevector.hpp"
 #include "support/digest.hpp"
+#include "support/guide_table_backend.hpp"
 #include "support/qaoa_path.hpp"
 
 namespace qcut::cutting {
@@ -342,7 +343,8 @@ TEST(ChainCutting, ReconstructionMatchesCommittedDigests) {
 /// removed: at equal seeds the chain runs the same variant circuits on the
 /// same seed streams and shot plan, and contracts them with the same
 /// arithmetic. The variant digest covers fragment 0's distributions by
-/// ascending setting, then fragment 1's by ascending prep.
+/// ascending setting, then fragment 1's by ascending prep. The variants are
+/// sampled with the guide table they were recorded with.
 struct FrozenTwoFragmentCase {
   const char* name;
   bool golden;
@@ -392,7 +394,8 @@ TEST(ChainCutting, TwoFragmentChainMatchesFrozenBipartitionDigests) {
   for (const FrozenTwoFragmentCase& c : frozen_two_fragment_cases()) {
     SCOPED_TRACE(c.name);
     const ChainNeglectSpec spec{{c.golden ? golden : NeglectSpec::none(1)}};
-    backend::StatevectorBackend backend(9);
+    backend::StatevectorBackend inner(9);
+    backend::GuideTableBackend backend(inner, 9);
     const ChainFragmentData data = execute_chain(graph, spec, backend, c.exec);
     const ReconstructionResult result = reconstruct_distribution(graph, data, spec);
 

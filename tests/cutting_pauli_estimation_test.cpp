@@ -12,6 +12,7 @@
 #include "cutting/pipeline.hpp"
 #include "sim/statevector.hpp"
 #include "support/digest.hpp"
+#include "support/guide_table_backend.hpp"
 
 namespace qcut::cutting {
 namespace {
@@ -113,8 +114,10 @@ TEST(CountsIngestion, ManualPipelineMatchesBuiltIn) {
   boundary.neglect(0, ansatz.golden_basis);
   const ChainNeglectSpec spec{{boundary}};
 
-  // "External" execution: run each exported variant by hand.
-  backend::StatevectorBackend backend(6);
+  // "External" execution: run each exported variant by hand, sampled with
+  // the guide table the frozen digest below was recorded with.
+  backend::StatevectorBackend inner(6);
+  backend::GuideTableBackend backend(inner, 6);
   const std::size_t shots = 5000;
   ChainFragmentData manual = make_chain_data(graph);
   manual.shots_per_variant = shots;

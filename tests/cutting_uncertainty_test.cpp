@@ -215,15 +215,12 @@ TEST(Bootstrap, RunsOnThreeFragmentChain) {
   EXPECT_NEAR(u.estimate, obs.expectation(sv.probabilities()), 5.0 * u.standard_error + 0.05);
 }
 
-/// Bootstrap results pinned bit for bit. Recorded through the two-fragment
-/// Bipartition API (upstream and downstream distributions keyed by setting
-/// and prep tuple) before the bootstrap moved onto the chain: the chain
-/// resample visits fragment 0's variants (ascending setting) and then
-/// fragment 1's (ascending prep), the order that API drew them in. The
-/// budget case's standard error and bands were re-recorded when the
-/// resample moved from the smallest share to each variant's own count: its
-/// 7013 shots give five of the six variants 1169 and the last 1168, and the
-/// old resample drew all six at 1168. Its estimate did not move.
+/// Bootstrap results pinned bit for bit. The chain resample visits fragment
+/// 0's variants (ascending setting) and then fragment 1's (ascending prep),
+/// each with its own shot count: the budget case's 7013 shots give five of
+/// the six variants 1169 and the last 1168. Both the fragment data and the
+/// resample are sampled by sim::sample_histogram (one binomial per outcome
+/// for these 3-qubit fragments), so a change to that sampler moves them.
 struct FrozenBootstrapCase {
   const char* name;
   std::uint64_t seed;  // ansatz and backend seed
@@ -243,19 +240,19 @@ TEST(Bootstrap, MatchesFrozenDigests) {
        1500,
        0,
        false,
-       {0xbf9f8f295cc0e30cULL, 0x3f9126fa4943df56ULL, 0xbfafb9d82d3b42ffULL,
-        0xbf844280667b179aULL},
-       {0xaa3c83131333c913ULL, 0xefd4d6163f83dc5bULL, 0xf49f55e09a81ce9bULL,
-        0x237094c3d7bc1d58ULL}},
+       {0xbf8ce7af2fd41b08ULL, 0x3f8f539f66b8e439ULL, 0xbfa4688867b97c6eULL,
+        0x3f8c97e936bf97ccULL},
+       {0x9f4c5fa5ae74c8b2ULL, 0x630bf3b734662cafULL, 0x6b7e44b27cb66fbaULL,
+        0xb69f0d18598552c0ULL}},
       {"budget_golden",
        9,
        0,
        7013,
        true,
-       {0xbfdad9e6ce7d5782ULL, 0x3f95d6808f1f7b2fULL, 0xbfdd16158f32435cULL,
-        0xbfd850f56d65af11ULL},
-       {0xdf940fbb05420f63ULL, 0xc141c7c7465e0960ULL, 0xe175af2a1f4543b9ULL,
-        0x02acef0aa0eed43fULL}},
+       {0xbfd6ec67b4098516ULL, 0x3f95c2001962d04dULL, 0xbfd8b14815f0081cULL,
+        0xbfd43da7c69ffe88ULL},
+       {0x5e183a38fe71d067ULL, 0xd88a9cce357875b1ULL, 0x51d3cc26e9efa18eULL,
+        0xc91e106460b3869fULL}},
   };
   for (const FrozenBootstrapCase& c : cases) {
     SCOPED_TRACE(c.name);

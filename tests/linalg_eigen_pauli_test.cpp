@@ -5,45 +5,11 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "linalg/eigen2.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/pauli_matrices.hpp"
 
 namespace qcut::linalg {
 namespace {
-
-TEST(Eigen2, DecomposesEveryPauli) {
-  for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
-    const EigenDecomp2 decomp = eigen_hermitian_2x2(pauli_matrix(p));
-    EXPECT_NEAR(decomp.pairs[0].value, 1.0, 1e-12);
-    EXPECT_NEAR(decomp.pairs[1].value, -1.0, 1e-12);
-    EXPECT_TRUE(decomp.reconstruct().approx_equal(pauli_matrix(p), 1e-12));
-  }
-}
-
-TEST(Eigen2, EigenvectorsAreOrthonormal) {
-  const CMat m = {{cx{0.3, 0}, cx{0.2, 0.5}}, {cx{0.2, -0.5}, cx{-1.1, 0}}};
-  const EigenDecomp2 decomp = eigen_hermitian_2x2(m);
-  EXPECT_NEAR(norm(decomp.pairs[0].vector), 1.0, 1e-12);
-  EXPECT_NEAR(norm(decomp.pairs[1].vector), 1.0, 1e-12);
-  EXPECT_NEAR(std::abs(inner(decomp.pairs[0].vector, decomp.pairs[1].vector)), 0.0, 1e-12);
-  EXPECT_TRUE(decomp.reconstruct().approx_equal(m, 1e-12));
-  EXPECT_GE(decomp.pairs[0].value, decomp.pairs[1].value);
-}
-
-TEST(Eigen2, DiagonalMatrix) {
-  const CMat m = CMat::diagonal({cx{-2, 0}, cx{5, 0}});
-  const EigenDecomp2 decomp = eigen_hermitian_2x2(m);
-  EXPECT_NEAR(decomp.pairs[0].value, 5.0, 1e-12);
-  EXPECT_NEAR(decomp.pairs[1].value, -2.0, 1e-12);
-  EXPECT_TRUE(decomp.reconstruct().approx_equal(m, 1e-12));
-}
-
-TEST(Eigen2, RejectsNonHermitian) {
-  const CMat m = {{cx{0, 0}, cx{1, 0}}, {cx{0, 0}, cx{0, 0}}};
-  EXPECT_THROW((void)eigen_hermitian_2x2(m), Error);
-  EXPECT_THROW((void)eigen_hermitian_2x2(CMat::identity(3)), Error);
-}
 
 TEST(PauliMatrices, AlgebraicRelations) {
   const CMat x = pauli_matrix(Pauli::X);

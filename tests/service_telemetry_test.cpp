@@ -4,7 +4,8 @@
 //  * the metrics snapshot's cache counters bit-match the legacy CacheStats
 //    view on the same run,
 //  * telemetry on vs off leaves the response bit-for-bit identical,
-//  * services built and destroyed on one registry leave their totals.
+//  * services built and destroyed on one registry leave their totals, and
+//    their gauges read 0.
 
 #include <gtest/gtest.h>
 
@@ -208,6 +209,33 @@ TEST(ServiceTelemetry, DestroyedServicesLeaveTheirTotalsOnTheRegistry) {
   }
   EXPECT_EQ(registry.snapshot().counter_value("service.jobs_completed"),
             static_cast<std::uint64_t>(kServices));
+}
+
+TEST(ServiceTelemetry, DestroyedServicesLeaveNoGaugeLevel) {
+  // A gauge is a level: with one live service at a time on a shared
+  // registry, cache.size reads the live cache's entries, not the sum of
+  // every cache the registry has seen, and 0 once every service is gone.
+  telemetry::MetricsRegistry registry;
+  for (int i = 0; i < 3; ++i) {
+    backend::StatevectorBackend backend(3);
+    CutServiceOptions options;
+    options.metrics = &registry;
+    CutService service(backend, options);
+    cutting::CutRequest request(chain_circuit());
+    request.with_cut(circuit::WirePoint{1, 1}).with_exact();
+    (void)service.run(request);
+    const CutServiceStats stats = service.stats();
+    ASSERT_GT(stats.cache.insertions, 0u);
+    ASSERT_EQ(stats.cache.evictions, 0u);
+    const telemetry::MetricsSnapshot snapshot = registry.snapshot();
+    const telemetry::GaugeSample* size = snapshot.find_gauge("cache.size");
+    ASSERT_NE(size, nullptr);
+    EXPECT_EQ(size->value, static_cast<std::int64_t>(stats.cache.insertions)) << "service " << i;
+  }
+  const telemetry::MetricsSnapshot snapshot = registry.snapshot();
+  const telemetry::GaugeSample* size = snapshot.find_gauge("cache.size");
+  ASSERT_NE(size, nullptr);
+  EXPECT_EQ(size->value, 0);
 }
 
 }  // namespace

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,6 +142,12 @@ std::vector<double> scaled(std::vector<double> weights, double factor) {
   return weights;
 }
 
+/// The guide table, as sim::sample_histogram calls it on its guide side.
+std::vector<std::uint64_t> guide_table_histogram(std::span<const double> weights,
+                                                 std::size_t shots, Rng& rng) {
+  return DiscreteSampler(weights, 1e-9).sample_histogram(shots, rng);
+}
+
 struct SamplingCase {
   const char* name;
   std::vector<double> weights;
@@ -147,8 +155,8 @@ struct SamplingCase {
   std::uint64_t draws_digest;      // 500 single DiscreteSampler::sample draws
 };
 
-/// Committed digests of sampled outcomes, recorded before the sampler's
-/// search changed: a change that moves any draw to another outcome, or
+/// Committed digests of the guide table's sampled outcomes, recorded before
+/// its search changed: a change that moves any draw to another outcome, or
 /// draws a different number of uniforms, fails here.
 std::vector<SamplingCase> sampling_cases() {
   std::vector<SamplingCase> cases;
@@ -187,7 +195,9 @@ TEST(Sampling, SampledOutcomesMatchCommittedDigests) {
     SCOPED_TRACE(c.name);
     Rng rng(++seed);
     Fnv1a histogram;
-    for (const std::uint64_t count : sample_histogram(c.weights, 4000, rng)) histogram.add(count);
+    for (const std::uint64_t count : guide_table_histogram(c.weights, 4000, rng)) {
+      histogram.add(count);
+    }
     histogram.add(rng.next_u64());
     EXPECT_EQ(histogram.hash, c.histogram_digest) << std::hex << histogram.hash;
 
@@ -208,7 +218,7 @@ std::vector<std::uint64_t> single_draw_tally(const std::vector<double>& weights,
   return histogram;
 }
 
-/// sample_histogram against its oracle, the single-draw search: the same
+/// The guide table against its oracle, the single-draw search: the same
 /// outcome for every draw and the same generator state afterwards, on
 /// shapes that put cumulative entries exactly on bucket bounds, pack many
 /// inside one bucket, scale the total to the edges of the double range,
@@ -239,9 +249,200 @@ TEST(Sampling, HistogramEqualsSingleDraws) {
       SCOPED_TRACE(name + " x " + std::to_string(shots) + " shots");
       Rng histogram_rng(++seed);
       Rng draws_rng(seed);
-      EXPECT_EQ(sample_histogram(weights, shots, histogram_rng),
+      EXPECT_EQ(guide_table_histogram(weights, shots, histogram_rng),
                 single_draw_tally(weights, shots, draws_rng));
       EXPECT_EQ(histogram_rng.next_u64(), draws_rng.next_u64());
+    }
+  }
+}
+
+/// Below kBinomialShotsPerOutcome shots per outcome sim::sample_histogram is
+/// the guide table, bit for bit and generator state included: wide
+/// fragments (2^16 x 4000, 2^18 x 1000, and the single-draw tally below the
+/// table's own crossover) and a few shots over few outcomes.
+TEST(Sampling, SampleHistogramIsTheGuideTableBelowItsShotsPerOutcome) {
+  struct GuideCase {
+    std::string name;
+    std::vector<double> weights;
+    std::size_t shots;
+  };
+  std::vector<GuideCase> cases;
+  for (const std::size_t shots : {100, 2047, 2048, 4000, 20000}) {
+    cases.push_back({"seeded_65536", seeded_distribution(65536, 300, 83), shots});
+  }
+  cases.push_back({"equal_65536", equal_weights(65536), 4000});
+  cases.push_back({"last_bin_65536", last_bin_only(65536), 4000});
+  for (const std::size_t shots : {1000, 4000}) {
+    cases.push_back({"seeded_262144", seeded_distribution(262144, 7, 89), shots});
+  }
+  cases.push_back({"seeded_4097", seeded_distribution(4097, 0, 73), 4000});
+  cases.push_back({"tiny_cluster", tiny_cluster(), 4000});
+  cases.push_back({"seeded_1024", seeded_distribution(1024, 3, 97), 4000});
+  cases.push_back({"three_uneven", {0.5, -1e-12, 0.25}, 11});
+  cases.push_back({"seeded_16", seeded_distribution(16, 0, 61), 63});
+
+  std::uint64_t seed = 900;
+  for (const GuideCase& c : cases) {
+    SCOPED_TRACE(c.name + " x " + std::to_string(c.shots) + " shots");
+    ASSERT_LT(c.shots / kBinomialShotsPerOutcome, c.weights.size());
+    Rng chosen_rng(++seed);
+    Rng guide_rng(seed);
+    EXPECT_EQ(sample_histogram(c.weights, c.shots, chosen_rng),
+              guide_table_histogram(c.weights, c.shots, guide_rng));
+    EXPECT_EQ(chosen_rng.next_u64(), guide_rng.next_u64());
+  }
+}
+
+/// Committed digests of sim::sample_histogram's binomial side (the counts,
+/// then the next draw): a change to the binomial, the order outcomes are
+/// visited in or the suffix masses fails here.
+TEST(Sampling, BinomialCountsMatchCommittedDigests) {
+  struct BinomialCase {
+    const char* name;
+    std::vector<double> weights;
+    std::size_t shots;
+    std::uint64_t digest;
+  };
+  const std::vector<BinomialCase> cases = {
+      {"one_outcome", {1.0}, 4000, 0x235d047cc86551acULL},
+      {"two_with_zero", {0.0, 1.0}, 4000, 0x1ed56fff652a7969ULL},
+      {"three_uneven", {0.5, -1e-12, 0.25}, 12, 0xc5379cc2bf766a42ULL},
+      {"eight_4000", seeded_distribution(8, 0, 59), 4000, 0xdc7f7aa0bdac5e38ULL},
+      {"sixteen_4000", seeded_distribution(16, 0, 61), 4000, 0xec42deaa17e86b2bULL},
+      {"sixteen_20000", seeded_distribution(16, 2, 63), 20000, 0xf69a96607a709bcdULL},
+      {"sixteen_last_bin", last_bin_only(16), 4000, 0xa3e0f22c54589504ULL},
+      {"hundred_trailing_zeros", seeded_distribution(100, 9, 67), 4000, 0x21aaf0df27bd4cc0ULL},
+      {"dyadic_64", equal_weights(64), 4000, 0xbcedb173a56e94d0ULL},
+      {"two_fifty_six", seeded_distribution(256, 1, 71), 4000, 0xee3241c40d4acc70ULL},
+      {"4096_20000", seeded_distribution(4096, 0, 75), 20000, 0xa5ced72ce4852553ULL},
+      {"tiny_cluster_times_1e300", scaled(tiny_cluster(), 1e300), 20000, 0x8628240bc70279f7ULL},
+  };
+  std::uint64_t seed = 700;
+  for (const BinomialCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_GE(c.shots / kBinomialShotsPerOutcome, c.weights.size());
+    Rng rng(++seed);
+    Fnv1a digest;
+    for (const std::uint64_t count : sample_histogram(c.weights, c.shots, rng)) digest.add(count);
+    digest.add(rng.next_u64());
+    EXPECT_EQ(digest.hash, c.digest) << std::hex << digest.hash;
+  }
+}
+
+// ---- Distribution of the counts ----------------------------------------------
+
+using Sampler = std::vector<std::uint64_t> (*)(std::span<const double>, std::size_t, Rng&);
+
+/// Draws the counts of `shots` outcomes from `weights` once per seed over
+/// 1000 fixed seeds and compares their moments with the multinomial's:
+/// each count's mean n p_i, variance n p_i (1 - p_i) and each pair's
+/// covariance -n p_i p_j. Every statistic is the mean over seeds of
+/// D_i = X_i - n p_i, D_i^2 or D_i D_j, whose exact expectation and
+/// variance under the multinomial follow from n independent one-shot
+/// trials; each must lie within 5 of its standard deviations (a correct
+/// sampler fails one such bound with probability ~6e-7). A statistic with
+/// zero variance (a zero-weight or certain outcome) must hold exactly.
+void expect_multinomial_moments(Sampler sampler, const std::vector<double>& weights,
+                                std::size_t shots) {
+  constexpr std::size_t kSeeds = 1000;
+  constexpr double kBound = 5.0;
+  const std::size_t size = weights.size();
+  std::vector<double> p(size, 0.0);
+  double total = 0.0;
+  for (std::size_t i = 0; i < size; ++i) {
+    p[i] = std::max(weights[i], 0.0);
+    total += p[i];
+  }
+  for (double& pi : p) pi /= total;
+
+  const double n = static_cast<double>(shots);
+  std::vector<double> sum(size, 0.0);
+  std::vector<double> sum_products(size * size, 0.0);  // i <= j
+  std::vector<double> d(size);
+  for (std::size_t seed = 0; seed < kSeeds; ++seed) {
+    Rng rng = Rng(2024).child(seed);
+    const std::vector<std::uint64_t> counts = sampler(weights, shots, rng);
+    ASSERT_EQ(counts.size(), size);
+    std::uint64_t drawn = 0;
+    for (std::size_t i = 0; i < size; ++i) {
+      drawn += counts[i];
+      if (p[i] == 0.0) {
+        ASSERT_EQ(counts[i], 0u) << "outcome " << i << " has zero weight";
+      }
+      d[i] = static_cast<double>(counts[i]) - n * p[i];
+      sum[i] += d[i];
+    }
+    ASSERT_EQ(drawn, shots);
+    for (std::size_t i = 0; i < size; ++i) {
+      for (std::size_t j = i; j < size; ++j) sum_products[i * size + j] += d[i] * d[j];
+    }
+  }
+
+  const double seeds = static_cast<double>(kSeeds);
+  const auto expect_within = [&](double observed_sum, double expected, double variance,
+                                 const std::string& what) {
+    const double mean = observed_sum / seeds;
+    if (variance <= 0.0) {
+      EXPECT_EQ(mean, expected) << what;
+      return;
+    }
+    const double z = (mean - expected) / std::sqrt(variance / seeds);
+    EXPECT_LE(std::abs(z), kBound) << what << ": mean " << mean << ", expected " << expected;
+  };
+  for (std::size_t i = 0; i < size; ++i) {
+    const double pq = p[i] * (1.0 - p[i]);
+    const double sigma2 = n * pq;
+    // E[D^4] of a binomial: n pq (1 + 3 (n - 2) pq).
+    const double fourth = sigma2 * (1.0 + 3.0 * (n - 2.0) * pq);
+    expect_within(sum[i], 0.0, sigma2, "mean of outcome " + std::to_string(i));
+    expect_within(sum_products[i * size + i], sigma2, fourth - sigma2 * sigma2,
+                  "variance of outcome " + std::to_string(i));
+    for (std::size_t j = i + 1; j < size; ++j) {
+      // One trial's a = [hit i] - p_i and b = [hit j] - p_j have E[ab] =
+      // -p_i p_j, and E[D_i^2 D_j^2] = n E[a^2 b^2] + n (n - 1) (E[a^2]
+      // E[b^2] + 2 E[ab]^2).
+      const double pi = p[i];
+      const double pj = p[j];
+      const double covariance = -n * pi * pj;
+      const double a2b2 = pi * (1 - pi) * (1 - pi) * pj * pj + pj * pi * pi * (1 - pj) * (1 - pj) +
+                          (1 - pi - pj) * pi * pi * pj * pj;
+      const double fourth_mixed =
+          n * a2b2 + n * (n - 1) * (pi * (1 - pi) * pj * (1 - pj) + 2 * pi * pi * pj * pj);
+      expect_within(sum_products[i * size + j], covariance,
+                    fourth_mixed - covariance * covariance,
+                    "covariance of outcomes " + std::to_string(i) + ", " + std::to_string(j));
+    }
+  }
+}
+
+/// The distribution shapes of the moment test, each drawn at a shot count
+/// with few shots per outcome and at 4000 shots.
+std::vector<std::pair<std::string, std::vector<double>>> moment_shapes() {
+  std::vector<std::pair<std::string, std::vector<double>>> shapes;
+  shapes.emplace_back("zero_bins",
+                      std::vector<double>{0.2, 0.0, 0.3, -1e-12, 0.1, 0.25, 0.0, 0.15});
+  std::vector<double> dominant(16, 0.1 / 15.0);
+  dominant[5] = 0.9;
+  shapes.emplace_back("dominant", dominant);
+  shapes.emplace_back("last_bin", last_bin_only(8));
+  shapes.emplace_back("near_one", std::vector<double>{0.0004, 0.999, 0.0006});
+  shapes.emplace_back("seeded_trailing_zeros", seeded_distribution(16, 3, 41));
+  shapes.emplace_back("sixty_four", seeded_distribution(64, 0, 43));
+  return shapes;
+}
+
+/// Both samplers draw multinomial counts: the guide table always, and
+/// sim::sample_histogram on either side of its choice of method.
+TEST(Sampling, CountsHaveMultinomialMoments) {
+  const std::pair<const char*, Sampler> samplers[] = {{"guide_table", &guide_table_histogram},
+                                                      {"sample_histogram", &sample_histogram}};
+  for (const auto& [sampler_name, sampler] : samplers) {
+    for (const auto& [shape_name, weights] : moment_shapes()) {
+      for (const std::size_t shots : {3 * weights.size(), std::size_t{4000}}) {
+        SCOPED_TRACE(std::string(sampler_name) + " " + shape_name + " x " +
+                     std::to_string(shots) + " shots");
+        expect_multinomial_moments(sampler, weights, shots);
+      }
     }
   }
 }

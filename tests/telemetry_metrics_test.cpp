@@ -167,7 +167,8 @@ TEST(MetricsRegistry, SnapshotSumsSameNamedInstruments) {
 TEST(MetricsRegistry, DroppedInstrumentsRetireIntoTheirTotals) {
   // Once only the registry holds an instrument (its component died), the
   // next registration folds it into its name's total and frees it; every
-  // value it recorded stays in the snapshot.
+  // count it recorded stays in the snapshot, while a gauge, a level, drops
+  // to 0 and keeps its name.
   MetricsRegistry registry;
   std::weak_ptr<Counter> dead_counter;
   std::weak_ptr<Gauge> dead_gauge;
@@ -195,7 +196,7 @@ TEST(MetricsRegistry, DroppedInstrumentsRetireIntoTheirTotals) {
   EXPECT_EQ(snapshot.counter_value("retired.hits"), 12u);
   const GaugeSample* depth = snapshot.find_gauge("retired.depth");
   ASSERT_NE(depth, nullptr);
-  EXPECT_EQ(depth->value, -3);
+  EXPECT_EQ(depth->value, 0);
   const HistogramSample* sizes = snapshot.find_histogram("retired.sizes");
   ASSERT_NE(sizes, nullptr);
   EXPECT_EQ(sizes->count, 2u);
@@ -226,7 +227,8 @@ TEST(MetricsRegistry, MissingSeriesLookups) {
 TEST(MetricsSnapshot, JsonRoundTrips) {
   MetricsRegistry registry;
   registry.counter("c.one")->add(5);
-  registry.gauge("g.depth")->set(-2);
+  const auto gauge = registry.gauge("g.depth");  // a dropped gauge would read 0
+  gauge->set(-2);
   const auto histogram = registry.histogram("h.lat", {1.0, 10.0});
   histogram->record(0.5);
   histogram->record(100.0);

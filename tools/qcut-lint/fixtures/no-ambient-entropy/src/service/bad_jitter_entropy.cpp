@@ -9,7 +9,7 @@ namespace fixture_bad_jitter_entropy {
 double jitter_from_random_device(double nominal) {
   std::random_device dev;  // FIRE(no-ambient-entropy)
   std::mt19937_64 gen(dev());
-  std::uniform_real_distribution<double> dist(0.5, 1.5);
+  std::uniform_real_distribution<double> dist(0.5, 1.5);  // FIRE(no-std-distributions)
   return nominal * dist(gen);
 }
 

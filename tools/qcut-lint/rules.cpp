@@ -59,6 +59,17 @@ bool is_punct(const Token& t, char c) {
   return t.kind == TokKind::Punct && t.text.size() == 1 && t.text[0] == c;
 }
 
+/// True when the token at `i` is qualified as `std::name`.
+bool std_qualified(const std::vector<Token>& toks, std::size_t i) {
+  return i >= 3 && is_punct(toks[i - 1], ':') && is_punct(toks[i - 2], ':') &&
+         is_ident(toks[i - 3], "std");
+}
+
+bool ends_with(const std::string& text, const std::string& suffix) {
+  return text.size() >= suffix.size() &&
+         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
 /// Index of the matching close paren for the open paren at `open`, or npos.
 std::size_t match_paren(const std::vector<Token>& toks, std::size_t open) {
   int depth = 0;
@@ -281,7 +292,7 @@ const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> kRules = {
       "no-unordered-iteration", "no-ambient-entropy",  "no-wallclock-on-result-paths",
       "no-fp-reassociation",    "thread-count-hygiene", "telemetry-gating",
-      "annotation-syntax",      "annotation-justification"};
+      "no-std-distributions",   "annotation-syntax",    "annotation-justification"};
   return kRules;
 }
 
@@ -381,6 +392,18 @@ std::vector<Violation> analyze(const std::vector<SourceFile>& files,
                    "()' reads ambient process state; results must be a pure function of "
                    "the request (seeded Rng for randomness, Stopwatch for timing stats)");
         }
+      }
+
+      // ---- no-std-distributions --------------------------------------------
+      if (t.kind == TokKind::Identifier && std_qualified(toks, i) &&
+          (ends_with(t.text, "_distribution") || t.text == "shuffle" ||
+           t.text == "random_shuffle")) {
+        emit(pending, file, t.line, "no-std-distributions",
+             "'std::" + t.text +
+                 "' is implementation-defined: its algorithm, and with it every draw, "
+                 "differs between standard libraries; draw through qcut::Rng (uniform, "
+                 "normal, binomial, DiscreteSampler) so results stay a pure function of "
+                 "the seed");
       }
 
       // ---- no-wallclock-on-result-paths / telemetry-gating ------------------

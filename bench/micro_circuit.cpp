@@ -4,9 +4,13 @@
 // building and byte-hashing every fragment variant (make_fragment_variant +
 // service::hash_variant_execution), and keying a wave the way the service
 // does, from one stream per fragment and no circuit
-// (service::fragment_key_stream + fragment_variant_key). Two shapes: the
-// perfbench sweep_warm job (depth-3 QAOA on a 12-qubit path, middle wire
-// cut) and the paper's 6-qubit Fig. 2 circuit with its designed cut.
+// (service::fragment_key_stream + fragment_variant_key). Then the pool
+// side's compile: compile_variants compiles every variant the way
+// StatevectorBackend::run_batch does, one Device::compile_prefix per
+// shared-prefix group (cutting::group_by_shared_prefix, grouped once
+// outside the timed call) and one compile_suffix per member. Two shapes:
+// the perfbench sweep_warm job (depth-3 QAOA on a 12-qubit path, middle
+// wire cut) and the paper's 6-qubit Fig. 2 circuit with its designed cut.
 // Writes BENCH_micro_circuit.json: median seconds and heap allocations per
 // call of each step, plus sizeof(circuit::Operation).
 //
@@ -14,11 +18,9 @@
 // the sweep shape's wave takes at most 0.4x the time of building and
 // hashing its 9 variants.
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
-#include <new>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,24 +31,9 @@
 #include "common/stopwatch.hpp"
 #include "cutting/variants.hpp"
 #include "service/circuit_hash.hpp"
+#include "sim/device.hpp"
+#include "support/counting_new.hpp"
 #include "support/qaoa_path.hpp"
-
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-
-// Every heap allocation in this binary goes through here and is counted.
-// Not inlined, so GCC does not pair the malloc() and free() inside with the
-// operator delete and operator new at a call site (-Wmismatched-new-delete).
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -59,9 +46,7 @@ using circuit::WirePoint;
 /// Heap allocations one call makes (the count is deterministic).
 template <typename Call>
 double allocations_per_call(Call&& call) {
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  call();
-  return static_cast<double>(g_allocations.load(std::memory_order_relaxed) - before);
+  return static_cast<double>(qcut::support::allocations_of(call));
 }
 
 struct Shape {
@@ -130,15 +115,34 @@ int main() {
       }
     };
 
+    std::vector<Circuit> circuits;
+    for (const auto& [fragment, key] : variants) {
+      circuits.push_back(cutting::make_fragment_variant(graph, fragment, key).circuit);
+    }
+    std::vector<const Circuit*> circuit_ptrs;
+    for (const Circuit& c : circuits) circuit_ptrs.push_back(&c);
+    const std::vector<cutting::PrefixGroup> groups = cutting::group_by_shared_prefix(circuit_ptrs);
+    const std::unique_ptr<sim::Device> device = sim::make_cpu_device();
+    const auto compile_variants = [&] {
+      for (const cutting::PrefixGroup& group : groups) {
+        const auto prefix =
+            device->compile_prefix(circuits[group.members.front()], group.prefix_ops);
+        for (const std::size_t m : group.members) {
+          sink += static_cast<std::uint64_t>(
+              device->compile_suffix(*prefix, circuits[m])->num_qubits());
+        }
+      }
+    };
+
     const std::vector<std::pair<std::string, double>> steps = {
         {"copy", median_seconds_per_call(copy)},
         {"fragment_chain", median_seconds_per_call(chain)},
         {"variants_and_keys", median_seconds_per_call(keys)},
-        {"cached_wave_keys", median_seconds_per_call(cached_keys)}};
-    const std::vector<double> allocations = {allocations_per_call(copy),
-                                             allocations_per_call(chain),
-                                             allocations_per_call(keys),
-                                             allocations_per_call(cached_keys)};
+        {"cached_wave_keys", median_seconds_per_call(cached_keys)},
+        {"compile_variants", median_seconds_per_call(compile_variants)}};
+    const std::vector<double> allocations = {
+        allocations_per_call(copy), allocations_per_call(chain), allocations_per_call(keys),
+        allocations_per_call(cached_keys), allocations_per_call(compile_variants)};
     std::cout << shape.name << " (" << shape.circuit.num_ops() << " ops, " << variants.size()
               << " variants):";
     for (std::size_t s = 0; s < steps.size(); ++s) {

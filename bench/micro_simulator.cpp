@@ -236,9 +236,7 @@ int main(int argc, char** argv) {
 
   const double fused_fraction =
       c.num_ops() == 0 ? 0.0
-                       : static_cast<double>(engine.fusion_stats().merged_1q_gates +
-                                             engine.fusion_stats().folded_1q_gates +
-                                             engine.fusion_stats().merged_2q_gates) /
+                       : static_cast<double>(engine.fusion_stats().absorbed()) /
                              static_cast<double>(c.num_ops());
 
   // SIMD series: scalar vs vectorized SoA kernels, per kernel class and

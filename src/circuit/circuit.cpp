@@ -10,12 +10,8 @@
 
 namespace qcut::circuit {
 
-const CMat& Operation::matrix() const {
-  if (kind == GateKind::Custom) return custom;
-  if (!cached_matrix_.has_value()) {
-    cached_matrix_ = gate_matrix(kind, params);
-  }
-  return *cached_matrix_;
+CMat Operation::matrix() const {
+  return kind == GateKind::Custom ? custom : gate_matrix(kind, params);
 }
 
 bool Operation::acts_on(int q) const noexcept {
@@ -24,7 +20,7 @@ bool Operation::acts_on(int q) const noexcept {
 
 Circuit::Circuit(int num_qubits) : num_qubits_(num_qubits) {
   QCUT_CHECK(num_qubits >= 1, "Circuit: need at least one qubit");
-  QCUT_CHECK(num_qubits <= 30, "Circuit: widths above 30 qubits are not supported");
+  QCUT_CHECK(num_qubits <= kMaxQubits, "Circuit: widths above 30 qubits are not supported");
 }
 
 const Operation& Circuit::op(std::size_t i) const {

@@ -6,7 +6,6 @@
 // qubit in the computational basis at the end of the circuit, which is the
 // model the paper's experiments use (bitstring distributions).
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,18 +22,15 @@ struct Operation {
   CMat custom;                  // only used when kind == Custom
   std::string label;            // optional display label (Custom blocks, annotations)
 
-  /// The unitary matrix of this operation.
-  [[nodiscard]] const CMat& matrix() const;
+  /// The unitary matrix of this operation, built on each call (the compile
+  /// path reads named gates through gate_matrix_1q/2q/3q instead).
+  [[nodiscard]] CMat matrix() const;
 
   /// Number of qubits this operation touches.
   [[nodiscard]] int num_qubits() const noexcept { return static_cast<int>(qubits.size()); }
 
   /// True if this operation acts on qubit q.
   [[nodiscard]] bool acts_on(int q) const noexcept;
-
- private:
-  friend class Circuit;
-  mutable std::optional<CMat> cached_matrix_;
 };
 
 // A circuit is a vector of ops, so their size is its footprint.
@@ -48,6 +44,9 @@ static_assert(sizeof(Operation) <= 192, "Operation grew: its lists are meant to 
 
 class Circuit {
  public:
+  /// Widest register a circuit may have.
+  static constexpr int kMaxQubits = 30;
+
   /// Circuit on `num_qubits` qubits with no operations.
   explicit Circuit(int num_qubits);
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -11,17 +12,35 @@ namespace {
 
 constexpr cx kI{0.0, 1.0};
 
-CMat mat_1q(cx a, cx b, cx c, cx d) { return CMat{{a, b}, {c, d}}; }
+Mat2 mat_1q(cx a, cx b, cx c, cx d) {
+  Mat2 m;
+  m(0, 0) = a;
+  m(0, 1) = b;
+  m(1, 0) = c;
+  m(1, 1) = d;
+  return m;
+}
 
 /// 4x4 matrix applying `u` to the target (bit 1) when the control (bit 0)
 /// is 1. Index = target*2 + control.
-CMat controlled_1q(const CMat& u) {
-  CMat m = CMat::identity(4);
+Mat4 controlled_1q(const Mat2& u) {
+  Mat4 m = Mat4::identity();
   m(1, 1) = u(0, 0);
   m(1, 3) = u(0, 1);
   m(3, 1) = u(1, 0);
   m(3, 3) = u(1, 1);
   return m;
+}
+
+void check_params(GateKind kind, std::span<const double> params) {
+  QCUT_CHECK(kind != GateKind::Custom, "gate_matrix: Custom gates carry their own matrix");
+  QCUT_CHECK(static_cast<int>(params.size()) == gate_num_params(kind),
+             "gate_matrix: wrong number of parameters for " + gate_name(kind));
+}
+
+[[noreturn]] void wrong_arity(GateKind kind, int num_qubits) {
+  QCUT_CHECK(false, "gate_matrix: " + gate_name(kind) + " is not a " +
+                        std::to_string(num_qubits) + "-qubit gate");
 }
 
 }  // namespace
@@ -128,14 +147,20 @@ int gate_num_params(GateKind kind) {
 }
 
 CMat gate_matrix(GateKind kind, std::span<const double> params) {
-  QCUT_CHECK(kind != GateKind::Custom, "gate_matrix: Custom gates carry their own matrix");
-  QCUT_CHECK(static_cast<int>(params.size()) == gate_num_params(kind),
-             "gate_matrix: wrong number of parameters for " + gate_name(kind));
+  check_params(kind, params);
+  switch (gate_num_qubits(kind)) {
+    case 1: return CMat(gate_matrix_1q(kind, params).view());
+    case 2: return CMat(gate_matrix_2q(kind, params).view());
+    default: return CMat(gate_matrix_3q(kind).view());
+  }
+}
 
+Mat2 gate_matrix_1q(GateKind kind, std::span<const double> params) {
+  check_params(kind, params);
   const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
   switch (kind) {
     case GateKind::I:
-      return CMat::identity(2);
+      return Mat2::identity();
     case GateKind::X:
       return mat_1q(0, 1, 1, 0);
     case GateKind::Y:
@@ -180,16 +205,24 @@ CMat gate_matrix(GateKind kind, std::span<const double> params) {
       const auto phasor = [](double r, double a) { return cx{r * std::cos(a), r * std::sin(a)}; };
       return mat_1q(c, -phasor(s, lambda), phasor(s, phi), phasor(c, phi + lambda));
     }
+    default:
+      wrong_arity(kind, 1);
+  }
+}
+
+Mat4 gate_matrix_2q(GateKind kind, std::span<const double> params) {
+  check_params(kind, params);
+  switch (kind) {
     case GateKind::CX:
-      return controlled_1q(gate_matrix(GateKind::X, {}));
+      return controlled_1q(gate_matrix_1q(GateKind::X, {}));
     case GateKind::CY:
-      return controlled_1q(gate_matrix(GateKind::Y, {}));
+      return controlled_1q(gate_matrix_1q(GateKind::Y, {}));
     case GateKind::CZ:
-      return controlled_1q(gate_matrix(GateKind::Z, {}));
+      return controlled_1q(gate_matrix_1q(GateKind::Z, {}));
     case GateKind::CH:
-      return controlled_1q(gate_matrix(GateKind::H, {}));
+      return controlled_1q(gate_matrix_1q(GateKind::H, {}));
     case GateKind::SWAP: {
-      CMat m(4, 4);
+      Mat4 m;
       m(0, 0) = 1;
       m(1, 2) = 1;
       m(2, 1) = 1;
@@ -197,7 +230,7 @@ CMat gate_matrix(GateKind kind, std::span<const double> params) {
       return m;
     }
     case GateKind::ISwap: {
-      CMat m(4, 4);
+      Mat4 m;
       m(0, 0) = 1;
       m(1, 2) = kI;
       m(2, 1) = kI;
@@ -205,16 +238,16 @@ CMat gate_matrix(GateKind kind, std::span<const double> params) {
       return m;
     }
     case GateKind::CRX:
-      return controlled_1q(gate_matrix(GateKind::RX, params));
+      return controlled_1q(gate_matrix_1q(GateKind::RX, params));
     case GateKind::CRY:
-      return controlled_1q(gate_matrix(GateKind::RY, params));
+      return controlled_1q(gate_matrix_1q(GateKind::RY, params));
     case GateKind::CRZ:
-      return controlled_1q(gate_matrix(GateKind::RZ, params));
+      return controlled_1q(gate_matrix_1q(GateKind::RZ, params));
     case GateKind::CP:
-      return controlled_1q(gate_matrix(GateKind::P, params));
+      return controlled_1q(gate_matrix_1q(GateKind::P, params));
     case GateKind::RXX: {
       const double c = std::cos(params[0] / 2), s = std::sin(params[0] / 2);
-      CMat m(4, 4);
+      Mat4 m;
       m(0, 0) = c;
       m(0, 3) = -kI * s;
       m(1, 1) = c;
@@ -227,7 +260,7 @@ CMat gate_matrix(GateKind kind, std::span<const double> params) {
     }
     case GateKind::RYY: {
       const double c = std::cos(params[0] / 2), s = std::sin(params[0] / 2);
-      CMat m(4, 4);
+      Mat4 m;
       m(0, 0) = c;
       m(0, 3) = kI * s;
       m(1, 1) = c;
@@ -241,11 +274,24 @@ CMat gate_matrix(GateKind kind, std::span<const double> params) {
     case GateKind::RZZ: {
       const cx e_minus = std::polar(1.0, -params[0] / 2);
       const cx e_plus = std::polar(1.0, params[0] / 2);
-      return CMat::diagonal({e_minus, e_plus, e_plus, e_minus});
+      Mat4 m;
+      m(0, 0) = e_minus;
+      m(1, 1) = e_plus;
+      m(2, 2) = e_plus;
+      m(3, 3) = e_minus;
+      return m;
     }
+    default:
+      wrong_arity(kind, 2);
+  }
+}
+
+Mat8 gate_matrix_3q(GateKind kind) {
+  check_params(kind, {});
+  switch (kind) {
     case GateKind::CCX: {
       // Controls are bits 0 and 1, target is bit 2.
-      CMat m = CMat::identity(8);
+      Mat8 m = Mat8::identity();
       m(3, 3) = 0;
       m(3, 7) = 1;
       m(7, 7) = 0;
@@ -254,17 +300,16 @@ CMat gate_matrix(GateKind kind, std::span<const double> params) {
     }
     case GateKind::CSWAP: {
       // Control is bit 0; bits 1 and 2 are swapped when it is set.
-      CMat m = CMat::identity(8);
+      Mat8 m = Mat8::identity();
       m(3, 3) = 0;
       m(3, 5) = 1;
       m(5, 5) = 0;
       m(5, 3) = 1;
       return m;
     }
-    case GateKind::Custom:
-      break;
+    default:
+      wrong_arity(kind, 3);
   }
-  QCUT_CHECK(false, "gate_matrix: invalid kind");
 }
 
 bool gate_inverse(GateKind kind, std::span<const double> params, GateInverse& out) {

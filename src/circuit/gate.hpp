@@ -17,6 +17,9 @@ namespace qcut::circuit {
 
 using linalg::CMat;
 using linalg::cx;
+using linalg::Mat2;
+using linalg::Mat4;
+using linalg::Mat8;
 
 /// Identifier of every supported gate.
 enum class GateKind : int {
@@ -56,6 +59,13 @@ using ParamList = InlineList<double, 3>;
 [[nodiscard]] inline CMat gate_matrix(GateKind kind, std::initializer_list<double> params) {
   return gate_matrix(kind, std::span<const double>(params.begin(), params.size()));
 }
+
+/// The same unitaries in inline storage, entry for entry, for the gates of
+/// each arity: what the compile path fuses and classifies without the heap.
+/// A kind of another arity throws, as gate_matrix's checks do.
+[[nodiscard]] Mat2 gate_matrix_1q(GateKind kind, std::span<const double> params);
+[[nodiscard]] Mat4 gate_matrix_2q(GateKind kind, std::span<const double> params);
+[[nodiscard]] Mat8 gate_matrix_3q(GateKind kind);
 
 /// Gate kind and params implementing the inverse. Returns false if the
 /// inverse is not expressible in the named gate set (caller should fall

@@ -1,5 +1,6 @@
 #pragma once
-// InlineList: the qubit and parameter lists of a circuit::Operation.
+// InlineList: the qubit and parameter lists of a circuit::Operation, and
+// the kernel tables of a compiled op (sim/engine.hpp).
 //
 // Every named gate acts on at most 3 qubits and takes at most 3 parameters,
 // so a list keeps up to N values inside the object and building, copying or
@@ -34,6 +35,10 @@ class InlineList {
   // Implicit, so a std::vector can be passed wherever a list is expected.
   InlineList(const std::vector<T>& values) : InlineList(values.data(), values.size()) {}
   explicit InlineList(std::span<const T> values) : InlineList(values.data(), values.size()) {}
+  /// `count` value-initialized elements, to be overwritten.
+  explicit InlineList(std::size_t count) : size_(static_cast<std::uint32_t>(count)) {
+    if (on_heap()) heap_ = new T[count]();
+  }
   InlineList(const InlineList& other) : InlineList(other.data(), other.size()) {}
   InlineList(InlineList&& other) noexcept { take(other); }
 

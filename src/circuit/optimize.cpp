@@ -1,12 +1,13 @@
 #include "circuit/optimize.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
-#include <optional>
 #include <span>
 
 #include "common/bits.hpp"
+#include "common/error.hpp"
 #include "linalg/ops.hpp"
 
 namespace qcut::circuit {
@@ -191,120 +192,137 @@ Circuit optimize(const Circuit& circuit, OptimizeStats* stats) {
 
 namespace {
 
-/// 4x4 matrix applying the 2x2 `p` to local bit `pos` (tensored with the
-/// identity on the other bit). kron's second factor is the low bit.
-CMat expand_1q_to_2q(const CMat& p, int pos) {
-  return pos == 0 ? linalg::kron(CMat::identity(2), p) : linalg::kron(p, CMat::identity(2));
+using linalg::Mat2;
+using linalg::Mat4;
+
+/// A one-qubit op's unitary (`op.custom` for a Custom block).
+Mat2 matrix_1q(const Operation& op) {
+  return op.kind == GateKind::Custom ? Mat2(op.custom.view())
+                                     : gate_matrix_1q(op.kind, op.params);
 }
 
-/// Embeds `m` (acting on `op_qubits`, bit j of its index = op_qubits[j]) into
-/// the index space of `block_qubits` (a superset), tensoring with the
-/// identity on the remaining wires.
-CMat embed_in_block(const CMat& m, std::span<const int> op_qubits,
+/// A two-qubit op's unitary (`op.custom` for a Custom block).
+Mat4 matrix_2q(const Operation& op) {
+  return op.kind == GateKind::Custom ? Mat4(op.custom.view())
+                                     : gate_matrix_2q(op.kind, op.params);
+}
+
+/// 4x4 matrix applying the 2x2 `p` to local bit `pos` (tensored with the
+/// identity on the other bit). kron's second factor is the low bit.
+Mat4 expand_1q_to_2q(const Mat2& p, int pos) {
+  return pos == 0 ? linalg::kron(Mat2::identity(), p) : linalg::kron(p, Mat2::identity());
+}
+
+/// Embeds the N x N `m` (acting on `op_qubits`, bit j of its index =
+/// op_qubits[j]) into the index space of the two wires `block_qubits` (a
+/// superset), tensoring with the identity on the remaining wire.
+template <std::size_t N>
+Mat4 embed_in_block(const linalg::FixedMat<N>& m, std::span<const int> op_qubits,
                     std::span<const int> block_qubits) {
-  std::vector<int> pos(op_qubits.size());
+  std::array<int, 2> pos{};
   index_t inner_mask = 0;
   for (std::size_t j = 0; j < op_qubits.size(); ++j) {
     const auto it = std::find(block_qubits.begin(), block_qubits.end(), op_qubits[j]);
     pos[j] = static_cast<int>(it - block_qubits.begin());
     inner_mask |= pow2(pos[j]);
   }
-  const index_t dim = pow2(static_cast<int>(block_qubits.size()));
-  CMat out(dim, dim);
-  for (index_t r = 0; r < dim; ++r) {
+  const std::span<const int> op_pos(pos.data(), op_qubits.size());
+  Mat4 out;
+  for (index_t r = 0; r < 4; ++r) {
     const index_t outer = r & ~inner_mask;
-    const index_t mr = gather_bits(r, pos);
-    for (index_t mc = 0; mc < m.cols(); ++mc) {
-      out(r, outer | scatter_bits(mc, pos)) = m(mr, mc);
-    }
+    const index_t mr = gather_bits(r, op_pos);
+    for (index_t mc = 0; mc < N; ++mc) out(r, outer | scatter_bits(mc, op_pos)) = m(mr, mc);
   }
   return out;
 }
 
+/// A fused-stream entry on one or two wires, its unitary inline.
+template <std::size_t N>
+FusedOp fused_op(std::size_t source, std::span<const int> qubits,
+                 const linalg::FixedMat<N>& matrix) {
+  static_assert(N <= 4, "fused entries hold at most a 4x4");
+  FusedOp f;
+  f.source = source;
+  f.qubits = QubitList(qubits);
+  std::copy(matrix.entries.begin(), matrix.entries.end(), f.entries.begin());
+  return f;
+}
+
 }  // namespace
 
-GateFusion::GateFusion(int num_qubits) : pending_(static_cast<std::size_t>(num_qubits)) {}
+GateFusion::GateFusion(int num_qubits) : num_qubits_(num_qubits) {
+  QCUT_CHECK(num_qubits >= 1 && num_qubits <= Circuit::kMaxQubits,
+             "GateFusion: register width out of range");
+}
 
-void GateFusion::flush_qubit(int q, std::vector<Operation>& out) {
+void GateFusion::flush_qubit(int q, std::vector<FusedOp>& out) {
   Pending& p = pending_[static_cast<std::size_t>(q)];
   if (p.length == 0) return;
+  const std::array<int, 1> wire = {q};
   if (p.length == 1) {
-    // A run of one is emitted verbatim so it keeps its specialized kernel
+    // A run of one is passed through so it keeps its specialized kernel
     // class (an RZ stays a diagonal gate instead of becoming a dense 2x2).
-    out.push_back(std::move(p.first));
+    out.push_back(fused_op(p.first, wire, p.matrix));
   } else {
-    Operation fused;
-    fused.kind = GateKind::Custom;
-    fused.qubits = {q};
-    fused.custom = std::move(p.matrix);
-    fused.label = "fused";
     stats_.merged_1q_gates += p.length;
-    out.push_back(std::move(fused));
+    out.push_back(fused_op(FusedOp::kProduct, wire, p.matrix));
   }
   p = Pending{};
 }
 
-void GateFusion::flush_block(std::size_t index, std::vector<Operation>& out) {
-  PendingBlock blk = std::move(blocks_[index]);
-  blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(index));
-  if (!blk.dirty && blk.ops == 1) {
-    // Nothing merged in: emit the original op so it keeps its kind/params.
-    out.push_back(std::move(blk.first));
-    return;
-  }
-  Operation fused;
-  fused.kind = GateKind::Custom;
-  fused.qubits = blk.qubits;
-  fused.custom = std::move(blk.matrix);
-  fused.label = "fused";
-  out.push_back(std::move(fused));
+void GateFusion::flush_block(std::size_t index, std::vector<FusedOp>& out) {
+  const PendingBlock blk = blocks_[index];
+  // Block order never matters: every lookup goes by wire.
+  blocks_[index] = blocks_[--num_blocks_];
+  // A block that absorbed nothing passes its op through, kind and params kept.
+  const bool alone = !blk.dirty && blk.ops == 1;
+  out.push_back(fused_op(alone ? blk.first : FusedOp::kProduct, blk.qubits, blk.matrix));
 }
 
-void GateFusion::flush_wire(int q, std::vector<Operation>& out) {
+void GateFusion::flush_wire(int q, std::vector<FusedOp>& out) {
   flush_qubit(q, out);
   if (const int bi = block_on(q); bi >= 0) flush_block(static_cast<std::size_t>(bi), out);
 }
 
 int GateFusion::block_on(int q) const noexcept {
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    if (std::find(blocks_[i].qubits.begin(), blocks_[i].qubits.end(), q) !=
-        blocks_[i].qubits.end()) {
-      return static_cast<int>(i);
-    }
+  for (std::size_t i = 0; i < num_blocks_; ++i) {
+    if (blocks_[i].qubits[0] == q || blocks_[i].qubits[1] == q) return static_cast<int>(i);
   }
   return -1;
 }
 
-void GateFusion::push_1q(const Operation& op) {
+void GateFusion::push_1q(const Operation& op, std::size_t index) {
   const int q = op.qubits[0];
+  const Mat2 m = matrix_1q(op);
   if (const int bi = block_on(q); bi >= 0) {
     PendingBlock& blk = blocks_[static_cast<std::size_t>(bi)];
-    blk.matrix = embed_in_block(op.matrix(), op.qubits, blk.qubits) * blk.matrix;
+    blk.matrix = embed_in_block(m, op.qubits, blk.qubits) * blk.matrix;
     blk.dirty = true;
     ++stats_.folded_1q_gates;
     return;
   }
   Pending& p = pending_[static_cast<std::size_t>(q)];
   if (p.length == 0) {
-    p.matrix = op.matrix();
-    p.first = op;
+    p.matrix = m;
+    p.first = index;
     p.length = 1;
   } else {
-    p.matrix = op.matrix() * p.matrix;  // later gate applies on the left
+    p.matrix = m * p.matrix;  // later gate applies on the left
     ++p.length;
   }
 }
 
-void GateFusion::push_2q(const Operation& op, std::vector<Operation>& out) {
+void GateFusion::push_2q(const Operation& op, std::size_t index, std::vector<FusedOp>& out) {
+  const Mat4 m = matrix_2q(op);
   // Never densify a (phased) permutation or diagonal 2q gate: the
   // simulator runs those as index shuffles / per-amplitude multiplies
   // (sim/engine.hpp classifies with the same linalg predicate).
-  if (linalg::is_phased_permutation(op.matrix())) {
+  if (linalg::is_phased_permutation(m.view())) {
     for (int q : op.qubits) {
       if (const int bi = block_on(q); bi >= 0) flush_block(static_cast<std::size_t>(bi), out);
     }
     for (int q : op.qubits) flush_qubit(q, out);
-    out.push_back(op);
+    out.push_back(fused_op(index, op.qubits, m));
     return;
   }
 
@@ -315,7 +333,7 @@ void GateFusion::push_2q(const Operation& op, std::vector<Operation>& out) {
   const int b = op.qubits[1];
   if (const int bi = block_on(a); bi >= 0 && bi == block_on(b)) {
     PendingBlock& blk = blocks_[static_cast<std::size_t>(bi)];
-    blk.matrix = embed_in_block(op.matrix(), op.qubits, blk.qubits) * blk.matrix;
+    blk.matrix = embed_in_block(m, op.qubits, blk.qubits) * blk.matrix;
     ++blk.ops;
     blk.dirty = true;
     ++stats_.merged_2q_gates;
@@ -325,65 +343,71 @@ void GateFusion::push_2q(const Operation& op, std::vector<Operation>& out) {
   if (const int bi = block_on(a); bi >= 0) flush_block(static_cast<std::size_t>(bi), out);
 
   // Open a chain, with any pending 1q runs on its wires folded in.
-  PendingBlock blk;
-  blk.matrix = op.matrix();
+  PendingBlock& blk = blocks_[num_blocks_++];
+  blk = PendingBlock{};
+  blk.matrix = m;
   for (int pos = 0; pos < 2; ++pos) {
-    Pending& p = pending_[static_cast<std::size_t>(op.qubits[pos])];
+    Pending& p = pending_[static_cast<std::size_t>(op.qubits[static_cast<std::size_t>(pos)])];
     if (p.length == 0) continue;
     blk.matrix = blk.matrix * expand_1q_to_2q(p.matrix, pos);
     stats_.folded_1q_gates += p.length;
     p = Pending{};
     blk.dirty = true;
   }
-  blk.qubits.assign(op.qubits.begin(), op.qubits.end());
-  blk.first = op;
+  blk.qubits = {a, b};
+  blk.first = index;
   blk.ops = 1;
-  blocks_.push_back(std::move(blk));
 }
 
-void GateFusion::push(const Operation& op, std::vector<Operation>& out) {
+void GateFusion::push(const Operation& op, std::vector<FusedOp>& out) {
+  const std::size_t index = pushed_++;
   if (op.num_qubits() == 1) {
-    push_1q(op);
+    push_1q(op, index);
     return;
   }
   if (op.num_qubits() == 2) {
-    push_2q(op, out);
+    push_2q(op, index, out);
     return;
   }
   for (int q : op.qubits) flush_wire(q, out);
-  out.push_back(op);
+  FusedOp f;
+  f.source = index;
+  f.qubits = op.qubits;
+  out.push_back(std::move(f));
 }
 
-void GateFusion::flush(std::vector<Operation>& out) {
+void GateFusion::flush(std::vector<FusedOp>& out) {
   // Deterministic tail order: pending runs and blocks interleaved by their
   // minimum wire. Runs and blocks never share a wire, so the order is total.
-  for (int q = 0; q < static_cast<int>(pending_.size()); ++q) {
+  for (int q = 0; q < num_qubits_; ++q) {
     flush_qubit(q, out);
-    while (true) {
-      int found = -1;
-      for (std::size_t i = 0; i < blocks_.size(); ++i) {
-        if (*std::min_element(blocks_[i].qubits.begin(), blocks_[i].qubits.end()) == q) {
-          found = static_cast<int>(i);
-          break;
-        }
+    for (std::size_t i = 0; i < num_blocks_; ++i) {
+      if (std::min(blocks_[i].qubits[0], blocks_[i].qubits[1]) == q) {
+        flush_block(i, out);
+        break;
       }
-      if (found < 0) break;
-      flush_block(static_cast<std::size_t>(found), out);
     }
   }
+  pushed_ = 0;
 }
 
 Circuit fuse_gates(const Circuit& circuit, FusionStats* stats) {
   GateFusion scan(circuit.num_qubits());
-  std::vector<Operation> ops;
-  ops.reserve(circuit.num_ops());
-  for (const Operation& op : circuit.ops()) scan.push(op, ops);
-  scan.flush(ops);
+  std::vector<FusedOp> stream;
+  stream.reserve(circuit.num_ops());
+  for (const Operation& op : circuit.ops()) scan.push(op, stream);
+  scan.flush(stream);
 
   Circuit out(circuit.num_qubits());
-  for (Operation& op : ops) {
+  out.reserve(stream.size());
+  for (const FusedOp& f : stream) {
+    if (f.source == FusedOp::kProduct) {
+      out.append_custom(CMat(f.unitary()), f.qubits, "fused");
+      continue;
+    }
+    const Operation& op = circuit.op(f.source);
     if (op.kind == GateKind::Custom) {
-      out.append_custom(std::move(op.custom), op.qubits, op.label);
+      out.append_custom(op.custom, op.qubits, op.label);
     } else {
       out.append(op.kind, op.qubits, op.params);
     }

@@ -10,7 +10,12 @@
 //     (RX/RY/RZ/P/CRX/CRY/CRZ/CP/RXX/RYY/RZZ), dropping the result when the
 //     merged angle is 0 mod 4*pi (rotations are 4*pi-periodic as matrices).
 
+#include <array>
+#include <cstddef>
+#include <vector>
+
 #include "circuit/circuit.hpp"
+#include "linalg/matrix.hpp"
 
 namespace qcut::circuit {
 
@@ -53,11 +58,37 @@ struct FusionStats {
   std::size_t merged_1q_gates = 0;   // 1q gates absorbed into a fused 2x2
   std::size_t folded_1q_gates = 0;   // 1q gates folded into a 2q matrix
   std::size_t merged_2q_gates = 0;   // 2q gates absorbed into a pending chain
+
+  /// Source gates absorbed into fused products.
+  [[nodiscard]] std::size_t absorbed() const noexcept {
+    return merged_1q_gates + folded_1q_gates + merged_2q_gates;
+  }
 };
 
-/// Streaming gate-fusion scan.
+/// One operation of the fused stream GateFusion emits. An op that absorbed
+/// nothing is passed through by its position in the pushed stream, so a
+/// caller holding the source ops can emit it verbatim; a fused product has
+/// no source. Every entry on one or two wires also carries its unitary
+/// inline (the product, or the passed-through op's own matrix), which is
+/// all the simulator needs to classify it; a wider op is always passed
+/// through, and its matrix is read from the source op.
+struct FusedOp {
+  static constexpr std::size_t kProduct = static_cast<std::size_t>(-1);
+
+  std::size_t source = kProduct;  // push index of the op passed through
+  QubitList qubits;               // first listed = LSB of the matrix index
+  std::array<cx, 16> entries{};   // row-major, 2^wires square (1-2 wires)
+
+  /// The unitary of an entry on one or two wires.
+  [[nodiscard]] linalg::SquareView unitary() const noexcept {
+    return {entries.data(), std::size_t{1} << qubits.size()};
+  }
+};
+
+/// Streaming gate-fusion scan. Its pending runs, chains and their products
+/// live inline, so a scan and its copies never touch the heap.
 ///
-/// push() consumes one operation and appends any operations whose fusion is
+/// push() consumes one operation and appends the entries whose fusion is
 /// *settled* — no operation pushed later could merge into them — to `out`;
 /// flush() emits the still-pending tail. The class is copyable, and the
 /// stream property holds by construction: for any split A|B of an op list,
@@ -69,18 +100,18 @@ class GateFusion {
  public:
   explicit GateFusion(int num_qubits);
 
-  /// Consumes `op`; appends settled operations to `out`.
-  void push(const Operation& op, std::vector<Operation>& out);
+  /// Consumes `op`, the next op of the stream; appends settled entries to `out`.
+  void push(const Operation& op, std::vector<FusedOp>& out);
 
   /// Emits the pending tail (ascending minimum-wire order) and resets the scan.
-  void flush(std::vector<Operation>& out);
+  void flush(std::vector<FusedOp>& out);
 
   [[nodiscard]] const FusionStats& stats() const noexcept { return stats_; }
 
  private:
   struct Pending {
-    CMat matrix;          // accumulated 2x2 product (later gates on the left)
-    Operation first;      // the run's first op, emitted verbatim for runs of 1
+    linalg::Mat2 matrix;    // accumulated 2x2 product (later gates on the left)
+    std::size_t first = 0;  // push index of the run's first op, passed through for runs of 1
     std::size_t length = 0;
   };
 
@@ -89,22 +120,25 @@ class GateFusion {
   /// `qubits` has a nonempty Pending slot — 1q gates on a chained wire fold
   /// into the block.
   struct PendingBlock {
-    CMat matrix;          // 4x4 product (later gates on the left)
-    std::vector<int> qubits;
-    Operation first;      // emitted verbatim when the block absorbed nothing
-    std::size_t ops = 0;  // source 2q gates absorbed
-    bool dirty = false;   // true once the matrix differs from first.matrix()
+    linalg::Mat4 matrix;    // 4x4 product (later gates on the left)
+    std::array<int, 2> qubits{};
+    std::size_t first = 0;  // push index of the opening gate, passed through alone
+    std::size_t ops = 0;    // source 2q gates absorbed
+    bool dirty = false;     // true once the matrix differs from the opening gate's
   };
 
-  void flush_qubit(int q, std::vector<Operation>& out);
-  void flush_block(std::size_t index, std::vector<Operation>& out);
-  void flush_wire(int q, std::vector<Operation>& out);
-  void push_1q(const Operation& op);
-  void push_2q(const Operation& op, std::vector<Operation>& out);
+  void flush_qubit(int q, std::vector<FusedOp>& out);
+  void flush_block(std::size_t index, std::vector<FusedOp>& out);
+  void flush_wire(int q, std::vector<FusedOp>& out);
+  void push_1q(const Operation& op, std::size_t index);
+  void push_2q(const Operation& op, std::size_t index, std::vector<FusedOp>& out);
   [[nodiscard]] int block_on(int q) const noexcept;
 
-  std::vector<Pending> pending_;  // one slot per qubit; length == 0 means empty
-  std::vector<PendingBlock> blocks_;  // pairwise wire-disjoint
+  int num_qubits_;
+  std::size_t pushed_ = 0;  // ops pushed so far
+  std::array<Pending, Circuit::kMaxQubits> pending_{};  // per wire; length == 0 means empty
+  std::array<PendingBlock, Circuit::kMaxQubits / 2> blocks_{};  // pairwise wire-disjoint
+  std::size_t num_blocks_ = 0;
   FusionStats stats_;
 };
 

@@ -66,17 +66,11 @@ CutView make_cut_view(const Circuit& circuit, circuit::CutAnalysis analysis) {
   return view;
 }
 
-/// Every op's unitary, computed once per planner call. Operation::matrix()
-/// would fill the op's lazy cache: a write into the caller's circuit, which
-/// concurrent plan_* calls on one const Circuit must not make.
+/// Every op's unitary, computed once per planner call.
 std::vector<linalg::CMat> op_matrices(const Circuit& circuit) {
   std::vector<linalg::CMat> matrices;
   matrices.reserve(circuit.num_ops());
-  for (const circuit::Operation& op : circuit.ops()) {
-    matrices.push_back(op.kind == circuit::GateKind::Custom
-                           ? op.custom
-                           : circuit::gate_matrix(op.kind, op.params));
-  }
+  for (const circuit::Operation& op : circuit.ops()) matrices.push_back(op.matrix());
   return matrices;
 }
 

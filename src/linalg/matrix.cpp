@@ -21,6 +21,9 @@ CMat::CMat(std::initializer_list<std::initializer_list<cx>> rows) {
   }
 }
 
+CMat::CMat(SquareView m)
+    : rows_(m.dim), cols_(m.dim), data_(m.entries, m.entries + m.dim * m.dim) {}
+
 CMat CMat::identity(std::size_t n) {
   CMat m(n, n);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = cx{1.0, 0.0};

@@ -4,7 +4,10 @@
 // qcut works with small dense operators (gate matrices up to a few qubits,
 // fragment density matrices up to ~10 qubits). CMat is a row-major dense
 // matrix of std::complex<double>; CVec is a plain std::vector of amplitudes.
+// FixedMat<N> holds the N x N matrices of gates (2x2, 4x4, 8x8) inline, so
+// the circuit compiler builds and multiplies them without the heap.
 
+#include <array>
 #include <complex>
 #include <cstddef>
 #include <initializer_list>
@@ -15,6 +18,17 @@ namespace qcut::linalg {
 
 using cx = std::complex<double>;
 using CVec = std::vector<cx>;
+
+/// Read-only view of a square row-major matrix's entries (a CMat's or a
+/// FixedMat's): what the structural classifiers read.
+struct SquareView {
+  const cx* entries = nullptr;
+  std::size_t dim = 0;
+
+  [[nodiscard]] const cx& operator()(std::size_t r, std::size_t c) const noexcept {
+    return entries[r * dim + c];
+  }
+};
 
 /// Row-major dense complex matrix.
 class CMat {
@@ -27,6 +41,9 @@ class CMat {
 
   /// Builds from nested initializer lists; all rows must have equal length.
   CMat(std::initializer_list<std::initializer_list<cx>> rows);
+
+  /// Copies a square matrix's entries.
+  explicit CMat(SquareView m);
 
   /// n x n identity.
   [[nodiscard]] static CMat identity(std::size_t n);
@@ -59,6 +76,9 @@ class CMat {
   [[nodiscard]] cx* data() noexcept { return data_.data(); }
   [[nodiscard]] const cx* data() const noexcept { return data_.data(); }
 
+  /// View of a square matrix's entries.
+  [[nodiscard]] SquareView view() const noexcept { return {data_.data(), rows_}; }
+
   CMat& operator+=(const CMat& other);
   CMat& operator-=(const CMat& other);
   CMat& operator*=(cx scalar);
@@ -82,5 +102,52 @@ class CMat {
   std::size_t cols_ = 0;
   CVec data_;
 };
+
+/// N x N complex matrix in inline storage, row-major and zero-initialized.
+template <std::size_t N>
+struct FixedMat {
+  std::array<cx, N * N> entries{};
+
+  FixedMat() = default;
+
+  /// Copies an N x N matrix's entries.
+  explicit FixedMat(SquareView m) noexcept {
+    for (std::size_t i = 0; i < N * N; ++i) entries[i] = m.entries[i];
+  }
+
+  [[nodiscard]] static FixedMat identity() noexcept {
+    FixedMat m;
+    for (std::size_t i = 0; i < N; ++i) m(i, i) = cx{1.0, 0.0};
+    return m;
+  }
+
+  [[nodiscard]] cx& operator()(std::size_t r, std::size_t c) noexcept {
+    return entries[r * N + c];
+  }
+  [[nodiscard]] const cx& operator()(std::size_t r, std::size_t c) const noexcept {
+    return entries[r * N + c];
+  }
+
+  [[nodiscard]] SquareView view() const noexcept { return {entries.data(), N}; }
+};
+
+using Mat2 = FixedMat<2>;
+using Mat4 = FixedMat<4>;
+using Mat8 = FixedMat<8>;
+
+/// Matrix product in CMat's loop order, with its skips of exact-zero left
+/// factors, so equal operands give bit-identical entries.
+template <std::size_t N>
+[[nodiscard]] FixedMat<N> operator*(const FixedMat<N>& lhs, const FixedMat<N>& rhs) noexcept {
+  FixedMat<N> out;
+  for (std::size_t i = 0; i < N; ++i) {
+    for (std::size_t k = 0; k < N; ++k) {
+      const cx a = lhs(i, k);
+      if (a == cx{0.0, 0.0}) continue;
+      for (std::size_t j = 0; j < N; ++j) out(i, j) += a * rhs(k, j);
+    }
+  }
+  return out;
+}
 
 }  // namespace qcut::linalg

@@ -59,6 +59,20 @@ CMat kron(const CMat& a, const CMat& b) {
   return out;
 }
 
+Mat4 kron(const Mat2& a, const Mat2& b) noexcept {
+  Mat4 out;
+  for (std::size_t ra = 0; ra < 2; ++ra) {
+    for (std::size_t ca = 0; ca < 2; ++ca) {
+      const cx v = a(ra, ca);
+      if (v == cx{0.0, 0.0}) continue;
+      for (std::size_t rb = 0; rb < 2; ++rb) {
+        for (std::size_t cb = 0; cb < 2; ++cb) out(ra * 2 + rb, ca * 2 + cb) = v * b(rb, cb);
+      }
+    }
+  }
+  return out;
+}
+
 CMat kron_all(const std::vector<CMat>& factors) {
   QCUT_CHECK(!factors.empty(), "kron_all: need at least one factor");
   CMat out = factors.front();
@@ -68,17 +82,22 @@ CMat kron_all(const std::vector<CMat>& factors) {
   return out;
 }
 
-bool is_phased_permutation(const CMat& m) {
-  if (!m.is_square() || m.empty()) return false;
-  std::vector<int> col_uses(m.cols(), 0);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    int row_nonzeros = 0;
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      if (m(r, c) == cx{0.0, 0.0}) continue;
-      if (++row_nonzeros > 1) return false;
-      if (++col_uses[c] > 1) return false;
+bool is_phased_permutation(SquareView m) noexcept {
+  if (m.dim == 0) return false;
+  // Exactly one nonzero in every row, so n in all; then no column may
+  // hold two of them.
+  for (std::size_t r = 0; r < m.dim; ++r) {
+    int nonzeros = 0;
+    for (std::size_t c = 0; c < m.dim; ++c) {
+      if (m(r, c) != cx{0.0, 0.0} && ++nonzeros > 1) return false;
     }
-    if (row_nonzeros == 0) return false;
+    if (nonzeros == 0) return false;
+  }
+  for (std::size_t c = 0; c < m.dim; ++c) {
+    int nonzeros = 0;
+    for (std::size_t r = 0; r < m.dim; ++r) {
+      if (m(r, c) != cx{0.0, 0.0} && ++nonzeros > 1) return false;
+    }
   }
   return true;
 }

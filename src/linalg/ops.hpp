@@ -20,6 +20,10 @@ namespace qcut::linalg {
 /// Kronecker product a (x) b. Index convention: row (i_a * rows_b + i_b).
 [[nodiscard]] CMat kron(const CMat& a, const CMat& b);
 
+/// kron of two 2x2s in inline storage, in the CMat kron's loop order with
+/// its skips of exact-zero entries of `a`, so the entries are bit-identical.
+[[nodiscard]] Mat4 kron(const Mat2& a, const Mat2& b) noexcept;
+
 /// Kronecker product of a list, left to right: kron(kron(m0, m1), m2)...
 [[nodiscard]] CMat kron_all(const std::vector<CMat>& factors);
 
@@ -28,7 +32,7 @@ namespace qcut::linalg {
 /// design — gate matrices build their zeros exactly, and the consumers
 /// (the simulator's permutation kernel, the fusion pass's don't-densify
 /// rule) promise bit-for-bit behavior only for exactly-placed zeros.
-[[nodiscard]] bool is_phased_permutation(const CMat& m);
+[[nodiscard]] bool is_phased_permutation(SquareView m) noexcept;
 
 /// Matrix-vector product.
 [[nodiscard]] CVec matvec(const CMat& m, const CVec& v);

@@ -1,5 +1,6 @@
 #include "sim/device.hpp"
 
+#include <optional>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -45,7 +46,7 @@ class CpuDeviceState final : public DeviceState {
   bool is_soa_ = false;
 };
 
-class CpuCompiledProgram final : public CompiledProgram {
+class CpuCompiledProgram : public CompiledProgram {
  public:
   [[nodiscard]] int num_qubits() const noexcept override { return compiled.num_qubits(); }
 
@@ -56,8 +57,7 @@ class CpuCompiledProgram final : public CompiledProgram {
     for (const CompiledOp& op : compiled.compiled_ops()) {
       ++s.class_counts[static_cast<std::size_t>(op.cls)];
     }
-    const circuit::FusionStats& fs = compiled.fusion_stats();
-    s.fused_absorbed = fs.merged_1q_gates + fs.folded_1q_gates + fs.merged_2q_gates;
+    s.fused_absorbed = compiled.fusion_stats().absorbed();
     for (const CompiledCircuit::Segment& seg : compiled.segments()) {
       if (seg.blocked) s.blocked_ops += seg.end - seg.begin;
     }
@@ -67,12 +67,25 @@ class CpuCompiledProgram final : public CompiledProgram {
 
   CompiledCircuit compiled;
   std::size_t source_ops = 0;
-  // Prefix programs remember their fusion frontier so compile_suffix can
-  // clone it per member (the GateFusion stream property).
-  bool is_prefix = false;
-  std::size_t prefix_ops = 0;
-  circuit::GateFusion scan{1};
 };
+
+/// A compile_prefix program: its first source_ops ops and, under fusion,
+/// the scan at their fusion frontier, which compile_suffix clones per
+/// member (the GateFusion stream property). Only these programs carry the
+/// scan's few kilobytes of inline storage; the user-provided constructor
+/// keeps make_unique from zero-filling it.
+class CpuPrefixProgram final : public CpuCompiledProgram {
+ public:
+  explicit CpuPrefixProgram(std::size_t prefix_ops) { source_ops = prefix_ops; }
+
+  std::optional<circuit::GateFusion> scan;
+};
+
+const CpuCompiledProgram& checked_program(const CompiledProgram& program) {
+  const auto* p = dynamic_cast<const CpuCompiledProgram*>(&program);
+  QCUT_CHECK(p != nullptr, "cpu device: program was compiled by a different device");
+  return *p;
+}
 
 class CpuDevice final : public Device {
  public:
@@ -105,44 +118,47 @@ class CpuDevice final : public Device {
   [[nodiscard]] std::unique_ptr<CompiledProgram> compile_prefix(
       const circuit::Circuit& rep, std::size_t prefix_ops) const override {
     QCUT_CHECK(prefix_ops <= rep.num_ops(), "compile_prefix: prefix_ops out of range");
-    const EngineOptions& engine = options_;
-    auto program = std::make_unique<CpuCompiledProgram>();
-    program->source_ops = prefix_ops;
-    program->is_prefix = true;
-    program->prefix_ops = prefix_ops;
-    if (engine.fuse) {
+    auto program = std::make_unique<CpuPrefixProgram>(prefix_ops);
+    const std::span<const circuit::Operation> ops = std::span(rep.ops()).first(prefix_ops);
+    if (options_.fuse) {
       // Only the settled operations are compiled (and later applied) before
       // a fork; the scan state rides along for compile_suffix to clone.
-      circuit::GateFusion scan(rep.num_qubits());
-      std::vector<circuit::Operation> settled;
-      for (std::size_t i = 0; i < prefix_ops; ++i) scan.push(rep.op(i), settled);
-      program->compiled = compile_ops(settled, rep.num_qubits(), engine);
-      program->scan = std::move(scan);
+      circuit::GateFusion& scan = program->scan.emplace(rep.num_qubits());
+      std::vector<circuit::FusedOp> settled;
+      settled.reserve(prefix_ops);
+      for (const circuit::Operation& op : ops) scan.push(op, settled);
+      program->compiled = compile_fused(settled, ops, rep.num_qubits(), options_, nullptr);
     } else {
-      program->compiled =
-          compile_ops(std::span(rep.ops()).first(prefix_ops), rep.num_qubits(), engine);
+      program->compiled = compile_ops(ops, rep.num_qubits(), options_);
     }
     return program;
   }
 
   [[nodiscard]] std::unique_ptr<CompiledProgram> compile_suffix(
       const CompiledProgram& prefix, const circuit::Circuit& full) const override {
-    const auto& p = checked_program(prefix);
-    QCUT_CHECK(p.is_prefix, "compile_suffix: program was not built by compile_prefix");
-    QCUT_CHECK(p.prefix_ops <= full.num_ops(),
+    const auto* p = dynamic_cast<const CpuPrefixProgram*>(&prefix);
+    QCUT_CHECK(p != nullptr, "compile_suffix: program was not built by compile_prefix");
+    const std::size_t prefix_ops = p->source_ops;
+    QCUT_CHECK(prefix_ops <= full.num_ops(),
                "compile_suffix: circuit shorter than the compiled prefix");
-    const EngineOptions& engine = options_;
+    QCUT_CHECK(p->scan.has_value() == options_.fuse,
+               "compile_suffix: prefix was compiled with another fusion setting");
+    // The member's program accounts for its whole circuit, as compile(full)
+    // would: every op it sees, and by the stream property the clone's final
+    // stats are exactly a whole-circuit fusion's.
     auto program = std::make_unique<CpuCompiledProgram>();
-    program->source_ops = full.num_ops() - p.prefix_ops;
-    if (engine.fuse) {
-      circuit::GateFusion scan = p.scan;  // the per-member clone
-      std::vector<circuit::Operation> tail;
-      for (std::size_t i = p.prefix_ops; i < full.num_ops(); ++i) scan.push(full.op(i), tail);
+    program->source_ops = full.num_ops();
+    const std::span<const circuit::Operation> ops = std::span(full.ops());
+    if (options_.fuse) {
+      circuit::GateFusion scan = *p->scan;  // the per-member clone
+      std::vector<circuit::FusedOp> tail;
+      // Every op still pending at the frontier sits on its own wires.
+      tail.reserve(full.num_ops() - prefix_ops + static_cast<std::size_t>(full.num_qubits()));
+      for (const circuit::Operation& op : ops.subspan(prefix_ops)) scan.push(op, tail);
       scan.flush(tail);
-      program->compiled = compile_ops(tail, full.num_qubits(), engine);
+      program->compiled = compile_fused(tail, ops, full.num_qubits(), options_, &scan.stats());
     } else {
-      program->compiled = compile_ops(std::span(full.ops()).subspan(p.prefix_ops),
-                                      full.num_qubits(), engine);
+      program->compiled = compile_ops(ops.subspan(prefix_ops), full.num_qubits(), options_);
     }
     return program;
   }
@@ -191,12 +207,6 @@ class CpuDevice final : public Device {
   }
 
  private:
-  static const CpuCompiledProgram& checked_program(const CompiledProgram& program) {
-    const auto* p = dynamic_cast<const CpuCompiledProgram*>(&program);
-    QCUT_CHECK(p != nullptr, "cpu device: program was compiled by a different device");
-    return *p;
-  }
-
   static const CpuDeviceState& checked_state(const DeviceState& state) {
     const auto* s = dynamic_cast<const CpuDeviceState*>(&state);
     QCUT_CHECK(s != nullptr, "cpu device: state belongs to a different device");
@@ -217,6 +227,10 @@ class CpuDevice final : public Device {
 
 std::unique_ptr<Device> make_cpu_device(const EngineOptions& options) {
   return std::make_unique<CpuDevice>(options);
+}
+
+const CompiledCircuit& cpu_compiled_circuit(const CompiledProgram& program) {
+  return checked_program(program).compiled;
 }
 
 }  // namespace qcut::sim

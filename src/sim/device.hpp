@@ -41,7 +41,10 @@ struct DeviceCaps {
   IsaLevel isa = IsaLevel::Scalar;
 };
 
-/// Compile-time profile of a program: what the op stream became.
+/// Compile-time profile of a program: what the op stream became. A
+/// compile_suffix program describes its member's whole circuit, as
+/// compile(full) would (source_ops, fused_absorbed); a compile_prefix
+/// program records its prefix's ops and no fusion.
 struct ProgramSummary {
   std::size_t source_ops = 0;    // ops entering the compile (pre-fusion)
   std::size_t compiled_ops = 0;  // ops after fusion + classification
@@ -126,5 +129,9 @@ class Device {
 /// result-affecting configuration (fusion, SIMD) and the execution defaults
 /// (threading, cache blocking) for every program the device compiles.
 [[nodiscard]] std::unique_ptr<Device> make_cpu_device(const EngineOptions& options = {});
+
+/// The engine circuit behind a program a CPU device compiled: its
+/// classified ops and segment plan. Throws if another device compiled it.
+[[nodiscard]] const CompiledCircuit& cpu_compiled_circuit(const CompiledProgram& program);
 
 }  // namespace qcut::sim

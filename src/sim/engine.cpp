@@ -84,7 +84,7 @@ std::string isa_level_name(IsaLevel isa) {
 namespace {
 
 // Exact structural tests. Gate matrices build their zeros and ones exactly
-// (CMat zero-initializes; identity blocks are literal 1.0), so exact
+// (matrices zero-initialize; identity blocks are literal 1.0), so exact
 // comparison recognizes every structured gate in the library while never
 // misclassifying a dense matrix that merely comes close.
 bool is_zero(cx v) noexcept { return v == cx{0.0, 0.0}; }
@@ -94,19 +94,32 @@ bool is_one(cx v) noexcept { return v == cx{1.0, 0.0}; }
 /// coefficient is exactly 0 (or skipping a multiply by exactly 1) cannot
 /// change the VALUE of any amplitude, so the kernel matches the generic
 /// dense loop bit for bit.
-bool try_diagonal(const CMat& m, std::span<const int> qubits, CompiledOp& op) {
-  const index_t block = m.rows();
+bool try_diagonal(linalg::SquareView m, std::span<const int> qubits, CompiledOp& op) {
+  const index_t block = m.dim;
+  std::size_t factors = 0;
   for (index_t r = 0; r < block; ++r) {
     for (index_t c = 0; c < block; ++c) {
       if (r != c && !is_zero(m(r, c))) return false;
     }
+    if (!is_one(m(r, r))) ++factors;
   }
+  op.diag_factors = circuit::InlineList<DiagFactor, 8>(factors);
+  std::size_t i = 0;
   for (index_t p = 0; p < block; ++p) {
     const cx d = m(p, p);
-    if (!is_one(d)) op.diag_factors.emplace_back(scatter_bits(p, qubits), d);
+    if (!is_one(d)) op.diag_factors[i++] = {scatter_bits(p, qubits), d};
   }
   op.cls = KernelClass::Diagonal;
   return true;
+}
+
+constexpr std::size_t kMaxMoves = 8;  // permutation moves use 8-slot buffers (k <= 3)
+
+/// The first `count` entries of `values` as a kernel list.
+template <typename T>
+circuit::InlineList<T, kMaxMoves> first(const std::array<T, kMaxMoves>& values,
+                                        std::size_t count) {
+  return circuit::InlineList<T, kMaxMoves>(std::span<const T>(values.data(), count));
 }
 
 /// Permutation (optionally phased): exactly one nonzero per row and per
@@ -114,20 +127,30 @@ bool try_diagonal(const CMat& m, std::span<const int> qubits, CompiledOp& op) {
 /// pass uses to decide what it must never densify). The kernel records
 /// only the local patterns that move or pick up a phase; fixed points
 /// with phase exactly 1 are untouched.
-bool try_permutation(const CMat& m, std::span<const int> qubits, CompiledOp& op) {
-  const index_t block = m.rows();
-  if (block > 8) return false;  // moves use a fixed 8-slot buffer (k <= 3)
+bool try_permutation(linalg::SquareView m, std::span<const int> qubits, CompiledOp& op) {
+  const index_t block = m.dim;
+  if (block > kMaxMoves) return false;
   if (!linalg::is_phased_permutation(m)) return false;
+  std::array<index_t, kMaxMoves> dst{};
+  std::array<index_t, kMaxMoves> src{};
+  std::array<cx, kMaxMoves> phase{};
+  std::array<char, kMaxMoves> phase_is_one{};
+  std::size_t moves = 0;
   for (index_t r = 0; r < block; ++r) {
     index_t c = 0;
     while (is_zero(m(r, c))) ++c;  // the row's single nonzero
-    const cx phase = m(r, c);
-    if (r == c && is_one(phase)) continue;
-    op.perm_dst.push_back(scatter_bits(r, qubits));
-    op.perm_src.push_back(scatter_bits(c, qubits));
-    op.perm_phase.push_back(phase);
-    op.perm_phase_is_one.push_back(is_one(phase) ? 1 : 0);
+    const cx v = m(r, c);
+    if (r == c && is_one(v)) continue;
+    dst[moves] = scatter_bits(r, qubits);
+    src[moves] = scatter_bits(c, qubits);
+    phase[moves] = v;
+    phase_is_one[moves] = is_one(v) ? 1 : 0;
+    ++moves;
   }
+  op.perm_dst = first(dst, moves);
+  op.perm_src = first(src, moves);
+  op.perm_phase = first(phase, moves);
+  op.perm_phase_is_one = first(phase_is_one, moves);
   op.cls = KernelClass::Permutation;
   return true;
 }
@@ -135,7 +158,7 @@ bool try_permutation(const CMat& m, std::span<const int> qubits, CompiledOp& op)
 /// Controlled-1q (two-qubit only): identity on the control-0 subspace, an
 /// arbitrary 2x2 on the control-1 subspace. Both orientations (control =
 /// local bit 0 or bit 1) are recognized.
-bool try_controlled_1q(const CMat& m, std::span<const int> qubits, CompiledOp& op) {
+bool try_controlled_1q(linalg::SquareView m, std::span<const int> qubits, CompiledOp& op) {
   for (int control_local = 0; control_local < 2; ++control_local) {
     const index_t cmask_local = control_local == 0 ? 1 : 2;
     bool matches = true;
@@ -148,13 +171,13 @@ bool try_controlled_1q(const CMat& m, std::span<const int> qubits, CompiledOp& o
     }
     if (!matches) continue;
     const index_t t_local = cmask_local == 1 ? 2 : 1;
-    CMat u(2, 2);
+    linalg::Mat2 u;
     u(0, 0) = m(cmask_local, cmask_local);
     u(0, 1) = m(cmask_local, cmask_local | t_local);
     u(1, 0) = m(cmask_local | t_local, cmask_local);
     u(1, 1) = m(cmask_local | t_local, cmask_local | t_local);
     op.cls = KernelClass::Controlled1Q;
-    op.matrix = std::move(u);
+    op.matrix = KernelMatrix(u.view());
     op.control_mask = pow2(qubits[static_cast<std::size_t>(control_local)]);
     op.target_mask = pow2(qubits[static_cast<std::size_t>(1 - control_local)]);
     return true;
@@ -162,29 +185,55 @@ bool try_controlled_1q(const CMat& m, std::span<const int> qubits, CompiledOp& o
   return false;
 }
 
-CompiledOp classify(const Operation& source, bool specialize) {
-  CompiledOp op;
-  op.qubits.assign(source.qubits.begin(), source.qubits.end());
-  op.sorted_qubits = op.qubits;
+/// Classifies the unitary `m` on `qubits` into `op`.
+void classify(const circuit::QubitList& qubits, linalg::SquareView m, bool specialize,
+              CompiledOp& op) {
+  op.qubits = qubits;
+  op.sorted_qubits = qubits;
   std::sort(op.sorted_qubits.begin(), op.sorted_qubits.end());
-  const CMat& m = source.matrix();
-  const int k = source.num_qubits();
+  const int k = static_cast<int>(qubits.size());
 
   if (specialize) {
-    if (try_diagonal(m, op.qubits, op)) return op;
-    if (try_permutation(m, op.qubits, op)) return op;
-    if (k == 2 && try_controlled_1q(m, op.qubits, op)) return op;
+    if (try_diagonal(m, op.qubits, op)) return;
+    if (try_permutation(m, op.qubits, op)) return;
+    if (k == 2 && try_controlled_1q(m, op.qubits, op)) return;
   }
 
   op.cls = k == 1 ? KernelClass::Generic1Q
                   : (k == 2 ? KernelClass::Generic2Q : KernelClass::GenericKQ);
-  op.matrix = m;
+  op.matrix = KernelMatrix(m);
   if (op.cls == KernelClass::GenericKQ) {
     const index_t block = pow2(k);
-    op.perm_dst.reserve(block);  // scatter offsets of every local pattern
-    for (index_t p = 0; p < block; ++p) op.perm_dst.push_back(scatter_bits(p, op.qubits));
+    op.perm_dst = circuit::InlineList<index_t, 8>(block);  // scatter offsets of every pattern
+    for (index_t p = 0; p < block; ++p) op.perm_dst[p] = scatter_bits(p, op.qubits);
   }
-  return op;
+}
+
+/// Classifies a source op: named gates through their inline matrices,
+/// Custom blocks in place.
+void classify(const Operation& source, bool specialize, CompiledOp& op) {
+  if (source.kind == circuit::GateKind::Custom) {
+    classify(source.qubits, source.custom.view(), specialize, op);
+    return;
+  }
+  switch (source.num_qubits()) {
+    case 1:
+      classify(source.qubits, circuit::gate_matrix_1q(source.kind, source.params).view(),
+               specialize, op);
+      return;
+    case 2:
+      classify(source.qubits, circuit::gate_matrix_2q(source.kind, source.params).view(),
+               specialize, op);
+      return;
+    default:
+      classify(source.qubits, circuit::gate_matrix_3q(source.kind).view(), specialize, op);
+  }
+}
+
+void check_qubits(const circuit::QubitList& qubits, int num_qubits) {
+  for (int q : qubits) {
+    QCUT_CHECK(q >= 0 && q < num_qubits, "compile_ops: qubit out of range");
+  }
 }
 
 // ---- Kernel application -----------------------------------------------------
@@ -309,7 +358,7 @@ void apply_generic_1q(const ApplyContext& ctx, const CompiledOp& op) {
 void apply_generic_2q(const ApplyContext& ctx, const CompiledOp& op) {
   const index_t mask0 = pow2(op.qubits[0]);
   const index_t mask1 = pow2(op.qubits[1]);
-  const CMat& m = op.matrix;
+  const KernelMatrix& m = op.matrix;
   const index_t groups = ctx.dim >> 2;
   chunked(ctx, groups, [&](index_t lo, index_t hi) {
     for (index_t g = lo; g < hi; ++g) {
@@ -333,7 +382,7 @@ void apply_generic_2q(const ApplyContext& ctx, const CompiledOp& op) {
 void apply_generic_kq(const ApplyContext& ctx, const CompiledOp& op) {
   const int k = static_cast<int>(op.qubits.size());
   const index_t block = pow2(k);
-  const CMat& m = op.matrix;
+  const KernelMatrix& m = op.matrix;
   const index_t groups = ctx.dim >> k;
   chunked(ctx, groups, [&](index_t lo, index_t hi) {
     std::vector<cx> in(block), out(block);
@@ -513,21 +562,19 @@ void CompiledCircuit::apply(SoAState& state) const {
   }
 }
 
-CompiledCircuit compile_ops(std::span<const Operation> ops, int num_qubits,
-                            const EngineOptions& options) {
+template <typename Classify>
+CompiledCircuit CompiledCircuit::build(std::size_t count, int num_qubits,
+                                       const EngineOptions& options, const Classify& classify) {
   QCUT_CHECK(num_qubits >= 1, "compile_ops: need at least one qubit");
   CompiledCircuit compiled;
   compiled.num_qubits_ = num_qubits;
   compiled.options_ = options;
   compiled.isa_ = options.simd ? simd::best_isa() : IsaLevel::Scalar;
-  compiled.ops_.reserve(ops.size());
+  compiled.ops_.resize(count);
   std::array<std::uint64_t, kNumKernelClasses> class_counts{};
-  for (const Operation& op : ops) {
-    for (int q : op.qubits) {
-      QCUT_CHECK(q >= 0 && q < num_qubits, "compile_ops: qubit out of range");
-    }
-    compiled.ops_.push_back(classify(op, options.specialize));
-    ++class_counts[static_cast<std::size_t>(compiled.ops_.back().cls)];
+  for (std::size_t i = 0; i < count; ++i) {
+    classify(i, compiled.ops_[i]);
+    ++class_counts[static_cast<std::size_t>(compiled.ops_[i].cls)];
   }
   EngineMetrics& metrics = EngineMetrics::get();
   for (std::size_t c = 0; c < kNumKernelClasses; ++c) {
@@ -543,19 +590,51 @@ CompiledCircuit compile_ops(std::span<const Operation> ops, int num_qubits,
   const int bq = options.cache_block_qubits;
   const bool blocking = bq > 0 && num_qubits > bq;
   const auto blockable = [&](const CompiledOp& op) { return op.sorted_qubits.back() < bq; };
+  compiled.segments_.reserve(count);
   std::size_t i = 0;
-  while (i < compiled.ops_.size()) {
+  while (i < count) {
     if (blocking && blockable(compiled.ops_[i])) {
       std::size_t j = i + 1;
-      while (j < compiled.ops_.size() && blockable(compiled.ops_[j])) ++j;
+      while (j < count && blockable(compiled.ops_[j])) ++j;
       if (j - i >= 2) {
-        compiled.segments_.push_back(CompiledCircuit::Segment{i, j, true});
+        compiled.segments_.push_back(Segment{i, j, true});
         i = j;
         continue;
       }
     }
-    compiled.segments_.push_back(CompiledCircuit::Segment{i, i + 1, false});
+    compiled.segments_.push_back(Segment{i, i + 1, false});
     ++i;
+  }
+  return compiled;
+}
+
+CompiledCircuit compile_ops(std::span<const Operation> ops, int num_qubits,
+                            const EngineOptions& options) {
+  return CompiledCircuit::build(ops.size(), num_qubits, options,
+                                [&](std::size_t i, CompiledOp& op) {
+                                  check_qubits(ops[i].qubits, num_qubits);
+                                  classify(ops[i], options.specialize, op);
+                                });
+}
+
+CompiledCircuit compile_fused(std::span<const circuit::FusedOp> stream,
+                              std::span<const Operation> source, int num_qubits,
+                              const EngineOptions& options, const circuit::FusionStats* fusion) {
+  CompiledCircuit compiled = CompiledCircuit::build(
+      stream.size(), num_qubits, options, [&](std::size_t i, CompiledOp& op) {
+        const circuit::FusedOp& entry = stream[i];
+        check_qubits(entry.qubits, num_qubits);
+        if (entry.qubits.size() <= 2) {
+          classify(entry.qubits, entry.unitary(), options.specialize, op);
+        } else {
+          classify(source[entry.source], options.specialize, op);
+        }
+      });
+  if (fusion != nullptr) {
+    compiled.fusion_stats_ = *fusion;
+    EngineMetrics& metrics = EngineMetrics::get();
+    metrics.fusion_gates_in->add(source.size());
+    metrics.fusion_gates_absorbed->add(fusion->absorbed());
   }
   return compiled;
 }
@@ -563,18 +642,11 @@ CompiledCircuit compile_ops(std::span<const Operation> ops, int num_qubits,
 CompiledCircuit compile_circuit(const circuit::Circuit& circuit, const EngineOptions& options) {
   if (!options.fuse) return compile_ops(circuit.ops(), circuit.num_qubits(), options);
   circuit::GateFusion scan(circuit.num_qubits());
-  std::vector<Operation> fused;
-  fused.reserve(circuit.num_ops());
-  for (const Operation& op : circuit.ops()) scan.push(op, fused);
-  scan.flush(fused);
-  CompiledCircuit compiled = compile_ops(fused, circuit.num_qubits(), options);
-  compiled.fusion_stats_ = scan.stats();
-  EngineMetrics& metrics = EngineMetrics::get();
-  metrics.fusion_gates_in->add(circuit.num_ops());
-  metrics.fusion_gates_absorbed->add(compiled.fusion_stats_.merged_1q_gates +
-                                     compiled.fusion_stats_.folded_1q_gates +
-                                     compiled.fusion_stats_.merged_2q_gates);
-  return compiled;
+  std::vector<circuit::FusedOp> stream;
+  stream.reserve(circuit.num_ops());
+  for (const Operation& op : circuit.ops()) scan.push(op, stream);
+  scan.flush(stream);
+  return compile_fused(stream, circuit.ops(), circuit.num_qubits(), options, &scan.stats());
 }
 
 }  // namespace qcut::sim

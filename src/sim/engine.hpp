@@ -146,27 +146,56 @@ enum class KernelClass {
 /// Lower-case kernel-class mnemonic ("diagonal", "permutation", ...).
 [[nodiscard]] std::string kernel_class_name(KernelClass cls);
 
-/// One classified operation with its precomputed kernel data.
+/// A kernel's square matrix, row-major: inline up to 4x4 (every one- and
+/// two-qubit kernel), on the heap beyond (GenericKQ).
+class KernelMatrix {
+ public:
+  KernelMatrix() = default;
+  explicit KernelMatrix(linalg::SquareView m)
+      : entries_(std::span<const cx>(m.entries, m.dim * m.dim)), dim_(m.dim) {}
+
+  [[nodiscard]] std::size_t rows() const noexcept { return dim_; }
+  [[nodiscard]] std::size_t cols() const noexcept { return dim_; }
+  [[nodiscard]] const cx& operator()(std::size_t r, std::size_t c) const noexcept {
+    return entries_[r * dim_ + c];
+  }
+
+ private:
+  circuit::InlineList<cx, 16> entries_;
+  std::size_t dim_ = 0;
+};
+
+/// A diagonal kernel's (scattered qubit offset, factor) pair.
+struct DiagFactor {
+  index_t offset = 0;
+  cx factor;
+};
+
+/// One classified operation with its precomputed kernel data. Its lists
+/// hold up to 8 entries inline and its matrix up to 4x4, so every named gate
+/// and every Custom block on one or two qubits compiles without the heap;
+/// only Custom blocks on three or more qubits may spill (GenericKQ's matrix
+/// and pattern offsets, a wide diagonal's factors).
 struct CompiledOp {
   KernelClass cls = KernelClass::GenericKQ;
-  std::vector<int> qubits;         // as listed on the source operation
-  std::vector<int> sorted_qubits;  // ascending, for group enumeration
+  circuit::QubitList qubits;         // as listed on the source operation
+  circuit::QubitList sorted_qubits;  // ascending, for group enumeration
 
   // Generic classes: the dense matrix. Controlled1Q: the 2x2 target matrix.
-  linalg::CMat matrix;
+  KernelMatrix matrix;
 
   // Diagonal: (scattered qubit offset, factor) for every diagonal entry
   // with factor != 1 exactly; entries equal to 1 are skipped.
-  std::vector<std::pair<index_t, cx>> diag_factors;
+  circuit::InlineList<DiagFactor, 8> diag_factors;
 
   // Permutation: destination/source scattered offsets and phases for every
   // local pattern that moves or picks up a phase; fixed points with phase
   // exactly 1 are skipped. phase_is_one[m] marks pure moves (no multiply).
   // GenericKQ reuses perm_dst as the scatter offsets of all 2^k patterns.
-  std::vector<index_t> perm_dst;
-  std::vector<index_t> perm_src;
-  linalg::CVec perm_phase;
-  std::vector<char> perm_phase_is_one;
+  circuit::InlineList<index_t, 8> perm_dst;
+  circuit::InlineList<index_t, 8> perm_src;
+  circuit::InlineList<cx, 8> perm_phase;
+  circuit::InlineList<char, 8> perm_phase_is_one;
 
   // Controlled1Q masks.
   index_t control_mask = 0;
@@ -199,7 +228,8 @@ class CompiledCircuit {
   /// least AVX2.
   [[nodiscard]] IsaLevel isa() const noexcept { return isa_; }
 
-  /// Gates absorbed by the fusion pass (zero when compiled without fusion).
+  /// Gates absorbed by the fusion pass over the whole circuit (zero when
+  /// compiled without fusion, and for a stream cut at a fusion frontier).
   [[nodiscard]] const circuit::FusionStats& fusion_stats() const noexcept {
     return fusion_stats_;
   }
@@ -217,7 +247,14 @@ class CompiledCircuit {
  private:
   friend CompiledCircuit compile_ops(std::span<const circuit::Operation>, int,
                                      const EngineOptions&);
-  friend CompiledCircuit compile_circuit(const circuit::Circuit&, const EngineOptions&);
+  friend CompiledCircuit compile_fused(std::span<const circuit::FusedOp>,
+                                       std::span<const circuit::Operation>, int,
+                                       const EngineOptions&, const circuit::FusionStats*);
+
+  /// `count` ops, op i filled in place by classify(i, op), then the apply plan.
+  template <typename Classify>
+  static CompiledCircuit build(std::size_t count, int num_qubits, const EngineOptions& options,
+                               const Classify& classify);
 
   void apply_scalar(StateVector& state) const;
 
@@ -230,11 +267,24 @@ class CompiledCircuit {
 };
 
 /// Classifies an operation list as-is (no fusion — callers that fuse run
-/// circuit::GateFusion first; the statevector backend's shared-prefix batch
-/// path does exactly that to keep forked suffixes bit-for-bit identical to
-/// standalone runs).
+/// circuit::GateFusion first and compile its stream with compile_fused).
 [[nodiscard]] CompiledCircuit compile_ops(std::span<const circuit::Operation> ops,
                                           int num_qubits, const EngineOptions& options = {});
+
+/// Classifies a fused stream: the entries circuit::GateFusion emitted while
+/// `source` (the ops pushed, in order) went through it. Entries on one or
+/// two wires compile from their inline unitaries, wider ones from their
+/// source op. `fusion` is the scan's stats after a whole circuit of
+/// source.size() ops — the program records them, and the process-wide
+/// fusion counters move as for compile_circuit — or nullptr for a stream
+/// cut at a fusion frontier (the statevector backend's shared prefix), which
+/// records no fusion. The backend forks a suffix off that frontier so that
+/// settled prefix + member tail is exactly the stream a standalone
+/// full-circuit compile classifies.
+[[nodiscard]] CompiledCircuit compile_fused(std::span<const circuit::FusedOp> stream,
+                                            std::span<const circuit::Operation> source,
+                                            int num_qubits, const EngineOptions& options,
+                                            const circuit::FusionStats* fusion);
 
 /// Fuses (when options.fuse) and classifies a whole circuit.
 [[nodiscard]] CompiledCircuit compile_circuit(const circuit::Circuit& circuit,

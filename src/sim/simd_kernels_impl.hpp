@@ -127,7 +127,7 @@ struct SoaKernels {
 
   /// Shared 2x2 body: applies [[m00 m01],[m10 m11]] to the amplitude pairs
   /// (base+off0+l, base+off1+l) for l in group runs of [lo, hi).
-  static void two_level(const SoaSpan& s, std::span<const int> qs, const linalg::CMat& m,
+  static void two_level(const SoaSpan& s, std::span<const int> qs, const KernelMatrix& m,
                         index_t off0, index_t off1, index_t lo, index_t hi) {
     const double m00r = m(0, 0).real(), m00i = m(0, 0).imag();
     const double m01r = m(0, 1).real(), m01i = m(0, 1).imag();

@@ -5,43 +5,18 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <new>
 #include <numeric>
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "support/counting_new.hpp"
 #include "support/qaoa_path.hpp"
-
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-
-// Counts every allocation. Not inlined, so GCC does not pair the malloc()
-// and free() inside with the operator delete and operator new at a call
-// site (-Wmismatched-new-delete).
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace qcut::circuit {
 namespace {
 
-/// Global operator new calls made by `fn`.
-template <typename Fn>
-std::size_t allocations_of(Fn&& fn) {
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  fn();
-  return g_allocations.load(std::memory_order_relaxed) - before;
-}
+using support::allocations_of;
 
 /// The benchmark's parameter-sweep circuit: 81 ops, RZZ and RX (a qubit
 /// list and a parameter list each) and H (a qubit list).

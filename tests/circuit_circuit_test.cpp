@@ -48,12 +48,16 @@ TEST(Circuit, AppendCustomValidation) {
   EXPECT_EQ(c.op(0).label, "block");
 }
 
-TEST(Circuit, OperationMatrixCaching) {
-  Circuit c(1);
-  c.rx(1.25, 0);
-  const CMat& first = c.op(0).matrix();
-  const CMat& second = c.op(0).matrix();
-  EXPECT_EQ(first.data(), second.data());  // same cached object
+TEST(Circuit, OperationMatrixIsTheGateMatrix) {
+  Circuit c(2);
+  c.rx(1.25, 0).append_custom(gate_matrix(GateKind::ISwap, {}), {0, 1}, "block");
+  const CMat rx = c.op(0).matrix();
+  const CMat expected = gate_matrix(GateKind::RX, {1.25});
+  ASSERT_EQ(rx.rows(), 2u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(rx.data()[i], expected.data()[i]);
+  const CMat custom = c.op(1).matrix();
+  EXPECT_EQ(custom.rows(), 4u);
+  EXPECT_TRUE(custom.approx_equal(c.op(1).custom, 0.0));
 }
 
 TEST(Circuit, ComposeAndRemap) {

@@ -14,15 +14,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "circuit/random.hpp"
 #include "common/rng.hpp"
+#include "linalg/ops.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/simd_kernels.hpp"
 #include "sim/statevector.hpp"
 #include "support/digest.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace qcut::sim {
 namespace {
@@ -113,6 +119,177 @@ TEST(CpuDevice, AmplitudesMatchFrozenDigests) {
   }
 }
 
+/// The shared FNV-1a word stream, fed a complex entry as its two words.
+struct WordDigest : Fnv1a {
+  using Fnv1a::add;
+  void add(cx value) {
+    add(std::bit_cast<std::uint64_t>(value.real()));
+    add(std::bit_cast<std::uint64_t>(value.imag()));
+  }
+};
+
+/// Everything a compiled program's kernels read: per op its class, qubit
+/// lists, masks, matrix entry bits, diagonal (offset, factor) pairs and
+/// permutation (dst, src, phase, is-one) moves; then the segment plan.
+void digest_program(const CompiledProgram& program, WordDigest& digest) {
+  const CompiledCircuit& compiled = cpu_compiled_circuit(program);
+  digest.add(compiled.num_ops());
+  for (const CompiledOp& op : compiled.compiled_ops()) {
+    digest.add(static_cast<std::uint64_t>(op.cls));
+    digest.add(op.qubits.size());
+    for (const int q : op.qubits) digest.add(static_cast<std::uint64_t>(q));
+    for (const int q : op.sorted_qubits) digest.add(static_cast<std::uint64_t>(q));
+    digest.add(op.control_mask);
+    digest.add(op.target_mask);
+    digest.add(op.matrix.rows());
+    for (std::size_t r = 0; r < op.matrix.rows(); ++r) {
+      for (std::size_t c = 0; c < op.matrix.cols(); ++c) digest.add(op.matrix(r, c));
+    }
+    digest.add(op.diag_factors.size());
+    for (const auto& [offset, factor] : op.diag_factors) {
+      digest.add(offset);
+      digest.add(factor);
+    }
+    digest.add(op.perm_dst.size());
+    for (std::size_t i = 0; i < op.perm_dst.size(); ++i) {
+      digest.add(op.perm_dst[i]);
+      if (op.cls == KernelClass::GenericKQ) continue;  // scatter offsets only
+      digest.add(op.perm_src[i]);
+      digest.add(op.perm_phase[i]);
+      digest.add(op.perm_phase_is_one[i] != 0 ? 1U : 0U);
+    }
+  }
+  digest.add(compiled.segments().size());
+  for (const CompiledCircuit::Segment& seg : compiled.segments()) {
+    digest.add(seg.begin);
+    digest.add(seg.end);
+    digest.add(seg.blocked ? 1U : 0U);
+  }
+}
+
+linalg::CMat random_u3(Rng& rng) {
+  return circuit::gate_matrix(circuit::GateKind::U,
+                              {rng.uniform(0.0, 6.28), rng.uniform(0.0, 6.28),
+                               rng.uniform(0.0, 6.28)});
+}
+
+/// Diagonal of random phases; every other entry is exactly 1, which the
+/// diagonal kernel skips.
+linalg::CMat random_phases(std::size_t dim, Rng& rng) {
+  linalg::CVec entries(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    entries[i] = i % 2 == 0 ? cx{1.0, 0.0} : std::polar(1.0, rng.uniform(0.0, 6.28));
+  }
+  return linalg::CMat::diagonal(entries);
+}
+
+/// A Custom block on `k` qubits of one of four shapes: dense, diagonal,
+/// phased permutation or (k == 2) controlled.
+linalg::CMat random_custom(int k, Rng& rng) {
+  using circuit::GateKind;
+  using circuit::gate_matrix;
+  const std::size_t dim = pow2(k);
+  switch (rng.uniform_int(0, k == 2 ? 3 : 2)) {
+    case 0: {  // dense
+      linalg::CMat m = random_u3(rng);
+      for (int q = 1; q < k; ++q) m = linalg::kron(random_u3(rng), m);
+      if (k == 2) return m * gate_matrix(GateKind::CX, {});
+      if (k == 3) return m * gate_matrix(GateKind::CCX, {});
+      if (k == 4) {
+        return m * linalg::kron(gate_matrix(GateKind::CX, {}), gate_matrix(GateKind::CH, {}));
+      }
+      return m;
+    }
+    case 1:
+      return random_phases(dim, rng);
+    case 2: {  // phased permutation (dense above 3 qubits)
+      linalg::CMat perm = linalg::CMat::identity(dim);
+      if (k == 1) perm = gate_matrix(GateKind::X, {});
+      if (k == 2) perm = gate_matrix(GateKind::ISwap, {});
+      if (k == 3) perm = gate_matrix(GateKind::CSWAP, {});
+      if (k == 4) {
+        perm = linalg::kron(gate_matrix(GateKind::SWAP, {}), gate_matrix(GateKind::CX, {}));
+      }
+      return perm * random_phases(dim, rng);
+    }
+    default: {  // controlled 2x2, control on either local bit
+      const linalg::CMat u = random_u3(rng);
+      const std::size_t control = rng.uniform_int(0, 1) == 0 ? 1 : 2;
+      linalg::CMat m = linalg::CMat::identity(4);
+      m(control, control) = u(0, 0);
+      m(control, 3) = u(0, 1);
+      m(3, control) = u(1, 0);
+      m(3, 3) = u(1, 1);
+      return m;
+    }
+  }
+}
+
+/// A seeded circuit drawing from every GateKind and Custom blocks on 1-4
+/// qubits (dense, diagonal, phased-permutation and controlled shapes).
+Circuit every_kind_circuit(int width, int num_ops, std::uint64_t seed) {
+  using circuit::GateKind;
+  Rng rng(seed);
+  Circuit c(width);
+  const int num_named = static_cast<int>(GateKind::Custom);
+  while (static_cast<int>(c.num_ops()) < num_ops) {
+    const bool custom = rng.uniform_int(0, 3) == 0;
+    const auto kind = static_cast<GateKind>(rng.uniform_int(0, num_named - 1));
+    const int k =
+        custom ? static_cast<int>(rng.uniform_int(1, 4)) : circuit::gate_num_qubits(kind);
+    if (k > width) continue;
+    std::vector<int> qubits;
+    while (static_cast<int>(qubits.size()) < k) {
+      const int q = static_cast<int>(rng.uniform_int(0, static_cast<std::uint64_t>(width - 1)));
+      if (std::find(qubits.begin(), qubits.end(), q) == qubits.end()) qubits.push_back(q);
+    }
+    if (custom) {
+      c.append_custom(random_custom(k, rng), qubits, "block");
+      continue;
+    }
+    std::vector<double> params;
+    for (int p = 0; p < circuit::gate_num_params(kind); ++p) {
+      params.push_back(rng.uniform(-6.28, 6.28));
+    }
+    c.append(kind, qubits, params);
+  }
+  return c;
+}
+
+// Frozen digests of the compiled programs themselves (classes, qubits,
+// kernel tables and segment plans), recorded before the compile path moved
+// to inline storage. The amplitude digests cannot see a table entry whose
+// arithmetic happens to round the same way; these can. Each configuration
+// digests compile(c) and compile_prefix + compile_suffix at every split of
+// 36 seeded circuits of widths 1..6 covering every GateKind and Custom
+// blocks on 1-4 qubits.
+TEST(CpuDevice, CompiledProgramsMatchFrozenDigests) {
+  const auto digest = [](const EngineOptions& options) {
+    const auto device = make_cpu_device(options);
+    WordDigest digest;
+    for (std::uint64_t seed = 0; seed < 36; ++seed) {
+      const int width = 1 + static_cast<int>(seed % 6);
+      const Circuit c = every_kind_circuit(width, 12 + static_cast<int>(seed % 17), 7000 + seed);
+      digest_program(*device->compile(c), digest);
+      for (std::size_t split = 0; split <= c.num_ops(); ++split) {
+        const auto prefix = device->compile_prefix(c, split);
+        digest_program(*prefix, digest);
+        digest_program(*device->compile_suffix(*prefix, c), digest);
+      }
+    }
+    return digest.value();
+  };
+  EngineOptions fused;
+  EngineOptions unfused;
+  unfused.fuse = false;
+  EngineOptions fused_blocked;
+  fused_blocked.cache_block_qubits = 2;
+  EXPECT_EQ(digest(fused), 0xd1e6fbaf7b681fafULL) << "fused";
+  EXPECT_EQ(digest(unfused), 0x1028bebebaacf89fULL) << "unfused";
+  EXPECT_EQ(digest(fused_blocked), 0xb4c28789b0824619ULL) << "fused, blocked below 2 qubits";
+  EXPECT_EQ(digest(EngineOptions::generic()), 0x600fcafb0e8211e0ULL) << "generic";
+}
+
 TEST(CpuDevice, PrefixSuffixForkMatchesWholeCompileAtEverySplit) {
   const auto device = make_cpu_device();
   const Circuit c = random_circuit_of(4, 12, 7);
@@ -167,6 +344,34 @@ TEST(CpuDevice, SummaryReportsCompiledShape) {
   EXPECT_EQ(s.isa, IsaLevel::Scalar);
   EXPECT_GT(s.fused_fraction(), 0.0);
   EXPECT_FALSE(s.to_string().empty());
+
+  // A batched member records what one compile(c) records: its suffix
+  // program reports the whole circuit's fusion, the prefix none, and the
+  // process-wide fusion counters move as they do for compile(c).
+  const auto counters = [] {
+    const telemetry::MetricsSnapshot snap = telemetry::MetricsRegistry::global().snapshot();
+    return std::pair{snap.counter_value("sim.fusion.gates_in"),
+                     snap.counter_value("sim.fusion.gates_absorbed")};
+  };
+  const auto [in_before, absorbed_before] = counters();
+  (void)device->compile(c);
+  const auto [in_whole, absorbed_whole] = counters();
+  EXPECT_EQ(in_whole - in_before, 5u);
+  EXPECT_EQ(absorbed_whole - absorbed_before, 2u);
+  for (std::size_t split = 0; split <= c.num_ops(); ++split) {
+    const auto [in0, absorbed0] = counters();
+    const auto prefix = device->compile_prefix(c, split);
+    const ProgramSummary ps = prefix->summary();
+    EXPECT_EQ(ps.source_ops, split) << "split " << split;
+    EXPECT_EQ(ps.fused_absorbed, 0u) << "split " << split;
+    const ProgramSummary ss = device->compile_suffix(*prefix, c)->summary();
+    EXPECT_EQ(ss.source_ops, 5u) << "split " << split;
+    EXPECT_EQ(ss.fused_absorbed, 2u) << "split " << split;
+    EXPECT_EQ(ss.fused_fraction(), s.fused_fraction()) << "split " << split;
+    const auto [in1, absorbed1] = counters();
+    EXPECT_EQ(in1 - in0, 5u) << "split " << split;
+    EXPECT_EQ(absorbed1 - absorbed0, 2u) << "split " << split;
+  }
 }
 
 TEST(CpuDevice, IdentityTokenEncodesResultAffectingKnobsOnly) {

@@ -18,7 +18,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/optimize.hpp"
@@ -545,10 +547,24 @@ TEST(Fusion, NeverDensifiesPermutationOrDiagonalGates) {
   EXPECT_TRUE(circuit_unitary(c).approx_equal(circuit_unitary(fused), 1e-12));
 }
 
+/// Bit-pattern equality of two fused-stream entries.
+bool same_fused_op(const circuit::FusedOp& a, const circuit::FusedOp& b) {
+  if (a.source != b.source || a.qubits != b.qubits) return false;
+  for (std::size_t i = 0; i < a.entries.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a.entries[i].real()) !=
+            std::bit_cast<std::uint64_t>(b.entries[i].real()) ||
+        std::bit_cast<std::uint64_t>(a.entries[i].imag()) !=
+            std::bit_cast<std::uint64_t>(b.entries[i].imag())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// The stream property the statevector backend's shared-prefix batching
 /// relies on: for ANY split point, pushing the prefix, cloning the scan,
-/// and pushing the suffix emits exactly the ops a whole-circuit fusion
-/// emits.
+/// and pushing the suffix emits exactly the entries a whole-circuit fusion
+/// emits, with the same stats.
 TEST(Fusion, StreamingSplitMatchesWholeCircuitFusion) {
   Rng rng(31);
   circuit::RandomCircuitOptions rc;
@@ -556,13 +572,13 @@ TEST(Fusion, StreamingSplitMatchesWholeCircuitFusion) {
   rc.depth = 10;
   const Circuit c = circuit::random_circuit(rc, rng);
 
-  std::vector<Operation> whole;
+  std::vector<circuit::FusedOp> whole;
   GateFusion whole_scan(c.num_qubits());
   for (const Operation& op : c.ops()) whole_scan.push(op, whole);
   whole_scan.flush(whole);
 
   for (std::size_t split = 0; split <= c.num_ops(); ++split) {
-    std::vector<Operation> emitted;
+    std::vector<circuit::FusedOp> emitted;
     GateFusion prefix_scan(c.num_qubits());
     for (std::size_t i = 0; i < split; ++i) prefix_scan.push(c.op(i), emitted);
     GateFusion member_scan = prefix_scan;  // the per-member clone
@@ -571,9 +587,9 @@ TEST(Fusion, StreamingSplitMatchesWholeCircuitFusion) {
 
     ASSERT_EQ(emitted.size(), whole.size()) << "split " << split;
     for (std::size_t i = 0; i < whole.size(); ++i) {
-      EXPECT_TRUE(circuit::same_operation(emitted[i], whole[i]))
-          << "split " << split << " op " << i;
+      EXPECT_TRUE(same_fused_op(emitted[i], whole[i])) << "split " << split << " op " << i;
     }
+    EXPECT_EQ(member_scan.stats().absorbed(), whole_scan.stats().absorbed()) << "split " << split;
   }
 }
 

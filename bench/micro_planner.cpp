@@ -14,7 +14,9 @@
 // where it builds a guide table); and StatevectorBackend::run_batch on one
 // prefix group, the 3 setting variants of a 4-qubit Fig. 2 fragment at
 // 4000 shots each (a whole pool task of a paper-size job). Writes
-// BENCH_micro_planner.json (median seconds per call).
+// BENCH_micro_planner.json: median seconds per call, and the heap
+// allocations of one plan_best_single_cut and one plan_chain_cuts call at
+// each width (ungated; cutting_planner_allocation_test pins them).
 //
 // Gates, each timed in interleaved rounds in this process (medians); exits
 // nonzero unless all three hold:
@@ -43,6 +45,7 @@
 #include "cutting/planner.hpp"
 #include "cutting/variants.hpp"
 #include "sim/sampling.hpp"
+#include "support/counting_new.hpp"
 
 namespace {
 
@@ -77,7 +80,7 @@ int main() {
     circuit::GoldenAnsatzOptions options;
     options.num_qubits = n;
     const circuit::Circuit circuit = circuit::make_golden_ansatz(options, rng).circuit;
-    const std::string suffix = "_" + std::to_string(n) + "q_seconds";
+    const std::string width = "_" + std::to_string(n) + "q";
 
     const double single = median_seconds_per_call([&] {
       const std::optional<cutting::CutCandidate> best = cutting::plan_best_single_cut(circuit);
@@ -90,10 +93,19 @@ int main() {
           cutting::plan_chain_cuts(circuit, chain_options);
       sink += plan.has_value() ? plan->evaluations : 0;
     });
-    extras.emplace_back("plan_best_single_cut" + suffix, single);
-    extras.emplace_back("plan_chain_cuts" + suffix, chain);
-    std::cout << n << " qubits: plan_best_single_cut " << single * 1e6
-              << " us, plan_chain_cuts " << chain * 1e6 << " us\n";
+    const std::size_t single_allocations = support::allocations_of(
+        [&] { sink += cutting::plan_best_single_cut(circuit)->evaluations; });
+    const std::size_t chain_allocations = support::allocations_of(
+        [&] { sink += cutting::plan_chain_cuts(circuit, chain_options)->evaluations; });
+    extras.emplace_back("plan_best_single_cut" + width + "_seconds", single);
+    extras.emplace_back("plan_chain_cuts" + width + "_seconds", chain);
+    extras.emplace_back("plan_best_single_cut" + width + "_allocations",
+                        static_cast<double>(single_allocations));
+    extras.emplace_back("plan_chain_cuts" + width + "_allocations",
+                        static_cast<double>(chain_allocations));
+    std::cout << n << " qubits: plan_best_single_cut " << single * 1e6 << " us, "
+              << single_allocations << " allocs; plan_chain_cuts " << chain * 1e6 << " us, "
+              << chain_allocations << " allocs\n";
   }
 
   // The planning gate: screened planning against exact enumeration.

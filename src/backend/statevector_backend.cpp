@@ -1,5 +1,6 @@
 #include "backend/statevector_backend.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/sampling.hpp"
@@ -64,8 +65,11 @@ struct BatchUnit {
 
 std::vector<BatchUnit> plan_units(const BatchRequest& request) {
   std::vector<bool> covered(request.jobs.size(), false);
+  std::size_t grouped = 0;
+  for (const BatchPrefixGroup& group : request.groups) grouped += group.jobs.size();
   std::vector<BatchUnit> units;
-  units.reserve(request.groups.size());
+  units.reserve(request.groups.size() + request.jobs.size() -
+                std::min(grouped, request.jobs.size()));
   for (const BatchPrefixGroup& group : request.groups) {
     QCUT_CHECK(!group.jobs.empty(), "run_batch: prefix group has no jobs");
     const Circuit& rep = request.jobs[group.jobs.front()].circuit;
@@ -133,9 +137,11 @@ BatchResult StatevectorBackend::run_batch(const BatchRequest& request) {
     device_->apply(*prefix_program, *base);
 
     // Per-member scratch, allocated once per unit and reused: the forked
-    // state (copy_state reuses its buffers) and the sampled-mode
-    // probability vector. The last member consumes the prefix state itself.
-    const std::unique_ptr<sim::DeviceState> fork = device_->create_state(width);
+    // state (copy_state reuses its buffers), which only a unit of several
+    // members needs, and the sampled-mode probability vector. The last
+    // member consumes the prefix state itself.
+    const std::unique_ptr<sim::DeviceState> fork =
+        unit.jobs.size() > 1 ? device_->create_state(width) : nullptr;
     std::vector<double> probs_scratch;
     for (std::size_t m = 0; m < unit.jobs.size(); ++m) {
       const std::size_t j = unit.jobs[m];

@@ -33,11 +33,23 @@ class UnionFind {
 
 }  // namespace
 
-std::vector<std::vector<std::size_t>> wire_chains(const Circuit& circuit) {
-  std::vector<std::vector<std::size_t>> chains(static_cast<std::size_t>(circuit.num_qubits()));
-  for (std::size_t i = 0; i < circuit.num_ops(); ++i) {
-    for (int q : circuit.op(i).qubits) chains[static_cast<std::size_t>(q)].push_back(i);
+WireChains wire_chains(const Circuit& circuit) {
+  const auto n = static_cast<std::size_t>(circuit.num_qubits());
+  WireChains chains;
+  // Count each wire's ops into begin[q + 1], sum the counts into offsets,
+  // place every op at its wire's cursor begin[q] (which leaves begin[q]
+  // at the next wire's offset), then shift the offsets back.
+  chains.begin.assign(n + 1, 0);
+  for (const Operation& op : circuit.ops()) {
+    for (int q : op.qubits) ++chains.begin[static_cast<std::size_t>(q) + 1];
   }
+  for (std::size_t q = 0; q < n; ++q) chains.begin[q + 1] += chains.begin[q];
+  chains.ops.resize(chains.begin[n]);
+  for (std::size_t i = 0; i < circuit.num_ops(); ++i) {
+    for (int q : circuit.op(i).qubits) chains.ops[chains.begin[static_cast<std::size_t>(q)]++] = i;
+  }
+  for (std::size_t q = n; q > 0; --q) chains.begin[q] = chains.begin[q - 1];
+  chains.begin[0] = 0;
   return chains;
 }
 
@@ -51,7 +63,7 @@ std::optional<CutAnalysis> try_analyze_cuts(const Circuit& circuit,
 
   if (cuts.empty()) return fail("no cuts given");
   if (circuit.num_ops() == 0) return fail("circuit has no operations");
-  const std::vector<std::vector<std::size_t>> chain = wire_chains(circuit);
+  const WireChains chain = wire_chains(circuit);
 
   // Validate each cut and record the wire segment (pair of op indices) it removes.
   struct CutEdge {
@@ -60,6 +72,8 @@ std::optional<CutAnalysis> try_analyze_cuts(const Circuit& circuit,
   };
   std::vector<CutEdge> cut_edges;
   std::vector<int> cut_qubits;
+  cut_edges.reserve(cuts.size());
+  cut_qubits.reserve(cuts.size());
   for (const WirePoint& cut : cuts) {
     if (cut.qubit < 0 || cut.qubit >= circuit.num_qubits()) {
       return fail("cut qubit index out of range");
@@ -70,7 +84,7 @@ std::optional<CutAnalysis> try_analyze_cuts(const Circuit& circuit,
     if (cut.after_op >= circuit.num_ops() || !circuit.op(cut.after_op).acts_on(cut.qubit)) {
       return fail("cut.after_op must reference an operation acting on the cut qubit");
     }
-    const auto& ops = chain[static_cast<std::size_t>(cut.qubit)];
+    const std::span<const std::size_t> ops = chain[cut.qubit];
     const auto it = std::find(ops.begin(), ops.end(), cut.after_op);
     QCUT_ASSERT(it != ops.end(), "analyze_cuts: op chain inconsistent");
     if (std::next(it) == ops.end()) {
@@ -92,7 +106,7 @@ std::optional<CutAnalysis> try_analyze_cuts(const Circuit& circuit,
 
   UnionFind uf(circuit.num_ops());
   for (int q = 0; q < circuit.num_qubits(); ++q) {
-    const auto& ops = chain[static_cast<std::size_t>(q)];
+    const std::span<const std::size_t> ops = chain[q];
     for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
       if (!is_cut_segment(q, ops[i], ops[i + 1])) {
         uf.unite(ops[i], ops[i + 1]);
@@ -136,7 +150,7 @@ std::optional<CutAnalysis> try_analyze_cuts(const Circuit& circuit,
   // Uncut qubits must live entirely in one fragment; cut qubits must be a
   // clean upstream-prefix / downstream-suffix split at the cut point.
   for (int q = 0; q < circuit.num_qubits(); ++q) {
-    const auto& ops = chain[static_cast<std::size_t>(q)];
+    const std::span<const std::size_t> ops = chain[q];
     if (ops.empty()) continue;
     const auto cut_it = std::find(cut_qubits.begin(), cut_qubits.end(), q);
     if (cut_it == cut_qubits.end()) {
@@ -168,17 +182,18 @@ std::optional<CutAnalysis> try_analyze_cuts(const Circuit& circuit,
   return analysis;
 }
 
-std::vector<SingleCut> valid_single_cuts(const Circuit& circuit) {
+SingleCuts valid_single_cuts(const Circuit& circuit) {
   const std::size_t num_ops = circuit.num_ops();
-  const std::vector<std::vector<std::size_t>> chains = wire_chains(circuit);
+  const auto num_qubits = static_cast<std::size_t>(circuit.num_qubits());
+  const WireChains chains = wire_chains(circuit);
 
   // The op graph as adjacency arrays. Edges are numbered in scan order
   // (qubit, then position along the wire), so edge first_edge[q] + i joins
   // chains[q][i] and chains[q][i + 1].
-  std::vector<std::size_t> first_edge(chains.size() + 1, 0);
+  std::vector<std::size_t> first_edge(num_qubits + 1, 0);
   std::vector<std::size_t> arc_begin(num_ops + 1, 0);
-  for (std::size_t q = 0; q < chains.size(); ++q) {
-    const std::vector<std::size_t>& ops = chains[q];
+  for (std::size_t q = 0; q < num_qubits; ++q) {
+    const std::span<const std::size_t> ops = chains[static_cast<int>(q)];
     first_edge[q + 1] = first_edge[q] + (ops.empty() ? 0 : ops.size() - 1);
     for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
       ++arc_begin[ops[i] + 1];
@@ -192,8 +207,8 @@ std::vector<SingleCut> valid_single_cuts(const Circuit& circuit) {
   };
   std::vector<Arc> arcs(arc_begin[num_ops]);
   std::vector<std::size_t> fill(arc_begin.begin(), arc_begin.end() - 1);
-  for (std::size_t q = 0; q < chains.size(); ++q) {
-    const std::vector<std::size_t>& ops = chains[q];
+  for (std::size_t q = 0; q < num_qubits; ++q) {
+    const std::span<const std::size_t> ops = chains[static_cast<int>(q)];
     for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
       const std::size_t edge = first_edge[q] + i;
       arcs[fill[ops[i]]++] = Arc{ops[i + 1], edge};
@@ -216,7 +231,9 @@ std::vector<SingleCut> valid_single_cuts(const Circuit& circuit) {
     std::size_t root = kNone;   // the DFS root of the component
   };
   std::vector<Bridge> bridges(first_edge.back());
+  std::size_t num_bridges = 0;
   std::vector<std::pair<std::size_t, std::size_t>> stack;  // (op, next arc)
+  stack.reserve(num_ops);
   std::size_t counter = 0;
   for (std::size_t root = 0; root < num_ops; ++root) {
     if (enter[root] != kNone) continue;
@@ -243,7 +260,10 @@ std::vector<SingleCut> valid_single_cuts(const Circuit& circuit) {
       if (stack.empty()) continue;
       const std::size_t parent = stack.back().first;
       low[parent] = std::min(low[parent], low[v]);
-      if (low[v] > enter[parent]) bridges[entry_edge[v]] = Bridge{v, root};
+      if (low[v] > enter[parent]) {
+        bridges[entry_edge[v]] = Bridge{v, root};
+        ++num_bridges;
+      }
     }
   }
 
@@ -253,26 +273,26 @@ std::vector<SingleCut> valid_single_cuts(const Circuit& circuit) {
   const auto in_subtree = [&](std::size_t op, std::size_t top) {
     return enter[top] <= enter[op] && enter[op] <= last[top];
   };
-  std::vector<SingleCut> cuts;
-  for (std::size_t q = 0; q < chains.size(); ++q) {
-    const std::vector<std::size_t>& ops = chains[q];
+  SingleCuts cuts;
+  cuts.num_ops = num_ops;
+  cuts.points.reserve(num_bridges);
+  cuts.down_ops.reserve(num_bridges);
+  cuts.op_sides.reserve(num_bridges * num_ops);
+  for (std::size_t q = 0; q < num_qubits; ++q) {
+    const std::span<const std::size_t> ops = chains[static_cast<int>(q)];
     for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
       const Bridge& bridge = bridges[first_edge[q] + i];
       if (bridge.child == kNone) continue;
       const bool subtree_is_downstream = bridge.child == ops[i + 1];
-      SingleCut cut;
-      cut.point = WirePoint{static_cast<int>(q), ops[i]};
-      cut.down_op = ops[i + 1];
-      cut.analysis.cut_qubits = {static_cast<int>(q)};
-      cut.analysis.op_fragment.resize(num_ops);
+      cuts.points.push_back(WirePoint{static_cast<int>(q), ops[i]});
+      cuts.down_ops.push_back(ops[i + 1]);
       for (std::size_t op = 0; op < num_ops; ++op) {
         const bool downstream =
             subtree_is_downstream
                 ? in_subtree(op, bridge.child)
                 : in_subtree(op, bridge.root) && !in_subtree(op, bridge.child);
-        cut.analysis.op_fragment[op] = downstream ? FragmentId::Downstream : FragmentId::Upstream;
+        cuts.op_sides.push_back(downstream ? FragmentId::Downstream : FragmentId::Upstream);
       }
-      cuts.push_back(std::move(cut));
     }
   }
   return cuts;

@@ -55,15 +55,35 @@ struct CutAnalysis {
                                                           std::span<const WirePoint> cuts,
                                                           std::string* why = nullptr);
 
-/// Every qubit's op chain (chains[q] == circuit.ops_on_qubit(q)), the
-/// structure cut analysis walks.
-[[nodiscard]] std::vector<std::vector<std::size_t>> wire_chains(const Circuit& circuit);
+/// Every qubit's op chain in two flat arrays, the structure cut analysis
+/// walks: (*this)[q] == circuit.ops_on_qubit(q).
+struct WireChains {
+  std::vector<std::size_t> begin;  // qubit q's ops are ops[begin[q], begin[q + 1])
+  std::vector<std::size_t> ops;
 
-/// One valid single cut and its analysis.
-struct SingleCut {
-  WirePoint point;
-  std::size_t down_op = 0;  // the op after point.after_op on point.qubit
-  CutAnalysis analysis;     // == try_analyze_cuts(circuit, {point})
+  [[nodiscard]] std::span<const std::size_t> operator[](int q) const noexcept {
+    const auto i = static_cast<std::size_t>(q);
+    return std::span<const std::size_t>(ops).subspan(begin[i], begin[i + 1] - begin[i]);
+  }
+};
+
+[[nodiscard]] WireChains wire_chains(const Circuit& circuit);
+
+/// Every valid single cut of a circuit, in flat buffers: cut i cuts after
+/// points[i], the op after it on its wire is down_ops[i], and sides(i) is
+/// try_analyze_cuts(circuit, {points[i]})->op_fragment (its cut_qubits is
+/// {points[i].qubit}).
+struct SingleCuts {
+  std::size_t num_ops = 0;
+  std::vector<WirePoint> points;
+  std::vector<std::size_t> down_ops;
+  std::vector<FragmentId> op_sides;  // num_ops per cut, cut after cut
+
+  [[nodiscard]] std::size_t size() const noexcept { return points.size(); }
+  [[nodiscard]] bool empty() const noexcept { return points.empty(); }
+  [[nodiscard]] std::span<const FragmentId> sides(std::size_t i) const noexcept {
+    return std::span<const FragmentId>(op_sides).subspan(i * num_ops, num_ops);
+  }
 };
 
 /// Every single cut try_analyze_cuts accepts, in the order of a scan over
@@ -72,7 +92,8 @@ struct SingleCut {
 /// are nodes and each pair of consecutive ops on a wire is an edge of its
 /// own (two ops sharing two wires are joined twice), so a single cut is
 /// valid exactly when its wire segment is a bridge, and its downstream
-/// fragment is the side of the bridge that holds down_op.
-[[nodiscard]] std::vector<SingleCut> valid_single_cuts(const Circuit& circuit);
+/// fragment is the side of the bridge that holds down_op. Allocates a fixed
+/// number of blocks, none per cut or per op.
+[[nodiscard]] SingleCuts valid_single_cuts(const Circuit& circuit);
 
 }  // namespace qcut::circuit

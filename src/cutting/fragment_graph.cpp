@@ -24,37 +24,32 @@ int FragmentGraph::max_fragment_width() const {
   return widest;
 }
 
-SplitQubits split_qubits(const Circuit& circuit, const CutAnalysis& analysis) {
+SplitQubits split_qubits(const Circuit& circuit, std::span<const FragmentId> op_sides) {
   const int n = circuit.num_qubits();
   constexpr std::uint8_t kUp = 1;
   constexpr std::uint8_t kDown = 2;
-  std::vector<std::uint8_t> sides(static_cast<std::size_t>(n), 0);
+  std::array<std::uint8_t, Circuit::kMaxQubits> sides{};
   for (std::size_t i = 0; i < circuit.num_ops(); ++i) {
-    const std::uint8_t side = analysis.op_fragment[i] == FragmentId::Upstream ? kUp : kDown;
+    const std::uint8_t side = op_sides[i] == FragmentId::Upstream ? kUp : kDown;
     for (int q : circuit.op(i).qubits) sides[static_cast<std::size_t>(q)] |= side;
-  }
-  // Idle qubits contribute a deterministic |0> output bit; they are measured
-  // in the first fragment. (Sub-circuits below the first split have no idle
-  // qubits: every suffix qubit carries at least one downstream op.)
-  for (std::uint8_t& side : sides) {
-    if (side == 0) side = kUp;
   }
 
   SplitQubits split;
-  split.up_local_of.assign(static_cast<std::size_t>(n), -1);
-  split.down_local_of.assign(static_cast<std::size_t>(n), -1);
-  split.up_to_sub.reserve(static_cast<std::size_t>(n));
-  split.down_to_sub.reserve(static_cast<std::size_t>(n));
+  split.up_local_of.fill(-1);
+  split.down_local_of.fill(-1);
   for (int q = 0; q < n; ++q) {
-    const std::uint8_t side = sides[static_cast<std::size_t>(q)];
+    std::uint8_t side = sides[static_cast<std::size_t>(q)];
+    // Idle qubits contribute a deterministic |0> output bit; they are
+    // measured in the first fragment. (Sub-circuits below the first split
+    // have no idle qubits: every suffix qubit carries a downstream op.)
+    if (side == 0) side = kUp;
     if ((side & kUp) != 0) {
-      split.up_local_of[static_cast<std::size_t>(q)] = static_cast<int>(split.up_to_sub.size());
-      split.up_to_sub.push_back(q);
+      split.up_local_of[static_cast<std::size_t>(q)] = split.up_width;
+      split.up_qubits[static_cast<std::size_t>(split.up_width++)] = q;
     }
     if ((side & kDown) != 0) {
-      split.down_local_of[static_cast<std::size_t>(q)] =
-          static_cast<int>(split.down_to_sub.size());
-      split.down_to_sub.push_back(q);
+      split.down_local_of[static_cast<std::size_t>(q)] = split.down_width;
+      split.down_qubits[static_cast<std::size_t>(split.down_width++)] = q;
     }
   }
   return split;
@@ -80,12 +75,13 @@ Split split_at(const Circuit& sub, std::span<const WirePoint> cuts, int boundary
              "make_fragment_chain: boundary " + std::to_string(boundary_index) + ": " + why);
 
   Split split;
-  split.qubits = split_qubits(sub, *analysis);
+  split.qubits = split_qubits(sub, analysis->op_fragment);
   const SplitQubits& qubits = split.qubits;
-  QCUT_CHECK(!qubits.up_to_sub.empty() && !qubits.down_to_sub.empty(),
+  QCUT_CHECK(qubits.up_width > 0 && qubits.down_width > 0,
              "make_fragment_chain: boundary " + std::to_string(boundary_index) +
                  ": both sides must contain at least one qubit");
 
+  split.cut_qubits.reserve(analysis->cut_qubits.size());
   for (int cut_qubit : analysis->cut_qubits) {
     QCUT_ASSERT(qubits.up_local_of[static_cast<std::size_t>(cut_qubit)] >= 0 &&
                     qubits.down_local_of[static_cast<std::size_t>(cut_qubit)] >= 0,
@@ -96,8 +92,8 @@ Split split_at(const Circuit& sub, std::span<const WirePoint> cuts, int boundary
   const std::vector<FragmentId>& side_of = analysis->op_fragment;
   const auto num_up = static_cast<std::size_t>(
       std::count(side_of.begin(), side_of.end(), FragmentId::Upstream));
-  split.up = Circuit(static_cast<int>(qubits.up_to_sub.size()));
-  split.down = Circuit(static_cast<int>(qubits.down_to_sub.size()));
+  split.up = Circuit(qubits.up_width);
+  split.down = Circuit(qubits.down_width);
   split.up.reserve(num_up);
   split.down.reserve(sub.num_ops() - num_up);
   split.op_to_down.assign(sub.num_ops(), -1);
@@ -116,8 +112,11 @@ Split split_at(const Circuit& sub, std::span<const WirePoint> cuts, int boundary
 /// Final-bit bookkeeping: every local that is not an outgoing tomography
 /// qubit is a final bit of the uncut circuit.
 void finish_fragment(ChainFragment& fragment) {
-  std::vector<bool> is_cut(static_cast<std::size_t>(fragment.width()), false);
+  std::array<bool, Circuit::kMaxQubits> is_cut{};
   for (int local : fragment.out_cut_qubits) is_cut[static_cast<std::size_t>(local)] = true;
+  const auto outputs = static_cast<std::size_t>(fragment.width() - fragment.num_out());
+  fragment.output_qubits.reserve(outputs);
+  fragment.output_original.reserve(outputs);
   for (int local = 0; local < fragment.width(); ++local) {
     if (!is_cut[static_cast<std::size_t>(local)]) {
       fragment.output_qubits.push_back(local);
@@ -138,6 +137,8 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
 
   FragmentGraph graph;
   graph.num_original_qubits = circuit.num_qubits();
+  graph.fragments.reserve(boundaries.size() + 1);
+  graph.boundaries.reserve(boundaries.size());
 
   // The not-yet-split tail of the chain, with maps from original-circuit
   // coordinates into it (boundary points are given in original coordinates).
@@ -183,7 +184,10 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
 
     ChainFragment fragment;
     fragment.circuit = std::move(split.up);
-    for (int sub : split.qubits.up_to_sub) {
+    fragment.to_original.reserve(static_cast<std::size_t>(split.qubits.up_width));
+    fragment.in_qubits.reserve(pending_in_original.size());
+    fragment.out_cut_qubits.reserve(split.cut_qubits.size());
+    for (int sub : split.qubits.up_to_sub()) {
       fragment.to_original.push_back(suffix_to_original[static_cast<std::size_t>(sub)]);
     }
 
@@ -203,6 +207,7 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
 
     ChainBoundary boundary;
     boundary.points = boundaries[b];
+    boundary.wires.reserve(split.cut_qubits.size());
     for (int sub_qubit : split.cut_qubits) {
       BoundaryWire wire;
       wire.original_qubit = suffix_to_original[static_cast<std::size_t>(sub_qubit)];
@@ -222,7 +227,8 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
 
     // Re-anchor the original-coordinate maps on the new suffix.
     std::vector<int> next_to_original;
-    for (int sub : split.qubits.down_to_sub) {
+    next_to_original.reserve(static_cast<std::size_t>(split.qubits.down_width));
+    for (int sub : split.qubits.down_to_sub()) {
       next_to_original.push_back(suffix_to_original[static_cast<std::size_t>(sub)]);
     }
     std::vector<int> next_qubit_to_suffix(static_cast<std::size_t>(circuit.num_qubits()), -1);
@@ -247,6 +253,7 @@ FragmentGraph make_fragment_chain(const Circuit& circuit,
   ChainFragment last;
   last.circuit = std::move(suffix);
   last.to_original = std::move(suffix_to_original);
+  last.in_qubits.reserve(pending_in_original.size());
   for (std::size_t w = 0; w < pending_in_original.size(); ++w) {
     const int local = qubit_to_suffix[static_cast<std::size_t>(pending_in_original[w])];
     QCUT_ASSERT(local >= 0, "make_fragment_chain: lost a cut wire of the final boundary");

@@ -17,6 +17,7 @@
 // items). The classic two-fragment split is the N=2 chain: Bipartition
 // (golden.hpp) names it and make_bipartition builds it.
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -83,17 +84,32 @@ struct FragmentGraph {
 /// upstream op touches, plus every qubit no op touches, goes upstream; every
 /// qubit a downstream op touches goes downstream; locals are assigned in
 /// ascending qubit order. make_fragment_chain and the cut planner share this
-/// one definition of which qubit lands where.
+/// one definition of which qubit lands where. A circuit has at most
+/// Circuit::kMaxQubits qubits, so the maps are inline and a split
+/// allocates nothing.
 struct SplitQubits {
-  std::vector<int> up_local_of;    // qubit -> upstream local (-1 if absent)
-  std::vector<int> down_local_of;  // qubit -> downstream local (-1 if absent)
-  std::vector<int> up_to_sub;      // upstream local -> qubit (ascending)
-  std::vector<int> down_to_sub;    // downstream local -> qubit (ascending)
+  using QubitMap = std::array<int, Circuit::kMaxQubits>;
+  QubitMap up_local_of{};    // qubit -> upstream local (-1 if absent)
+  QubitMap down_local_of{};  // qubit -> downstream local (-1 if absent)
+  QubitMap up_qubits{};      // upstream local -> qubit, the first up_width entries
+  QubitMap down_qubits{};    // downstream local -> qubit, the first down_width entries
+  int up_width = 0;
+  int down_width = 0;
+
+  /// Upstream local -> qubit (ascending).
+  [[nodiscard]] std::span<const int> up_to_sub() const noexcept {
+    return {up_qubits.data(), static_cast<std::size_t>(up_width)};
+  }
+  /// Downstream local -> qubit (ascending).
+  [[nodiscard]] std::span<const int> down_to_sub() const noexcept {
+    return {down_qubits.data(), static_cast<std::size_t>(down_width)};
+  }
 };
 
-/// The qubit assignment of `circuit` split by `analysis`.
+/// The qubit assignment of `circuit` split by `op_sides` (a cut analysis's
+/// op_fragment).
 [[nodiscard]] SplitQubits split_qubits(const Circuit& circuit,
-                                       const circuit::CutAnalysis& analysis);
+                                       std::span<const circuit::FragmentId> op_sides);
 
 /// Splits `circuit` into an N-fragment chain at the given per-boundary cut
 /// groups (boundaries[b] separates fragment b from fragment b+1). Throws

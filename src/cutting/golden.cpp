@@ -147,6 +147,37 @@ GoldenDetectionReport detect_golden_exact(const Bipartition& bp, double tol) {
   return detect_golden_exact_core(fragment_layout(upstream), psi.amplitudes(), tol);
 }
 
+std::array<double, 4> single_cut_violations(std::span<const linalg::cx> amps, int cut_qubit,
+                                            std::span<const int> out_qubits) {
+  // One cut, no context: per output bitstring, the traces of its 2x2
+  // conditional matrix rho[c][c'] = a_c * conj(a_c') against I, X, Y and
+  // Z, written out. They are the dense sum of the multi-cut test without
+  // its products with the Paulis' zero entries, which add only signed
+  // zeros, and its products with 1, -1, i and -i, which are exact: each
+  // trace has the dense sum's value, so |trace| has its bits.
+  const index_t cut_bit = pow2(cut_qubit);
+  const index_t out_dim = pow2(static_cast<int>(out_qubits.size()));
+  std::array<double, 4> violation = {0.0, 0.0, 0.0, 0.0};
+  for (index_t b1 = 0; b1 < out_dim; ++b1) {
+    const index_t base = scatter_bits(b1, out_qubits);
+    const linalg::cx a0 = amps[base];
+    const linalg::cx a1 = amps[base | cut_bit];
+    const linalg::cx r00 = a0 * std::conj(a0);
+    const linalg::cx r01 = a0 * std::conj(a1);
+    const linalg::cx r10 = a1 * std::conj(a0);
+    const linalg::cx r11 = a1 * std::conj(a1);
+    const std::array<double, 4> traces = {
+        std::abs(r00 + r11),                                                     // I
+        std::abs(r01 + r10),                                                     // X
+        std::abs(linalg::cx{r10.imag() - r01.imag(), r01.real() - r10.real()}),  // Y
+        std::abs(r00 - r11)};                                                    // Z
+    for (std::size_t p = 0; p < traces.size(); ++p) {
+      violation[p] = std::max(violation[p], traces[p]);
+    }
+  }
+  return violation;
+}
+
 GoldenDetectionReport detect_golden_exact_core(const FragmentLayout& layout,
                                                std::span<const linalg::cx> amps, double tol) {
   QCUT_CHECK(amps.size() == pow2(layout.width),
@@ -161,31 +192,8 @@ GoldenDetectionReport detect_golden_exact_core(const FragmentLayout& layout,
   report.golden.assign(static_cast<std::size_t>(num_cuts), {false, false, false, false});
 
   if (num_cuts == 1) {
-    // One cut, no context: per output bitstring, the traces of its 2x2
-    // conditional matrix rho[c][c'] = a_c * conj(a_c') against I, X, Y and
-    // Z, written out. They are the dense sum below without its products
-    // with the Paulis' zero entries, which add only signed zeros, and its
-    // products with 1, -1, i and -i, which are exact: each trace has the
-    // dense sum's value, so |trace| has its bits.
-    const index_t cut_bit = pow2(cut_qubits.front());
     std::array<double, 4>& violation = report.violation.front();
-    for (index_t b1 = 0; b1 < out_dim; ++b1) {
-      const index_t base = scatter_bits(b1, out_qubits);
-      const linalg::cx a0 = amps[base];
-      const linalg::cx a1 = amps[base | cut_bit];
-      const linalg::cx r00 = a0 * std::conj(a0);
-      const linalg::cx r01 = a0 * std::conj(a1);
-      const linalg::cx r10 = a1 * std::conj(a0);
-      const linalg::cx r11 = a1 * std::conj(a1);
-      const std::array<double, 4> traces = {
-          std::abs(r00 + r11),                                                     // I
-          std::abs(r01 + r10),                                                     // X
-          std::abs(linalg::cx{r10.imag() - r01.imag(), r01.real() - r10.real()}),  // Y
-          std::abs(r00 - r11)};                                                    // Z
-      for (std::size_t p = 0; p < traces.size(); ++p) {
-        violation[p] = std::max(violation[p], traces[p]);
-      }
-    }
+    violation = single_cut_violations(amps, cut_qubits.front(), out_qubits);
     for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
       report.golden.front()[static_cast<std::size_t>(p)] =
           violation[static_cast<std::size_t>(p)] <= tol;

@@ -137,6 +137,15 @@ struct FragmentLayout {
 [[nodiscard]] GoldenDetectionReport detect_golden_exact_core(
     const FragmentLayout& layout, std::span<const linalg::cx> amplitudes, double tol = 1e-9);
 
+/// The one-cut case of detect_golden_exact_core, without a report: per
+/// Pauli {I, X, Y, Z}, the largest |tr(P rho_b1)| over output bitstrings
+/// b1 of the cut qubit's conditional matrix rho_b1, read from `amplitudes`
+/// with the cut wire on bit `cut_qubit` and bit j of b1 on bit
+/// out_qubits[j]. Qubits in neither are read at 0. Allocates nothing.
+[[nodiscard]] std::array<double, 4> single_cut_violations(std::span<const linalg::cx> amplitudes,
+                                                          int cut_qubit,
+                                                          std::span<const int> out_qubits);
+
 /// Options for the statistical (online) detector.
 struct OnlineDetectionOptions {
   double alpha = 0.05;        // family-wise false-positive rate under H0

@@ -12,83 +12,195 @@
 #include "common/error.hpp"
 #include "cutting/fragment_graph.hpp"
 #include "cutting/variants.hpp"
-#include "linalg/ops.hpp"
 #include "sim/statevector.hpp"
 
 namespace qcut::cutting {
 
 namespace {
 
-/// What ranking and golden detection need from one single cut, read off
-/// its cut analysis instead of built fragment circuits. The qubit
-/// assignment is make_fragment_chain's own (split_qubits), so the layout is
-/// the one make_bipartition's fragments f1 and f2 would have.
-struct CutView {
-  circuit::CutAnalysis analysis;
-  SplitQubits qubits;       // original qubit <-> f1 / f2 locals
-  FragmentLayout upstream;  // f1: width, cut-wire local, output locals
+using circuit::FragmentId;
+/// A list of qubits, inline: a circuit has at most Circuit::kMaxQubits.
+using Qubits = circuit::InlineList<int, Circuit::kMaxQubits>;
 
-  [[nodiscard]] int f1_width() const noexcept { return upstream.width; }
-  [[nodiscard]] int f2_width() const noexcept {
-    return static_cast<int>(qubits.down_to_sub.size());
+/// Every op's unitary, computed once per planner call: a named gate's
+/// inline matrix (circuit::gate_matrix_1q/2q/3q), its entries back to back
+/// in one buffer, and a Custom op's stored matrix, read in place. The
+/// screen's adjoints are computed into a second buffer on first use.
+class OpMatrices {
+ public:
+  explicit OpMatrices(const Circuit& circuit) {
+    std::size_t named_entries = 0;
+    for (const circuit::Operation& op : circuit.ops()) {
+      if (op.kind != circuit::GateKind::Custom) named_entries += pow2(2 * op.num_qubits());
+    }
+    entries_.resize(named_entries);
+    views_.reserve(circuit.num_ops());
+    linalg::cx* next = entries_.data();
+    const auto keep = [&](const auto& m) {
+      std::copy(m.entries.begin(), m.entries.end(), next);
+      views_.push_back(linalg::SquareView{next, m.view().dim});
+      next += m.entries.size();
+    };
+    for (const circuit::Operation& op : circuit.ops()) {
+      if (op.kind == circuit::GateKind::Custom) {
+        views_.push_back(op.custom.view());
+      } else if (op.num_qubits() == 1) {
+        keep(circuit::gate_matrix_1q(op.kind, op.params));
+      } else if (op.num_qubits() == 2) {
+        keep(circuit::gate_matrix_2q(op.kind, op.params));
+      } else {
+        keep(circuit::gate_matrix_3q(op.kind));
+      }
+    }
   }
 
-  /// Original qubits of the f1 outputs (the observable planner's
-  /// factorization side A; f2's are qubits.down_to_sub).
-  [[nodiscard]] std::vector<int> output_original() const {
-    std::vector<int> out;
-    out.reserve(upstream.out_qubits.size());
-    for (int local : upstream.out_qubits) {
-      out.push_back(qubits.up_to_sub[static_cast<std::size_t>(local)]);
+  [[nodiscard]] linalg::SquareView operator[](std::size_t op) const { return views_[op]; }
+
+  /// The conjugate transpose of op `op`'s matrix (linalg::dagger's entries).
+  [[nodiscard]] linalg::SquareView adjoint(std::size_t op) {
+    if (adjoint_views_.empty()) {
+      std::size_t total = 0;
+      for (const linalg::SquareView m : views_) total += m.dim * m.dim;
+      adjoint_entries_.resize(total);
+      adjoint_views_.reserve(views_.size());
+      linalg::cx* next = adjoint_entries_.data();
+      for (const linalg::SquareView m : views_) {
+        for (std::size_t r = 0; r < m.dim; ++r) {
+          for (std::size_t c = 0; c < m.dim; ++c) next[c * m.dim + r] = std::conj(m(r, c));
+        }
+        adjoint_views_.push_back(linalg::SquareView{next, m.dim});
+        next += m.dim * m.dim;
+      }
+    }
+    return adjoint_views_[op];
+  }
+
+ private:
+  std::vector<linalg::cx> entries_;
+  std::vector<linalg::SquareView> views_;
+  std::vector<linalg::cx> adjoint_entries_;
+  std::vector<linalg::SquareView> adjoint_views_;
+};
+
+/// What ranking and golden detection need from one single cut, read off
+/// the cut scan instead of built fragment circuits. The qubit assignment
+/// is make_fragment_chain's own (split_qubits), so f1's layout is the one
+/// make_bipartition's fragment 0 would have. Fixed size: the qubit maps
+/// are inline and the op sides a row of the scan's table.
+struct CutView {
+  WirePoint point;
+  std::size_t down_op = 0;  // the op after point.after_op on its wire
+  std::span<const FragmentId> sides;
+  std::size_t downstream_ops = 0;
+  SplitQubits qubits;  // original qubit <-> f1 / f2 locals
+
+  [[nodiscard]] int f1_width() const noexcept { return qubits.up_width; }
+  [[nodiscard]] int f2_width() const noexcept { return qubits.down_width; }
+  [[nodiscard]] int cut_local() const noexcept {
+    return qubits.up_local_of[static_cast<std::size_t>(point.qubit)];
+  }
+
+  /// f1's output locals: every local but the cut wire's, ascending.
+  [[nodiscard]] Qubits output_locals() const {
+    Qubits out(static_cast<std::size_t>(f1_width() - 1));
+    std::size_t next = 0;
+    for (int local = 0; local < f1_width(); ++local) {
+      if (local != cut_local()) out[next++] = local;
+    }
+    return out;
+  }
+
+  /// The original qubits of those outputs, in the same order.
+  [[nodiscard]] Qubits output_original() const {
+    Qubits out(static_cast<std::size_t>(f1_width() - 1));
+    std::size_t next = 0;
+    for (const int q : qubits.up_to_sub()) {
+      if (q != point.qubit) out[next++] = q;
     }
     return out;
   }
 };
 
-CutView make_cut_view(const Circuit& circuit, circuit::CutAnalysis analysis) {
-  CutView view;
-  view.qubits = split_qubits(circuit, analysis);
-  FragmentLayout& up = view.upstream;
-  up.num_cuts = static_cast<int>(analysis.cut_qubits.size());
-  up.width = static_cast<int>(view.qubits.up_to_sub.size());
-  up.cut_qubits.reserve(analysis.cut_qubits.size());
-  for (int q : analysis.cut_qubits) {
-    up.cut_qubits.push_back(view.qubits.up_local_of[static_cast<std::size_t>(q)]);
-  }
-  // Every f1 local that is not a cut wire is an output (finish_fragment's rule).
-  up.out_qubits.reserve(static_cast<std::size_t>(up.width));
-  for (int local = 0; local < up.width; ++local) {
-    if (std::find(up.cut_qubits.begin(), up.cut_qubits.end(), local) == up.cut_qubits.end()) {
-      up.out_qubits.push_back(local);
+/// Which of X, Y and Z are golden at `tol`: bit p - 1 for Pauli p.
+std::uint8_t golden_pattern(const std::array<double, 4>& violation, double tol) {
+  std::uint8_t pattern = 0;
+  for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+    if (violation[static_cast<std::size_t>(p)] <= tol) {
+      pattern |= static_cast<std::uint8_t>(1U << (static_cast<int>(p) - 1));
     }
   }
-  view.analysis = std::move(analysis);
-  return view;
+  return pattern;
 }
 
-/// Every op's unitary, computed once per planner call.
-std::vector<linalg::CMat> op_matrices(const Circuit& circuit) {
-  std::vector<linalg::CMat> matrices;
-  matrices.reserve(circuit.num_ops());
-  for (const circuit::Operation& op : circuit.ops()) matrices.push_back(op.matrix());
-  return matrices;
-}
+/// One judged cut, compact: what ranking reads, until a CutCandidate is
+/// built for a cut the caller gets back.
+struct Judged {
+  std::array<double, 4> violation = {0.0, 0.0, 0.0, 0.0};
+  std::uint8_t golden = 0;  // golden_pattern
+  bool screened = false;    // violation from the screen, not the exact detector
+};
 
-/// The f1 state of `view`, simulated in place: every upstream op of the
-/// original circuit, in program order, on its f1-local qubits. These are
-/// the ops, matrices and qubit lists of make_bipartition's fragment 0, so
-/// the amplitudes are bit for bit the same.
-sim::StateVector simulate_upstream(const Circuit& circuit,
-                                   std::span<const linalg::CMat> matrices, const CutView& view) {
-  sim::StateVector psi(view.f1_width());
-  for (std::size_t i = 0; i < circuit.num_ops(); ++i) {
-    if (view.analysis.op_fragment[i] != circuit::FragmentId::Upstream) continue;
-    circuit::QubitList locals = circuit.op(i).qubits;
-    for (int& q : locals) q = view.qubits.up_local_of[static_cast<std::size_t>(q)];
-    psi.apply_matrix(matrices[i], locals);
+/// One planner call's cuts: every valid single cut from one flat scan, its
+/// view, every op's matrix, and one f1 register reused across cuts.
+class CutScan {
+ public:
+  explicit CutScan(const Circuit& circuit)
+      : circuit_(circuit),
+        cuts_(circuit::valid_single_cuts(circuit)),
+        matrices_(circuit),
+        f1_(circuit.num_qubits()) {
+    views_.reserve(cuts_.size());
+    for (std::size_t i = 0; i < cuts_.size(); ++i) {
+      CutView view;
+      view.point = cuts_.points[i];
+      view.down_op = cuts_.down_ops[i];
+      view.sides = cuts_.sides(i);
+      view.downstream_ops = static_cast<std::size_t>(
+          std::count(view.sides.begin(), view.sides.end(), FragmentId::Downstream));
+      view.qubits = split_qubits(circuit, view.sides);
+      views_.push_back(view);
+    }
   }
-  return psi;
-}
+
+  [[nodiscard]] const Circuit& circuit() const noexcept { return circuit_; }
+  [[nodiscard]] std::size_t size() const noexcept { return views_.size(); }
+  [[nodiscard]] const CutView& view(std::size_t i) const { return views_[i]; }
+  [[nodiscard]] OpMatrices& matrices() noexcept { return matrices_; }
+
+  /// The f1 amplitudes of cut i, simulated in the reused register: every
+  /// upstream op of the circuit, in program order, on its f1-local qubits.
+  /// These are the ops, matrices and qubit lists of make_bipartition's
+  /// fragment 0, so the amplitudes are bit for bit the same. Valid until
+  /// the next call.
+  std::span<const linalg::cx> upstream(std::size_t i) {
+    const CutView& view = views_[i];
+    f1_.reset(view.f1_width());
+    for (std::size_t op = 0; op < circuit_.num_ops(); ++op) {
+      if (view.sides[op] != FragmentId::Upstream) continue;
+      circuit::QubitList locals = circuit_.op(op).qubits;
+      for (int& q : locals) q = view.qubits.up_local_of[static_cast<std::size_t>(q)];
+      f1_.apply_matrix(matrices_[op], locals);
+    }
+    return f1_.amplitudes();
+  }
+
+  /// Cut i judged by the exact detector at `tol`.
+  Judged judge_exactly(std::size_t i, double tol) {
+    const std::span<const linalg::cx> amplitudes = upstream(i);
+    Judged judged;
+    judged.violation =
+        single_cut_violations(amplitudes, views_[i].cut_local(), views_[i].output_locals());
+    judged.golden = golden_pattern(judged.violation, tol);
+    return judged;
+  }
+
+ private:
+  const Circuit& circuit_;
+  circuit::SingleCuts cuts_;
+  std::vector<CutView> views_;
+  OpMatrices matrices_;
+  sim::StateVector f1_;
+};
 
 /// What a single cut's neglect spec costs.
 struct SpecCosts {
@@ -97,10 +209,9 @@ struct SpecCosts {
   std::size_t preps = 0;     // downstream preparations
 };
 
-/// The SpecCosts of a single cut's report. They depend only on which of X,
-/// Y and Z are golden, so each of the 8 patterns is derived once per
-/// process.
-const SpecCosts& spec_costs(const GoldenDetectionReport& report) {
+/// The SpecCosts of a golden pattern. They depend only on which of X, Y
+/// and Z are golden, so each of the 8 patterns is derived once per process.
+const SpecCosts& spec_costs(std::uint8_t pattern) {
   static const std::array<SpecCosts, 8> table = [] {
     std::array<SpecCosts, 8> costs{};
     for (std::size_t pattern = 0; pattern < costs.size(); ++pattern) {
@@ -113,67 +224,71 @@ const SpecCosts& spec_costs(const GoldenDetectionReport& report) {
     }
     return costs;
   }();
-  std::size_t pattern = 0;
-  for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
-    if (report.golden.front()[static_cast<std::size_t>(p)]) {
-      pattern |= std::size_t{1} << (static_cast<int>(p) - 1);
-    }
-  }
   return table[pattern];
 }
 
-/// CutCandidate from one analyzed cut and its golden report.
-CutCandidate make_candidate(const WirePoint& point, const CutView& view,
-                            const GoldenDetectionReport& report, const SpecCosts& costs) {
+/// CutCandidate of one judged cut.
+CutCandidate make_candidate(const CutView& view, const Judged& judged) {
   CutCandidate candidate;
-  candidate.point = point;
+  candidate.point = view.point;
   candidate.f1_width = view.f1_width();
   candidate.f2_width = view.f2_width();
-  candidate.violation = report.violation.front();
+  candidate.violation = judged.violation;
   for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
-    if (report.golden.front()[static_cast<std::size_t>(p)]) {
-      candidate.golden_bases.push_back(p);
-    }
+    if ((judged.golden >> (static_cast<int>(p) - 1)) & 1U) candidate.golden_bases.push_back(p);
   }
+  const SpecCosts& costs = spec_costs(judged.golden);
   candidate.terms = costs.terms;
   // == count_variants(spec).total()
   candidate.evaluations = costs.settings + costs.preps;
   return candidate;
 }
 
-/// Candidate list; `detect(view, amplitudes)` maps a cut and its f1
-/// amplitudes to the golden report that should rank it.
+/// The record of a detector report on a single cut.
+Judged judged_from(const GoldenDetectionReport& report) {
+  Judged judged;
+  judged.violation = report.violation.front();
+  for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+    if (report.golden.front()[static_cast<std::size_t>(p)]) {
+      judged.golden |= static_cast<std::uint8_t>(1U << (static_cast<int>(p) - 1));
+    }
+  }
+  return judged;
+}
+
+/// Candidate list; `detect(scan, i)` judges cut i the way that should rank
+/// it.
 template <typename Detect>
 std::vector<CutCandidate> enumerate_with(const Circuit& circuit, Detect&& detect) {
-  const std::vector<linalg::CMat> matrices = op_matrices(circuit);
-  std::vector<circuit::SingleCut> cuts = circuit::valid_single_cuts(circuit);
+  CutScan scan(circuit);
   std::vector<CutCandidate> candidates;
-  candidates.reserve(cuts.size());
-  for (circuit::SingleCut& cut : cuts) {
-    const CutView view = make_cut_view(circuit, std::move(cut.analysis));
-    const sim::StateVector upstream = simulate_upstream(circuit, matrices, view);
-    const GoldenDetectionReport report = detect(view, upstream.amplitudes());
-    candidates.push_back(make_candidate(cut.point, view, report, spec_costs(report)));
+  candidates.reserve(scan.size());
+  for (std::size_t i = 0; i < scan.size(); ++i) {
+    candidates.push_back(make_candidate(scan.view(i), detect(scan, i)));
   }
   return candidates;
 }
 
-/// Index of the lowest-scoring candidate (the first of equals).
-std::optional<std::size_t> pick_best(const std::vector<CutCandidate>& candidates,
-                                     const PlannerOptions& options) {
-  if (candidates.empty()) return std::nullopt;
+/// Index of the lowest-scoring candidate (the first of equals); `widths(i)`
+/// and `evaluations(i)` describe candidate i of `n`.
+template <typename Evaluations, typename Widths>
+std::optional<std::size_t> pick_best(std::size_t n, const PlannerOptions& options,
+                                     Evaluations&& evaluations, Widths&& widths) {
+  if (n == 0) return std::nullopt;
 
   // Score: circuit evaluations dominate (that is the paper's wall-time
   // driver); fragment imbalance is penalized so the simulator load stays
   // manageable on small devices.
-  const auto score = [&](const CutCandidate& c) {
-    const double imbalance = std::abs(c.f1_width - c.f2_width);
-    return static_cast<double>(c.evaluations) + options.balance_weight * imbalance;
+  const auto score = [&](std::size_t i) {
+    const auto [f1_width, f2_width] = widths(i);
+    const double imbalance = std::abs(f1_width - f2_width);
+    return static_cast<double>(evaluations(i)) + options.balance_weight * imbalance;
   };
-  const auto best = std::min_element(
-      candidates.begin(), candidates.end(),
-      [&](const CutCandidate& a, const CutCandidate& b) { return score(a) < score(b); });
-  return static_cast<std::size_t>(best - candidates.begin());
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (score(i) < score(best)) best = i;
+  }
+  return best;
 }
 
 // ---- Screening --------------------------------------------------------------
@@ -184,7 +299,7 @@ std::optional<std::size_t> pick_best(const std::vector<CutCandidate>& candidates
 // upstream state on f1's qubits and |0> on the rest. One full simulation
 // per planner call therefore serves every cut whose |D| undo steps on 2^n
 // amplitudes cost less than the |U| forward steps on 2^w1 that
-// simulate_upstream takes, above all cuts whose downstream part is a wire's
+// CutScan::upstream takes, above all cuts whose downstream part is a wire's
 // trailing gates and whose upstream is nearly the whole circuit.
 //
 // Those violations are approximate, so they only screen. A screened
@@ -212,161 +327,139 @@ constexpr std::size_t kMaxScreenedOps = 1024;
 // that outgrows the upstream simulation it would save.
 constexpr int kMaxScreenedQubits = 20;
 
-/// Golden reports for the single cuts of one circuit: screened where that
-/// is cheaper and its verdicts are clear of the tolerance, exact otherwise.
-class CutJudge {
+/// Every valid single cut in scan order, judged: screened where that is
+/// cheaper and its verdicts are clear of the tolerance, exact otherwise.
+/// The plan_* entry points rank these records; confirmed(i) is cut i's
+/// candidate as enumerate_single_cuts reports it.
+class SingleCutRanking {
  public:
-  CutJudge(const Circuit& circuit, double tol)
-      : circuit_(circuit), matrices_(op_matrices(circuit)), tol_(tol) {
+  SingleCutRanking(const Circuit& circuit, double tol) : scan_(circuit), tol_(tol) {
     screenable_ = circuit.num_ops() <= kMaxScreenedOps &&
                   circuit.num_qubits() <= kMaxScreenedQubits &&
                   std::none_of(circuit.ops().begin(), circuit.ops().end(),
                                [](const circuit::Operation& op) {
                                  return op.kind == circuit::GateKind::Custom;
                                });
+    judged_.reserve(scan_.size());
+    for (std::size_t i = 0; i < scan_.size(); ++i) judged_.push_back(judge(i));
   }
 
-  /// The exact detector's report.
-  [[nodiscard]] GoldenDetectionReport exact(const CutView& view) const {
-    const sim::StateVector upstream = simulate_upstream(circuit_, matrices_, view);
-    return detect_golden_exact_core(view.upstream, upstream.amplitudes(), tol_);
+  [[nodiscard]] const Circuit& circuit() const noexcept { return scan_.circuit(); }
+  [[nodiscard]] std::size_t size() const noexcept { return judged_.size(); }
+  [[nodiscard]] const CutView& view(std::size_t i) const { return scan_.view(i); }
+  /// Exact golden verdicts, so exact costs; the violations may be screened.
+  [[nodiscard]] const SpecCosts& costs(std::size_t i) const {
+    return spec_costs(judged_[i].golden);
   }
 
-  /// A report whose golden verdicts are exact(view)'s. Its violations are
-  /// exact unless `screened` is set.
-  GoldenDetectionReport operator()(const CutView& view, bool& screened) {
-    screened = false;
-    if (!screenable_) return exact(view);
-    std::size_t downstream_ops = 0;
-    for (const circuit::FragmentId id : view.analysis.op_fragment) {
-      downstream_ops += id == circuit::FragmentId::Downstream ? 1 : 0;
+  /// The best single cut under `options`' score, if any cut is valid.
+  [[nodiscard]] std::optional<std::size_t> best(const PlannerOptions& options) const {
+    return pick_best(
+        size(), options, [&](std::size_t i) { return costs(i).settings + costs(i).preps; },
+        [&](std::size_t i) { return std::pair{view(i).f1_width(), view(i).f2_width()}; });
+  }
+
+  /// Cut i as enumerate_single_cuts reports it.
+  CutCandidate confirmed(std::size_t i) {
+    Judged& judged = judged_[i];
+    if (judged.screened) {
+      const Judged exact = scan_.judge_exactly(i, tol_);
+      QCUT_ASSERT(exact.golden == judged.golden,
+                  "planner: a screened golden verdict differs from the exact detector's");
+      judged = exact;
     }
-    const std::size_t upstream_ops = circuit_.num_ops() - downstream_ops;
-    if ((downstream_ops << circuit_.num_qubits()) >= (upstream_ops << view.f1_width())) {
-      return exact(view);
-    }
-    GoldenDetectionReport report = screen(view);
-    for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
-      // Written so that NaN goes to the exact detector too.
-      if (!(std::abs(report.violation.front()[static_cast<std::size_t>(p)] - tol_) >
-            kScreenMargin)) {
-        return exact(view);
-      }
-    }
-    screened = true;
-    return report;
+    return make_candidate(view(i), judged);
   }
 
  private:
-  GoldenDetectionReport screen(const CutView& view) {
-    if (!full_.has_value()) {
-      full_.emplace(circuit_.num_qubits());
-      for (std::size_t i = 0; i < circuit_.num_ops(); ++i) {
-        full_->apply_matrix(matrices_[i], circuit_.op(i).qubits);
+  /// A record whose golden verdicts are the exact detector's. Its
+  /// violations are exact unless `screened` is set.
+  Judged judge(std::size_t i) {
+    const CutView& view = scan_.view(i);
+    if (!screenable_) return scan_.judge_exactly(i, tol_);
+    const std::size_t upstream_ops = circuit().num_ops() - view.downstream_ops;
+    if ((view.downstream_ops << circuit().num_qubits()) >= (upstream_ops << view.f1_width())) {
+      return scan_.judge_exactly(i, tol_);
+    }
+    Judged judged;
+    judged.violation = screen(view);
+    for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+      // Written so that NaN goes to the exact detector too.
+      if (!(std::abs(judged.violation[static_cast<std::size_t>(p)] - tol_) > kScreenMargin)) {
+        return scan_.judge_exactly(i, tol_);
       }
     }
-    sim::StateVector state = *full_;
-    for (std::size_t i = circuit_.num_ops(); i-- > 0;) {
-      if (view.analysis.op_fragment[i] != circuit::FragmentId::Downstream) continue;
-      state.apply_matrix(linalg::dagger(matrices_[i]), circuit_.op(i).qubits);
+    judged.golden = golden_pattern(judged.violation, tol_);
+    judged.screened = true;
+    return judged;
+  }
+
+  /// The violations read off the whole circuit's state with `view`'s
+  /// downstream ops undone, in a register reused across cuts.
+  std::array<double, 4> screen(const CutView& view) {
+    const Circuit& c = circuit();
+    OpMatrices& matrices = scan_.matrices();
+    if (!full_.has_value()) {
+      full_.emplace(c.num_qubits());
+      for (std::size_t op = 0; op < c.num_ops(); ++op) {
+        full_->apply_matrix(matrices[op], c.op(op).qubits);
+      }
+      state_.emplace(*full_);
+    } else {
+      *state_ = *full_;
+    }
+    for (std::size_t op = c.num_ops(); op-- > 0;) {
+      if (view.sides[op] != FragmentId::Downstream) continue;
+      state_->apply_matrix(matrices.adjoint(op), c.op(op).qubits);
     }
     // The f1 amplitudes, read in place: f1's cut and output qubits under
     // their original indices, every other qubit at 0.
-    FragmentLayout layout;
-    layout.num_cuts = 1;
-    layout.width = circuit_.num_qubits();
-    layout.cut_qubits = view.analysis.cut_qubits;
-    layout.out_qubits = view.output_original();
-    return detect_golden_exact_core(layout, state.amplitudes(), tol_);
+    return single_cut_violations(state_->amplitudes(), view.point.qubit,
+                                 view.output_original());
   }
 
-  const Circuit& circuit_;
-  std::vector<linalg::CMat> matrices_;
+  CutScan scan_;
   double tol_;
   bool screenable_ = false;
-  std::optional<sim::StateVector> full_;  // the whole circuit, once screened
-};
-
-/// Every valid single cut in scan order, ranked from its judged report, for
-/// the plan_* entry points. confirmed(i) is the exact candidate.
-class SingleCutRanking {
- public:
-  SingleCutRanking(const Circuit& circuit, double tol) : judge_(circuit, tol) {
-    std::vector<circuit::SingleCut> cuts = circuit::valid_single_cuts(circuit);
-    candidates_.reserve(cuts.size());
-    views_.reserve(cuts.size());
-    costs_.reserve(cuts.size());
-    down_ops_.reserve(cuts.size());
-    screened_.reserve(cuts.size());
-    for (circuit::SingleCut& cut : cuts) {
-      CutView view = make_cut_view(circuit, std::move(cut.analysis));
-      bool screened = false;
-      const GoldenDetectionReport report = judge_(view, screened);
-      const SpecCosts& costs = spec_costs(report);
-      candidates_.push_back(make_candidate(cut.point, view, report, costs));
-      costs_.push_back(costs);
-      down_ops_.push_back(cut.down_op);
-      screened_.push_back(screened ? 1 : 0);
-      views_.push_back(std::move(view));
-    }
-  }
-
-  /// Candidates whose golden verdicts, and so terms and evaluations, are
-  /// exact; their violations may be screened.
-  [[nodiscard]] const std::vector<CutCandidate>& candidates() const { return candidates_; }
-  [[nodiscard]] const CutView& view(std::size_t i) const { return views_[i]; }
-  [[nodiscard]] const SpecCosts& costs(std::size_t i) const { return costs_[i]; }
-  [[nodiscard]] std::size_t down_op(std::size_t i) const { return down_ops_[i]; }
-
-  /// Candidate i as enumerate_single_cuts reports it.
-  CutCandidate confirmed(std::size_t i) {
-    if (screened_[i] != 0) {
-      const GoldenDetectionReport report = judge_.exact(views_[i]);
-      CutCandidate exact =
-          make_candidate(candidates_[i].point, views_[i], report, spec_costs(report));
-      QCUT_ASSERT(exact.golden_bases == candidates_[i].golden_bases,
-                  "planner: a screened golden verdict differs from the exact detector's");
-      candidates_[i] = std::move(exact);
-      screened_[i] = 0;
-    }
-    return candidates_[i];
-  }
-
- private:
-  CutJudge judge_;
-  std::vector<CutCandidate> candidates_;
-  std::vector<CutView> views_;
-  std::vector<SpecCosts> costs_;
-  std::vector<std::size_t> down_ops_;
-  std::vector<char> screened_;
+  std::vector<Judged> judged_;
+  std::optional<sim::StateVector> full_;   // the whole circuit, once screened
+  std::optional<sim::StateVector> state_;  // full_ with one cut's downstream undone
 };
 
 }  // namespace
 
 std::vector<CutCandidate> enumerate_single_cuts(const Circuit& circuit, double golden_tol) {
-  return enumerate_with(circuit, [&](const CutView& view, std::span<const linalg::cx> amplitudes) {
-    return detect_golden_exact_core(view.upstream, amplitudes, golden_tol);
-  });
+  return enumerate_with(
+      circuit, [&](CutScan& scan, std::size_t i) { return scan.judge_exactly(i, golden_tol); });
 }
 
 std::vector<CutCandidate> enumerate_single_cuts(const Circuit& circuit,
                                                 const DiagonalObservable& observable,
                                                 double golden_tol) {
-  return enumerate_with(circuit, [&](const CutView& view, std::span<const linalg::cx> amplitudes) {
+  return enumerate_with(circuit, [&](CutScan& scan, std::size_t i) {
+    const CutView& view = scan.view(i);
+    const Qubits outputs = view.output_locals();
+    FragmentLayout layout;
+    layout.num_cuts = 1;
+    layout.width = view.f1_width();
+    layout.cut_qubits = {view.cut_local()};
+    layout.out_qubits.assign(outputs.begin(), outputs.end());
+    const std::span<const linalg::cx> amplitudes = scan.upstream(i);
     std::optional<GoldenDetectionReport> report = try_detect_golden_for_observable_core(
-        view.upstream, amplitudes, observable, view.output_original(), view.qubits.down_to_sub,
+        layout, amplitudes, observable, view.output_original(), view.qubits.down_to_sub(),
         golden_tol);
     // Non-factorizing candidates keep the distribution-level (stronger,
     // hence conservative) verdict.
-    return report.has_value() ? std::move(*report)
-                              : detect_golden_exact_core(view.upstream, amplitudes, golden_tol);
+    return judged_from(report.has_value()
+                           ? *report
+                           : detect_golden_exact_core(layout, amplitudes, golden_tol));
   });
 }
 
 std::optional<CutCandidate> plan_best_single_cut(const Circuit& circuit,
                                                  const PlannerOptions& options) {
   SingleCutRanking ranking(circuit, options.golden_tol);
-  const std::optional<std::size_t> best = pick_best(ranking.candidates(), options);
+  const std::optional<std::size_t> best = ranking.best(options);
   if (!best.has_value()) return std::nullopt;
   return ranking.confirmed(*best);
 }
@@ -376,145 +469,132 @@ std::optional<CutCandidate> plan_best_single_cut(const Circuit& circuit,
                                                  const PlannerOptions& options) {
   std::vector<CutCandidate> candidates =
       enumerate_single_cuts(circuit, observable, options.golden_tol);
-  const std::optional<std::size_t> best = pick_best(candidates, options);
+  const std::optional<std::size_t> best = pick_best(
+      candidates.size(), options, [&](std::size_t i) { return candidates[i].evaluations; },
+      [&](std::size_t i) { return std::pair{candidates[i].f1_width, candidates[i].f2_width}; });
   if (!best.has_value()) return std::nullopt;
   return std::move(candidates[*best]);
 }
 
+GoldenDetectionReport exact_report(const CutCandidate& candidate, double tol) {
+  GoldenDetectionReport report;
+  report.violation = {candidate.violation};
+  report.golden = {{false, false, false, false}};
+  for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+    report.golden.front()[static_cast<std::size_t>(p)] =
+        candidate.violation[static_cast<std::size_t>(p)] <= tol;
+  }
+  return report;
+}
+
 namespace {
 
-/// A set of op indices, 64 to a word.
-using OpSet = std::vector<std::uint64_t>;
+/// The cuts' upstream op sets, one row of 64-bit words per cut.
+class OpSets {
+ public:
+  OpSets(const SingleCutRanking& ranking, std::size_t num_ops)
+      : words_((num_ops + 63) / 64), bits_(ranking.size() * words_, 0) {
+    for (std::size_t i = 0; i < ranking.size(); ++i) {
+      const std::span<const FragmentId> sides = ranking.view(i).sides;
+      std::uint64_t* row = bits_.data() + i * words_;
+      for (std::size_t op = 0; op < num_ops; ++op) {
+        if (sides[op] == FragmentId::Upstream) row[op / 64] |= std::uint64_t{1} << (op % 64);
+      }
+    }
+  }
 
-bool contains(const OpSet& set, std::size_t op) {
-  return ((set[op / 64] >> (op % 64)) & 1U) != 0;
-}
+  [[nodiscard]] bool contains(std::size_t set, std::size_t op) const {
+    return ((row(set)[op / 64] >> (op % 64)) & 1U) != 0;
+  }
 
-/// A single-cut boundary candidate (entry `cut` of the ranking) enriched
-/// with the prefix structure the chain DP needs.
-struct ChainCandidate {
-  std::size_t cut = 0;
-  int f1_width = 0;
-  int f2_width = 0;
-  OpSet upstream_ops;  // the prefix's ops
-  std::size_t num_upstream_ops = 0;
-  std::size_t up_op = 0;    // last prefix op on the cut wire
-  std::size_t down_op = 0;  // first suffix op on the cut wire
-  std::size_t settings_count = 0;  // outgoing settings under the detected spec
-  std::size_t preps_count = 0;     // incoming preps under the detected spec
+  /// Whether set `inner` is a subset of set `outer`.
+  [[nodiscard]] bool subset(std::size_t inner, std::size_t outer) const {
+    for (std::size_t word = 0; word < words_; ++word) {
+      if ((row(inner)[word] & ~row(outer)[word]) != 0) return false;
+    }
+    return true;
+  }
+
+  /// Qubits touched by the ops in `outer` but not in `inner` (the interior
+  /// fragment's width; both cut wires are touched and counted).
+  [[nodiscard]] int segment_width(const Circuit& circuit, std::size_t inner,
+                                  std::size_t outer) const {
+    std::array<bool, Circuit::kMaxQubits> touched{};
+    int width = 0;
+    for (std::size_t word = 0; word < words_; ++word) {
+      for (std::uint64_t ops = row(outer)[word] & ~row(inner)[word]; ops != 0; ops &= ops - 1) {
+        const std::size_t op = word * 64 + static_cast<std::size_t>(std::countr_zero(ops));
+        for (int q : circuit.op(op).qubits) {
+          bool& flag = touched[static_cast<std::size_t>(q)];
+          width += flag ? 0 : 1;
+          flag = true;
+        }
+      }
+    }
+    return width;
+  }
+
+ private:
+  [[nodiscard]] const std::uint64_t* row(std::size_t set) const {
+    return bits_.data() + set * words_;
+  }
+
+  std::size_t words_;
+  std::vector<std::uint64_t> bits_;
 };
-
-std::vector<ChainCandidate> chain_candidates(const Circuit& circuit,
-                                             const SingleCutRanking& ranking) {
-  std::vector<ChainCandidate> out;
-  out.reserve(ranking.candidates().size());
-  for (std::size_t i = 0; i < ranking.candidates().size(); ++i) {
-    const CutCandidate& info = ranking.candidates()[i];
-    const CutView& view = ranking.view(i);
-    ChainCandidate candidate;
-    candidate.cut = i;
-    candidate.f1_width = info.f1_width;
-    candidate.f2_width = info.f2_width;
-    candidate.upstream_ops.assign((circuit.num_ops() + 63) / 64, 0);
-    for (std::size_t op = 0; op < circuit.num_ops(); ++op) {
-      if (view.analysis.op_fragment[op] == circuit::FragmentId::Upstream) {
-        candidate.upstream_ops[op / 64] |= std::uint64_t{1} << (op % 64);
-        ++candidate.num_upstream_ops;
-      }
-    }
-    candidate.up_op = info.point.after_op;
-    candidate.down_op = ranking.down_op(i);
-    candidate.settings_count = ranking.costs(i).settings;
-    candidate.preps_count = ranking.costs(i).preps;
-    out.push_back(std::move(candidate));
-  }
-  return out;
-}
-
-/// Qubits touched by the ops strictly between two prefixes (the interior
-/// fragment's width; both cut wires are touched and counted). `touched`
-/// is scratch space of one flag per qubit.
-int segment_width(const Circuit& circuit, const OpSet& inner, const OpSet& outer,
-                  std::vector<char>& touched) {
-  touched.assign(static_cast<std::size_t>(circuit.num_qubits()), 0);
-  int width = 0;
-  for (std::size_t word = 0; word < outer.size(); ++word) {
-    for (std::uint64_t ops = outer[word] & ~inner[word]; ops != 0; ops &= ops - 1) {
-      const std::size_t op = word * 64 + static_cast<std::size_t>(std::countr_zero(ops));
-      for (int q : circuit.op(op).qubits) {
-        char& flag = touched[static_cast<std::size_t>(q)];
-        width += flag == 0 ? 1 : 0;
-        flag = 1;
-      }
-    }
-  }
-  return width;
-}
-
-bool strict_subset(const ChainCandidate& inner, const ChainCandidate& outer) {
-  if (inner.num_upstream_ops >= outer.num_upstream_ops) return false;
-  for (std::size_t word = 0; word < inner.upstream_ops.size(); ++word) {
-    if ((inner.upstream_ops[word] & ~outer.upstream_ops[word]) != 0) return false;
-  }
-  return true;
-}
 
 }  // namespace
 
-std::optional<ChainPlan> plan_chain_cuts(const Circuit& circuit,
-                                         const ChainPlannerOptions& options) {
+std::optional<PlannedChain> plan_chain(const Circuit& circuit,
+                                       const ChainPlannerOptions& options) {
   SingleCutRanking ranking(circuit, options.base.golden_tol);
-  const std::vector<ChainCandidate> candidates = chain_candidates(circuit, ranking);
-  if (candidates.empty()) return std::nullopt;
+  const std::size_t n = ranking.size();
+  if (n == 0) return std::nullopt;
+  const OpSets upstream(ranking, circuit.num_ops());
+  const auto upstream_ops = [&](std::size_t i) {
+    return circuit.num_ops() - ranking.view(i).downstream_ops;
+  };
 
   const int cap = options.max_fragment_width;
   const auto fits = [&](int width) { return cap == 0 || width <= cap; };
   const int max_nb = std::max(1, options.max_boundaries);
-  const std::size_t n = candidates.size();
+  const auto levels = static_cast<std::size_t>(max_nb) + 1;
 
   constexpr std::size_t kInf = static_cast<std::size_t>(-1);
-  // dp[nb][i]: cheapest evaluations of every fragment closed off when
-  // candidate i is the nb-th boundary of the chain (fragments 0..nb-1).
-  std::vector<std::vector<std::size_t>> dp(static_cast<std::size_t>(max_nb) + 1,
-                                           std::vector<std::size_t>(n, kInf));
-  std::vector<std::vector<std::ptrdiff_t>> parent(
-      static_cast<std::size_t>(max_nb) + 1, std::vector<std::ptrdiff_t>(n, -1));
+  // dp[nb * n + i]: cheapest evaluations of every fragment closed off when
+  // candidate i is the nb-th boundary of the chain (fragments 0..nb-1);
+  // parent[nb * n + i] the boundary before it.
+  std::vector<std::size_t> dp(levels * n, kInf);
+  std::vector<std::ptrdiff_t> parent(levels * n, -1);
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (fits(candidates[i].f1_width)) {
-      dp[1][i] = candidates[i].settings_count;
-    }
+    if (fits(ranking.view(i).f1_width())) dp[n + i] = ranking.costs(i).settings;
   }
   // Valid transitions are independent of the boundary count; compute each
   // (p, i) pair's verdict once instead of re-scanning ops per nb level.
   std::vector<char> transition_ok(max_nb >= 2 ? n * n : 0, 0);
-  std::vector<char> touched;
   if (max_nb >= 2) {
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t i = 0; i < n; ++i) {
-        const ChainCandidate& prev = candidates[p];
-        const ChainCandidate& next = candidates[i];
-        if (!strict_subset(prev, next)) continue;
+        if (upstream_ops(p) >= upstream_ops(i) || !upstream.subset(p, i)) continue;
         // Chain adjacency: the previous boundary's wire resumes, and the
         // next boundary's wire ends, inside the fragment between them.
-        if (!contains(next.upstream_ops, prev.down_op)) continue;
-        if (contains(prev.upstream_ops, next.up_op)) continue;
-        if (!fits(segment_width(circuit, prev.upstream_ops, next.upstream_ops, touched))) {
-          continue;
-        }
+        if (!upstream.contains(i, ranking.view(p).down_op)) continue;
+        if (upstream.contains(p, ranking.view(i).point.after_op)) continue;
+        if (!fits(upstream.segment_width(circuit, p, i))) continue;
         transition_ok[p * n + i] = 1;
       }
     }
   }
-  for (int nb = 2; nb <= max_nb; ++nb) {
+  for (std::size_t nb = 2; nb < levels; ++nb) {
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t p = 0; p < n; ++p) {
-        if (dp[nb - 1][p] == kInf || transition_ok[p * n + i] == 0) continue;
-        const std::size_t cost =
-            dp[nb - 1][p] + candidates[p].preps_count * candidates[i].settings_count;
-        if (cost < dp[nb][i]) {
-          dp[nb][i] = cost;
-          parent[nb][i] = static_cast<std::ptrdiff_t>(p);
+        const std::size_t before = dp[(nb - 1) * n + p];
+        if (before == kInf || transition_ok[p * n + i] == 0) continue;
+        const std::size_t cost = before + ranking.costs(p).preps * ranking.costs(i).settings;
+        if (cost < dp[nb * n + i]) {
+          dp[nb * n + i] = cost;
+          parent[nb * n + i] = static_cast<std::ptrdiff_t>(p);
         }
       }
     }
@@ -523,55 +603,61 @@ std::optional<ChainPlan> plan_chain_cuts(const Circuit& circuit,
   // Close each finite state with its last fragment and rank: fewest total
   // evaluations, then fewer boundaries, then the single-cut tie-break.
   struct Choice {
-    int nb = 0;
+    std::size_t nb = 0;
     std::size_t last = 0;
     std::size_t evaluations = kInf;
+  };
+  const auto imbalance = [&](std::size_t i) {
+    return std::abs(ranking.view(i).f1_width() - ranking.view(i).f2_width());
   };
   std::optional<Choice> best;
   const auto better = [&](const Choice& a, const Choice& b) {
     if (a.evaluations != b.evaluations) return a.evaluations < b.evaluations;
     if (a.nb != b.nb) return a.nb < b.nb;
-    const int ia = std::abs(candidates[a.last].f1_width - candidates[a.last].f2_width);
-    const int ib = std::abs(candidates[b.last].f1_width - candidates[b.last].f2_width);
-    return ia < ib;
+    return imbalance(a.last) < imbalance(b.last);
   };
-  for (int nb = 1; nb <= max_nb; ++nb) {
+  for (std::size_t nb = 1; nb < levels; ++nb) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (dp[nb][i] == kInf) continue;
-      if (!fits(candidates[i].f2_width)) continue;
-      const Choice choice{nb, i, dp[nb][i] + candidates[i].preps_count};
+      if (dp[nb * n + i] == kInf) continue;
+      if (!fits(ranking.view(i).f2_width())) continue;
+      const Choice choice{nb, i, dp[nb * n + i] + ranking.costs(i).preps};
       if (!best.has_value() || better(choice, *best)) best = choice;
     }
   }
   if (!best.has_value()) return std::nullopt;
 
   // Walk the parent chain back to the first boundary.
-  std::vector<std::size_t> path(static_cast<std::size_t>(best->nb));
-  std::size_t at = best->last;
-  for (int nb = best->nb; nb >= 1; --nb) {
-    path[static_cast<std::size_t>(nb - 1)] = at;
-    if (nb > 1) at = static_cast<std::size_t>(parent[nb][at]);
-  }
-
-  ChainPlan plan;
+  PlannedChain planned;
+  ChainPlan& plan = planned.plan;
   plan.evaluations = best->evaluations;
-  for (std::size_t step = 0; step < path.size(); ++step) {
-    const ChainCandidate& candidate = candidates[path[step]];
-    CutCandidate info = ranking.confirmed(candidate.cut);
-    plan.boundaries.push_back({info.point});
-    plan.terms *= info.terms;
-    plan.fragment_widths.push_back(
-        step == 0 ? info.f1_width
-                  : segment_width(circuit, candidates[path[step - 1]].upstream_ops,
-                                  candidate.upstream_ops, touched));
-    plan.boundary_plans.push_back(std::move(info));
+  plan.boundaries.resize(best->nb);
+  plan.boundary_plans.resize(best->nb);
+  plan.fragment_widths.resize(best->nb + 1);
+  std::size_t at = best->last;
+  plan.fragment_widths.back() = ranking.view(at).f2_width();
+  for (std::size_t nb = best->nb; nb >= 1; --nb) {
+    const std::size_t before = nb > 1 ? static_cast<std::size_t>(parent[nb * n + at]) : at;
+    CutCandidate info = ranking.confirmed(at);
+    plan.boundaries[nb - 1] = {info.point};
+    plan.fragment_widths[nb - 1] =
+        nb == 1 ? info.f1_width : upstream.segment_width(circuit, before, at);
+    plan.boundary_plans[nb - 1] = std::move(info);
+    at = before;
   }
-  plan.fragment_widths.push_back(candidates[path.back()].f2_width);
+  for (const CutCandidate& info : plan.boundary_plans) plan.terms *= info.terms;
 
   // The DP conditions mirror make_fragment_chain's validation; building the
-  // graph here catches any divergence before the plan escapes.
-  (void)make_fragment_chain(circuit, plan.boundaries);
-  return plan;
+  // graph here catches any divergence before the plan escapes, and the
+  // caller gets the chain.
+  planned.graph = make_fragment_chain(circuit, plan.boundaries);
+  return planned;
+}
+
+std::optional<ChainPlan> plan_chain_cuts(const Circuit& circuit,
+                                         const ChainPlannerOptions& options) {
+  std::optional<PlannedChain> planned = plan_chain(circuit, options);
+  if (!planned.has_value()) return std::nullopt;
+  return std::move(planned->plan);
 }
 
 }  // namespace qcut::cutting

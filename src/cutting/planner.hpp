@@ -18,10 +18,17 @@
 // difference (planner.cpp). Other cuts, and the cut(s) a plan returns, go
 // to the exact detector, so every plan is the one enumerate_single_cuts
 // would rank, bit for bit.
+//
+// A distribution-level plan_* call allocates a fixed number of blocks and
+// none per cut or per op: the scan writes every cut into flat buffers, op
+// matrices are computed once into inline storage, the qubit maps are
+// inline, one register per role is reused across cuts, and cuts stay
+// compact records until the returned CutCandidate or ChainPlan is built.
 
 #include <optional>
 #include <vector>
 
+#include "cutting/fragment_graph.hpp"
 #include "cutting/golden.hpp"
 #include "cutting/observables.hpp"
 
@@ -120,5 +127,24 @@ struct ChainPlan {
 /// boundary_plans entry is the exact candidate.
 [[nodiscard]] std::optional<ChainPlan> plan_chain_cuts(const Circuit& circuit,
                                                        const ChainPlannerOptions& options = {});
+
+/// A chain plan and its fragment chain.
+struct PlannedChain {
+  ChainPlan plan;
+  FragmentGraph graph;  // == make_fragment_chain(circuit, plan.boundaries)
+};
+
+/// plan_chain_cuts, keeping the chain it builds to validate the plan, so a
+/// caller that executes the plan builds its chain once.
+[[nodiscard]] std::optional<PlannedChain> plan_chain(const Circuit& circuit,
+                                                     const ChainPlannerOptions& options = {});
+
+/// The report detect_golden_exact(make_bipartition(circuit, {candidate.point}),
+/// tol) returns, read off the candidate's exact violations instead of
+/// re-simulating its upstream fragment. `candidate` must carry exact
+/// distribution-level violations: enumerate_single_cuts(circuit)'s do, as
+/// do plan_best_single_cut(circuit)'s result and every
+/// plan_chain_cuts(circuit) boundary plan, at any planner tolerance.
+[[nodiscard]] GoldenDetectionReport exact_report(const CutCandidate& candidate, double tol);
 
 }  // namespace qcut::cutting

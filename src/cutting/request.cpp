@@ -42,6 +42,18 @@ void validate_points(const CutRequest& request, const std::vector<circuit::WireP
   }
 }
 
+/// Whether `value` is a usable tolerance or weight: finite and >= 0 (a
+/// NaN compares false with everything, so it would silently judge nothing
+/// golden or make every score tie).
+bool finite_non_negative(double value) { return std::isfinite(value) && value >= 0.0; }
+
+void validate_planner(const PlannerOptions& planner) {
+  QCUT_CHECK(finite_non_negative(planner.golden_tol),
+             "CutRequest: PlannerOptions::golden_tol must be finite and >= 0");
+  QCUT_CHECK(finite_non_negative(planner.balance_weight),
+             "CutRequest: PlannerOptions::balance_weight must be finite and >= 0");
+}
+
 void validate_cut_selection(const CutRequest& request) {
   if (const auto* points =
           std::get_if<std::vector<circuit::WirePoint>>(&request.cut_selection)) {
@@ -52,6 +64,13 @@ void validate_cut_selection(const CutRequest& request) {
     for (std::size_t b = 0; b < boundaries->size(); ++b) {
       validate_points(request, (*boundaries)[b], "boundary " + std::to_string(b));
     }
+  } else if (const auto* auto_plan = std::get_if<AutoPlan>(&request.cut_selection)) {
+    validate_planner(auto_plan->planner);
+  } else {
+    const ChainPlannerOptions& chain = std::get<AutoChainPlan>(request.cut_selection).planner;
+    validate_planner(chain.base);
+    QCUT_CHECK(chain.max_fragment_width >= 0,
+               "CutRequest: ChainPlannerOptions::max_fragment_width must be >= 0 (0 = no cap)");
   }
   // Auto[Chain]Plan: the planner rejects unplannable circuits at resolve.
 }
@@ -149,6 +168,8 @@ void validate_options(const CutRequest& request) {
                "GoldenMode::Provided");
   }
 
+  QCUT_CHECK(finite_non_negative(options.golden_tol),
+             "CutRequest: golden_tol must be finite and >= 0");
   QCUT_CHECK(!(options.golden_mode == GoldenMode::DetectOnline && options.exact),
              "CutRequest: GoldenMode::DetectOnline requires sampling (exact = false)");
   QCUT_CHECK(options.exact || options.shots_per_variant > 0 || options.total_shot_budget > 0,
@@ -200,9 +221,10 @@ void validate(const CutRequest& request) {
     QCUT_CHECK(request.load_shed->shot_fraction > 0.0 &&
                    request.load_shed->shot_fraction <= 1.0,
                "CutRequest: LoadShedPolicy::shot_fraction must be in (0, 1]");
-    QCUT_CHECK(request.load_shed->golden_tol_multiplier >= 1.0,
-               "CutRequest: LoadShedPolicy::golden_tol_multiplier must be >= 1 (a "
-               "smaller multiplier would tighten, not shed)");
+    QCUT_CHECK(std::isfinite(request.load_shed->golden_tol_multiplier) &&
+                   request.load_shed->golden_tol_multiplier >= 1.0,
+               "CutRequest: LoadShedPolicy::golden_tol_multiplier must be finite and >= 1 "
+               "(a smaller multiplier would tighten, not shed)");
   }
   validate_target(request);
   validate_cut_selection(request);
@@ -269,14 +291,15 @@ ResolvedRequest resolve(const CutRequest& request) {
     resolved.plan = std::move(best);
   } else {
     const AutoChainPlan& chain = std::get<AutoChainPlan>(request.cut_selection);
-    std::optional<ChainPlan> best = plan_chain_cuts(resolved.circuit, chain.planner);
+    std::optional<PlannedChain> best = plan_chain(resolved.circuit, chain.planner);
     QCUT_CHECK(best.has_value(),
                "CutRequest: chain planning found no boundary sequence satisfying the "
                "constraints (max_fragment_width " +
                    std::to_string(chain.planner.max_fragment_width) + ", max_boundaries " +
                    std::to_string(chain.planner.max_boundaries) + ")");
-    resolved.boundaries = best->boundaries;
-    resolved.chain_plan = std::move(best);
+    resolved.boundaries = best->plan.boundaries;
+    resolved.chain_plan = std::move(best->plan);
+    resolved.graph = std::move(best->graph);
   }
 
   resolved.plan_seconds = timer.elapsed_seconds();

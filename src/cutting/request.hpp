@@ -472,6 +472,9 @@ struct ResolvedRequest {
   BoundaryList boundaries;                       // per-boundary cut groups
   std::optional<CutCandidate> plan;              // engaged under AutoPlan
   std::optional<ChainPlan> chain_plan;           // engaged under AutoChainPlan
+  /// Under AutoChainPlan, the chain the planner built to validate its plan
+  /// (make_fragment_chain(circuit, boundaries)); otherwise disengaged.
+  std::optional<FragmentGraph> graph;
   double plan_seconds = 0.0;
 
   /// Flattened cut points, boundary order.

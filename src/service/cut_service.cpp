@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -419,10 +421,14 @@ void CutService::admit(const JobPtr& job) {
   CutResponse& r = j.response;
   r.boundaries = j.resolved.boundaries;
   r.cuts = j.resolved.flat_cuts();
-  r.plan = j.resolved.plan;
-  r.chain_plan = j.resolved.chain_plan;
+  r.plan = std::move(j.resolved.plan);
+  r.chain_plan = std::move(j.resolved.chain_plan);
   r.plan_seconds = j.resolved.plan_seconds;
-  r.graph = cutting::make_fragment_chain(j.resolved.circuit, r.boundaries);
+  // A chain-planned job keeps the chain its planner built; the others build
+  // theirs here, so every job builds one.
+  r.graph = j.resolved.graph.has_value()
+                ? std::move(*j.resolved.graph)
+                : cutting::make_fragment_chain(j.resolved.circuit, r.boundaries);
   const FragmentGraph& graph = r.graph;
   r.data = cutting::make_chain_data(graph);
 
@@ -468,25 +474,38 @@ void CutService::admit(const JobPtr& job) {
       // L1-style bound on what the neglect may cost, surfaced in the
       // degradation report.
       const double golden_tol = j.shed ? j.shed_golden_tol : opt.golden_tol;
+      // A planned distribution-target job holds every boundary's exact
+      // violations already: the planner confirmed each on the boundary's
+      // own prefix/suffix bipartition, the one re-detection would build.
+      // Its report at any tolerance is read off them (cutting::exact_report).
+      std::span<const cutting::CutCandidate> planned;
+      if (!j.resolved.observable.has_value()) {
+        if (r.plan.has_value()) planned = std::span(&*r.plan, 1);
+        if (r.chain_plan.has_value()) planned = r.chain_plan->boundary_plans;
+      }
       std::vector<NeglectSpec> specs;
-      for (const std::vector<circuit::WirePoint>& boundary : r.boundaries) {
-        const cutting::Bipartition bp = cutting::make_bipartition(j.resolved.circuit, boundary);
-        std::optional<cutting::GoldenDetectionReport> observable_report;
-        if (j.resolved.observable.has_value()) {
-          observable_report = cutting::try_detect_golden_for_observable(
-              bp, *j.resolved.observable, golden_tol);
+      specs.reserve(r.boundaries.size());
+      for (std::size_t b = 0; b < r.boundaries.size(); ++b) {
+        std::optional<cutting::GoldenDetectionReport> report;
+        if (!planned.empty()) {
+          report = cutting::exact_report(planned[b], golden_tol);
+        } else {
+          const cutting::Bipartition bp =
+              cutting::make_bipartition(j.resolved.circuit, r.boundaries[b]);
+          if (j.resolved.observable.has_value()) {
+            report = cutting::try_detect_golden_for_observable(bp, *j.resolved.observable,
+                                                               golden_tol);
+          }
+          if (!report.has_value()) report = cutting::detect_golden_exact(bp, golden_tol);
         }
-        const cutting::GoldenDetectionReport report =
-            observable_report.has_value() ? *observable_report
-                                          : cutting::detect_golden_exact(bp, golden_tol);
         if (j.shed) {
-          for (std::size_t k = 0; k < report.golden.size(); ++k) {
+          for (std::size_t k = 0; k < report->golden.size(); ++k) {
             for (std::size_t p = 0; p < 4; ++p) {
-              if (report.golden[k][p]) j.shed_neglect_mass += report.violation[k][p];
+              if (report->golden[k][p]) j.shed_neglect_mass += report->violation[k][p];
             }
           }
         }
-        specs.push_back(report.to_spec());
+        specs.push_back(report->to_spec());
       }
       r.specs = ChainNeglectSpec(std::move(specs));
       if (j.traced) record_job_phase(j, "job.detect", detect_start_ns, tracer.now_ns());

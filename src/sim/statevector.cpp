@@ -10,9 +10,12 @@
 
 namespace qcut::sim {
 
-StateVector::StateVector(int num_qubits) : num_qubits_(num_qubits) {
+StateVector::StateVector(int num_qubits) : num_qubits_(num_qubits) { reset(num_qubits); }
+
+void StateVector::reset(int num_qubits) {
   QCUT_CHECK(num_qubits >= 1 && num_qubits <= 26,
              "StateVector: supported widths are 1..26 qubits");
+  num_qubits_ = num_qubits;
   amps_.assign(pow2(num_qubits), cx{0.0, 0.0});
   amps_[0] = cx{1.0, 0.0};
 }
@@ -62,12 +65,17 @@ cx StateVector::amplitude(index_t basis_state) const {
 }
 
 void StateVector::apply_matrix(const CMat& m, std::span<const int> qubits) {
+  QCUT_CHECK(m.is_square(),
+             "StateVector::apply_matrix: matrix dimension must be 2^(number of qubits)");
+  apply_matrix(m.view(), qubits);
+}
+
+void StateVector::apply_matrix(linalg::SquareView m, std::span<const int> qubits) {
   QCUT_CHECK(!qubits.empty(), "StateVector::apply_matrix: need at least one qubit");
   for (int q : qubits) {
     QCUT_CHECK(q >= 0 && q < num_qubits_, "StateVector::apply_matrix: qubit out of range");
   }
-  const index_t block = pow2(static_cast<int>(qubits.size()));
-  QCUT_CHECK(m.rows() == block && m.cols() == block,
+  QCUT_CHECK(m.dim == pow2(static_cast<int>(qubits.size())),
              "StateVector::apply_matrix: matrix dimension must be 2^(number of qubits)");
 
   if (qubits.size() == 1) {
@@ -86,7 +94,7 @@ void StateVector::apply_matrix(const CMat& m, std::span<const int> qubits) {
 // Amplitudes are read as interleaved (re, im) doubles, the layout
 // std::complex guarantees.
 
-void StateVector::apply_1q(const CMat& m, int qubit) {
+void StateVector::apply_1q(linalg::SquareView m, int qubit) {
   const index_t stride = pow2(qubit);
   const double m00r = m(0, 0).real(), m00i = m(0, 0).imag();
   const double m01r = m(0, 1).real(), m01i = m(0, 1).imag();
@@ -108,7 +116,7 @@ void StateVector::apply_1q(const CMat& m, int qubit) {
   }
 }
 
-void StateVector::apply_2q(const CMat& m, int q0, int q1) {
+void StateVector::apply_2q(linalg::SquareView m, int q0, int q1) {
   // Bit j of the matrix index corresponds to qubit qj.
   const int lo = std::min(q0, q1);
   const int hi = std::max(q0, q1);
@@ -148,11 +156,12 @@ void StateVector::apply_2q(const CMat& m, int q0, int q1) {
   }
 }
 
-void StateVector::apply_kq(const CMat& m, std::span<const int> qubits) {
+void StateVector::apply_kq(linalg::SquareView m, std::span<const int> qubits) {
   const int k = static_cast<int>(qubits.size());
   const index_t block = pow2(k);
 
-  std::vector<int> sorted(qubits.begin(), qubits.end());
+  // Inline up to 3 qubits (8 amplitudes): only Custom blocks on more spill.
+  circuit::InlineList<int, 3> sorted(qubits);
   std::sort(sorted.begin(), sorted.end());
   for (int i = 0; i + 1 < k; ++i) {
     QCUT_CHECK(sorted[static_cast<std::size_t>(i)] != sorted[static_cast<std::size_t>(i + 1)],
@@ -161,12 +170,13 @@ void StateVector::apply_kq(const CMat& m, std::span<const int> qubits) {
 
   // Pattern p (matrix index) scatters onto the state index via the original
   // qubit order: bit j of p -> bit qubits[j].
-  std::vector<index_t> offsets(block);
+  circuit::InlineList<index_t, 8> offsets(block);
   for (index_t p = 0; p < block; ++p) {
     offsets[p] = scatter_bits(p, qubits);
   }
 
-  std::vector<cx> in(block), out(block);
+  circuit::InlineList<cx, 8> in(block);
+  circuit::InlineList<cx, 8> out(block);
   const index_t groups = dim() >> k;
   for (index_t g = 0; g < groups; ++g) {
     const index_t base = insert_zero_bits(g, sorted);
@@ -181,7 +191,15 @@ void StateVector::apply_kq(const CMat& m, std::span<const int> qubits) {
 }
 
 void StateVector::apply_operation(const Operation& op) {
-  apply_matrix(op.matrix(), op.qubits);
+  if (op.kind == circuit::GateKind::Custom) {
+    apply_matrix(op.custom.view(), op.qubits);
+  } else if (op.num_qubits() == 1) {
+    apply_matrix(circuit::gate_matrix_1q(op.kind, op.params).view(), op.qubits);
+  } else if (op.num_qubits() == 2) {
+    apply_matrix(circuit::gate_matrix_2q(op.kind, op.params).view(), op.qubits);
+  } else {
+    apply_matrix(circuit::gate_matrix_3q(op.kind).view(), op.qubits);
+  }
 }
 
 void StateVector::apply_circuit(const Circuit& circuit) {

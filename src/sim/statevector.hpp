@@ -52,8 +52,19 @@ class StateVector {
   /// Kraus operators are applied the same way).
   void apply_matrix(const CMat& m, std::span<const int> qubits);
 
-  /// Applies one circuit operation.
+  /// The same for a matrix in any square storage (a CMat's or a
+  /// FixedMat's entries), with the same arithmetic; allocates nothing for
+  /// up to 3 qubits.
+  void apply_matrix(linalg::SquareView m, std::span<const int> qubits);
+
+  /// Applies one circuit operation: a named gate from its inline matrix
+  /// (circuit::gate_matrix_1q/2q/3q), a Custom op from its stored one.
   void apply_operation(const Operation& op);
+
+  /// Resets to |0...0> on `num_qubits` qubits (1..26), reusing the
+  /// amplitude buffer: no allocation when it already held as many
+  /// amplitudes.
+  void reset(int num_qubits);
 
   /// Applies every operation of the circuit in order.
   void apply_circuit(const Circuit& circuit);
@@ -88,9 +99,9 @@ class StateVector {
   void normalize();
 
  private:
-  void apply_1q(const CMat& m, int qubit);
-  void apply_2q(const CMat& m, int q0, int q1);
-  void apply_kq(const CMat& m, std::span<const int> qubits);
+  void apply_1q(linalg::SquareView m, int qubit);
+  void apply_2q(linalg::SquareView m, int q0, int q1);
+  void apply_kq(linalg::SquareView m, std::span<const int> qubits);
 
   int num_qubits_;
   CVec amps_;

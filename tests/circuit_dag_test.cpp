@@ -4,6 +4,7 @@
 
 #include <array>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "circuit/random.hpp"
@@ -154,25 +155,41 @@ TEST(Dag, WirePointEquality) {
 /// valid_single_cuts(c) against its definition: every (qubit, position)
 /// that try_analyze_cuts accepts, in scan order, with that analysis.
 void expect_scan_matches_per_point_analysis(const Circuit& c) {
-  std::vector<SingleCut> expected;
+  std::vector<WirePoint> points;
+  std::vector<std::size_t> down_ops;
+  std::vector<CutAnalysis> analyses;
   for (int q = 0; q < c.num_qubits(); ++q) {
     const std::vector<std::size_t> ops = c.ops_on_qubit(q);
     for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
       const std::array<WirePoint, 1> cuts = {WirePoint{q, ops[i]}};
       std::optional<CutAnalysis> analysis = try_analyze_cuts(c, cuts);
       if (analysis.has_value()) {
-        expected.push_back(SingleCut{cuts[0], ops[i + 1], *std::move(analysis)});
+        points.push_back(cuts[0]);
+        down_ops.push_back(ops[i + 1]);
+        analyses.push_back(*std::move(analysis));
       }
     }
   }
-  const std::vector<SingleCut> actual = valid_single_cuts(c);
-  ASSERT_EQ(actual.size(), expected.size());
+  const SingleCuts actual = valid_single_cuts(c);
+  ASSERT_EQ(actual.size(), points.size());
+  ASSERT_EQ(actual.num_ops, c.num_ops());
   for (std::size_t i = 0; i < actual.size(); ++i) {
     SCOPED_TRACE(i);
-    EXPECT_EQ(actual[i].point, expected[i].point);
-    EXPECT_EQ(actual[i].down_op, expected[i].down_op);
-    EXPECT_EQ(actual[i].analysis.op_fragment, expected[i].analysis.op_fragment);
-    EXPECT_EQ(actual[i].analysis.cut_qubits, expected[i].analysis.cut_qubits);
+    EXPECT_EQ(actual.points[i], points[i]);
+    EXPECT_EQ(actual.down_ops[i], down_ops[i]);
+    const std::span<const FragmentId> sides = actual.sides(i);
+    EXPECT_EQ(std::vector<FragmentId>(sides.begin(), sides.end()), analyses[i].op_fragment);
+    EXPECT_EQ(analyses[i].cut_qubits, std::vector<int>{points[i].qubit});
+  }
+}
+
+TEST(Dag, WireChainsAreTheOpsOnEachQubit) {
+  Circuit c(5);
+  c.h(1).cx(1, 3).ccx(0, 1, 3).ry(0.2, 0).h(3);
+  const WireChains chains = wire_chains(c);
+  for (int q = 0; q < c.num_qubits(); ++q) {
+    const std::span<const std::size_t> ops = chains[q];
+    EXPECT_EQ(std::vector<std::size_t>(ops.begin(), ops.end()), c.ops_on_qubit(q)) << q;
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "circuit/random.hpp"
 #include "cutting/variants.hpp"
+#include "support/planner_corpus.hpp"
 
 namespace qcut::cutting {
 namespace {
@@ -103,36 +104,6 @@ TEST(Planner, ReportsViolationsForRegularCuts) {
 }
 
 // ---- Bit-exactness against the fragment-building reference ------------------
-
-/// Seeded corpus: the paper's Fig. 2 circuits at 3-8 qubits with golden Y
-/// and golden X upstream blocks, and random General / RealAmplitude
-/// circuits at 2-8 qubits.
-std::vector<Circuit> planner_corpus() {
-  std::vector<Circuit> corpus;
-  Rng rng(2023);
-  for (int rep = 0; rep < 6; ++rep) {
-    for (int n = 3; n <= 8; ++n) {
-      for (const Pauli basis : {Pauli::Y, Pauli::X}) {
-        circuit::GoldenAnsatzOptions options;
-        options.num_qubits = n;
-        options.golden_basis = basis;
-        options.upstream_depth = 1 + rep % 3;
-        corpus.push_back(circuit::make_golden_ansatz(options, rng).circuit);
-      }
-    }
-    for (int n = 2; n <= 8; ++n) {
-      for (const circuit::GateSet set :
-           {circuit::GateSet::General, circuit::GateSet::RealAmplitude}) {
-        circuit::RandomCircuitOptions options;
-        options.num_qubits = n;
-        options.depth = 2 + rep % 3;
-        options.gate_set = set;
-        corpus.push_back(circuit::random_circuit(options, rng));
-      }
-    }
-  }
-  return corpus;
-}
 
 /// Diagonal observables for the observable-aware planner: the all-qubit
 /// parity and a Z on qubit 0 (both factorize across every cut) and seeded

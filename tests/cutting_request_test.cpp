@@ -8,8 +8,9 @@
 
 #include <functional>
 #include <limits>
-#include <string>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
@@ -211,6 +212,88 @@ TEST(CutRequestValidation, DeadlineMustBePositiveAndFinite) {
   CutRequest largest{two_qubit_circuit()};
   largest.with_cut(WirePoint{0, 0}).with_deadline(std::numeric_limits<double>::max());
   EXPECT_NO_THROW(validate(largest));
+}
+
+/// Values a tolerance or a weight must not take.
+std::vector<double> malformed_non_negatives() {
+  return {-1e-9, -1.0, std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(), std::numeric_limits<double>::quiet_NaN()};
+}
+
+TEST(CutRequestValidation, GoldenToleranceMustBeFiniteAndNonNegative) {
+  const auto ansatz = make_ansatz(5, 44);
+  for (const double tol : malformed_non_negatives()) {
+    SCOPED_TRACE(tol);
+    CutRequest request(ansatz.circuit);
+    request.with_cut(ansatz.cut).with_golden(GoldenMode::DetectExact);
+    request.options.golden_tol = tol;
+    EXPECT_TRUE(
+        contains(message_of([&] { validate(request); }), "golden_tol must be finite and >= 0"));
+  }
+  CutRequest zero(ansatz.circuit);
+  zero.with_cut(ansatz.cut).with_golden(GoldenMode::DetectExact);
+  zero.options.golden_tol = 0.0;
+  EXPECT_NO_THROW(validate(zero));
+}
+
+TEST(CutRequestValidation, PlannerToleranceAndWeightMustBeFiniteAndNonNegative) {
+  const auto ansatz = make_ansatz(5, 45);
+  for (const double value : malformed_non_negatives()) {
+    SCOPED_TRACE(value);
+    PlannerOptions tol;
+    tol.golden_tol = value;
+    PlannerOptions weight;
+    weight.balance_weight = value;
+    ChainPlannerOptions chain_tol;
+    chain_tol.base = tol;
+    ChainPlannerOptions chain_weight;
+    chain_weight.base = weight;
+
+    CutRequest request(ansatz.circuit);
+    request.with_auto_plan(tol);
+    EXPECT_TRUE(contains(message_of([&] { validate(request); }),
+                         "PlannerOptions::golden_tol must be finite and >= 0"));
+    request.with_auto_plan(weight);
+    EXPECT_TRUE(contains(message_of([&] { validate(request); }),
+                         "PlannerOptions::balance_weight must be finite and >= 0"));
+    request.with_chain_plan(chain_tol);
+    EXPECT_TRUE(contains(message_of([&] { validate(request); }),
+                         "PlannerOptions::golden_tol must be finite and >= 0"));
+    request.with_chain_plan(chain_weight);
+    EXPECT_TRUE(contains(message_of([&] { validate(request); }),
+                         "PlannerOptions::balance_weight must be finite and >= 0"));
+  }
+  PlannerOptions zeros;
+  zeros.golden_tol = 0.0;
+  zeros.balance_weight = 0.0;
+  CutRequest request(ansatz.circuit);
+  request.with_auto_plan(zeros);
+  EXPECT_NO_THROW(validate(request));
+}
+
+TEST(CutRequestValidation, ChainWidthCapMustBeNonNegative) {
+  const auto ansatz = make_ansatz(5, 46);
+  ChainPlannerOptions planner;
+  planner.max_fragment_width = -1;
+  CutRequest request(ansatz.circuit);
+  request.with_chain_plan(planner);
+  EXPECT_TRUE(contains(message_of([&] { validate(request); }),
+                       "max_fragment_width must be >= 0"));
+  planner.max_fragment_width = 0;  // no cap
+  request.with_chain_plan(planner);
+  EXPECT_NO_THROW(validate(request));
+}
+
+TEST(CutRequestValidation, ShedToleranceMultiplierMustBeFiniteAndAtLeastOne) {
+  const auto ansatz = make_ansatz(5, 47);
+  for (const double multiplier : {0.5, std::numeric_limits<double>::infinity(),
+                                  std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(multiplier);
+    CutRequest request(ansatz.circuit);
+    request.with_cut(ansatz.cut).with_load_shed(LoadShedPolicy{0.5, multiplier});
+    EXPECT_TRUE(contains(message_of([&] { validate(request); }),
+                         "golden_tol_multiplier must be finite and >= 1"));
+  }
 }
 
 TEST(CutRequestValidation, WellFormedRequestPasses) {

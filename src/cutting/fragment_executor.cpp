@@ -1,6 +1,7 @@
 #include "cutting/fragment_executor.hpp"
 
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
@@ -46,6 +47,14 @@ std::uint64_t variant_seed_index(const FragmentGraph& graph, int fragment,
   return sub_index;
 }
 
+SharedDistribution::SharedDistribution(std::vector<double> values)
+    : values_(std::make_shared<const std::vector<double>>(std::move(values))) {}
+
+SharedDistribution::SharedDistribution(std::shared_ptr<const std::vector<double>> values)
+    : values_(std::move(values)) {
+  QCUT_CHECK(values_ != nullptr, "SharedDistribution: null distribution");
+}
+
 const std::vector<double>& ChainFragmentData::distribution(int fragment,
                                                            FragmentVariantKey key) const {
   QCUT_CHECK(fragment >= 0 && fragment < num_fragments(),
@@ -58,11 +67,12 @@ const std::vector<double>& ChainFragmentData::distribution(int fragment,
            std::to_string(key.setting_index) + ") of fragment " + std::to_string(fragment);
   };
   QCUT_CHECK(it != map.end(), variant() + " was not executed");
+  const std::vector<double>& values = *it->second;
   const int width = fragments[static_cast<std::size_t>(fragment)].width;
-  QCUT_CHECK(it->second.size() == pow2(width),
-             variant() + " has " + std::to_string(it->second.size()) + " outcomes, not 2^" +
+  QCUT_CHECK(values.size() == pow2(width),
+             variant() + " has " + std::to_string(values.size()) + " outcomes, not 2^" +
                  std::to_string(width));
-  return it->second;
+  return values;
 }
 
 ChainFragmentData make_chain_data(const FragmentGraph& graph) {
@@ -154,11 +164,19 @@ void ingest_counts(ChainFragmentData& data, int fragment, FragmentVariantKey key
   QCUT_CHECK(counts.total_shots() > 0, "ingest_counts: counts are empty");
   QCUT_CHECK(data.shots_per_variant == 0 || counts.total_shots() == data.shots_per_variant,
              "ingest_counts: counts shot total does not match shots_per_variant");
-  target.variants.insert_or_assign(pack_variant_key(key), counts.to_probabilities());
-  if (counts.total_shots() != data.shots_per_variant) {
-    target.shots.insert_or_assign(pack_variant_key(key), counts.total_shots());
+  const std::uint64_t packed = pack_variant_key(key);
+  if (target.variants.insert_or_assign(packed, counts.to_probabilities()).second) {
+    ++data.total_jobs;
+  } else {
+    // A replacement: the replaced counts' shots leave the total.
+    const auto replaced = target.shots.find(packed);
+    data.total_shots -= replaced != target.shots.end() ? replaced->second : data.shots_per_variant;
   }
-  ++data.total_jobs;
+  if (counts.total_shots() != data.shots_per_variant) {
+    target.shots.insert_or_assign(packed, counts.total_shots());
+  } else {
+    target.shots.erase(packed);
+  }
   data.total_shots += counts.total_shots();
 }
 

@@ -6,6 +6,7 @@
 // digests of the two-fragment pipeline this replaced.
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -64,12 +65,41 @@ struct ExecutionOptions {
                                                           bool exact,
                                                           std::size_t num_variants);
 
+/// One variant's outcome distribution behind a shared, immutable handle.
+/// Copying a handle shares the storage: the service's cache, every response
+/// served from it and every bootstrap replica read the same vector, so
+/// nothing may write through a handle (qcut-lint's no-const-cast keeps
+/// src/ from casting the const away). To change a variant's data, replace
+/// its handle. A handle holds its distribution alive, also past the cache
+/// entry or service it came from.
+class SharedDistribution {
+ public:
+  /// Takes ownership of `values` without copying them again. Implicit, so
+  /// a variant map's emplace(key, std::move(vector)) stores the vector
+  /// itself.
+  SharedDistribution(std::vector<double> values);
+  /// Shares `values`, e.g. a fragment-cache entry. Throws qcut::Error when
+  /// it is null.
+  SharedDistribution(std::shared_ptr<const std::vector<double>> values);
+
+  [[nodiscard]] const std::vector<double>& operator*() const noexcept { return *values_; }
+  [[nodiscard]] const std::vector<double>* operator->() const noexcept { return values_.get(); }
+
+  /// Equal contents, elementwise, whether or not the storage is shared.
+  friend bool operator==(const SharedDistribution& a, const SharedDistribution& b) {
+    return *a.values_ == *b.values_;
+  }
+
+ private:
+  std::shared_ptr<const std::vector<double>> values_;
+};
+
 /// The measured per-fragment data the chain Reconstructor consumes.
 struct ChainFragmentData {
   struct PerFragment {
     int width = 0;
     /// pack_variant_key(key) -> outcome distribution over 2^width.
-    std::unordered_map<std::uint64_t, std::vector<double>> variants;
+    std::unordered_map<std::uint64_t, SharedDistribution> variants;
     /// pack_variant_key(key) -> shots behind that distribution, for the
     /// sampled variants whose count is not shots_per_variant (a budget's
     /// remainder, a later DetectOnline wave, ingested counts).
@@ -115,9 +145,11 @@ struct ChainFragmentData {
 /// Bring-your-own counts: records the counts of one variant run elsewhere
 /// (e.g. a make_fragment_variant circuit exported with to_qasm and executed
 /// on hardware) into data shaped by make_chain_data, replacing any earlier
-/// counts of that variant. Throws when `fragment` is out of range, the
-/// register width is not the fragment's, the counts are empty, or
-/// `data.shots_per_variant` is set and the shot total differs from it.
+/// counts of that variant: a replacement takes the replaced counts' shots
+/// out of total_shots and is not counted as another job. Throws when
+/// `fragment` is out of range, the register width is not the fragment's,
+/// the counts are empty, or `data.shots_per_variant` is set and the shot
+/// total differs from it.
 void ingest_counts(ChainFragmentData& data, int fragment, FragmentVariantKey key,
                    const backend::Counts& counts);
 

@@ -15,6 +15,9 @@ namespace {
 
 /// One multinomial resample of every variant distribution in `data`, each
 /// with the shots recorded for it (data.shots_per_variant where none is).
+/// The replica starts as handle copies of `data` and replaces each handle
+/// with its resampled distribution: the shared distributions (a service
+/// cache's entries among them) are read, never written.
 ///
 /// Fragments are visited in order and each fragment's variants in ascending
 /// packed key, so the RNG consumption sequence (and with it every bootstrap
@@ -25,11 +28,11 @@ ChainFragmentData resample(const ChainFragmentData& data, Rng& rng) {
   ChainFragmentData replica = data;
   for (ChainFragmentData::PerFragment& fragment : replica.fragments) {
     for (const std::uint64_t key : sorted_keys(fragment.variants)) {
-      std::vector<double>& probs = fragment.variants.at(key);
+      SharedDistribution& probs = fragment.variants.at(key);
       const auto recorded = fragment.shots.find(key);
       const std::size_t shots =
           recorded != fragment.shots.end() ? recorded->second : data.shots_per_variant;
-      const auto histogram = sim::sample_histogram(probs, shots, rng);
+      const auto histogram = sim::sample_histogram(*probs, shots, rng);
       probs = sim::histogram_to_probabilities(histogram);
     }
   }

@@ -4,8 +4,8 @@
 // the N=2 chain against frozen digests of the two-fragment pipeline it
 // replaced, and bit-exactness of the chain contraction itself: identical
 // bytes on every pool size and committed digests of its output on synthetic
-// fragment data, and a typed error for a variant distribution of the wrong
-// length.
+// fragment data, a typed error for a variant distribution of the wrong
+// length, and the shared distribution handle's semantics.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
@@ -402,7 +403,7 @@ TEST(ChainCutting, TwoFragmentChainMatchesFrozenBipartitionDigests) {
     std::vector<double> variants;
     for (const ChainFragmentData::PerFragment& fragment : data.fragments) {
       for (const std::uint64_t key : sorted_keys(fragment.variants)) {
-        const std::vector<double>& dist = fragment.variants.at(key);
+        const std::vector<double>& dist = *fragment.variants.at(key);
         variants.insert(variants.end(), dist.begin(), dist.end());
       }
     }
@@ -422,8 +423,8 @@ TEST(ChainCutting, WronglySizedDistributionIsATypedError) {
   const FragmentGraph graph = make_fragment_chain(chain5(), chain5_boundaries());
   const ChainNeglectSpec spec = ChainNeglectSpec::none(graph);
   ChainFragmentData data = synthetic_chain_data(graph, spec, 47);
-  std::vector<double>& dist = data.fragments[1].variants.at(pack_variant_key({0, 0}));
-  dist.resize(dist.size() / 2);
+  SharedDistribution& dist = data.fragments[1].variants.at(pack_variant_key({0, 0}));
+  dist = std::vector<double>(dist->begin(), dist->begin() + dist->size() / 2);
   EXPECT_THROW((void)reconstruct_distribution(graph, data, spec), Error);
   EXPECT_THROW((void)reconstruct_probability_of(graph, data, spec, 0), Error);
   try {
@@ -432,6 +433,23 @@ TEST(ChainCutting, WronglySizedDistributionIsATypedError) {
     EXPECT_NE(std::string(e.what()).find("(prep 0, setting 0) of fragment 1"), std::string::npos)
         << e.what();
   }
+}
+
+/// A distribution handle shares its storage when copied, compares by
+/// contents, shares a cache-style shared_ptr and refuses a null one.
+TEST(SharedDistribution, SharesOnCopyComparesContentsAndRejectsNull) {
+  const SharedDistribution a = std::vector<double>{0.25, 0.75};
+  const SharedDistribution copy = a;
+  EXPECT_EQ(copy->data(), a->data());
+  const SharedDistribution equal = std::vector<double>{0.25, 0.75};
+  EXPECT_NE(equal->data(), a->data());
+  EXPECT_EQ(equal, a);
+  EXPECT_FALSE(SharedDistribution(std::vector<double>{0.75, 0.25}) == a);
+
+  const auto cached = std::make_shared<const std::vector<double>>(std::vector<double>{1.0});
+  EXPECT_EQ(SharedDistribution(cached)->data(), cached->data());
+  const std::shared_ptr<const std::vector<double>> null;
+  EXPECT_THROW((void)SharedDistribution(null), Error);
 }
 
 }  // namespace

@@ -188,9 +188,32 @@ TEST(CountsIngestion, Validation) {
   EXPECT_EQ(data.total_shots, 100u);
   EXPECT_EQ(data.distribution(0, {0, 0})[0], 1.0);
 
+  // Replacing a variant's counts is not another job, and its shots replace
+  // the old ones in the total.
+  backend::Counts other(width);
+  other.add(1, 100);
+  ingest_counts(data, 0, {0, 0}, other);
+  EXPECT_EQ(data.fragments[0].variants.size(), 1u);
+  EXPECT_EQ(data.total_jobs, 1u);
+  EXPECT_EQ(data.total_shots, 100u);
+  EXPECT_EQ(data.distribution(0, {0, 0})[1], 1.0);
+  EXPECT_TRUE(data.fragments[0].shots.empty());
+
   // Without a shots_per_variant every shot total is accepted.
   data.shots_per_variant = 0;
   EXPECT_NO_THROW(ingest_counts(data, 0, {0, 1}, wrong_shots));
+  EXPECT_EQ(data.total_jobs, 2u);
+  EXPECT_EQ(data.total_shots, 199u);
+  EXPECT_EQ(data.fragments[0].shots.at(pack_variant_key({0, 1})), 99u);
+
+  // A replacement takes out the replaced counts' recorded shots, and drops
+  // the record once the variant holds shots_per_variant shots again.
+  data.shots_per_variant = 100;
+  ingest_counts(data, 0, {0, 1}, good);
+  EXPECT_EQ(data.total_jobs, 2u);
+  EXPECT_EQ(data.total_shots, 200u);
+  EXPECT_TRUE(data.fragments[0].shots.empty());
+  EXPECT_EQ(data.distribution(0, {0, 1})[0], 1.0);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "backend/statevector_backend.hpp"
 #include "circuit/random.hpp"
 #include "common/error.hpp"
+#include "common/ordered.hpp"
 #include "cutting/pipeline.hpp"
 #include "sim/statevector.hpp"
 #include "support/digest.hpp"
@@ -183,6 +184,40 @@ TEST(Bootstrap, DeterministicForSeed) {
   const DistributionUncertainty b = bootstrap_distribution(fx.graph, fx.data, fx.none, options);
   EXPECT_EQ(a.mean, b.mean);
   EXPECT_EQ(a.ci_lower, b.ci_lower);
+}
+
+/// The bootstrap replaces each replica's handles with resampled
+/// distributions and never writes through them: the data it resamples, and
+/// a copy sharing that data's storage, keep their storage and their bits.
+TEST(Bootstrap, LeavesSharedDistributionsUntouched) {
+  const Fixture fx = Fixture::make(1000, 3);
+  const ChainFragmentData shared = fx.data;  // handle copies: the same storage
+  std::vector<std::vector<std::uint64_t>> bits_before;
+  std::vector<const double*> storage;
+  for (const ChainFragmentData::PerFragment& fragment : fx.data.fragments) {
+    for (const std::uint64_t key : sorted_keys(fragment.variants)) {
+      bits_before.push_back(bit_patterns(*fragment.variants.at(key)));
+      storage.push_back(fragment.variants.at(key)->data());
+    }
+  }
+  ASSERT_EQ(storage.size(), 9u);
+
+  BootstrapOptions options;
+  options.replicas = 20;
+  (void)bootstrap_distribution(fx.graph, fx.data, fx.none, options);
+  (void)bootstrap_expectation(fx.graph, shared, fx.none, DiagonalObservable::parity(5),
+                              options);
+
+  std::size_t i = 0;
+  for (std::size_t f = 0; f < fx.data.fragments.size(); ++f) {
+    for (const std::uint64_t key : sorted_keys(fx.data.fragments[f].variants)) {
+      const SharedDistribution& dist = fx.data.fragments[f].variants.at(key);
+      EXPECT_EQ(dist->data(), storage[i]);
+      EXPECT_EQ(shared.fragments[f].variants.at(key)->data(), storage[i]);
+      EXPECT_EQ(bit_patterns(*dist), bits_before[i]);
+      ++i;
+    }
+  }
 }
 
 /// A 3-fragment chain: every fragment's variants are resampled, and the

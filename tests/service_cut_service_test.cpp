@@ -1,7 +1,7 @@
 // CutService behavior: job queue, cross-request variant dedup, fragment
 // cache integration, bit-for-bit equivalence with the direct execute_chain +
-// reconstruct_distribution path under every GoldenMode, and the bootstrap on
-// chains.
+// reconstruct_distribution path under every GoldenMode, the bootstrap on
+// chains, and responses sharing the cache's distributions.
 
 #include "service/cut_service.hpp"
 
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "metrics/stats.hpp"
 #include "sim/sampling.hpp"
 #include "sim/statevector.hpp"
+#include "support/digest.hpp"
 #include "support/run_cut.hpp"
 
 namespace qcut::service {
@@ -339,6 +341,78 @@ TEST(CutService, ResubmittedChainRequestIsServedWhollyFromCache) {
       EXPECT_EQ(again.reconstruction.raw_probabilities, first.reconstruction.raw_probabilities);
     }
   }
+}
+
+/// Responses share the fragment cache's distributions instead of copying
+/// them: a resubmitted request's distributions are the first response's
+/// storage. A response keeps its distributions alive after the service, and
+/// the cache with it, is gone.
+TEST(CutService, ResponsesShareTheCachedDistributions) {
+  backend::StatevectorBackend backend(41);
+  auto service = std::make_unique<CutService>(backend);
+  const CutResponse first = service->run(chain3_request(GoldenMode::None, "alpha"));
+  const CutResponse again = service->run(chain3_request(GoldenMode::None, "alpha"));
+  ASSERT_EQ(again.backend_delta.jobs, 0u);  // every variant a cache hit
+  ASSERT_EQ(again.data.fragments.size(), first.data.fragments.size());
+  for (std::size_t f = 0; f < first.data.fragments.size(); ++f) {
+    const auto& variants = first.data.fragments[f].variants;
+    ASSERT_EQ(again.data.fragments[f].variants.size(), variants.size());
+    for (const std::uint64_t key : sorted_keys(variants)) {
+      EXPECT_EQ(again.data.fragments[f].variants.at(key)->data(), variants.at(key)->data());
+    }
+  }
+
+  service.reset();
+  EXPECT_EQ(bit_patterns(cutting::reconstruct_distribution(first.graph, first.data, first.specs)
+                             .raw_probabilities),
+            bit_patterns(first.reconstruction.raw_probabilities));
+}
+
+/// The bootstrap reads a served response's shared distributions and never
+/// writes them: they keep the bits a service without the bootstrap serves,
+/// and a warm rerun, every variant a cache hit, is the first response bit
+/// for bit.
+TEST(CutService, BootstrapLeavesTheSharedDistributionsUntouched) {
+  const auto ansatz = make_ansatz(5, 26);
+  cutting::CutRequest request(ansatz.circuit);
+  request.with_cut(ansatz.cut)
+      .with_observable(cutting::DiagonalObservable::parity(5))
+      .with_shots(2000);
+  cutting::BootstrapOptions boot;
+  boot.replicas = 8;
+  cutting::CutRequest bootstrapped = request;
+  bootstrapped.with_uncertainty(boot);
+
+  backend::StatevectorBackend plain_backend(5);
+  CutService plain_service(plain_backend);
+  const CutResponse plain = plain_service.run(request);
+
+  backend::StatevectorBackend backend(5);
+  CutService service(backend);
+  const CutResponse first = service.run(bootstrapped);
+  const CutResponse again = service.run(bootstrapped);
+  ASSERT_TRUE(first.uncertainty.has_value());
+  ASSERT_TRUE(again.uncertainty.has_value());
+  ASSERT_EQ(again.backend_delta.jobs, 0u);
+
+  ASSERT_EQ(first.data.fragments.size(), plain.data.fragments.size());
+  for (std::size_t f = 0; f < plain.data.fragments.size(); ++f) {
+    const auto& variants = plain.data.fragments[f].variants;
+    ASSERT_EQ(first.data.fragments[f].variants.size(), variants.size());
+    for (const std::uint64_t key : sorted_keys(variants)) {
+      const cutting::SharedDistribution& served = first.data.fragments[f].variants.at(key);
+      EXPECT_EQ(bit_patterns(*served), bit_patterns(*variants.at(key)));
+      EXPECT_EQ(again.data.fragments[f].variants.at(key)->data(), served->data());
+    }
+  }
+  EXPECT_EQ(bit_patterns(again.reconstruction.raw_probabilities),
+            bit_patterns(first.reconstruction.raw_probabilities));
+  const auto summary = [](const CutResponse& r) {
+    return bit_patterns(std::vector<double>{*r.expectation, r.uncertainty->estimate,
+                                            r.uncertainty->standard_error, r.uncertainty->ci_lower,
+                                            r.uncertainty->ci_upper});
+  };
+  EXPECT_EQ(summary(again), summary(first));
 }
 
 TEST(CutService, DeterministicUnderConcurrentMixedLoad) {
@@ -668,9 +742,9 @@ TEST(CutService, BootstrapResamplesEachVariantWithItsOwnShots) {
     for (std::size_t f = 0; f < replica.fragments.size(); ++f) {
       auto& variants = replica.fragments[f].variants;
       for (const std::uint64_t key : sorted_keys(variants)) {
-        std::vector<double>& probs = variants.at(key);
+        cutting::SharedDistribution& probs = variants.at(key);
         probs =
-            sim::histogram_to_probabilities(sim::sample_histogram(probs, shots[f], replica_rng));
+            sim::histogram_to_probabilities(sim::sample_histogram(*probs, shots[f], replica_rng));
       }
     }
     values.push_back(cutting::reconstruct_diagonal_expectation(response.graph, replica,

@@ -29,6 +29,7 @@
 #include "cutting/reconstructor.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/cut_service.hpp"
+#include "support/digest.hpp"
 #include "support/planner_corpus.hpp"
 
 namespace qcut::service {
@@ -79,14 +80,6 @@ Expected reference(const CutRequest& request, double tol) {
   expected.raw_probabilities =
       cutting::reconstruct_distribution(expected.graph, data, specs).raw_probabilities;
   return expected;
-}
-
-template <typename Values>
-std::vector<std::uint64_t> bits(const Values& values) {
-  std::vector<std::uint64_t> out;
-  out.reserve(values.size());
-  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
-  return out;
 }
 
 void expect_same_graph(const cutting::FragmentGraph& actual,
@@ -148,17 +141,19 @@ void expect_matches(const CutResponse& response, const Expected& expected,
   expect_same_specs(response.specs, expected.specs);
   if (response.plan.has_value()) {
     ASSERT_EQ(expected.violations.size(), 1u);
-    EXPECT_EQ(bits(response.plan->violation), bits(expected.violations.front()));
+    EXPECT_EQ(bit_patterns(response.plan->violation),
+              bit_patterns(expected.violations.front()));
   }
   if (response.chain_plan.has_value()) {
     ASSERT_EQ(response.chain_plan->boundary_plans.size(), expected.violations.size());
     for (std::size_t b = 0; b < expected.violations.size(); ++b) {
-      EXPECT_EQ(bits(response.chain_plan->boundary_plans[b].violation),
-                bits(expected.violations[b]))
+      EXPECT_EQ(bit_patterns(response.chain_plan->boundary_plans[b].violation),
+                bit_patterns(expected.violations[b]))
           << "boundary " << b;
     }
   }
-  EXPECT_EQ(bits(response.reconstruction.raw_probabilities), bits(expected.raw_probabilities));
+  EXPECT_EQ(bit_patterns(response.reconstruction.raw_probabilities),
+            bit_patterns(expected.raw_probabilities));
   ASSERT_EQ(response.degradation.has_value(), shed_tol.has_value());
   if (!shed_tol.has_value()) return;
   const cutting::DegradationReport& report = *response.degradation;

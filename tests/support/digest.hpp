@@ -23,6 +23,16 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
+/// The IEEE-754 bit patterns of `values`: equal exactly when the values
+/// are bit for bit equal (unlike ==, which equates -0.0 and 0.0).
+template <typename Values>
+std::vector<std::uint64_t> bit_patterns(const Values& values) {
+  std::vector<std::uint64_t> out;
+  out.reserve(values.size());
+  for (const double value : values) out.push_back(std::bit_cast<std::uint64_t>(value));
+  return out;
+}
+
 /// FNV-1a over the IEEE-754 bit patterns of `values`.
 inline std::uint64_t fnv1a(const std::vector<double>& values) {
   Fnv1a hash;

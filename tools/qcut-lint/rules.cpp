@@ -292,7 +292,8 @@ const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> kRules = {
       "no-unordered-iteration", "no-ambient-entropy",  "no-wallclock-on-result-paths",
       "no-fp-reassociation",    "thread-count-hygiene", "telemetry-gating",
-      "no-std-distributions",   "annotation-syntax",    "annotation-justification"};
+      "no-std-distributions",   "no-const-cast",        "annotation-syntax",
+      "annotation-justification"};
   return kRules;
 }
 
@@ -404,6 +405,16 @@ std::vector<Violation> analyze(const std::vector<SourceFile>& files,
                  "differs between standard libraries; draw through qcut::Rng (uniform, "
                  "normal, binomial, DiscreteSampler) so results stay a pure function of "
                  "the seed");
+      }
+
+      // ---- no-const-cast ---------------------------------------------------
+      if (is_ident(t, "const_cast")) {
+        emit(pending, file, t.line, "no-const-cast",
+             "'const_cast' opens a write path to const data; variant distributions "
+             "are shared read-only by the fragment cache, every response served from "
+             "it and the bootstrap's replicas, so a write through a cast changes other "
+             "jobs' results and a cache hit stops equalling re-execution; replace the "
+             "value (e.g. a new SharedDistribution) instead of editing it");
       }
 
       // ---- no-wallclock-on-result-paths / telemetry-gating ------------------

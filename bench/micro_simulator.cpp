@@ -1,14 +1,20 @@
 // Micro benchmarks for the simulation substrate (google-benchmark), plus
-// the gated gate-kernel-engine measurement: the engine (specialized
-// kernels + fusion + threading) must be at least 2x the generic dense path
-// on a 16-qubit depth-64 random circuit, or the bench exits nonzero.
-// BENCH_micro_simulator.json records the headline speedup and per-kernel-
-// class timings.
+// the gated gate-kernel-engine measurements on a 16-qubit depth-64 random
+// circuit, all through the engine's SoAState: the engine (specialized
+// width-1 kernels + fusion + threading) must be at least 2x the generic
+// dense kernels (EngineOptions::generic(), also width 1), and where a SIMD
+// tier dispatches it must be at least 1.5x the width-1 engine, or the bench
+// exits nonzero. BENCH_micro_simulator.json records both speedups,
+// per-kernel-class timings and, ungated, each supported tier's speedup over
+// the width-1 tier per lowest qubit of the circuit's compiled ops.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -130,9 +136,9 @@ void BM_EngineApplyCircuit(benchmark::State& state) {
   const circuit::Circuit c = random_for(num_qubits, 10, 1);
   const sim::CompiledCircuit compiled = sim::compile_circuit(c, sim::EngineOptions{});
   for (auto _ : state) {
-    sim::StateVector sv(num_qubits);
-    compiled.apply(sv);
-    benchmark::DoNotOptimize(sv.amplitudes().data());
+    sim::SoAState soa(num_qubits);
+    compiled.apply(soa);
+    benchmark::DoNotOptimize(soa.re());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(c.num_ops()));
@@ -156,23 +162,32 @@ double median_seconds(int repeats, const Fn& fn) {
 /// Seconds per application of one compiled gate at `num_qubits` qubits.
 double time_kernel(const circuit::Circuit& gate_circuit, const sim::EngineOptions& options) {
   const sim::CompiledCircuit compiled = sim::compile_circuit(gate_circuit, options);
-  sim::StateVector sv(gate_circuit.num_qubits());
-  constexpr int kApplications = 200;
-  return median_seconds(3, [&] {
-           for (int i = 0; i < kApplications; ++i) compiled.apply(sv);
-         }) /
-         kApplications;
-}
-
-/// Seconds per application through the SIMD path's native SoA layout.
-double time_kernel_soa(const circuit::Circuit& gate_circuit, const sim::EngineOptions& options) {
-  const sim::CompiledCircuit compiled = sim::compile_circuit(gate_circuit, options);
   sim::SoAState state(gate_circuit.num_qubits());
   constexpr int kApplications = 200;
   return median_seconds(3, [&] {
            for (int i = 0; i < kApplications; ++i) compiled.apply(state);
          }) /
          kApplications;
+}
+
+/// Lowest-qubit buckets of compiled ops: 0, 1, 2 and ">= 3" (every op whose
+/// runs fill a 4- or 8-lane register).
+constexpr int kLowestQubitBuckets = 4;
+const char* const kBucketNames[kLowestQubitBuckets] = {"0", "1", "2", "3plus"};
+
+int lowest_qubit_bucket(const sim::CompiledOp& op) { return std::min(op.sorted_qubits[0], 3); }
+
+/// Median seconds to apply `ops` once each, in order, serially through
+/// `table` (one kernel call per op over the whole state).
+double time_ops(const sim::simd::KernelTable& table, const std::vector<const sim::CompiledOp*>& ops,
+                sim::SoAState& state) {
+  const sim::simd::SoaSpan span{state.re(), state.im(), state.dim()};
+  return median_seconds(5, [&] {
+    for (const sim::CompiledOp* op : ops) {
+      table.fns[static_cast<std::size_t>(op->cls)](span, *op, 0,
+                                                   sim::simd::group_count(*op, span.dim));
+    }
+  });
 }
 
 }  // namespace
@@ -197,12 +212,12 @@ int main(int argc, char** argv) {
 
   constexpr int kRepeats = 5;
   const double generic_seconds = median_seconds(kRepeats, [&] {
-    sim::StateVector sv(kWidth);
-    generic.apply(sv);
+    sim::SoAState state(kWidth);
+    generic.apply(state);
   });
   const double engine_seconds = median_seconds(kRepeats, [&] {
-    sim::StateVector sv(kWidth);
-    engine.apply(sv);
+    sim::SoAState state(kWidth);
+    engine.apply(state);
   });
   const double speedup = generic_seconds / engine_seconds;
 
@@ -239,7 +254,7 @@ int main(int argc, char** argv) {
                        : static_cast<double>(engine.fusion_stats().absorbed()) /
                              static_cast<double>(c.num_ops());
 
-  // SIMD series: scalar vs vectorized SoA kernels, per kernel class and
+  // SIMD series: width-1 vs vectorized kernels, per kernel class and
   // end-to-end on the acceptance workload. When no SIMD tier is available
   // the series is skipped with a note (simd_available=0) and the SIMD gate
   // does not apply.
@@ -264,32 +279,61 @@ int main(int argc, char** argv) {
     });
     simd_speedup = engine_seconds / simd_seconds;
     simd_diagonal =
-        diagonal_s / time_kernel_soa(one_gate(circuit::GateKind::RZ, {8}, {0.7}),
-                                     simd_kernel_options);
+        diagonal_s / time_kernel(one_gate(circuit::GateKind::RZ, {8}, {0.7}),
+                                 simd_kernel_options);
     simd_permutation =
-        permutation_s / time_kernel_soa(one_gate(circuit::GateKind::CX, {0, 15}),
-                                        simd_kernel_options);
+        permutation_s / time_kernel(one_gate(circuit::GateKind::CX, {0, 15}),
+                                    simd_kernel_options);
     simd_controlled =
-        controlled_s / time_kernel_soa(one_gate(circuit::GateKind::CRY, {0, 15}, {0.7}),
-                                       simd_kernel_options);
+        controlled_s / time_kernel(one_gate(circuit::GateKind::CRY, {0, 15}, {0.7}),
+                                   simd_kernel_options);
     simd_generic_1q =
-        generic_1q_s / time_kernel_soa(one_gate(circuit::GateKind::H, {8}),
-                                       simd_kernel_options);
+        generic_1q_s / time_kernel(one_gate(circuit::GateKind::H, {8}), simd_kernel_options);
     simd_generic_2q =
-        generic_2q_s / time_kernel_soa(one_gate(circuit::GateKind::RXX, {0, 15}, {0.7}),
-                                       simd_kernel_options);
-    std::printf("micro_simulator: simd (%s) %.4fs -> %.2fx over scalar engine\n", isa.c_str(),
-                simd_seconds, simd_speedup);
+        generic_2q_s / time_kernel(one_gate(circuit::GateKind::RXX, {0, 15}, {0.7}),
+                                   simd_kernel_options);
+    std::printf("micro_simulator: simd (%s) %.4fs -> %.2fx over the width-1 engine\n",
+                isa.c_str(), simd_seconds, simd_speedup);
   } else {
     std::printf("micro_simulator: no SIMD tier available on this CPU; "
                 "simd_speedup series skipped\n");
   }
 
+  // Ungated: each supported tier against the width-1 tier on the engine's
+  // compiled ops (fused), serially, bucketed by lowest qubit: ops touching a
+  // qubit below log2(lanes) run the tiers' lane bodies.
+  std::vector<std::pair<std::string, double>> tier_rows;
+  std::array<std::vector<const sim::CompiledOp*>, kLowestQubitBuckets> buckets;
+  for (const sim::CompiledOp& op : engine.compiled_ops()) {
+    buckets[static_cast<std::size_t>(lowest_qubit_bucket(op))].push_back(&op);
+  }
+  for (int b = 0; b < kLowestQubitBuckets; ++b) {
+    tier_rows.emplace_back(std::string("gate_ops_lowest_qubit_") + kBucketNames[b],
+                           static_cast<double>(buckets[static_cast<std::size_t>(b)].size()));
+  }
+  for (const sim::IsaLevel tier : {sim::IsaLevel::Avx2, sim::IsaLevel::Avx512}) {
+    if (!simd_available || tier > sim::simd::best_isa()) continue;
+    sim::SoAState state(kWidth);
+    std::printf("micro_simulator: %s over width 1 by lowest qubit:",
+                sim::isa_level_name(tier).c_str());
+    for (int b = 0; b < kLowestQubitBuckets; ++b) {
+      const auto& ops = buckets[static_cast<std::size_t>(b)];
+      const double width1 =
+          time_ops(sim::simd::kernel_table(sim::IsaLevel::Scalar), ops, state);
+      const double vectorized = time_ops(sim::simd::kernel_table(tier), ops, state);
+      const double ratio = vectorized > 0.0 ? width1 / vectorized : 0.0;
+      tier_rows.emplace_back("tier_speedup_" + sim::isa_level_name(tier) + "_lowest_qubit_" +
+                                 kBucketNames[b],
+                             ratio);
+      std::printf(" %s %.2fx", kBucketNames[b], ratio);
+    }
+    std::printf("\n");
+  }
+
   std::printf("micro_simulator: %d qubits depth %d, generic %.4fs, engine %.4fs -> %.2fx\n",
               kWidth, kDepth, generic_seconds, engine_seconds, speedup);
-  (void)qcut::bench::write_bench_json(
-      "micro_simulator", engine_seconds, speedup,
-      {{"generic_seconds", generic_seconds},
+  std::vector<std::pair<std::string, double>> rows = {
+       {"generic_seconds", generic_seconds},
        {"engine_seconds", engine_seconds},
        {"circuit_ops", static_cast<double>(c.num_ops())},
        {"fused_gate_fraction", fused_fraction},
@@ -307,8 +351,10 @@ int main(int argc, char** argv) {
        {"simd_speedup_permutation", simd_permutation},
        {"simd_speedup_controlled_1q", simd_controlled},
        {"simd_speedup_generic_1q", simd_generic_1q},
-       {"simd_speedup_generic_2q", simd_generic_2q}},
-      {{"simd_isa", isa}});
+       {"simd_speedup_generic_2q", simd_generic_2q}};
+  rows.insert(rows.end(), tier_rows.begin(), tier_rows.end());
+  (void)qcut::bench::write_bench_json("micro_simulator", engine_seconds, speedup, rows,
+                                      {{"simd_isa", isa}});
 
   constexpr double kTargetSpeedup = 2.0;
   if (speedup < kTargetSpeedup) {

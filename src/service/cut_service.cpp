@@ -52,7 +52,7 @@ CutService::CutService(backend::Backend& backend, CutServiceOptions options)
                                           : telemetry::MetricsRegistry::global()),
       cache_(options.cache_capacity, &metrics_, options.cache_max_bytes),
       scheduler_(cache_, &metrics_),
-      dispatcher_(pool_, /*width=*/0, &metrics_),
+      dispatcher_(pool_, &metrics_),
       retry_(options.retry),
       sleeper_(options.sleeper ? std::move(options.sleeper) : default_sleeper()),
       clock_(options.clock ? std::move(options.clock) : MonotonicClock(monotonic_now_ns)),

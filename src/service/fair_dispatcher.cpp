@@ -7,9 +7,8 @@
 
 namespace qcut::service {
 
-FairDispatcher::FairDispatcher(parallel::ThreadPool& pool, unsigned width,
-                               telemetry::MetricsRegistry* metrics)
-    : pool_(pool), width_(width == 0 ? std::max(1u, pool.size()) : width) {
+FairDispatcher::FairDispatcher(parallel::ThreadPool& pool, telemetry::MetricsRegistry* metrics)
+    : pool_(pool), width_(std::max(1u, pool.size())) {
   if (metrics != nullptr) {
     dispatches_ = metrics->counter("service.fair_dispatches");
     staged_gauge_ = metrics->gauge("service.staged_tasks");

@@ -6,9 +6,10 @@
 // tenant's 369-variant wave enqueued first monopolizes every worker until
 // it drains - a 5-variant interactive job behind it waits for all of it.
 // The dispatcher interposes a per-tenant staging queue and releases at most
-// `width` tasks into the pool at a time; each released slot is granted to
-// the tenant with the minimum stride pass value, so tenants make progress
-// proportional to their weights regardless of arrival order or wave size.
+// one task per pool worker into the pool at a time; each released slot is
+// granted to the tenant with the minimum stride pass value, so tenants make
+// progress proportional to their weights regardless of arrival order or
+// wave size.
 //
 // Determinism contract (qcut-lint clean): pass values advance by
 // kStrideScale / weight per dispatch; ties break on submission sequence
@@ -44,10 +45,9 @@ class FairDispatcher {
   /// kStrideScale / w per dispatch, so it is chosen w times as often.
   static constexpr std::uint64_t kStrideScale = 1ull << 20;
 
-  /// `width` caps tasks concurrently released into the pool (0 = the
-  /// pool's worker count). Smaller widths trade a little pool idle time
-  /// for tighter fairness granularity.
-  explicit FairDispatcher(parallel::ThreadPool& pool, unsigned width = 0,
+  /// Tasks concurrently released into `pool` are capped at its worker
+  /// count.
+  explicit FairDispatcher(parallel::ThreadPool& pool,
                           telemetry::MetricsRegistry* metrics = nullptr);
 
   /// Blocks until every submitted task has finished, then destructs.
@@ -77,7 +77,7 @@ class FairDispatcher {
   void pump(std::unique_lock<std::mutex>& lock);
 
   parallel::ThreadPool& pool_;
-  unsigned width_;
+  unsigned width_;  // tasks in the pool at most: its worker count
 
   std::mutex mutex_;
   std::condition_variable drained_;

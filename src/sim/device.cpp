@@ -28,22 +28,12 @@ namespace {
 
 class CpuDeviceState final : public DeviceState {
  public:
-  /// Representation follows the device's dispatch: SoA split re/im when the
-  /// SIMD kernels are active (their native layout), interleaved StateVector
-  /// otherwise. Both are exact containers; the choice never affects values.
-  CpuDeviceState(int num_qubits, bool soa)
-      : sv_(soa ? 1 : num_qubits), soa_(soa ? num_qubits : 1), is_soa_(soa) {}
+  explicit CpuDeviceState(int num_qubits) : soa(num_qubits) {}
 
-  [[nodiscard]] int num_qubits() const noexcept override {
-    return is_soa_ ? soa_.num_qubits() : sv_.num_qubits();
-  }
-  [[nodiscard]] index_t dim() const noexcept override {
-    return is_soa_ ? soa_.dim() : sv_.dim();
-  }
+  [[nodiscard]] int num_qubits() const noexcept override { return soa.num_qubits(); }
+  [[nodiscard]] index_t dim() const noexcept override { return soa.dim(); }
 
-  StateVector sv_;
-  SoAState soa_;
-  bool is_soa_ = false;
+  SoAState soa;
 };
 
 class CpuCompiledProgram : public CompiledProgram {
@@ -98,9 +88,9 @@ class CpuDevice final : public Device {
 
   [[nodiscard]] std::string identity_token() const override {
     std::string token = options_.fuse ? "+fusion" : "";
-    // The dispatched ISA, not just the flag: AVX2 and AVX-512 tiers place
-    // different runs in the scalar tail (uncontracted rounding), so equal
-    // tokens require equal dispatch.
+    // The dispatched ISA, not just the flag: AVX2 and AVX-512 split the
+    // ops between their run and lane bodies at different qubits, which
+    // round differently, so equal tokens require equal dispatch.
     if (caps_.isa != IsaLevel::Scalar) {
       token += "+simd(" + isa_level_name(caps_.isa) + ")";
     }
@@ -164,45 +154,28 @@ class CpuDevice final : public Device {
   }
 
   [[nodiscard]] std::unique_ptr<DeviceState> create_state(int num_qubits) const override {
-    return std::make_unique<CpuDeviceState>(num_qubits, caps_.isa != IsaLevel::Scalar);
+    return std::make_unique<CpuDeviceState>(num_qubits);
   }
 
   void copy_state(const DeviceState& src, DeviceState& dst) const override {
     const auto& s = checked_state(src);
     auto& d = checked_state(dst);
-    QCUT_CHECK(s.is_soa_ == d.is_soa_ && s.num_qubits() == d.num_qubits(),
-               "copy_state: states have different shapes");
-    if (s.is_soa_) {
-      d.soa_ = s.soa_;
-    } else {
-      d.sv_ = s.sv_;  // copy-assignment reuses the destination buffer
-    }
+    QCUT_CHECK(s.num_qubits() == d.num_qubits(), "copy_state: states have different shapes");
+    d.soa = s.soa;  // copy-assignment reuses the destination buffers
   }
 
   void apply(const CompiledProgram& program, DeviceState& state) const override {
-    const auto& p = checked_program(program);
-    auto& s = checked_state(state);
-    if (s.is_soa_) {
-      p.compiled.apply(s.soa_);
-    } else {
-      p.compiled.apply(s.sv_);
-    }
+    checked_program(program).compiled.apply(checked_state(state).soa);
   }
 
   void probabilities(const DeviceState& state, std::vector<double>& out) const override {
-    const auto& s = checked_state(state);
-    if (s.is_soa_) {
-      s.soa_.probabilities_into(out);
-    } else {
-      s.sv_.probabilities_into(out);
-    }
+    checked_state(state).soa.probabilities_into(out);
   }
 
   [[nodiscard]] linalg::CVec amplitudes(const DeviceState& state) const override {
-    const auto& s = checked_state(state);
-    if (!s.is_soa_) return s.sv_.amplitudes();
-    linalg::CVec out(s.soa_.dim());
-    for (index_t i = 0; i < s.soa_.dim(); ++i) out[i] = s.soa_.amplitude(i);
+    const SoAState& soa = checked_state(state).soa;
+    linalg::CVec out(soa.dim());
+    for (index_t i = 0; i < soa.dim(); ++i) out[i] = soa.amplitude(i);
     return out;
   }
 

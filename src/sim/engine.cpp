@@ -238,18 +238,13 @@ void check_qubits(const circuit::QubitList& qubits, int num_qubits) {
 
 // ---- Kernel application -----------------------------------------------------
 
-struct ApplyContext {
-  cx* amps = nullptr;
-  index_t dim = 0;
-  parallel::ThreadPool* pool = nullptr;
-  bool threaded = false;
-};
-
 /// Runs fn(lo, hi) over [0, count) either inline or as pool chunks of at
-/// least `min_chunk_items`. Chunk boundaries cannot affect results: every
-/// kernel body is element-wise independent (each iteration reads and writes
-/// only its own amplitude group), so any thread count — and any chunking —
-/// is bit-for-bit identical to the serial loop.
+/// least `min_chunk_items`. Every chunk bound is a multiple of
+/// min_chunk_items (or count), which keeps the kernels' group bounds on
+/// whole registers (simd::KernelFn). Chunk boundaries cannot affect
+/// results: every kernel body is element-wise independent (each iteration
+/// reads and writes only its own amplitude group), so any thread count —
+/// and any chunking — is bit-for-bit identical to the serial loop.
 template <typename Fn>
 void chunked_over(parallel::ThreadPool* pool, bool threaded, index_t count,
                   index_t min_chunk_items, const Fn& fn) {
@@ -259,7 +254,8 @@ void chunked_over(parallel::ThreadPool* pool, bool threaded, index_t count,
   }
   const index_t max_chunks = static_cast<index_t>(pool->size()) * 4;
   const index_t chunks = std::min(count / min_chunk_items, std::max<index_t>(max_chunks, 1));
-  const index_t step = (count + chunks - 1) / chunks;
+  const index_t items = (count + chunks - 1) / chunks;
+  const index_t step = (items + min_chunk_items - 1) / min_chunk_items * min_chunk_items;
   std::vector<std::future<void>> futures;
   futures.reserve(static_cast<std::size_t>(chunks));
   for (index_t lo = step; lo < count; lo += step) {
@@ -270,167 +266,17 @@ void chunked_over(parallel::ThreadPool* pool, bool threaded, index_t count,
   for (auto& f : futures) f.get();
 }
 
-template <typename Fn>
-void chunked(const ApplyContext& ctx, index_t count, const Fn& fn) {
-  chunked_over(ctx.pool, ctx.threaded, count, index_t{1024}, fn);
-}
-
-void apply_diagonal(const ApplyContext& ctx, const CompiledOp& op) {
-  if (op.diag_factors.empty()) return;  // identity
-  const int k = static_cast<int>(op.qubits.size());
-  const index_t groups = ctx.dim >> k;
-  if (op.diag_factors.size() == 1) {
-    // Phase-type gate (Z/S/T/P/CZ/CP): one touched pattern, 2^-k of the state.
-    const auto [offset, factor] = op.diag_factors.front();
-    chunked(ctx, groups, [&](index_t lo, index_t hi) {
-      for (index_t g = lo; g < hi; ++g) {
-        ctx.amps[insert_zero_bits(g, op.sorted_qubits) | offset] *= factor;
-      }
-    });
-    return;
-  }
-  chunked(ctx, groups, [&](index_t lo, index_t hi) {
-    for (index_t g = lo; g < hi; ++g) {
-      const index_t base = insert_zero_bits(g, op.sorted_qubits);
-      for (const auto& [offset, factor] : op.diag_factors) {
-        ctx.amps[base | offset] *= factor;
-      }
-    }
-  });
-}
-
-void apply_permutation(const ApplyContext& ctx, const CompiledOp& op) {
-  if (op.perm_dst.empty()) return;  // identity
-  const int k = static_cast<int>(op.qubits.size());
-  const index_t groups = ctx.dim >> k;
-  const std::size_t moves = op.perm_dst.size();
-  chunked(ctx, groups, [&](index_t lo, index_t hi) {
-    std::array<cx, 8> buffer;
-    for (index_t g = lo; g < hi; ++g) {
-      const index_t base = insert_zero_bits(g, op.sorted_qubits);
-      for (std::size_t i = 0; i < moves; ++i) buffer[i] = ctx.amps[base | op.perm_src[i]];
-      for (std::size_t i = 0; i < moves; ++i) {
-        ctx.amps[base | op.perm_dst[i]] =
-            op.perm_phase_is_one[i] != 0 ? buffer[i] : op.perm_phase[i] * buffer[i];
-      }
-    }
-  });
-}
-
-void apply_controlled_1q(const ApplyContext& ctx, const CompiledOp& op) {
-  const cx u00 = op.matrix(0, 0), u01 = op.matrix(0, 1);
-  const cx u10 = op.matrix(1, 0), u11 = op.matrix(1, 1);
-  const index_t groups = ctx.dim >> 2;
-  chunked(ctx, groups, [&](index_t lo, index_t hi) {
-    for (index_t g = lo; g < hi; ++g) {
-      const index_t i0 = insert_zero_bits(g, op.sorted_qubits) | op.control_mask;
-      const index_t i1 = i0 | op.target_mask;
-      const cx a0 = ctx.amps[i0];
-      const cx a1 = ctx.amps[i1];
-      ctx.amps[i0] = u00 * a0 + u01 * a1;
-      ctx.amps[i1] = u10 * a0 + u11 * a1;
-    }
-  });
-}
-
-// The generic kernels mirror StateVector::apply_1q/2q/kq arithmetic exactly
-// (same per-amplitude expressions, independent iterations) so the engine is
-// bit-for-bit identical to the generic path even when it threads.
-
-void apply_generic_1q(const ApplyContext& ctx, const CompiledOp& op) {
-  const int q = op.qubits[0];
-  const index_t qmask = pow2(q);
-  const cx m00 = op.matrix(0, 0), m01 = op.matrix(0, 1);
-  const cx m10 = op.matrix(1, 0), m11 = op.matrix(1, 1);
-  const index_t pairs = ctx.dim >> 1;
-  chunked(ctx, pairs, [&](index_t lo, index_t hi) {
-    for (index_t j = lo; j < hi; ++j) {
-      const index_t i0 = insert_zero_bit(j, q);
-      const index_t i1 = i0 | qmask;
-      const cx a0 = ctx.amps[i0];
-      const cx a1 = ctx.amps[i1];
-      ctx.amps[i0] = m00 * a0 + m01 * a1;
-      ctx.amps[i1] = m10 * a0 + m11 * a1;
-    }
-  });
-}
-
-void apply_generic_2q(const ApplyContext& ctx, const CompiledOp& op) {
-  const index_t mask0 = pow2(op.qubits[0]);
-  const index_t mask1 = pow2(op.qubits[1]);
-  const KernelMatrix& m = op.matrix;
-  const index_t groups = ctx.dim >> 2;
-  chunked(ctx, groups, [&](index_t lo, index_t hi) {
-    for (index_t g = lo; g < hi; ++g) {
-      const index_t base = insert_zero_bits(g, op.sorted_qubits);
-      const std::array<index_t, 4> idx = {base, base | mask0, base | mask1,
-                                          base | mask0 | mask1};
-      std::array<cx, 4> in;
-      for (int j = 0; j < 4; ++j) in[static_cast<std::size_t>(j)] = ctx.amps[idx[static_cast<std::size_t>(j)]];
-      for (int r = 0; r < 4; ++r) {
-        cx acc{0.0, 0.0};
-        for (int c = 0; c < 4; ++c) {
-          acc += m(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) *
-                 in[static_cast<std::size_t>(c)];
-        }
-        ctx.amps[idx[static_cast<std::size_t>(r)]] = acc;
-      }
-    }
-  });
-}
-
-void apply_generic_kq(const ApplyContext& ctx, const CompiledOp& op) {
-  const int k = static_cast<int>(op.qubits.size());
-  const index_t block = pow2(k);
-  const KernelMatrix& m = op.matrix;
-  const index_t groups = ctx.dim >> k;
-  chunked(ctx, groups, [&](index_t lo, index_t hi) {
-    std::vector<cx> in(block), out(block);
-    for (index_t g = lo; g < hi; ++g) {
-      const index_t base = insert_zero_bits(g, op.sorted_qubits);
-      for (index_t p = 0; p < block; ++p) in[p] = ctx.amps[base | op.perm_dst[p]];
-      for (index_t r = 0; r < block; ++r) {
-        cx acc{0.0, 0.0};
-        for (index_t c = 0; c < block; ++c) acc += m(r, c) * in[c];
-        out[r] = acc;
-      }
-      for (index_t p = 0; p < block; ++p) ctx.amps[base | op.perm_dst[p]] = out[p];
-    }
-  });
-}
-
-void apply_op(const ApplyContext& ctx, const CompiledOp& op) {
-  switch (op.cls) {
-    case KernelClass::Diagonal: apply_diagonal(ctx, op); return;
-    case KernelClass::Permutation: apply_permutation(ctx, op); return;
-    case KernelClass::Controlled1Q: apply_controlled_1q(ctx, op); return;
-    case KernelClass::Generic1Q: apply_generic_1q(ctx, op); return;
-    case KernelClass::Generic2Q: apply_generic_2q(ctx, op); return;
-    case KernelClass::GenericKQ: apply_generic_kq(ctx, op); return;
-  }
-  QCUT_CHECK(false, "CompiledCircuit: invalid kernel class");
-}
-
-// ---- SoA (SIMD) kernel application ------------------------------------------
-
-struct SoaApplyContext {
-  double* re = nullptr;
-  double* im = nullptr;
-  index_t dim = 0;
-  parallel::ThreadPool* pool = nullptr;
-  bool threaded = false;
-  const simd::KernelTable* table = nullptr;
-};
-
-void apply_op_soa(const SoaApplyContext& ctx, const CompiledOp& op) {
-  const simd::SoaSpan span{ctx.re, ctx.im, ctx.dim};
-  const simd::KernelFn fn = ctx.table->fns[static_cast<std::size_t>(op.cls)];
-  chunked_over(ctx.pool, ctx.threaded, simd::group_count(op, ctx.dim), index_t{1024},
+/// Applies one op to `span` through `table`, its groups chunked over the
+/// pool when threaded, at least 1024 groups per chunk.
+void run_op(const simd::KernelTable& table, const simd::SoaSpan& span, const CompiledOp& op,
+            parallel::ThreadPool* pool, bool threaded) {
+  const simd::KernelFn fn = table.fns[static_cast<std::size_t>(op.cls)];
+  chunked_over(pool, threaded, simd::group_count(op, span.dim), index_t{1024},
                [&](index_t lo, index_t hi) { fn(span, op, lo, hi); });
 }
 
-/// Timing wrapper shared by the scalar and SoA walks: runs `body` and, when
-/// telemetry is on, attributes the elapsed nanoseconds via `record`.
+/// Runs `body` and, when telemetry is on, attributes the elapsed
+/// nanoseconds via `record`.
 template <typename Body, typename Record>
 void timed_if_enabled(const Body& body, const Record& record) {
   if (!telemetry::enabled()) {
@@ -446,115 +292,47 @@ void timed_if_enabled(const Body& body, const Record& record) {
 
 }  // namespace
 
-void CompiledCircuit::apply_scalar(StateVector& state) const {
+void CompiledCircuit::apply(SoAState& state) const {
+  QCUT_CHECK(state.num_qubits() == num_qubits_,
+             "CompiledCircuit::apply: state width must match the compiled circuit");
   parallel::ThreadPool* pool =
       options_.pool != nullptr ? options_.pool : &parallel::ThreadPool::global();
-  ApplyContext ctx;
-  ctx.amps = state.raw_amplitudes().data();
-  ctx.dim = state.dim();
-  ctx.pool = pool;
-  ctx.threaded = num_qubits_ >= options_.threading_threshold_qubits && pool->size() > 1 &&
-                 !parallel::in_pool_worker();
+  const simd::SoaSpan whole{state.re(), state.im(), state.dim()};
+  const bool threaded = num_qubits_ >= options_.threading_threshold_qubits &&
+                        pool->size() > 1 && !parallel::in_pool_worker();
+  const simd::KernelTable& table = simd::kernel_table(isa_);
   EngineMetrics& metrics = EngineMetrics::get();
   metrics.applies->add();
   // The pool engages only when a segment's work estimate (ops x amplitudes)
   // clears min_parallel_work: small-state/many-gate circuits would pay a
   // pool dispatch per op for kernels that finish faster than the submit.
   // Bit-for-bit neutral — threading never affects results at any grain.
-  const bool op_threaded = ctx.threaded && ctx.dim >= options_.min_parallel_work;
+  const bool op_threaded = threaded && whole.dim >= options_.min_parallel_work;
   for (const Segment& seg : segments_) {
     if (seg.blocked) {
       const std::span<const CompiledOp> run{ops_.data() + seg.begin, seg.end - seg.begin};
       const int bq = options_.cache_block_qubits;
-      const index_t sub = pow2(bq);
-      const std::uint64_t work = static_cast<std::uint64_t>(run.size()) * ctx.dim;
-      const bool seg_threaded = ctx.threaded && work >= options_.min_parallel_work;
+      const std::uint64_t work = static_cast<std::uint64_t>(run.size()) * whole.dim;
+      const bool seg_threaded = threaded && work >= options_.min_parallel_work;
       metrics.blocked_segments->add();
       timed_if_enabled(
           [&] {
-            chunked_over(ctx.pool, seg_threaded, ctx.dim >> bq, index_t{1},
+            chunked_over(pool, seg_threaded, whole.dim >> bq, index_t{1},
                          [&](index_t t_lo, index_t t_hi) {
                            for (index_t t = t_lo; t < t_hi; ++t) {
-                             ApplyContext subctx;
-                             subctx.amps = ctx.amps + (t << bq);
-                             subctx.dim = sub;
-                             for (const CompiledOp& op : run) apply_op(subctx, op);
+                             const simd::SoaSpan block{whole.re + (t << bq),
+                                                       whole.im + (t << bq), pow2(bq)};
+                             for (const CompiledOp& op : run) {
+                               run_op(table, block, op, pool, false);
+                             }
                            }
                          });
           },
           [&](std::uint64_t ns) { metrics.blocked_segment_ns->add(ns); });
     } else {
       const CompiledOp& op = ops_[seg.begin];
-      ApplyContext opctx = ctx;
-      opctx.threaded = op_threaded;
       timed_if_enabled(
-          [&] { apply_op(opctx, op); },
-          [&](std::uint64_t ns) {
-            metrics.kernel_ns[static_cast<std::size_t>(op.cls)]->add(ns);
-          });
-    }
-  }
-}
-
-void CompiledCircuit::apply(StateVector& state) const {
-  QCUT_CHECK(state.num_qubits() == num_qubits_,
-             "CompiledCircuit::apply: state width must match the compiled circuit");
-  if (isa_ == IsaLevel::Scalar) {
-    apply_scalar(state);
-    return;
-  }
-  // SIMD path: round-trip through a split re/im scratch state. The copies
-  // are exact; only the kernels themselves deviate (FMA contraction).
-  SoAState soa = SoAState::from_statevector(state);
-  apply(soa);
-  soa.extract_to(state);
-}
-
-void CompiledCircuit::apply(SoAState& state) const {
-  QCUT_CHECK(state.num_qubits() == num_qubits_,
-             "CompiledCircuit::apply: state width must match the compiled circuit");
-  parallel::ThreadPool* pool =
-      options_.pool != nullptr ? options_.pool : &parallel::ThreadPool::global();
-  SoaApplyContext ctx;
-  ctx.re = state.re();
-  ctx.im = state.im();
-  ctx.dim = state.dim();
-  ctx.pool = pool;
-  ctx.threaded = num_qubits_ >= options_.threading_threshold_qubits && pool->size() > 1 &&
-                 !parallel::in_pool_worker();
-  ctx.table = &simd::kernel_table(isa_);
-  EngineMetrics& metrics = EngineMetrics::get();
-  metrics.applies->add();
-  const bool op_threaded = ctx.threaded && ctx.dim >= options_.min_parallel_work;
-  for (const Segment& seg : segments_) {
-    if (seg.blocked) {
-      const std::span<const CompiledOp> run{ops_.data() + seg.begin, seg.end - seg.begin};
-      const int bq = options_.cache_block_qubits;
-      const index_t sub = pow2(bq);
-      const std::uint64_t work = static_cast<std::uint64_t>(run.size()) * ctx.dim;
-      const bool seg_threaded = ctx.threaded && work >= options_.min_parallel_work;
-      metrics.blocked_segments->add();
-      timed_if_enabled(
-          [&] {
-            chunked_over(ctx.pool, seg_threaded, ctx.dim >> bq, index_t{1},
-                         [&](index_t t_lo, index_t t_hi) {
-                           for (index_t t = t_lo; t < t_hi; ++t) {
-                             SoaApplyContext subctx;
-                             subctx.re = ctx.re + (t << bq);
-                             subctx.im = ctx.im + (t << bq);
-                             subctx.dim = sub;
-                             subctx.table = ctx.table;
-                             for (const CompiledOp& op : run) apply_op_soa(subctx, op);
-                           }
-                         });
-          },
-          [&](std::uint64_t ns) { metrics.blocked_segment_ns->add(ns); });
-    } else {
-      const CompiledOp& op = ops_[seg.begin];
-      SoaApplyContext opctx = ctx;
-      opctx.threaded = op_threaded;
-      timed_if_enabled(
-          [&] { apply_op_soa(opctx, op); },
+          [&] { run_op(table, whole, op, pool, op_threaded); },
           [&](std::uint64_t ns) {
             metrics.kernel_ns[static_cast<std::size_t>(op.cls)]->add(ns);
           });

@@ -20,16 +20,21 @@
 //   * Generic1Q/2Q/KQ — dense fallback, arithmetic identical to
 //                    StateVector::apply_matrix.
 //
-// Specialized kernels are BIT-FOR-BIT identical to the generic path: they
+// One kernel set, one state layout: a compiled circuit applies to a split
+// real/imag SoAState (sim/soa_state.hpp) through one kernel table of
+// sim/simd_kernels.hpp. By default that is the width-1 tier, which rounds
+// each complex product and sum as std::complex<double> does, so the
+// specialized kernels are BIT-FOR-BIT identical to the generic path: they
 // perform the same multiplications the dense loop performs after dropping
 // terms whose coefficient is exactly 0 (and factors exactly 1), which
 // cannot change the VALUE of any double under IEEE arithmetic — only the
 // sign of a zero can differ (x + 0*a can turn -0.0 into +0.0), which ==
-// comparisons, probabilities (std::norm squares the zero away), counts,
-// and cache keys cannot observe (tests/sim_kernel_test.cpp gates this). Gate fusion (circuit::GateFusion) is the one knob allowed to
-// deviate — fused matrices are floating-point products, deviation well
-// under 1e-12 — so it is a result-affecting option that backends fold into
-// their cache identity (see backend::Backend::identity()).
+// comparisons, probabilities (the squares drop the sign), counts, and cache
+// keys cannot observe (tests/sim_kernel_test.cpp gates this). Gate fusion
+// (circuit::GateFusion) is the one knob allowed to deviate — fused matrices
+// are floating-point products, deviation well under 1e-12 — so it is a
+// result-affecting option that backends fold into their cache identity
+// (see backend::Backend::identity()).
 //
 // Threading: for states with at least `threading_threshold_qubits` qubits,
 // kernels split their amplitude loops into chunks on a parallel::ThreadPool.
@@ -40,14 +45,13 @@
 // work threshold (`min_parallel_work`) where pool dispatch would cost more
 // than the kernel itself.
 //
-// SIMD: with EngineOptions::simd the compiled circuit executes on a split
-// real/imag (SoA) amplitude layout through runtime-dispatched AVX2/AVX-512
-// kernels (sim/simd_kernels.hpp). FMA contraction changes roundings, so the
-// SIMD path is NOT bit-for-bit with the scalar kernels — it matches within
-// 1e-12 per amplitude and is a result-affecting knob that backends fold
-// into their cache identity, exactly like fusion. When the build or the CPU
-// lacks AVX2 the flag quietly falls back to the scalar path (dispatched_isa()
-// == IsaLevel::Scalar), preserving default-off semantics.
+// SIMD: with EngineOptions::simd the same kernel bodies run at the AVX2 or
+// AVX-512 width, dispatched at runtime. FMA contraction changes roundings,
+// so the SIMD tiers are NOT bit-for-bit with the width-1 tier — they match
+// within 1e-12 per amplitude and are a result-affecting knob that backends
+// fold into their cache identity, exactly like fusion. When the build or
+// the CPU lacks AVX2 the flag quietly keeps the width-1 tier (isa() ==
+// IsaLevel::Scalar), preserving default-off semantics.
 //
 // Cache blocking: runs of at least two consecutive ops whose qubits all lie
 // below `cache_block_qubits` are applied block-by-block — every 2^B-sized
@@ -72,7 +76,7 @@ namespace qcut::sim {
 class SoAState;
 
 /// Instruction-set level a compiled circuit's kernels execute at. Scalar is
-/// the bit-exact reference; Avx2/Avx512 are the FMA-contracted SIMD tiers.
+/// the bit-exact width-1 tier; Avx2/Avx512 are the FMA-contracted SIMD tiers.
 enum class IsaLevel {
   Scalar,
   Avx2,
@@ -92,12 +96,11 @@ struct EngineOptions {
   /// 1e-12); backends expose this knob in their cache identity.
   bool fuse = true;
 
-  /// Execute through the SoA/SIMD kernel path (AVX2, or AVX-512 where the
-  /// CPU has it). FMA contraction makes this deviate from the scalar
-  /// kernels by floating-point rounding (within 1e-12 per amplitude);
-  /// backends fold the dispatched ISA into their cache identity. Falls
-  /// back to the bit-exact scalar path when the build (CMake QCUT_SIMD) or
-  /// the CPU lacks AVX2.
+  /// Execute the kernels at vector width (AVX2, or AVX-512 where the CPU
+  /// has it). FMA contraction makes this deviate from the width-1 tier by
+  /// floating-point rounding (within 1e-12 per amplitude); backends fold
+  /// the dispatched ISA into their cache identity. Keeps the bit-exact
+  /// width-1 tier when the build (CMake QCUT_SIMD) or the CPU lacks AVX2.
   bool simd = false;
 
   /// Thread kernel loops over amplitude chunks for states with at least
@@ -121,9 +124,9 @@ struct EngineOptions {
   /// Pool for kernel-level threading; nullptr selects the global pool.
   parallel::ThreadPool* pool = nullptr;
 
-  /// The pre-engine reference configuration: dense generic application of
-  /// every gate, no fusion, no threading, no blocking. The benchmark
-  /// baseline.
+  /// The reference configuration: dense generic kernels for every gate, no
+  /// fusion, no threading, no blocking. The engine gate's baseline
+  /// (bench/micro_simulator).
   [[nodiscard]] static EngineOptions generic() {
     EngineOptions options;
     options.specialize = false;
@@ -203,7 +206,7 @@ struct CompiledOp {
 };
 
 /// A circuit compiled for the engine: operations classified once, ready to
-/// apply to any StateVector of the same width. Immutable after compilation
+/// apply to any SoAState of the same width. Immutable after compilation
 /// and safe to apply concurrently to distinct states.
 class CompiledCircuit {
  public:
@@ -223,7 +226,7 @@ class CompiledCircuit {
   [[nodiscard]] std::span<const CompiledOp> compiled_ops() const noexcept { return ops_; }
   [[nodiscard]] std::span<const Segment> segments() const noexcept { return segments_; }
 
-  /// The ISA the SIMD path dispatched to at compile time: Scalar unless
+  /// The kernel tier dispatched at compile time: Scalar (width 1) unless
   /// options.simd is set, the build has QCUT_SIMD, and the CPU supports at
   /// least AVX2.
   [[nodiscard]] IsaLevel isa() const noexcept { return isa_; }
@@ -234,14 +237,8 @@ class CompiledCircuit {
     return fusion_stats_;
   }
 
-  /// Applies every compiled operation in order. When the SIMD path is
-  /// active (isa() != Scalar) the amplitudes round-trip through an SoA
-  /// scratch state; callers on the hot path hand the engine an SoAState
-  /// directly instead.
-  void apply(StateVector& state) const;
-
-  /// Applies every compiled operation to a split re/im state using the
-  /// dispatched SIMD kernels (scalar SoA kernels when isa() == Scalar).
+  /// Applies every compiled operation in order through the kernel table of
+  /// isa().
   void apply(SoAState& state) const;
 
  private:
@@ -255,8 +252,6 @@ class CompiledCircuit {
   template <typename Classify>
   static CompiledCircuit build(std::size_t count, int num_qubits, const EngineOptions& options,
                                const Classify& classify);
-
-  void apply_scalar(StateVector& state) const;
 
   int num_qubits_ = 0;
   EngineOptions options_{};

@@ -1,13 +1,14 @@
 #pragma once
-// SoA SIMD kernel tables with runtime ISA dispatch.
+// SoA kernel tables with runtime ISA dispatch: the engine's one kernel set.
 //
-// Each kernel class of sim/engine.hpp has a split re/im implementation
-// operating on SoAState buffers. The kernels are compiled from one
-// width-parameterized template (simd_kernels_impl.hpp) into three tiers:
+// Each kernel class of sim/engine.hpp has one split re/im body, written
+// once as a width-parameterized template (simd_kernels_impl.hpp) and
+// compiled into three tiers:
 //
-//   Scalar — width-1 instantiation, plain double arithmetic, always built;
-//   Avx2   — __m256d (4 doubles/lane pair) with FMA, built when the
-//            compiler accepts -mavx2 -mfma (CMake QCUT_SIMD);
+//   Scalar — width-1 instantiation, plain double arithmetic, always built:
+//            the default engine;
+//   Avx2   — __m256d (4 doubles) with FMA, built when the compiler accepts
+//            -mavx2 -mfma (CMake QCUT_SIMD);
 //   Avx512 — __m512d (8 doubles), built when -mavx512f is accepted.
 //
 // The AVX tiers live in their own translation units with per-source ISA
@@ -16,11 +17,13 @@
 // (__builtin_cpu_supports) and picks the widest table both the build and
 // the machine support.
 //
-// Rounding contract: the vector tiers contract complex multiplies through
-// FMA, so their results deviate from the Scalar tier (and from the
-// bit-exact AoS kernels in engine.cpp) by floating-point rounding — within
-// 1e-12 per amplitude for realistic depths. That is why EngineOptions::simd
-// is a result-affecting knob folded into Backend::identity().
+// Rounding contract: the Scalar tier rounds every complex product and sum
+// as std::complex<double> does (StateVector::apply_1q/2q spell it out), so
+// it is bit for bit the generic StateVector::apply_matrix arithmetic. The
+// vector tiers contract complex multiplies through FMA, so their results
+// deviate from the Scalar tier by floating-point rounding — within 1e-12
+// per amplitude for realistic depths. That is why EngineOptions::simd is a
+// result-affecting knob folded into Backend::identity().
 
 #include "sim/engine.hpp"
 
@@ -35,9 +38,11 @@ struct SoaSpan {
   index_t dim = 0;
 };
 
-/// Applies `op` to the amplitude groups [group_lo, group_hi) of `span`.
-/// Group semantics match the AoS kernels: group_count(op, dim) enumerates
-/// the independent index groups the op touches.
+/// Applies `op` to the amplitude groups [group_lo, group_hi) of `span`:
+/// group_count(op, dim) enumerates the independent index groups the op
+/// touches. Both bounds must be multiples of 8 (or group_hi the count), so
+/// no register's amplitudes straddle two calls; the engine's chunks are
+/// whole multiples of 1024 groups.
 using KernelFn = void (*)(const SoaSpan& span, const CompiledOp& op, index_t group_lo,
                           index_t group_hi);
 
@@ -55,7 +60,7 @@ struct KernelTable {
 [[nodiscard]] IsaLevel best_isa() noexcept;
 
 /// The kernel table for an ISA level. Requesting a level the build or CPU
-/// does not support falls back to Scalar.
+/// does not support falls back to the widest one below it.
 [[nodiscard]] const KernelTable& kernel_table(IsaLevel isa) noexcept;
 
 namespace detail {

@@ -23,12 +23,6 @@ SoAState SoAState::from_statevector(const StateVector& sv) {
   return out;
 }
 
-void SoAState::extract_to(StateVector& sv) const {
-  QCUT_CHECK(sv.num_qubits() == num_qubits_, "SoAState::extract_to: width mismatch");
-  std::span<cx> amps = sv.raw_amplitudes();
-  for (index_t i = 0; i < dim(); ++i) amps[i] = cx{re_[i], im_[i]};
-}
-
 cx SoAState::amplitude(index_t basis_state) const {
   QCUT_CHECK(basis_state < dim(), "SoAState::amplitude: basis state out of range");
   return cx{re_[basis_state], im_[basis_state]};

@@ -1,15 +1,15 @@
 #pragma once
-// Split real/imaginary (structure-of-arrays) statevector storage.
+// Split real/imaginary (structure-of-arrays) statevector storage: the one
+// state layout of the gate-kernel engine (sim/engine.hpp) and CpuDevice.
 //
 // StateVector stores interleaved std::complex<double>, which forces every
 // vector lane to carry a re/im pair and every SIMD complex multiply to
 // shuffle in-register. Splitting the amplitudes into two plain double
-// arrays lets the AVX2/AVX-512 kernels (sim/simd_kernels.hpp) load W real
-// parts and W imaginary parts with two contiguous loads and keep the
-// complex arithmetic as independent FMA chains. Conversion to and from the
-// interleaved layout is an exact copy — no arithmetic, so it cannot perturb
-// amplitudes; only the SIMD kernels themselves (FMA contraction) deviate
-// from the scalar path, and that deviation is owned by EngineOptions::simd.
+// arrays lets the kernels (sim/simd_kernels.hpp) load W real parts and W
+// imaginary parts with two contiguous loads and keep the complex
+// arithmetic as independent multiply-add chains, at width 1 as at AVX
+// width. The layout is only storage: the width-1 tier's results are bit for
+// bit StateVector::apply_matrix's.
 
 #include <vector>
 
@@ -23,10 +23,8 @@ class SoAState {
   /// |0...0> on n qubits.
   explicit SoAState(int num_qubits);
 
+  /// An exact copy of `sv`'s amplitudes (tests load random states this way).
   [[nodiscard]] static SoAState from_statevector(const StateVector& sv);
-
-  /// Writes the amplitudes back into `sv` (widths must match).
-  void extract_to(StateVector& sv) const;
 
   [[nodiscard]] int num_qubits() const noexcept { return num_qubits_; }
   [[nodiscard]] index_t dim() const noexcept { return static_cast<index_t>(re_.size()); }

@@ -42,11 +42,6 @@ class StateVector {
   [[nodiscard]] const CVec& amplitudes() const noexcept { return amps_; }
   [[nodiscard]] cx amplitude(index_t basis_state) const;
 
-  /// Mutable raw amplitudes — the gate-kernel engine's write hook
-  /// (sim/engine.hpp). Callers own the normalization invariant while a
-  /// span is live.
-  [[nodiscard]] std::span<cx> raw_amplitudes() noexcept { return amps_; }
-
   /// Applies a (2^k x 2^k) matrix to the listed qubits; qubits[j] is bit j
   /// of the matrix index. The matrix need not be unitary (projectors and
   /// Kraus operators are applied the same way).

@@ -133,7 +133,7 @@ std::string dispatch_order(const std::vector<std::pair<std::string, std::uint32_
   std::string order;
   std::mutex order_mutex;
   {
-    FairDispatcher dispatcher(pool, /*width=*/1);
+    FairDispatcher dispatcher(pool);
     for (const auto& [label, weight] : submissions) {
       dispatcher.submit(label, weight, [&order, &order_mutex, tag = label] {
         std::lock_guard<std::mutex> lock(order_mutex);
@@ -151,7 +151,7 @@ TEST(FairDispatcher, WeightedStrideOrderIsExactAndDeterministic) {
   // Tenant A at weight 3, tenant B at weight 1, A's six tasks staged before
   // B's two. Stride arithmetic (scale 2^20: A advances 349525/dispatch, B
   // 1048576) with ties broken by submission order gives exactly ABAAABAA:
-  // the first A is released before B stages (width 1), then B's pass of 0
+  // the first A is released before B stages (one worker), then B's pass of 0
   // wins, then A's smaller stride earns three dispatches per B.
   std::vector<std::pair<std::string, std::uint32_t>> submissions;
   for (int i = 0; i < 6; ++i) submissions.emplace_back("A", 3);
@@ -194,14 +194,16 @@ TEST(FairDispatcher, TeardownWaitsForEveryWrapper) {
   // must count it until it is done: destroying the dispatcher right after
   // drain(), round after round on a contended pool, must never leave a
   // wrapper touching freed memory (a hang, a crash or an ASan report).
+  // Each round stages twice the 4 workers' worth of tasks, so finishing
+  // wrappers release the staged half.
   parallel::ThreadPool pool(4);
   std::atomic<int> ran{0};
   for (int round = 0; round < 2000; ++round) {
-    auto dispatcher = std::make_unique<FairDispatcher>(pool, /*width=*/1);
-    for (int i = 0; i < 4; ++i) dispatcher->submit("t", 1, [&ran] { ran.fetch_add(1); });
+    auto dispatcher = std::make_unique<FairDispatcher>(pool);
+    for (int i = 0; i < 8; ++i) dispatcher->submit("t", 1, [&ran] { ran.fetch_add(1); });
     dispatcher.reset();
   }
-  EXPECT_EQ(ran.load(), 8000);
+  EXPECT_EQ(ran.load(), 16000);
 }
 
 // ---- Admission control end to end --------------------------------------------

@@ -4,8 +4,9 @@
 // compile_prefix and compile_suffix allocate a fixed number of blocks per
 // call and none per op: the program, the fused stream, and the program's
 // op and segment arrays. Only Custom blocks on three or more qubits may
-// spill. The test counts every global operator new, so it lives in its own
-// binary.
+// spill. Applying a program allocates nothing, dense 3-qubit Custom blocks
+// included. The test counts every global operator new, so it lives in its
+// own binary.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "circuit/random.hpp"
 #include "cutting/fragment_graph.hpp"
 #include "cutting/variants.hpp"
+#include "linalg/ops.hpp"
 #include "sim/device.hpp"
 #include "support/counting_new.hpp"
 
@@ -138,6 +140,30 @@ TEST(CompileAllocations, WholeCircuitCompileAllocatesAFixedNumber) {
       }
     }
   }
+}
+
+TEST(ApplyAllocations, ThreeQubitCustomBlocksAllocateNothing) {
+  // Dense 3-qubit Custom blocks classify as GenericKQ, whose kernel keeps
+  // its gather and scatter buffers inline up to three qubits.
+  Rng rng(8);
+  const auto u3 = [&] {
+    return circuit::gate_matrix(circuit::GateKind::U, {rng.uniform(0.0, 6.28),
+                                                       rng.uniform(0.0, 6.28),
+                                                       rng.uniform(0.0, 6.28)});
+  };
+  Circuit c(5);
+  for (int i = 0; i < 6; ++i) {
+    const linalg::CMat dense = linalg::kron(u3(), linalg::kron(u3(), u3())) *
+                               circuit::gate_matrix(circuit::GateKind::CCX, {});
+    c.append_custom(dense, {i % 5, (i + 2) % 5, (i + 4) % 5}, "block");
+  }
+  const auto device = make_cpu_device();
+  const auto program = device->compile(c);
+  ASSERT_EQ(program->summary().class_counts[static_cast<std::size_t>(KernelClass::GenericKQ)],
+            6u);
+  const auto state = device->create_state(5);
+  device->apply(*program, *state);  // first-use registrations
+  EXPECT_EQ(allocations_of([&] { device->apply(*program, *state); }), 0u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // Gates the contracts layers above the simulator rely on:
 //  * compile + apply through the Device matches the engine's reference
-//    results (bit-for-bit scalar, within 1e-12 under SIMD);
+//    results (bit-for-bit on the width-1 tier, within 1e-12 under SIMD);
 //  * compile_prefix/compile_suffix forking is bit-for-bit identical to a
 //    whole-circuit compile at every split point (the stream property,
 //    lifted to the Device level);
@@ -26,6 +26,7 @@
 #include "linalg/ops.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/simd_kernels.hpp"
+#include "sim/soa_state.hpp"
 #include "sim/statevector.hpp"
 #include "support/digest.hpp"
 #include "telemetry/metrics.hpp"
@@ -67,7 +68,7 @@ TEST(CpuDevice, ApplyMatchesEngineReference) {
   const auto device = make_cpu_device();
   for (int width = 2; width <= 8; ++width) {
     const Circuit c = random_circuit_of(width, 16, 100 + static_cast<std::uint64_t>(width));
-    StateVector reference(width);
+    SoAState reference(width);
     compile_circuit(c, EngineOptions{}).apply(reference);
 
     const auto program = device->compile(c);

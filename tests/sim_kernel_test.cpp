@@ -1,11 +1,13 @@
 // Gate-kernel engine equivalence suite (sim/engine.hpp).
 //
 // Gates the tentpole guarantees:
-//  * every specialized kernel is BIT-FOR-BIT identical to the generic
-//    StateVector::apply_matrix path, across random gates, random qubit
-//    orders, and widths;
+//  * every specialized kernel (the width-1 SoA tier, the default engine) is
+//    BIT-FOR-BIT identical to the generic StateVector::apply_matrix path,
+//    across random gates, random qubit orders, and widths;
 //  * threaded kernel application is bit-for-bit identical at any thread
 //    count (1 vs N);
+//  * every SIMD table the CPU supports stays within 1e-12 of the width-1
+//    tier, per op, for every kernel class at every lowest qubit;
 //  * the fusion pass stays within 1e-12 of the unfused circuit, and its
 //    streaming scan satisfies the split property the statevector backend's
 //    shared-prefix batching relies on;
@@ -21,6 +23,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "circuit/optimize.hpp"
@@ -53,10 +56,19 @@ StateVector random_state(int n, Rng& rng) {
   return StateVector::from_amplitudes(std::move(amps), /*check_normalization=*/false);
 }
 
-/// Exact (==) amplitude comparison. Double == ignores the sign of zero,
-/// which is the one place specialized kernels may differ from the generic
-/// path (a dropped `+ 0*a` term cannot change any nonzero double).
-void expect_amps_equal(const StateVector& a, const StateVector& b) {
+/// `input` with `compiled` applied, in the engine's state layout.
+SoAState applied(const CompiledCircuit& compiled, const StateVector& input) {
+  SoAState state = SoAState::from_statevector(input);
+  compiled.apply(state);
+  return state;
+}
+
+/// Exact (==) amplitude comparison of two states (StateVector or SoAState).
+/// Double == ignores the sign of zero, which is the one place specialized
+/// kernels may differ from the generic path (a dropped `+ 0*a` term cannot
+/// change any nonzero double).
+template <typename A, typename B>
+void expect_amps_equal(const A& a, const B& b) {
   ASSERT_EQ(a.dim(), b.dim());
   for (index_t i = 0; i < a.dim(); ++i) {
     EXPECT_EQ(a.amplitude(i).real(), b.amplitude(i).real()) << "re @ " << i;
@@ -64,7 +76,8 @@ void expect_amps_equal(const StateVector& a, const StateVector& b) {
   }
 }
 
-void expect_amps_near(const StateVector& a, const StateVector& b, double tol) {
+template <typename A, typename B>
+void expect_amps_near(const A& a, const B& b, double tol) {
   ASSERT_EQ(a.dim(), b.dim());
   for (index_t i = 0; i < a.dim(); ++i) {
     EXPECT_NEAR(std::abs(a.amplitude(i) - b.amplitude(i)), 0.0, tol) << i;
@@ -177,15 +190,14 @@ TEST(KernelEquivalence, EveryNamedGateBitForBit) {
       for (int p = 0; p < c.params; ++p) params.push_back(rng.uniform(0.0, 6.28));
       const Operation op = make_op(c.kind, qubits, params);
 
-      StateVector generic = random_state(width, rng);
-      StateVector specialized = generic;
+      const StateVector input = random_state(width, rng);
+      StateVector generic = input;
       generic.apply_matrix(op.matrix(), op.qubits);
 
       EngineOptions options;
       options.fuse = false;
       const std::array<Operation, 1> ops = {op};
-      compile_ops(ops, width, options).apply(specialized);
-      expect_amps_equal(generic, specialized);
+      expect_amps_equal(generic, applied(compile_ops(ops, width, options), input));
     }
   }
 }
@@ -201,7 +213,7 @@ TEST(KernelEquivalence, RandomCircuitsBitForBit) {
     StateVector generic(width);
     generic.apply_circuit(c);
 
-    StateVector specialized(width);
+    SoAState specialized(width);
     EngineOptions options;
     options.fuse = false;
     compile_circuit(c, options).apply(specialized);
@@ -217,7 +229,7 @@ TEST(KernelEquivalence, ThreadCountInvariance) {
   const Circuit c = circuit::random_circuit(rc, rng);
 
   const auto run_with = [&](parallel::ThreadPool* pool, int threshold) {
-    StateVector sv(rc.num_qubits);
+    SoAState sv(rc.num_qubits);
     EngineOptions options;
     options.fuse = false;
     options.threading_threshold_qubits = threshold;
@@ -226,7 +238,7 @@ TEST(KernelEquivalence, ThreadCountInvariance) {
     return sv;
   };
 
-  const StateVector serial = run_with(nullptr, 27);
+  const SoAState serial = run_with(nullptr, 27);
   parallel::ThreadPool pool1(1);
   parallel::ThreadPool pool2(2);
   parallel::ThreadPool pool5(5);
@@ -247,7 +259,7 @@ TEST(KernelEquivalence, ParallelGrainInvariance) {
 
   parallel::ThreadPool pool(4);
   const auto run_with = [&](std::uint64_t min_work, int block_qubits) {
-    StateVector sv(rc.num_qubits);
+    SoAState sv(rc.num_qubits);
     EngineOptions options;
     options.threading_threshold_qubits = 2;
     options.min_parallel_work = min_work;
@@ -257,7 +269,7 @@ TEST(KernelEquivalence, ParallelGrainInvariance) {
     return sv;
   };
 
-  StateVector serial(rc.num_qubits);
+  SoAState serial(rc.num_qubits);
   EngineOptions serial_options;
   serial_options.threading_threshold_qubits = 27;
   serial_options.cache_block_qubits = 0;
@@ -283,7 +295,7 @@ TEST(CacheBlocking, BitForBitEqualToUnblocked) {
       const Circuit c = circuit::random_circuit(rc, rng);
 
       const auto run_with = [&](int block_qubits) {
-        StateVector sv(width);
+        SoAState sv(width);
         EngineOptions options;
         options.fuse = fuse;
         options.cache_block_qubits = block_qubits;
@@ -291,7 +303,7 @@ TEST(CacheBlocking, BitForBitEqualToUnblocked) {
         return sv;
       };
 
-      const StateVector unblocked = run_with(0);
+      const SoAState unblocked = run_with(0);
       expect_amps_equal(unblocked, run_with(2));
       expect_amps_equal(unblocked, run_with(4));
       expect_amps_equal(unblocked, run_with(width - 1));
@@ -301,23 +313,23 @@ TEST(CacheBlocking, BitForBitEqualToUnblocked) {
 
 // ---- SIMD path --------------------------------------------------------------
 //
-// The SoA/SIMD kernels are the engine's one tolerance-validated (not
-// bit-for-bit) execution path: FMA contraction changes roundings. The
-// budget is 1e-12 per amplitude — far above the few-ulp deviation FMA can
-// introduce, far below any physically meaningful difference — and the tests
-// skip (with a note) when neither the build nor the CPU provides AVX2.
+// The AVX tiers are the engine's one tolerance-validated (not bit-for-bit)
+// execution path: FMA contraction changes roundings. The budget is 1e-12
+// per amplitude — far above the few-ulp deviation FMA can introduce, far
+// below any physically meaningful difference — and the tests skip (with a
+// note) when neither the build nor the CPU provides AVX2.
 
 constexpr double kSimdTol = 1e-12;
 
 bool simd_available() { return simd::best_isa() != IsaLevel::Scalar; }
 
-/// Every named gate at every qubit placement: SIMD vs scalar-specialized,
+/// Every named gate at every qubit placement: SIMD vs the width-1 tier,
 /// within kSimdTol per amplitude. Mirrors EveryNamedGateBitForBit's matrix
 /// (gate x width x qubit order) with the tolerance contract.
 TEST(SimdKernels, EveryNamedGateWithin1em12PerAmplitude) {
   if (!simd_available()) {
     GTEST_SKIP() << "SIMD tiers unavailable (build without QCUT_SIMD or CPU "
-                    "without AVX2); path pinned to bit-exact scalar";
+                    "without AVX2); path pinned to the bit-exact width-1 tier";
   }
   struct Case {
     GateKind kind;
@@ -354,25 +366,21 @@ TEST(SimdKernels, EveryNamedGateWithin1em12PerAmplitude) {
       const StateVector input = random_state(width, rng);
       EngineOptions scalar_options;
       scalar_options.fuse = false;
-      StateVector scalar = input;
-      compile_ops(ops, width, scalar_options).apply(scalar);
-
       EngineOptions simd_options = scalar_options;
       simd_options.simd = true;
-      StateVector vectorized = input;
       const CompiledCircuit compiled = compile_ops(ops, width, simd_options);
       ASSERT_NE(compiled.isa(), IsaLevel::Scalar);
-      compiled.apply(vectorized);
-      expect_amps_near(scalar, vectorized, kSimdTol);
+      expect_amps_near(applied(compile_ops(ops, width, scalar_options), input),
+                       applied(compiled, input), kSimdTol);
     }
   }
 }
 
-/// Whole random circuits through the SoA path, specialized and generic,
+/// Whole random circuits through the SIMD tier, specialized and generic,
 /// with fusion and cache blocking in play.
 TEST(SimdKernels, RandomCircuitsWithin1em12PerAmplitude) {
   if (!simd_available()) {
-    GTEST_SKIP() << "SIMD tiers unavailable; path pinned to bit-exact scalar";
+    GTEST_SKIP() << "SIMD tiers unavailable; path pinned to the bit-exact width-1 tier";
   }
   Rng rng(67);
   for (const bool specialize : {true, false}) {
@@ -384,66 +392,211 @@ TEST(SimdKernels, RandomCircuitsWithin1em12PerAmplitude) {
 
       EngineOptions scalar_options;
       scalar_options.specialize = specialize;
-      StateVector scalar(width);
+      SoAState scalar(width);
       compile_circuit(c, scalar_options).apply(scalar);
 
       EngineOptions simd_options = scalar_options;
       simd_options.simd = true;
-      StateVector vectorized(width);
+      SoAState vectorized(width);
       compile_circuit(c, simd_options).apply(vectorized);
       expect_amps_near(scalar, vectorized, kSimdTol);
     }
   }
 }
 
-/// SoA round-trip conversions are exact copies, and the scalar SoA tier
-/// stays within the SIMD tolerance budget of the interleaved reference.
-/// (It shares the vector tiers' accumulate-then-subtract code shape, whose
-/// rounding sequence differs from complex<double> arithmetic by ulps, so
-/// tolerance — not bit equality — is the contract. The bit-exact scalar
-/// path is apply(StateVector&), which engages whenever isa() == Scalar.)
-TEST(SimdKernels, ScalarTierMatchesWithin1em12ThroughSoA) {
+/// Whether `qubits` are distinct and fit in `c`.
+bool fits(const Circuit& c, const std::vector<int>& qubits) {
+  for (std::size_t i = 0; i < qubits.size(); ++i) {
+    if (qubits[i] >= c.num_qubits()) return false;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (qubits[i] == qubits[j]) return false;
+    }
+  }
+  return true;
+}
+
+/// Appends `kind` on `qubits` when they fit.
+void append_if_fits(Circuit& c, GateKind kind, std::vector<int> qubits, Rng& rng) {
+  if (!fits(c, qubits)) return;
+  std::vector<double> params;
+  for (int p = 0; p < circuit::gate_num_params(kind); ++p) params.push_back(rng.uniform(0.0, 6.28));
+  c.append(kind, std::move(qubits), std::move(params));
+}
+
+linalg::CMat random_u3(Rng& rng) {
+  return circuit::gate_matrix(GateKind::U, {rng.uniform(0.0, 6.28), rng.uniform(0.0, 6.28),
+                                            rng.uniform(0.0, 6.28)});
+}
+
+/// Diagonal of random phases on `dim` entries, every other one exactly 1.
+linalg::CMat random_phases(std::size_t dim, Rng& rng) {
+  linalg::CVec entries(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    entries[i] = i % 2 == 0 ? cx{1.0, 0.0} : std::polar(1.0, rng.uniform(0.0, 6.28));
+  }
+  return linalg::CMat::diagonal(entries);
+}
+
+/// Appends a Custom block on `qubits` when they fit: `shape` 0 dense, 1
+/// diagonal, 2 phased permutation, 3 controlled (two qubits only).
+void append_custom_if_fits(Circuit& c, int shape, std::vector<int> qubits, Rng& rng) {
+  if (!fits(c, qubits)) return;
+  const std::size_t dim = pow2(static_cast<int>(qubits.size()));
+  linalg::CMat m;
+  switch (shape) {
+    case 0:
+      m = random_u3(rng);
+      for (std::size_t q = 1; q < qubits.size(); ++q) m = linalg::kron(random_u3(rng), m);
+      if (qubits.size() == 2) m = m * circuit::gate_matrix(GateKind::CX, {});
+      if (qubits.size() == 3) m = m * circuit::gate_matrix(GateKind::CCX, {});
+      break;
+    case 1:
+      m = random_phases(dim, rng);
+      break;
+    case 2:
+      m = (qubits.size() == 3 ? circuit::gate_matrix(GateKind::CSWAP, {})
+                              : circuit::gate_matrix(GateKind::ISwap, {})) *
+          random_phases(dim, rng);
+      break;
+    default: {
+      const linalg::CMat u = random_u3(rng);
+      m = linalg::CMat::identity(4);
+      m(2, 2) = u(0, 0);
+      m(2, 3) = u(0, 1);
+      m(3, 2) = u(1, 0);
+      m(3, 3) = u(1, 1);
+    }
+  }
+  c.append_custom(std::move(m), std::move(qubits), "block");
+}
+
+/// Compiled ops with lowest qubit q0 on `width` qubits: every kernel class
+/// from named gates and Custom blocks (2q blocks of every shape, dense 3q,
+/// diagonal 3q and 4q), then fused 4x4 products of dense 2q chains.
+std::vector<CompiledCircuit> lowest_qubit_probes(int width, int q0, Rng& rng) {
+  const int a = q0 + 1;
+  const int b = q0 + 2;
+  const int top = width - 1;
+  Circuit c(width);
+  append_if_fits(c, GateKind::RZ, {q0}, rng);
+  append_if_fits(c, GateKind::T, {q0}, rng);
+  append_if_fits(c, GateKind::CZ, {q0, a}, rng);
+  append_if_fits(c, GateKind::CP, {top, q0}, rng);
+  append_if_fits(c, GateKind::X, {q0}, rng);
+  append_if_fits(c, GateKind::Y, {q0}, rng);
+  append_if_fits(c, GateKind::CX, {q0, top}, rng);
+  append_if_fits(c, GateKind::CX, {top, q0}, rng);
+  append_if_fits(c, GateKind::CY, {a, q0}, rng);
+  append_if_fits(c, GateKind::SWAP, {q0, a}, rng);
+  append_if_fits(c, GateKind::ISwap, {q0, top}, rng);
+  append_if_fits(c, GateKind::CCX, {q0, a, top}, rng);
+  append_if_fits(c, GateKind::CSWAP, {top, q0, b}, rng);
+  append_if_fits(c, GateKind::CH, {q0, a}, rng);
+  append_if_fits(c, GateKind::CRY, {top, q0}, rng);
+  append_if_fits(c, GateKind::CRX, {q0, top}, rng);
+  append_if_fits(c, GateKind::H, {q0}, rng);
+  append_if_fits(c, GateKind::U, {q0}, rng);
+  append_if_fits(c, GateKind::RXX, {q0, b}, rng);
+  append_if_fits(c, GateKind::RYY, {top, q0}, rng);
+  for (int shape = 0; shape < 4; ++shape) {
+    append_custom_if_fits(c, shape, {q0, top}, rng);
+    append_custom_if_fits(c, shape, {a, q0}, rng);
+  }
+  append_custom_if_fits(c, 0, {q0, a, top}, rng);
+  append_custom_if_fits(c, 1, {b, q0, top}, rng);
+  append_custom_if_fits(c, 2, {q0, top, a}, rng);
+  append_custom_if_fits(c, 1, {q0, a, b, top}, rng);
+  EngineOptions unfused;
+  unfused.fuse = false;
+  std::vector<CompiledCircuit> out;
+  out.push_back(compile_circuit(c, unfused));
+
+  // Chains of dense 2q gates on one pair fuse into a Custom 4x4.
+  Circuit chains(width);
+  for (const int p : {a, top}) {
+    if (p >= width || p == q0) continue;
+    chains.append(GateKind::CRX, {q0, p}, {0.4}).ch(p, q0).append(GateKind::RXX, {q0, p}, {0.9});
+  }
+  out.push_back(compile_circuit(chains, EngineOptions{}));
+  return out;
+}
+
+/// Every SIMD table the CPU supports (the AVX2 table on AVX-512 hosts too),
+/// per op as CompiledCircuit::apply calls it, against the width-1 tier: each
+/// kernel class at lowest qubit 0, 1, 2 and >= 3, on states both wider and
+/// narrower than a register.
+TEST(SimdKernels, EveryTableMatchesTheWidthOneTierPerOp) {
+  if (!simd_available()) {
+    GTEST_SKIP() << "SIMD tiers unavailable; path pinned to the bit-exact width-1 tier";
+  }
+  const simd::KernelTable& reference = simd::kernel_table(IsaLevel::Scalar);
+  Rng rng(79);
+  for (const IsaLevel isa : {IsaLevel::Avx2, IsaLevel::Avx512}) {
+    if (isa > simd::best_isa()) continue;
+    const simd::KernelTable& table = simd::kernel_table(isa);
+    std::array<std::array<int, 4>, 6> seen{};  // ops per (class, lowest-qubit bucket) at width 8
+    for (const int width : {1, 2, 3, 8}) {
+      for (int q0 = 0; q0 < std::min(width, 5); ++q0) {
+        for (const CompiledCircuit& compiled : lowest_qubit_probes(width, q0, rng)) {
+          for (const CompiledOp& op : compiled.compiled_ops()) {
+            const auto cls = static_cast<std::size_t>(op.cls);
+            if (width == 8) ++seen[cls][static_cast<std::size_t>(std::min(op.sorted_qubits[0], 3))];
+            const StateVector input = random_state(width, rng);
+            SoAState expected = SoAState::from_statevector(input);
+            SoAState actual = SoAState::from_statevector(input);
+            const index_t groups = simd::group_count(op, expected.dim());
+            reference.fns[cls](simd::SoaSpan{expected.re(), expected.im(), expected.dim()}, op,
+                               0, groups);
+            table.fns[cls](simd::SoaSpan{actual.re(), actual.im(), actual.dim()}, op, 0, groups);
+            SCOPED_TRACE(isa_level_name(isa) + " " + kernel_class_name(op.cls) + " width " +
+                         std::to_string(width) + " q0 " + std::to_string(op.sorted_qubits[0]));
+            expect_amps_near(expected, actual, kSimdTol);
+          }
+        }
+      }
+    }
+    for (std::size_t cls = 0; cls < seen.size(); ++cls) {
+      for (std::size_t bucket = 0; bucket < 4; ++bucket) {
+        EXPECT_GT(seen[cls][bucket], 0)
+            << isa_level_name(isa) << ": no "
+            << kernel_class_name(static_cast<KernelClass>(cls)) << " op at lowest qubit "
+            << bucket << (bucket == 3 ? "+" : "");
+      }
+    }
+  }
+}
+
+/// SoAState::from_statevector, which loads the tests' random states, is an
+/// exact copy.
+TEST(SoAState, LoadsAStatevectorExactly) {
   Rng rng(71);
-  circuit::RandomCircuitOptions rc;
-  rc.num_qubits = 6;
-  rc.depth = 20;
-  const Circuit c = circuit::random_circuit(rc, rng);
-
-  EngineOptions options;  // simd off: isa() == Scalar
-  const CompiledCircuit compiled = compile_circuit(c, options);
-  ASSERT_EQ(compiled.isa(), IsaLevel::Scalar);
-
-  StateVector direct(rc.num_qubits);
-  compiled.apply(direct);
-
-  StateVector via_soa(rc.num_qubits);
-  SoAState soa(rc.num_qubits);
-  compiled.apply(soa);
-  soa.extract_to(via_soa);
-  expect_amps_near(direct, via_soa, kSimdTol);
-
-  // The conversions themselves are exact: a pure round-trip is bit-equal.
-  SoAState copy = SoAState::from_statevector(direct);
-  StateVector back(rc.num_qubits);
-  copy.extract_to(back);
-  expect_amps_equal(direct, back);
+  const StateVector sv = random_state(6, rng);
+  const SoAState soa = SoAState::from_statevector(sv);
+  for (index_t i = 0; i < sv.dim(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(soa.amplitude(i).real()),
+              std::bit_cast<std::uint64_t>(sv.amplitude(i).real()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(soa.amplitude(i).imag()),
+              std::bit_cast<std::uint64_t>(sv.amplitude(i).imag()));
+  }
 }
 
 /// SIMD results are thread-count and grain invariant too: chunk boundaries
-/// fall on group indices, and every group's arithmetic is independent.
+/// fall on whole registers, and every group's arithmetic is independent.
+/// At 13 qubits the threaded runs split every 1q and 2q op into chunks of
+/// 1024 groups.
 TEST(SimdKernels, ThreadAndGrainInvariance) {
   if (!simd_available()) {
-    GTEST_SKIP() << "SIMD tiers unavailable; path pinned to bit-exact scalar";
+    GTEST_SKIP() << "SIMD tiers unavailable; path pinned to the bit-exact width-1 tier";
   }
   Rng rng(73);
   circuit::RandomCircuitOptions rc;
-  rc.num_qubits = 10;
+  rc.num_qubits = 13;
   rc.depth = 16;
   const Circuit c = circuit::random_circuit(rc, rng);
 
   parallel::ThreadPool pool(3);
   const auto run_with = [&](parallel::ThreadPool* p, int threshold, std::uint64_t min_work) {
-    StateVector sv(rc.num_qubits);
+    SoAState sv(rc.num_qubits);
     EngineOptions options;
     options.simd = true;
     options.threading_threshold_qubits = threshold;
@@ -453,7 +606,7 @@ TEST(SimdKernels, ThreadAndGrainInvariance) {
     return sv;
   };
 
-  const StateVector serial = run_with(nullptr, 27, 16384);
+  const SoAState serial = run_with(nullptr, 27, 16384);
   expect_amps_equal(serial, run_with(&pool, 2, 0));
   expect_amps_equal(serial, run_with(&pool, 2, std::uint64_t{1} << 40));
 }
@@ -469,7 +622,7 @@ TEST(Fusion, MatchesUnfusedWithin1em12) {
     StateVector generic(width);
     generic.apply_circuit(c);
 
-    StateVector fused(width);
+    SoAState fused(width);
     const CompiledCircuit compiled = compile_circuit(c, EngineOptions{});
     compiled.apply(fused);
     expect_amps_near(generic, fused, 1e-12);
